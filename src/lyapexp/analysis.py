@@ -26,8 +26,8 @@ import numpy as np
 from . import coefficients as coeffs
 from . import distributions as dist
 from .errors import InsufficientSignal, KNotInA
-from .fitting import power_design, wls_fit
-from .lyapunov import LyapunovEstimate, lyapunov_invariant
+from .fitting import wls_fit
+from .lyapunov import lyapunov_invariant
 
 INTEGER_ALPHA_TOL = 1e-6
 
@@ -151,10 +151,6 @@ def theory_brackets(spec: dist.DistributionSpec, order: int) -> TheoryBracket:
                              log_correction=True, theta=a, eta=0.0)
     ceil_a = math.ceil(alpha)
     sup = float(spec.ess_sup())
-    if not math.isfinite(sup):
-        return TheoryBracket(kind="singular", lower_exp=2 * alpha,
-                             upper_exp=2 * ceil_a, alpha=alpha,
-                             integer_alpha=False, log_correction=False)
     eta = math.log(float(dist.moment(spec, ceil_a))) / math.log(sup)
     theta = ceil_a - eta
     return TheoryBracket(kind="singular", lower_exp=2 * alpha,

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from .errors import TruncationOverflow
-from .mc import (KahanSum, batch_means, fixed_chunks, kept_offsets,
-                 philox_generator, run_blocks)
+from .errors import InvalidParameter, TruncationOverflow
+from .mc import (KahanSum, batch_means, check_run_size, kept_per_replica,
+                 philox_generator, run_blocks, run_chunked)
 
 # Moments with gamma above this cutoff are accumulated in log space
 # (log-sum-exp) to avoid overflow of x**gamma at small eps.
@@ -46,36 +46,24 @@ class ChainConfig:
 
     ``n_steps`` is the total number of retained samples across all
     replicas; each replica runs ``burn_in`` discarded steps followed by
-    ``ceil(n_steps / replicas) * thinning`` further steps, of which every
-    ``thinning``-th is retained.
+    ``ceil(n_steps / replicas)`` retained ones.
     """
 
     eps: float
     n_steps: int
     seed: int
     burn_in: int = 10_000
-    thinning: int = 1
     replicas: int = 64
-    stream_base: int = 0
     threads: int = 1
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if self.replicas < 2:
-            raise ValueError("need at least two replicas for error bars")
-        if self.n_steps < self.replicas:
-            raise ValueError("n_steps must be at least the replica count")
-        if self.burn_in < 0 or self.thinning < 1:
-            raise ValueError("burn_in must be >= 0 and thinning >= 1")
+        if not 0 <= self.eps < math.inf:
+            raise InvalidParameter("eps must be finite and nonnegative")
+        check_run_size(self.n_steps, self.replicas, self.burn_in)
 
     @property
     def kept_per_replica(self) -> int:
-        return -(-self.n_steps // self.replicas)
-
-    @property
-    def steps_per_replica(self) -> int:
-        return self.burn_in + self.kept_per_replica * self.thinning
+        return kept_per_replica(self.n_steps, self.replicas)
 
 
 @dataclass(frozen=True)
@@ -142,12 +130,9 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     eps = abs(float(cfg.eps))
     e2 = eps * eps
     kept = cfg.kept_per_replica
-    total = cfg.steps_per_replica
     log_space = [g > LOG_SPACE_GAMMA for g in gammas]
 
-    def run_block(block_idx, start, stop):
-        width = stop - start
-        gen = philox_generator(cfg.seed, cfg.stream_base + block_idx)
+    def kernel(gen, width, pieces):
         x = np.zeros(width)
         num = np.empty(width)
         den = np.empty(width)
@@ -155,10 +140,8 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
         trunc_logsum = [np.full(width, -np.inf) for _ in gammas]
-        lyap_acc = KahanSum(width)
         xmax = np.zeros(width)
-        for c0, c1 in fixed_chunks(total):
-            span = c1 - c0
+        for span, keep0 in pieces:
             u = gen.random((span, width))
             z = draw(u)
             xbuf = np.empty((span, width))
@@ -172,18 +155,12 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
                 dbuf[t] = den
                 np.divide(num, den, out=xbuf[t])
                 x = xbuf[t]
-            # retained rows: post-step states x_j for j = c0+t+1, kept when
-            # j > burn_in and (j - burn_in - 1) % thinning == 0; the log
-            # increment of row t uses the matching pre-step state.
-            j0 = c0 + 1
-            offs = kept_offsets(j0, span, cfg.burn_in, cfg.thinning)
-            if offs.size == 0:
+            # the growth factor of row t is its denominator; the moments
+            # fold the matching post-step states over the same kept rows
+            yield dbuf
+            if keep0 >= span:
                 continue
-            if offs.size == span:
-                xk, dk = xbuf, dbuf
-            else:
-                xk, dk = xbuf[offs], dbuf[offs]
-            lyap_acc.add(np.log(dk).sum(axis=0))
+            xk = xbuf[keep0:]
             np.maximum(xmax, xk.max(axis=0), out=xmax)
             wmask = None
             for i, g in enumerate(gammas):
@@ -211,9 +188,10 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
             else:
                 out_m.append(moment_acc[i].total / kept)
                 out_t.append(trunc_acc[i].total / kept)
-        return out_m, out_t, lyap_acc.total / kept, xmax
+        return out_m, out_t, xmax
 
-    results = run_blocks(run_block, cfg.replicas, cfg.threads)
+    lyap_rep, results = run_chunked(kernel, cfg.n_steps, cfg.replicas,
+                                    cfg.burn_in, cfg.seed, cfg.threads)
 
     moments, stderrs, truncs, tstderrs = [], [], [], []
     for i in range(len(gammas)):
@@ -225,9 +203,8 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
         mt, set_ = batch_means(per_rep_t)
         truncs.append(mt)
         tstderrs.append(set_)
-    lyap_rep = np.concatenate([r[2] for r in results])
     lmean, lse = batch_means(lyap_rep)
-    max_x = float(max(r[3].max() for r in results)) if results else 0.0
+    max_x = float(max(r[2].max() for r in results))
 
     return ChainStats(eps=eps, seed=cfg.seed, n_kept=kept * cfg.replicas,
                       gammas=gammas, moments=tuple(moments),
@@ -259,8 +236,8 @@ def _logsumexp0(vals: np.ndarray) -> np.ndarray:
 # -- perpetuity sampler ----------------------------------------------------
 
 def sample_x0(spec: dist.DistributionSpec, n: int, seed: int,
-              trunc_tol: float = 1e-12, max_terms: int = 100_000,
-              stream_base: int = 0) -> np.ndarray:
+              trunc_tol: float = 1e-12,
+              max_terms: int = 100_000) -> np.ndarray:
     """Draw ``n`` samples of the perpetuity X_0 = sum_k Z_1 ... Z_k.
 
     Partial sums are accumulated until the running product stays below
@@ -272,7 +249,7 @@ def sample_x0(spec: dist.DistributionSpec, n: int, seed: int,
 
     def run_block(block_idx, start, stop):
         width = stop - start
-        gen = philox_generator(seed, stream_base + block_idx)
+        gen = philox_generator(seed, block_idx)
         prod = np.ones(width)
         total = np.zeros(width)
         consec = np.zeros(width, dtype=np.int64)

@@ -50,7 +50,8 @@ from . import distributions as dist
 from . import highdim
 from . import ising as ising_mod
 from . import lyapunov
-from .errors import InvalidSpec, NumericalError, ValidationError
+from .errors import (InvalidParameter, InvalidSpec, NumericalError,
+                     ValidationError)
 
 _FMT = "%.17g"
 
@@ -67,15 +68,33 @@ class _Parser(argparse.ArgumentParser):
 
 # -- small parsers -------------------------------------------------------
 
-def _parse_number(text: str) -> float:
-    """One numeric token: decimal, fraction 'p/q', or power '2^-5'."""
-    text = text.strip()
+def _finite(text: str, convert):
+    """``convert(text)``, checked: a malformed token is a usage error, and
+    a value that is not a finite real number is a validation error."""
+    try:
+        value = convert(text)
+        finite = isinstance(value, Fraction) or math.isfinite(value)
+    except (OverflowError, ZeroDivisionError, TypeError):
+        finite = False
+    except ValueError:
+        raise _UsageError(f"malformed number {text.strip()!r}") from None
+    if not finite:
+        raise InvalidParameter(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def _number_value(text: str) -> float:
     if "^" in text:
         base, _, expo = text.partition("^")
         return float(base) ** float(expo)
     if "/" in text:
         return float(Fraction(text))
     return float(text)
+
+
+def _parse_number(text: str) -> float:
+    """One numeric token: decimal, fraction 'p/q', or power '2^-5'."""
+    return _finite(text.strip(), _number_value)
 
 
 def _parse_grid(text: str):
@@ -87,15 +106,15 @@ def _parse_grid(text: str):
         base2, _, e1 = hi.partition("^")
         if base_s.strip() != base2.strip():
             raise _UsageError(f"grid endpoints must share a base: {text!r}")
-        b = float(base_s)
-        j0, j1 = int(e0), int(e1)
+        j0, j1 = _finite(e0, int), _finite(e1, int)
         step = 1 if j1 >= j0 else -1
-        return [b ** j for j in range(j0, j1 + step, step)]
+        return [_parse_number(f"{base_s}^{j}")
+                for j in range(j0, j1 + step, step)]
     return [_parse_number(t) for t in text.split(",") if t.strip()]
 
 
 def _parse_steps(text: str):
-    vals = [int(float(t)) for t in text.split(",") if t.strip()]
+    vals = [int(_finite(t, float)) for t in text.split(",") if t.strip()]
     if not vals:
         raise _UsageError("empty --steps value")
     return vals[0] if len(vals) == 1 else vals
@@ -105,13 +124,16 @@ def _parse_int_list(text: str):
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t.strip()]
+        return list(range(_finite(lo, int), _finite(hi, int) + 1))
+    return [_finite(t, int) for t in text.split(",") if t.strip()]
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
+    threads = getattr(args, "threads", None) or 0
+    if threads < 0:
+        raise InvalidParameter(f"--threads must be >= 0, got {threads}")
+    if threads:
+        return threads
     env = os.environ.get("LYAPEXP_THREADS")
     if env:
         try:
@@ -177,7 +199,8 @@ def _estimate_doc(est) -> dict:
 def _run_coeffs(args):
     order = args.order
     if args.moments:
-        m = [Fraction(t) for t in args.moments.split(",") if t.strip()]
+        m = [_finite(t, Fraction) for t in args.moments.split(",")
+             if t.strip()]
         source = {"moments": [str(v) for v in m]}
     elif args.spec:
         m = _load_spec_file(args.spec)
@@ -229,6 +252,8 @@ def _run_chain(args):
     steps = _parse_steps(args.steps)
     if isinstance(steps, list):
         raise _UsageError("chain takes a single --steps value")
+    if args.cutoff is not None and not math.isfinite(args.cutoff):
+        raise InvalidParameter(f"--cutoff must be finite, got {args.cutoff}")
     cutoff = args.cutoff if args.cutoff is not None \
         else chain_mod.default_cutoff(spec)
     rows = []

@@ -382,15 +382,13 @@ class AssumptionReport:
     positive_support: bool
     non_degenerate: bool
     negative_log_drift: bool
-    finite_small_moment: bool
-    bounded_support: bool
     ess_sup: float
     log_drift: float
 
     @property
     def passes(self) -> bool:
         return (self.positive_support and self.non_degenerate
-                and self.negative_log_drift and self.finite_small_moment)
+                and self.negative_log_drift)
 
 
 def validate_assumptions(spec: DistributionSpec) -> AssumptionReport:
@@ -409,8 +407,6 @@ def validate_assumptions(spec: DistributionSpec) -> AssumptionReport:
         positive_support=spec.ess_inf() > 0,
         non_degenerate=non_deg,
         negative_log_drift=drift < 0,
-        finite_small_moment=True,  # bounded support
-        bounded_support=True,
         ess_sup=float(spec.ess_sup()),
         log_drift=drift,
     )

@@ -26,8 +26,9 @@ class KNotInA(ValidationError):
     ell_K does not exist."""
 
 
-class UnboundedSupport(ValidationError):
-    """Operation requires an essential supremum that is finite."""
+class InvalidParameter(ValidationError, ValueError):
+    """A run size or numeric parameter lies outside its admissible range
+    (fewer than two replicas, a negative burn-in, a non-finite eps)."""
 
 
 class NoUpcrossing(NumericalError):
@@ -64,7 +65,3 @@ class InsufficientSignal(NumericalError):
 
 class SingularSystem(NumericalError):
     """I - G^(l) is numerically singular; moment system cannot be solved."""
-
-
-class NonConvergence(UserWarning):
-    """Estimator diagnostics suggest the run has not equilibrated."""

@@ -30,14 +30,10 @@ from .distributions import as_fraction
 from .errors import InsufficientSignal, InvalidSpec, SingularSystem
 from .fitting import power_design, wls_fit
 from .lyapunov import DIRECT, INVARIANT, LyapunovEstimate
-from .mc import (KahanSum, batch_means, fixed_chunks, kept_offsets,
-                 philox_generator, run_blocks)
+from .mc import (CALLABLE_CHUNK, TIME_CHUNK, batch_means, kept_per_replica,
+                 philox_generator, run_chunked)
 
 COND_LIMIT = 1e12
-
-# Chunk span for laws that materialise whole (span, width, d, d) block
-# arrays at once; keeps peak memory modest at d = 4.
-CALLABLE_CHUNK = 256
 
 
 # -- block laws --------------------------------------------------------------
@@ -59,10 +55,6 @@ class FiniteBlockLaw:
     ns: np.ndarray
     ns_exact: tuple
     cum: np.ndarray
-
-    @property
-    def eps_dependent(self) -> bool:
-        return False
 
     def indices(self, u: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.cum, u, side="right")
@@ -107,24 +99,20 @@ def finite_block_law(triples, weights) -> FiniteBlockLaw:
 class CallableBlockLaw:
     """Block law given as a sampler ``fn(eps, gen, shape) -> (L, C, N)``.
 
-    The callable owns its own consumption of the generator; laws that
-    depend on eps are supported in this form only (their limit moments
-    are then estimated by Monte Carlo at a small probe eps).
+    The callable owns its own consumption of the generator; its limit
+    moments are estimated by Monte Carlo at a small probe eps.
     """
 
     d: int
     fn: object
-    eps_dependent: bool = True
 
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Dimension, sampler and assumption flags for a block model."""
+    """Dimension and sampler of a block model."""
 
     d: int
     law: object
-    moments_finite: bool = True
-    primitivity_claimed: bool = True
 
     def __post_init__(self):
         if self.d < 1:
@@ -150,8 +138,7 @@ def from_scalar(spec: dist.DistributionSpec) -> BlockSpec:
         ones = np.ones(shape + (1,))
         return ones, z[..., None], z[..., None, None]
 
-    return BlockSpec(d=1, law=CallableBlockLaw(d=1, fn=fn,
-                                               eps_dependent=False))
+    return BlockSpec(d=1, law=CallableBlockLaw(d=1, fn=fn))
 
 
 # -- multi-index machinery ----------------------------------------------------
@@ -325,14 +312,10 @@ def _chunk_blocks(law, eps, gen, span, width):
     return law.fn(eps, gen, (span, width))
 
 
-def _law_chunk_span(law) -> int:
-    return 10 ** 9 if isinstance(law, FiniteBlockLaw) else CALLABLE_CHUNK
-
-
 def lyapunov_general(block_spec: BlockSpec, eps: float, method: str = DIRECT,
                      n_steps: int = 10 ** 6, seed: int = 0,
                      burn_in: int = 10_000, replicas: int = 64,
-                     discard: int = 1000, stream_base: int = 0,
+                     discard: int = 1000,
                      threads: int = 1) -> LyapunovEstimate:
     """Top exponent of the block product, by either estimator.
 
@@ -343,96 +326,61 @@ def lyapunov_general(block_spec: BlockSpec, eps: float, method: str = DIRECT,
     """
     eps = abs(float(eps))
     if method == DIRECT:
-        return _general_direct(block_spec, eps, n_steps, seed, replicas,
-                               discard, stream_base, threads)
-    if method == INVARIANT:
-        return _general_invariant(block_spec, eps, n_steps, seed, burn_in,
-                                  replicas, stream_base, threads)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _general_invariant(block_spec, eps, n_steps, seed, burn_in, replicas,
-                       stream_base, threads) -> LyapunovEstimate:
-    d = block_spec.d
+        kernel, lead = _direct_kernel, discard
+    elif method == INVARIANT:
+        kernel, lead = _invariant_kernel, burn_in
+    else:
+        raise ValueError(f"unknown method {method!r}")
     law = block_spec.law
+    piece = TIME_CHUNK if isinstance(law, FiniteBlockLaw) else CALLABLE_CHUNK
+    per_replica, _ = run_chunked(
+        lambda gen, width, pieces: kernel(law, eps, gen, width, pieces),
+        n_steps, replicas, lead, seed, threads, piece)
+    value, stderr = batch_means(per_replica)
+    return LyapunovEstimate(eps=eps, method=method, value=value,
+                            stderr=stderr,
+                            n=kept_per_replica(n_steps, replicas) * replicas,
+                            seed=seed)
+
+
+def _invariant_kernel(law, eps, gen, width, pieces):
+    """Vector chain; yields the denominators 1 + eps^2 L.x per piece."""
     e2 = eps * eps
-    kept = -(-n_steps // replicas)
-    total = burn_in + kept
-    max_span = _law_chunk_span(law)
-
-    def run_block(block_idx, start, stop):
-        width = stop - start
-        gen = philox_generator(seed, stream_base + block_idx)
-        x = np.zeros((width, d))
-        acc = KahanSum(width)
-        for c0, c1 in fixed_chunks(total):
-            for s0 in range(c0, c1, max_span):
-                s1 = min(s0 + max_span, c1)
-                span = s1 - s0
-                ls, cs, ns = _chunk_blocks(law, eps, gen, span, width)
-                dbuf = np.empty((span, width))
-                for t in range(span):
-                    nx = (ns[t] * x[:, None, :]).sum(axis=2)
-                    num = cs[t] + nx
-                    lx = (ls[t] * x).sum(axis=1)
-                    den = e2 * lx
-                    den = 1.0 + den
-                    dbuf[t] = den
-                    x = num / den[:, None]
-                offs = kept_offsets(s0 + 1, span, burn_in, 1)
-                if offs.size == 0:
-                    continue
-                dk = dbuf if offs.size == span else dbuf[offs]
-                acc.add(np.log(dk).sum(axis=0))
-        return acc.total / kept
-
-    per_replica = np.concatenate(run_blocks(run_block, replicas, threads))
-    value, stderr = batch_means(per_replica)
-    return LyapunovEstimate(eps=eps, method=INVARIANT, value=value,
-                            stderr=stderr, n=kept * replicas, seed=seed)
+    x = np.zeros((width, law.d))
+    for span, _ in pieces:
+        ls, cs, ns = _chunk_blocks(law, eps, gen, span, width)
+        dbuf = np.empty((span, width))
+        for t in range(span):
+            nx = (ns[t] * x[:, None, :]).sum(axis=2)
+            num = cs[t] + nx
+            lx = (ls[t] * x).sum(axis=1)
+            den = e2 * lx
+            den = 1.0 + den
+            dbuf[t] = den
+            x = num / den[:, None]
+        yield dbuf
 
 
-def _general_direct(block_spec, eps, n_steps, seed, replicas, discard,
-                    stream_base, threads) -> LyapunovEstimate:
-    d = block_spec.d
-    law = block_spec.law
-    per_rep = -(-n_steps // replicas)
-    total = discard + per_rep
-    max_span = _law_chunk_span(law)
-
-    def run_block(block_idx, start, stop):
-        width = stop - start
-        gen = philox_generator(seed, stream_base + block_idx)
-        v0 = np.ones(width)
-        w = np.ones((width, d))
-        acc = KahanSum(width)
-        for c0, c1 in fixed_chunks(total):
-            for s0 in range(c0, c1, max_span):
-                s1 = min(s0 + max_span, c1)
-                span = s1 - s0
-                ls, cs, ns = _chunk_blocks(law, eps, gen, span, width)
-                mbuf = np.empty((span, width))
-                for t in range(span):
-                    lw = (ls[t] * w).sum(axis=1)
-                    top = np.multiply(eps, lw)
-                    top = np.add(v0, top)
-                    cv = ns[t] * w[:, None, :]
-                    bot = cs[t] * v0[:, None]
-                    bot = np.multiply(eps, bot)
-                    bot = np.add(bot, cv.sum(axis=2))
-                    m = np.maximum(top, bot.max(axis=1))
-                    mbuf[t] = m
-                    v0 = top / m
-                    w = bot / m[:, None]
-                keep0 = max(discard - s0, 0)
-                if keep0 < span:
-                    acc.add(np.log(mbuf[keep0:]).sum(axis=0))
-        return acc.total / per_rep
-
-    per_replica = np.concatenate(run_blocks(run_block, replicas, threads))
-    value, stderr = batch_means(per_replica)
-    return LyapunovEstimate(eps=eps, method=DIRECT, value=value,
-                            stderr=stderr, n=per_rep * replicas, seed=seed)
+def _direct_kernel(law, eps, gen, width, pieces):
+    """Renormalised (d+1)-vector; yields the max-norm factors per piece."""
+    v0 = np.ones(width)
+    w = np.ones((width, law.d))
+    for span, _ in pieces:
+        ls, cs, ns = _chunk_blocks(law, eps, gen, span, width)
+        mbuf = np.empty((span, width))
+        for t in range(span):
+            lw = (ls[t] * w).sum(axis=1)
+            top = np.multiply(eps, lw)
+            top = np.add(v0, top)
+            cv = ns[t] * w[:, None, :]
+            bot = cs[t] * v0[:, None]
+            bot = np.multiply(eps, bot)
+            bot = np.add(bot, cv.sum(axis=2))
+            m = np.maximum(top, bot.max(axis=1))
+            mbuf[t] = m
+            v0 = top / m
+            w = bot / m[:, None]
+        yield mbuf
 
 
 def coupled_vector_paths(block_spec: BlockSpec, eps: float, n: int,

@@ -186,7 +186,7 @@ def map_to_blocks(model: IsingModel) -> MappedBlocks:
         ns = n_const * z[..., None, None] ** n_pow
         return ls, cs, ns
 
-    law = CallableBlockLaw(d=db, fn=fn, eps_dependent=False)
+    law = CallableBlockLaw(d=db, fn=fn)
     return MappedBlocks(blocks=BlockSpec(d=db, law=law), eps=scale)
 
 

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import distributions as dist
 from .chain import ChainConfig, simulate_chain
-from .mc import (KahanSum, batch_means, fixed_chunks, philox_generator,
-                 run_blocks)
+from .mc import batch_means, kept_per_replica, run_chunked
 
 DIRECT = "direct_product"
 INVARIANT = "invariant_formula"
@@ -49,12 +48,10 @@ class LyapunovEstimate:
 def lyapunov_invariant(spec: dist.DistributionSpec, eps: float,
                        n_steps: int = 10 ** 6, seed: int = 0,
                        burn_in: int = 10_000, replicas: int = 64,
-                       stream_base: int = 0,
                        threads: int = 1) -> LyapunovEstimate:
     """E[log(1 + eps^2 X)] along the stationary chain."""
     cfg = ChainConfig(eps=abs(float(eps)), n_steps=n_steps, seed=seed,
-                      burn_in=burn_in, replicas=replicas,
-                      stream_base=stream_base, threads=threads)
+                      burn_in=burn_in, replicas=replicas, threads=threads)
     stats = simulate_chain(spec, cfg, gammas=())
     return LyapunovEstimate(eps=cfg.eps, method=INVARIANT,
                             value=stats.log1p_mean,
@@ -65,8 +62,7 @@ def lyapunov_invariant(spec: dist.DistributionSpec, eps: float,
 def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
                     n_steps: int = 10 ** 6, seed: int = 0,
                     replicas: int = 64, discard: int = 1000,
-                    start=(1.0, 1.0), stream_base: int = 0,
-                    threads: int = 1) -> LyapunovEstimate:
+                    start=(1.0, 1.0), threads: int = 1) -> LyapunovEstimate:
     """Renormalised vector iteration through the matrix product.
 
     ``n_steps`` counted log-increments are split across ``replicas``
@@ -82,20 +78,14 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
     m0 = max(s0, s1)
     s0, s1 = s0 / m0, s1 / m0
     draw = dist.sampler(spec)
-    per_rep = -(-n_steps // replicas)
-    total = discard + per_rep
 
-    def run_block(block_idx, start_col, stop_col):
-        width = stop_col - start_col
-        gen = philox_generator(seed, stream_base + block_idx)
+    def kernel(gen, width, pieces):
         v0 = np.full(width, s0)
         v1 = np.full(width, s1)
         w0 = np.empty(width)
         w1a = np.empty(width)
         w1b = np.empty(width)
-        acc = KahanSum(width)
-        for c0, c1 in fixed_chunks(total):
-            span = c1 - c0
+        for span, _ in pieces:
             u = gen.random((span, width))
             z = draw(u)
             mbuf = np.empty((span, width))
@@ -113,15 +103,15 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
                 mbuf[t] = m
                 v0 = w0 / m
                 v1 = w1b / m
-            keep0 = max(discard - c0, 0)
-            if keep0 < span:
-                acc.add(np.log(mbuf[keep0:]).sum(axis=0))
-        return acc.total / per_rep
+            yield mbuf
 
-    per_replica = np.concatenate(run_blocks(run_block, replicas, threads))
+    per_replica, _ = run_chunked(kernel, n_steps, replicas, discard, seed,
+                                 threads)
     value, stderr = batch_means(per_replica)
     return LyapunovEstimate(eps=eps, method=DIRECT, value=value,
-                            stderr=stderr, n=per_rep * replicas, seed=seed)
+                            stderr=stderr,
+                            n=kept_per_replica(n_steps, replicas) * replicas,
+                            seed=seed)
 
 
 def estimate(spec: dist.DistributionSpec, eps: float, method: str = DIRECT,

@@ -1,5 +1,6 @@
 """Monte Carlo plumbing: counter-based RNG streams, compensated
-accumulators and batch-means error bars.
+accumulators, batch-means error bars, and the one chunk/block driver
+every Lyapunov and chain engine runs on.
 
 Reproducibility contract
 ------------------------
@@ -8,10 +9,16 @@ Streams are realised as Philox generators with ``key = seed * 2^64 + stream``,
 so distinct streams are independent by construction and a (seed, stream)
 pair always reproduces the same draws regardless of how many worker
 threads consume them.  Replicas are grouped into fixed-width blocks
-(:data:`BLOCK_WIDTH` columns per stream) and the time axis is processed in
-chunks of :data:`TIME_CHUNK` steps; both constants are part of the layout,
-never derived from the thread count, so results are bit-identical for any
-``threads`` setting.
+(:data:`BLOCK_WIDTH` columns, block ``b`` drawing from stream ``b``) and
+the time axis is processed in pieces of :data:`TIME_CHUNK` steps
+(:data:`CALLABLE_CHUNK` for callable block laws); these constants are
+part of the layout, never derived from the thread count, so results are
+bit-identical for any ``threads`` setting.
+
+:func:`run_chunked` owns that layout.  An engine supplies only a kernel,
+a generator that draws each piece and runs its recursion; the driver
+keeps the rows past the burn-in, sums their log growth factors and
+returns one mean per replica.
 """
 
 from __future__ import annotations
@@ -20,10 +27,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Fixed layout constants.  Changing either changes the draws assigned to a
+from .errors import InvalidParameter
+
+# Fixed layout constants.  Changing any changes the draws assigned to a
 # replica, so they are deliberately module-level and not configurable.
 BLOCK_WIDTH = 512
 TIME_CHUNK = 2048
+# Piece span for block laws that materialise whole (span, width, d, d)
+# arrays at once; keeps peak memory modest at d = 4.  Divides TIME_CHUNK.
+CALLABLE_CHUNK = 256
 
 # Batch count for batch-means standard errors.
 N_BATCHES = 64
@@ -41,8 +53,7 @@ def replica_blocks(n_replicas: int):
     """Partition replica indices into fixed-width contiguous blocks.
 
     Returns a list of ``(block_index, start, stop)`` triples.  Block
-    ``b`` of a run with base stream ``s0`` always draws from stream
-    ``s0 + b``, independent of threading.
+    ``b`` always draws from stream ``b``, independent of threading.
     """
     blocks = []
     b = 0
@@ -112,22 +123,60 @@ def batch_means(per_replica_means: np.ndarray, n_batches: int = N_BATCHES):
     return mean, stderr
 
 
-def fixed_chunks(total: int, chunk: int = TIME_CHUNK):
-    """Yield (start, stop) pairs covering range(total) in fixed chunks."""
-    for start in range(0, total, chunk):
-        yield start, min(start + chunk, total)
+def check_run_size(n_steps: int, replicas: int, lead: int) -> None:
+    """Reject run sizes no engine can give an error bar for."""
+    if replicas < 2:
+        raise InvalidParameter("need at least two replicas for error bars")
+    if n_steps < replicas:
+        raise InvalidParameter("n_steps must be at least the replica count")
+    if lead < 0:
+        raise InvalidParameter("burn-in and discard must be >= 0")
 
 
-def kept_offsets(j0: int, span: int, burn_in: int, thinning: int) -> np.ndarray:
-    """Row offsets within a chunk whose post-step index is retained.
+def kept_per_replica(n_steps: int, replicas: int) -> int:
+    """Retained rows per replica for a budget of ``n_steps`` in total."""
+    return -(-n_steps // replicas)
 
-    Row t corresponds to post-step index j = j0 + t; a row is retained
-    when j > burn_in and (j - burn_in - 1) % thinning == 0.  Shared by
-    the scalar and block chain engines so their retained-sample layout
-    (and hence their reductions) coincide exactly.
+
+def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
+                threads: int = 1, piece: int = TIME_CHUNK):
+    """Run ``kernel`` over every replica block of the fixed layout.
+
+    Each replica runs ``lead`` steps whose growth factors are dropped
+    (burn-in or discard), then ``kept_per_replica(n_steps, replicas)``
+    steps whose factors are kept.  ``kernel(gen, width, pieces)`` is a
+    generator: ``pieces`` lists ``(span, keep0)`` for consecutive time
+    pieces of at most ``piece`` steps, and for each piece the kernel
+    draws ``span`` rows from ``gen``, runs its recursion, and yields the
+    ``(span, width)`` growth factors.  Rows ``keep0:`` are those whose
+    post-step index exceeds ``lead``; their logs are summed per replica.
+
+    Returns the per-replica mean log growth, in replica order, and the
+    kernels' own return values, in block order.
     """
-    j = np.arange(j0, j0 + span)
-    mask = j > burn_in
-    if thinning > 1:
-        mask &= (j - burn_in - 1) % thinning == 0
-    return np.nonzero(mask)[0]
+    check_run_size(n_steps, replicas, lead)
+    kept = kept_per_replica(n_steps, replicas)
+    total = lead + kept
+    pieces = [(min(piece, total - c0), max(lead - c0, 0))
+              for c0 in range(0, total, piece)]
+
+    def worker(block, start, stop):
+        width = stop - start
+        acc = KahanSum(width)
+        steps = kernel(philox_generator(seed, block), width, pieces)
+        for span, keep0 in pieces:
+            rows = next(steps)
+            if keep0 < span:
+                acc.add(np.log(rows[keep0:]).sum(axis=0))
+            # the kernel alone keeps a piece alive: holding it here too
+            # raised the peak RSS of two-thread chain runs
+            del rows
+        try:
+            next(steps)
+        except StopIteration as end:
+            return acc.total / kept, end.value
+        raise RuntimeError("kernel yielded more pieces than scheduled")
+
+    results = run_blocks(worker, replicas, threads)
+    return (np.concatenate([r[0] for r in results]),
+            [r[1] for r in results])

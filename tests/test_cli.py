@@ -10,6 +10,7 @@ import pytest
 from lyapexp import cli
 from lyapexp import distributions as dist
 from lyapexp import lyapunov
+from lyapexp.errors import InvalidParameter
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 TWO_POINT = str(SPECS / "two_point.json")
@@ -19,6 +20,7 @@ UNIFORM = str(SPECS / "uniform_sub.json")
 CONSTANT = str(SPECS / "constant_law.json")
 BLOCKS_SCALAR = str(SPECS / "blocks_scalar.json")
 BLOCKS_D2 = str(SPECS / "blocks_d2.json")
+LYAP = ("lyap", "--spec", TWO_POINT, "--eps", "1/4", "--steps", "1000")
 
 
 def run(capsys, *argv):
@@ -65,6 +67,8 @@ def test_thread_resolution(monkeypatch):
     monkeypatch.setenv("LYAPEXP_THREADS", "many")
     with pytest.raises(cli._UsageError):
         cli._resolve_threads(argparse.Namespace(threads=0))
+    with pytest.raises(InvalidParameter):
+        cli._resolve_threads(argparse.Namespace(threads=-3))
 
 
 # -- exit codes -----------------------------------------------------------------------
@@ -77,6 +81,16 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "chain", "--spec", TWO_POINT,
                        "--steps", "1000,2000", "--eps", "0.5")
     assert code == 1 and "single --steps" in err
+    # malformed number tokens
+    for argv in (LYAP[:4] + ("abc", "--steps", "1000"),
+                 LYAP[:6] + ("many",),
+                 ("coeffs", "--moments", "1/2,abc", "--order", "2"),
+                 ("chain", "--spec", TWO_POINT, "--eps-grid", "2^-2..2^-x",
+                  "--steps", "1000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("usage error: malformed number"), argv
+        assert len(err.splitlines()) == 1, argv
 
 
 def test_help_and_version_exit_zero(capsys):
@@ -92,6 +106,27 @@ def test_validation_errors_exit_two(capsys):
                        "--T", "-1", "--field-law", TWO_POINT,
                        "--steps", "1000")
     assert code == 2 and "InvalidSpec" in err
+    # bad run sizes, and numbers that are not finite
+    for argv in (LYAP + ("--replicas", "1"),
+                 LYAP[:6] + ("0",),
+                 LYAP + ("--burn-in", "-5"),
+                 LYAP + ("--method", "direct", "--replicas", "1"),
+                 LYAP + ("--method", "direct", "--discard", "-5"),
+                 LYAP + ("--threads", "-3"),
+                 ("highdim", "--blocks", BLOCKS_D2, "--eps", "1/4",
+                  "--steps", "1000", "--replicas", "1"),
+                 ("chain", "--spec", TWO_POINT, "--eps", "-0.5",
+                  "--steps", "1000"),
+                 ("chain", "--spec", TWO_POINT, "--eps", "0.5",
+                  "--steps", "1000", "--cutoff", "nan"),
+                 LYAP[:4] + ("nan", "--steps", "1000"),
+                 LYAP[:4] + ("2^5000", "--steps", "1000"),
+                 LYAP[:6] + ("inf",),
+                 ("coeffs", "--moments", "1/2,1/0", "--order", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: InvalidParameter:"), argv
+        assert len(err.splitlines()) == 1, argv
 
 
 def test_numerical_errors_exit_three(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapexp import distributions as dist
-from lyapexp.errors import InvalidSpec, UnboundedSupport
+from lyapexp.errors import InvalidSpec
 
 
 # -- construction and validation ------------------------------------------
@@ -267,7 +267,7 @@ def test_reciprocal_swaps_and_inverts_atoms():
 
 
 def test_reciprocal_of_uniform_is_rejected():
-    with pytest.raises((InvalidSpec, UnboundedSupport, NotImplementedError)):
+    with pytest.raises((InvalidSpec, NotImplementedError)):
         dist.reciprocal(dist.uniform_interval("1/10", "9/10"))
 
 

@@ -140,7 +140,6 @@ def test_map_to_blocks_scalar_model_is_exact():
 def test_map_to_blocks_continuous_law_is_callable():
     mapped = ising.map_to_blocks(_model(law=UNIF))
     assert isinstance(mapped.blocks.law, highdim.CallableBlockLaw)
-    assert not mapped.blocks.law.eps_dependent
 
 
 def test_map_to_blocks_needs_one_live_bond():

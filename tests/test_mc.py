@@ -1,0 +1,56 @@
+"""The shared chunk/block driver of ``lyapexp.mc``, without Monte Carlo."""
+
+import numpy as np
+import pytest
+
+from lyapexp import mc
+from lyapexp.errors import InvalidParameter, ValidationError
+
+
+def _constant_growth(lead):
+    """Kernel whose post-step row j has growth e when kept, 0 when not.
+
+    A dropped row that reached the sum would make the mean -inf, and a
+    kept row that missed it would pull the mean below 1.
+    """
+    def kernel(gen, width, pieces):
+        j = 0
+        for span, _ in pieces:
+            gen.random((span, width))
+            post = j + 1 + np.arange(span)
+            yield np.where(post > lead, np.e, 0.0)[:, None] * np.ones(width)
+            j += span
+        return width, j
+    return kernel
+
+
+@pytest.mark.parametrize("piece", [mc.TIME_CHUNK, mc.CALLABLE_CHUNK])
+@pytest.mark.parametrize("lead", [0, 5, 2048, 2100])
+def test_constant_growth_gives_unit_means(lead, piece):
+    replicas, kept = 600, 301   # two blocks; 301 is no multiple of a span
+    means, returns = mc.run_chunked(_constant_growth(lead), kept * replicas,
+                                    replicas, lead, seed=0, piece=piece)
+    assert means.shape == (replicas,)
+    assert np.all(means == 1.0)
+    assert returns == [(512, lead + kept), (88, lead + kept)]
+
+
+def test_pieces_follow_the_fixed_schedule():
+    seen = []
+
+    def kernel(gen, width, pieces):
+        seen.append(list(pieces))
+        for span, _ in pieces:
+            yield np.ones((span, width))
+
+    mc.run_chunked(kernel, 64 * 100, 64, 2100, seed=0)
+    assert seen == [[(2048, 2100), (152, 52)]]
+
+
+@pytest.mark.parametrize("n_steps, replicas, lead", [
+    (100, 1, 0), (10, 64, 0), (0, 64, 0), (1000, 64, -1)])
+def test_bad_run_sizes_rejected(n_steps, replicas, lead):
+    with pytest.raises(InvalidParameter) as info:
+        mc.run_chunked(_constant_growth(0), n_steps, replicas, lead, seed=0)
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, ValidationError)
