@@ -20,7 +20,8 @@ The step is evaluated as ``(z + z*x) / (1 + eps^2 * x)``: numerator and
 denominator are kept monotone in x floating-point-wise, which makes the
 pathwise domination results hold exactly in simulation, and the same
 operation order is used by the d = 1 case of the block engine so the two
-produce bit-identical trajectories.
+produce bit-identical trajectories.  The per-step loop itself lives in
+:mod:`.kernels`, compiled or in numpy, with bitwise equal results.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def default_cutoff(spec: dist.DistributionSpec) -> float:
 def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
                    gammas=(1.0, 2.0), b_cutoff=None) -> ChainStats:
     """Run the chain and collect stationary moment / Lyapunov statistics."""
+    from . import kernels  # loaded by the first run, not at start-up
+
     gammas = tuple(float(g) for g in gammas)
     if b_cutoff is None:
         b_cutoff = default_cutoff(spec)
@@ -134,33 +137,24 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
 
     def kernel(gen, width, pieces):
         x = np.zeros(width)
-        num = np.empty(width)
-        den = np.empty(width)
+        # one buffer pair per block: run_chunked logs a piece's rows, and
+        # the moments below fold them, before the next piece is drawn
+        xbuf = np.empty((pieces[0][0], width))
+        dbuf = np.empty_like(xbuf)
         moment_acc = [KahanSum(width) for _ in gammas]
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
         trunc_logsum = [np.full(width, -np.inf) for _ in gammas]
         xmax = np.zeros(width)
         for span, keep0 in pieces:
-            u = gen.random((span, width))
-            z = draw(u)
-            xbuf = np.empty((span, width))
-            dbuf = np.empty((span, width))
-            for t in range(span):
-                zt = z[t]
-                np.multiply(zt, x, out=num)
-                np.add(zt, num, out=num)
-                np.multiply(e2, x, out=den)
-                np.add(1.0, den, out=den)
-                dbuf[t] = den
-                np.divide(num, den, out=xbuf[t])
-                x = xbuf[t]
+            z = draw(gen.random((span, width)))
+            kernels.chain_steps(z, x, xbuf[:span], dbuf[:span], e2)
             # the growth factor of row t is its denominator; the moments
             # fold the matching post-step states over the same kept rows
-            yield dbuf
+            yield dbuf[:span]
             if keep0 >= span:
                 continue
-            xk = xbuf[keep0:]
+            xk = xbuf[keep0:span]
             np.maximum(xmax, xk.max(axis=0), out=xmax)
             wmask = None
             for i, g in enumerate(gammas):

@@ -615,7 +615,14 @@ def _run_rerun(args):
     sub = manifest["subcommand"]
     if sub not in _HANDLERS or sub == "rerun":
         raise InvalidSpec(f"manifest names unknown subcommand {sub!r}")
-    ns = argparse.Namespace(**manifest["config"])
+    config = manifest["config"]
+    if not isinstance(config, dict):
+        raise InvalidSpec("manifest 'config' is not an object")
+    defaults, required = _option_defaults(sub)
+    missing = [key for key in required if key not in config]
+    if missing:
+        raise InvalidSpec(f"manifest config lacks the {missing[0]!r} key")
+    ns = argparse.Namespace(**{**defaults, **config})
     ns.json = False
     ns.out = args.out
     if args.threads:
@@ -637,6 +644,22 @@ def _run_rerun(args):
     return doc, {}
 
 
+def _option_defaults(sub):
+    """Defaults of ``sub``'s options by destination, and the destinations
+    of its required options (which have none)."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    defaults, required = {}, []
+    for action in subs.choices[sub]._actions:
+        if argparse.SUPPRESS in (action.dest, action.default):
+            continue  # --help
+        if action.required:
+            required.append(action.dest)
+        else:
+            defaults[action.dest] = action.default
+    return defaults, required
+
+
 # -- plumbing -------------------------------------------------------------
 
 def _doc_json(doc) -> str:
@@ -649,9 +672,13 @@ def _sha256(text: str) -> str:
 
 def _write_files(out_dir, files):
     path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (path / name).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (path / name).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InvalidParameter(
+            f"cannot write to --out {out_dir}: {exc.strerror or exc}") from exc
 
 
 _PATH_KEYS = ("spec", "blocks", "field_law", "manifest")
@@ -669,11 +696,14 @@ def _manifest_config(args) -> dict:
 
 
 def _write_manifest(out_dir, sub, args, files, wall):
+    from . import kernels  # loaded by the first run, not at start-up
+
     manifest = {
         "subcommand": sub,
         "config": _manifest_config(args),
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "recursion": kernels.recursion(),
         "wall_time_s": round(wall, 3),
         "outputs": {name: _sha256(text) for name, text in files.items()},
     }
@@ -840,6 +870,11 @@ def dispatch(argv) -> int:
     started = time.perf_counter()
     try:
         doc, files = handler(args)
+        wall = time.perf_counter() - started
+        out = getattr(args, "out", None)
+        if out and args.subcommand != "rerun":
+            _write_files(out, files)
+            _write_manifest(out, args.subcommand, args, files, wall)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -849,15 +884,18 @@ def dispatch(argv) -> int:
     except NumericalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - started
-    if args.json:
-        print(json.dumps(_clean(doc), indent=2, sort_keys=True))
-    else:
-        print(_summary(args.subcommand, doc))
-    out = getattr(args, "out", None)
-    if out and args.subcommand != "rerun":
-        _write_files(out, files)
-        _write_manifest(out, args.subcommand, args, files, wall)
+    try:
+        if args.json:
+            print(json.dumps(_clean(doc), indent=2, sort_keys=True))
+        else:
+            print(_summary(args.subcommand, doc))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``| head``); the files are written, so end
+        # quietly, with stdout on devnull for the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -350,6 +350,14 @@ def sampler(spec: DistributionSpec):
         cum = np.cumsum(np.array([float(w) for w in spec.weights]))
         cum[-1] = 1.0
         atoms = np.array([float(a) for a in spec.atoms])
+        if len(atoms) == 2:
+            # the same map as the search below (u == cum[0] gives the
+            # second atom there too), without the index array
+            c0, a0, a1 = float(cum[0]), float(atoms[0]), float(atoms[1])
+
+            def draw(u):
+                return np.where(u < c0, a0, a1)
+            return draw
 
         def draw(u):
             return atoms[np.searchsorted(cum, u, side="right")]

@@ -71,6 +71,8 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
     direction of the iterated vector forgets ``start`` at a rate set by
     the gap between the two exponents, so the default is generous).
     """
+    from . import kernels  # loaded by the first run, not at start-up
+
     eps = abs(float(eps))
     s0, s1 = float(start[0]), float(start[1])
     if s0 < 0 or s1 < 0 or max(s0, s1) <= 0:
@@ -82,28 +84,12 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
     def kernel(gen, width, pieces):
         v0 = np.full(width, s0)
         v1 = np.full(width, s1)
-        w0 = np.empty(width)
-        w1a = np.empty(width)
-        w1b = np.empty(width)
+        # reused by every piece: run_chunked logs its rows before the next
+        mbuf = np.empty((pieces[0][0], width))
         for span, _ in pieces:
-            u = gen.random((span, width))
-            z = draw(u)
-            mbuf = np.empty((span, width))
-            for t in range(span):
-                zt = z[t]
-                # top row:  1*v0 + eps*v1
-                np.multiply(eps, v1, out=w0)
-                np.add(v0, w0, out=w0)
-                # bottom row:  eps*z*v0 + z*v1
-                np.multiply(zt, v0, out=w1a)
-                np.multiply(eps, w1a, out=w1a)
-                np.multiply(zt, v1, out=w1b)
-                np.add(w1a, w1b, out=w1b)
-                m = np.maximum(w0, w1b)
-                mbuf[t] = m
-                v0 = w0 / m
-                v1 = w1b / m
-            yield mbuf
+            z = draw(gen.random((span, width)))
+            kernels.direct_steps(z, v0, v1, mbuf[:span], eps)
+            yield mbuf[:span]
 
     per_replica, _ = run_chunked(kernel, n_steps, replicas, discard, seed,
                                  threads)

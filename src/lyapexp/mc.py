@@ -150,6 +150,8 @@ def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
     draws ``span`` rows from ``gen``, runs its recursion, and yields the
     ``(span, width)`` growth factors.  Rows ``keep0:`` are those whose
     post-step index exceeds ``lead``; their logs are summed per replica.
+    This function is done with a piece before it asks for the next, so a
+    kernel may yield views of one buffer that it refills.
 
     Returns the per-replica mean log growth, in replica order, and the
     kernels' own return values, in block order.
@@ -168,8 +170,8 @@ def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
             rows = next(steps)
             if keep0 < span:
                 acc.add(np.log(rows[keep0:]).sum(axis=0))
-            # the kernel alone keeps a piece alive: holding it here too
-            # raised the peak RSS of two-thread chain runs
+            # a kernel that allocates each piece (the block engines) then
+            # frees it before drawing the next, which bounds peak RSS
             del rows
         try:
             next(steps)

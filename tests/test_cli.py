@@ -3,6 +3,9 @@ and manifest-driven replays."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -420,6 +423,67 @@ def test_rerun_rejects_malformed_manifest(capsys, tmp_path):
     assert run(capsys, "rerun", "--manifest", str(bad))[0] == 2
     assert run(capsys, "rerun", "--manifest",
                str(tmp_path / "absent.json"))[0] == 2
+
+
+def test_rerun_fills_missing_config_keys_from_defaults(capsys,
+                                                      lyap_manifest):
+    manifest = lyap_manifest / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    assert doc["recursion"] in ("compiled", "numpy")
+    for key in ("discard", "burn_in", "method", "threads"):
+        del doc["config"][key]  # all at their parser defaults
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rerun", "--manifest", str(manifest),
+                         "--json")
+    assert code == 0, err
+    assert json.loads(out)["match"] is True
+
+
+def test_rerun_rejects_manifest_without_required_key(capsys, lyap_manifest):
+    manifest = lyap_manifest / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["config"]["eps"]
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "rerun", "--manifest", str(manifest))
+    assert code == 2
+    assert err.count("\n") == 1 and "'eps'" in err
+    doc["config"] = ["not", "an", "object"]
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "rerun", "--manifest", str(manifest))
+    assert code == 2 and err.count("\n") == 1
+
+
+def test_closed_stdout_keeps_files_and_exits_quietly(tmp_path):
+    out_dir = tmp_path / "out"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is printed
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lyapexp.cli", "chain", "--spec",
+             TWO_POINT, "--eps", "1/4", "--steps", "2000", "--json",
+             "--out", str(out_dir)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SPECS.parent / "src")),
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"chain.csv", "chain.json"}
+    assert (out_dir / "chain.csv").exists()
+
+
+def test_unwritable_out_dir_exits_two(capsys, tmp_path, lyap_manifest):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, *LYAP, "--out", str(blocker / "sub"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--out" in err
+    code, _, err = run(capsys, "rerun", "--manifest",
+                       str(lyap_manifest / "manifest.json"),
+                       "--out", str(blocker / "sub"))
+    assert code == 2 and err.count("\n") == 1
 
 
 def test_manifest_config_resolves_paths(capsys, tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lyapexp import distributions as dist
 from lyapexp.errors import InvalidSpec
+from lyapexp.mc import philox_generator
 
 
 # -- construction and validation ------------------------------------------
@@ -216,6 +217,26 @@ def test_sample_uniform_respects_bounds_and_mean():
     zs = dist.sample(u, 100_000, seed=5)
     assert zs.min() >= 0.1 and zs.max() <= 0.9
     assert abs(zs.mean() - 0.5) < 0.004
+
+
+@pytest.mark.parametrize("spec", [
+    dist.two_point("1/2", "2", "1/5"),
+    dist.two_point("1/4", "4", "1/3"),
+    dist.finite_discrete(["3", "1/7"], ["1/10", "9/10"]),
+])
+def test_two_atom_sampler_matches_searchsorted_bitwise(spec):
+    cum = np.cumsum([float(w) for w in spec.weights])
+    cum[-1] = 1.0
+    atoms = np.array([float(a) for a in spec.atoms])
+    c0 = cum[0]
+    edges = [0.0, np.nextafter(c0, 0.0), c0, np.nextafter(c0, 1.0),
+             np.nextafter(1.0, 0.0)]
+    u = np.concatenate([philox_generator(5, 0).random(10 ** 6), edges])
+    got = dist.sampler(spec)(u)
+    want = atoms[np.searchsorted(cum, u, side="right")]
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[-3] == atoms[1]  # u == cum[0] draws the second atom
 
 
 def test_single_uniform_consumed_per_draw():
