@@ -25,7 +25,7 @@ import numpy as np
 
 from . import coefficients as coeffs
 from . import distributions as dist
-from .errors import InsufficientSignal, KNotInA
+from .errors import InsufficientSignal, InvalidParameter, KNotInA
 from .fitting import wls_fit
 from .lyapunov import lyapunov_invariant
 
@@ -44,6 +44,8 @@ class ResidualSeries:
     ``sign`` is (-1)^(K+2), the factor that makes the residual positive;
     ``lam`` and ``regular`` are kept so that the bookkeeping identity
     lam = regular + sign * residual can be re-checked exactly.
+    ``n_steps`` is the budget of every point, or a tuple of per-point
+    budgets.
     """
 
     order: int
@@ -54,34 +56,37 @@ class ResidualSeries:
     residual: tuple
     sign: int
     ell: tuple
-    n_steps: int
+    n_steps: int | tuple
     seed: int
 
 
 def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
-                    n_steps: int = 10 ** 6, seed: int = 0,
+                    n_steps=10 ** 6, seed: int = 0,
                     burn_in: int = 10_000, replicas: int = 64,
-                    threads: int = 1,
-                    n_steps_per_eps=None) -> ResidualSeries:
+                    threads: int = 1) -> ResidualSeries:
     """Estimate R_K on a grid, sharing disorder across grid points.
 
     ``order`` must satisfy E[Z^order] < 1 (raises KNotInA otherwise);
-    order 0 is allowed and returns the exponent itself.  A per-point
-    sample-size schedule may be supplied via ``n_steps_per_eps`` to spend
-    more effort where the signal is smallest.
+    order 0 is allowed and returns the exponent itself.  ``n_steps`` is
+    one budget for every point, or a sequence of per-point budgets to
+    spend more effort where the signal is smallest.
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise InvalidParameter("order must be >= 0")
     if order >= 1 and dist.moment(spec, order) >= 1:
         raise KNotInA(f"E[Z^{order}] >= 1: order {order} is outside the "
                       "admissible moment interval")
     ell = coeffs.ell_coefficients(spec, order) if order >= 1 else ()
     sign = 1 if order % 2 == 0 else -1
     eps_grid = tuple(float(e) for e in eps_grid)
-    budgets = list(n_steps_per_eps) if n_steps_per_eps is not None \
-        else [n_steps] * len(eps_grid)
+    if np.ndim(n_steps):
+        n_steps = tuple(n_steps)
+        budgets = n_steps
+    else:
+        budgets = (n_steps,) * len(eps_grid)
     if len(budgets) != len(eps_grid):
-        raise ValueError("n_steps_per_eps must match the grid length")
+        raise InvalidParameter(f"{len(budgets)} budgets for "
+                               f"{len(eps_grid)} grid points")
 
     lam, lse, reg, res = [], [], [], []
     for eps, budget in zip(eps_grid, budgets):

@@ -274,20 +274,18 @@ def coupled_paths(spec: dist.DistributionSpec, eps_a: float, eps_b: float,
     x' = Z (1 + x), whose time-n value matches the n-term partial sum of
     the perpetuity in law.
     """
+    from . import kernels  # loaded by the first run, not at start-up
+
     gen = philox_generator(seed, stream)
-    z = dist.sampler(spec)(gen.random(n))
-    e2a = float(eps_a) * float(eps_a)
-    e2b = float(eps_b) * float(eps_b)
-    path_a = np.empty(n)
-    path_b = np.empty(n)
-    a = b = 0.0
-    for i in range(n):
-        zi = z[i]
-        a = (zi + zi * a) / (1.0 + e2a * a)
-        b = (zi + zi * b) / (1.0 + e2b * b)
-        path_a[i] = a
-        path_b[i] = b
-    return path_a, path_b
+    z = dist.sampler(spec)(gen.random((n, 1)))
+    dbuf = np.empty((n, 1))
+    paths = []
+    for eps in (eps_a, eps_b):
+        path = np.empty((n, 1))
+        kernels.chain_steps(z, np.zeros(1), path, dbuf,
+                            float(eps) * float(eps))
+        paths.append(path[:, 0])
+    return tuple(paths)
 
 
 # -- grids -------------------------------------------------------------------

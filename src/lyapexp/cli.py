@@ -39,6 +39,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -143,18 +144,25 @@ def _resolve_threads(args) -> int:
     return 1
 
 
-def _load_spec_file(path: str) -> dist.DistributionSpec:
-    try:
-        return dist.load_spec(path)
-    except OSError as exc:
-        raise InvalidSpec(f"cannot read spec file {path}: {exc}") from exc
+def _run_size(args, *leads) -> dict:
+    """Keyword arguments that size a Monte Carlo run: ``n_steps``,
+    ``seed``, ``replicas`` and ``threads``, plus the named ``leads``
+    (``burn_in``, ``discard``).  Only ``fit`` takes per-point budgets."""
+    steps = _parse_steps(args.steps)
+    if isinstance(steps, list) and args.subcommand != "fit":
+        raise _UsageError(f"{args.subcommand} takes a single --steps value")
+    size = dict(n_steps=steps, seed=args.seed, replicas=args.replicas,
+                threads=_resolve_threads(args))
+    size.update((lead, getattr(args, lead)) for lead in leads)
+    return size
 
 
-def _load_blocks_file(path: str) -> highdim.BlockSpec:
+def _load(loader, kind: str, path: str):
+    """``loader(path)``; a file that cannot be read is invalid input."""
     try:
-        return highdim.load_blocks(path)
+        return loader(path)
     except OSError as exc:
-        raise InvalidSpec(f"cannot read blocks file {path}: {exc}") from exc
+        raise InvalidSpec(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def _clean(obj):
@@ -192,6 +200,17 @@ def _estimate_doc(est) -> dict:
             "method": est.method}
 
 
+_METHODS = {"direct": lyapunov.DIRECT, "invariant": lyapunov.INVARIANT}
+
+
+def _estimates(engine, law, eps, method: str, size) -> dict:
+    """``{name: estimate document}`` for each estimator ``--method``
+    names; ``both`` runs the direct one, then the invariant one."""
+    names = tuple(_METHODS) if method == "both" else (method,)
+    return {name: _estimate_doc(engine(law, eps, _METHODS[name], **size))
+            for name in names}
+
+
 # -- subcommand handlers --------------------------------------------------
 # each returns (doc, files): the printable result document and the
 # {filename: text} outputs written under --out
@@ -203,7 +222,7 @@ def _run_coeffs(args):
              if t.strip()]
         source = {"moments": [str(v) for v in m]}
     elif args.spec:
-        m = _load_spec_file(args.spec)
+        m = _load(dist.load_spec, "spec", args.spec)
         source = {"spec": dist.spec_to_dict(m)}
     else:
         raise _UsageError("coeffs needs --spec or --moments")
@@ -225,33 +244,23 @@ def _run_coeffs(args):
 
 
 def _run_alpha(args):
-    spec = _load_spec_file(args.spec)
-    res = dist.solve_alpha(spec)
-    report = dist.validate_assumptions(spec)
-    doc = {
-        "kind": res.kind,
-        "alpha": res.alpha,
-        "residual": res.residual,
-        "moment_at_alpha": res.moment_at_alpha,
-        "assumptions_pass": report.passes,
-        "spec": dist.spec_to_dict(spec),
-    }
+    spec = _load(dist.load_spec, "spec", args.spec)
+    doc = {**asdict(dist.solve_alpha(spec)),
+           "assumptions_pass": dist.validate_assumptions(spec).passes,
+           "spec": dist.spec_to_dict(spec)}
     return doc, {"alpha.json": _doc_json(doc)}
 
 
 def _run_chain(args):
-    spec = _load_spec_file(args.spec)
-    threads = _resolve_threads(args)
+    spec = _load(dist.load_spec, "spec", args.spec)
+    size = _run_size(args, "burn_in")
     if args.dominance:
-        return _run_dominance(args, spec)
+        return _run_dominance(args, spec, size["n_steps"])
     grid = _parse_grid(args.eps_grid) if args.eps_grid \
         else [_parse_number(args.eps)] if args.eps else None
     if not grid:
         raise _UsageError("chain needs --eps or --eps-grid")
     gammas = tuple(_parse_number(t) for t in args.gamma.split(",") if t.strip())
-    steps = _parse_steps(args.steps)
-    if isinstance(steps, list):
-        raise _UsageError("chain takes a single --steps value")
     if args.cutoff is not None and not math.isfinite(args.cutoff):
         raise InvalidParameter(f"--cutoff must be finite, got {args.cutoff}")
     cutoff = args.cutoff if args.cutoff is not None \
@@ -259,9 +268,7 @@ def _run_chain(args):
     rows = []
     stats_docs = []
     for eps in grid:
-        cfg = chain_mod.ChainConfig(eps=eps, n_steps=steps, seed=args.seed,
-                                    burn_in=args.burn_in,
-                                    replicas=args.replicas, threads=threads)
+        cfg = chain_mod.ChainConfig(eps=eps, **size)
         st = chain_mod.simulate_chain(spec, cfg, gammas=gammas,
                                       b_cutoff=cutoff)
         for i, g in enumerate(gammas):
@@ -273,7 +280,7 @@ def _run_chain(args):
                            "log1p_stderr": st.log1p_stderr,
                            "n_kept": st.n_kept})
     doc = {"gammas": list(gammas), "eps_grid": grid, "b_cutoff": cutoff,
-           "steps": steps, "seed": args.seed, "points": stats_docs,
+           "steps": size["n_steps"], "seed": args.seed, "points": stats_docs,
            "spec": dist.spec_to_dict(spec)}
     header = ("eps", "gamma", "moment", "moment_stderr", "trunc_moment",
               "trunc_stderr", "max_x", "n_kept")
@@ -285,15 +292,12 @@ def _run_chain(args):
     return doc, files
 
 
-def _run_dominance(args, spec):
+def _run_dominance(args, spec, steps):
     if not args.eps or not args.eps2:
         raise _UsageError("--dominance needs --eps and --eps2")
     eps, eps2 = _parse_number(args.eps), _parse_number(args.eps2)
     if eps > eps2:
         raise _UsageError("--dominance expects eps <= eps2")
-    steps = _parse_steps(args.steps)
-    if isinstance(steps, list):
-        raise _UsageError("chain takes a single --steps value")
     seeds = _parse_int_list(args.seeds)
     pair_viol = 0
     series_viol = 0
@@ -309,24 +313,12 @@ def _run_dominance(args, spec):
 
 
 def _run_lyap(args):
-    spec = _load_spec_file(args.spec)
-    threads = _resolve_threads(args)
+    spec = _load(dist.load_spec, "spec", args.spec)
+    size = _run_size(args, "burn_in", "discard")
     eps = _parse_number(args.eps)
-    steps = _parse_steps(args.steps)
-    if isinstance(steps, list):
-        raise _UsageError("lyap takes a single --steps value")
-    common = dict(n_steps=steps, seed=args.seed, replicas=args.replicas,
-                  threads=threads)
-    doc = {"eps": eps, "seed": args.seed, "steps": steps,
-           "spec": dist.spec_to_dict(spec)}
-    if args.method in ("direct", "both"):
-        est = lyapunov.lyapunov_direct(spec, eps, discard=args.discard,
-                                       **common)
-        doc["direct"] = _estimate_doc(est)
-    if args.method in ("invariant", "both"):
-        est = lyapunov.lyapunov_invariant(spec, eps, burn_in=args.burn_in,
-                                          **common)
-        doc["invariant"] = _estimate_doc(est)
+    doc = {"eps": eps, "seed": args.seed, "steps": size["n_steps"],
+           "spec": dist.spec_to_dict(spec),
+           **_estimates(lyapunov.estimate, spec, eps, args.method, size)}
     if "direct" in doc and "invariant" in doc:
         gap = doc["direct"]["value"] - doc["invariant"]["value"]
         sig = math.hypot(doc["direct"]["stderr"], doc["invariant"]["stderr"])
@@ -341,29 +333,16 @@ def _run_lyap(args):
 
 
 def _run_fit(args):
-    spec = _load_spec_file(args.spec)
-    threads = _resolve_threads(args)
+    spec = _load(dist.load_spec, "spec", args.spec)
+    size = _run_size(args, "burn_in")
     grid = _parse_grid(args.eps_grid)
-    steps = _parse_steps(args.steps)
-    per_eps = steps if isinstance(steps, list) else None
-    series = analysis.residual_series(
-        spec, args.order, grid,
-        n_steps=steps if isinstance(steps, int) else max(steps),
-        seed=args.seed, burn_in=args.burn_in, replicas=args.replicas,
-        threads=threads, n_steps_per_eps=per_eps)
+    series = analysis.residual_series(spec, args.order, grid, **size)
     bracket = analysis.theory_brackets(spec, args.order)
-    bracket_doc = {
-        "kind": bracket.kind, "lower_exp": bracket.lower_exp,
-        "upper_exp": bracket.upper_exp, "alpha": bracket.alpha,
-        "integer_alpha": bracket.integer_alpha,
-        "log_correction": bracket.log_correction,
-        "theta": bracket.theta, "eta": bracket.eta,
-    }
     doc = {"order": args.order, "eps_grid": list(series.eps),
            "lambda": list(series.lam), "lambda_stderr": list(series.lam_stderr),
            "regular": list(series.regular), "residual": list(series.residual),
            "sign": series.sign, "ell": list(series.ell),
-           "bracket": bracket_doc, "seed": args.seed,
+           "bracket": asdict(bracket), "seed": args.seed,
            "spec": dist.spec_to_dict(spec)}
     rows = list(zip(series.eps, series.lam, series.lam_stderr,
                     series.regular, series.residual))
@@ -372,13 +351,8 @@ def _run_fit(args):
     if not args.no_fit:
         fit = analysis.fit_exponent(series, spec=spec,
                                     min_points=args.min_points)
-        doc["fit"] = {
-            "exponent": fit.exponent, "exponent_stderr": fit.exponent_stderr,
-            "log_amplitude": fit.log_amplitude, "r2": fit.r2,
-            "n_used": fit.n_used, "used_eps": list(fit.used_eps),
-            "with_log_model": fit.with_log_model,
-            "log_model_rss": fit.log_model_rss, "power_rss": fit.power_rss,
-        }
+        doc["fit"] = {key: value for key, value in asdict(fit).items()
+                      if key not in ("bracket", "log_model_amplitude")}
     files["fit.json"] = _doc_json(doc)
     if args.emit_plot:
         files["residual.dat"] = _dat(zip(series.eps, series.residual))
@@ -386,11 +360,8 @@ def _run_fit(args):
 
 
 def _run_highdim(args):
-    blocks = _load_blocks_file(args.blocks)
-    threads = _resolve_threads(args)
-    steps = _parse_steps(args.steps)
-    if isinstance(steps, list):
-        raise _UsageError("highdim takes a single --steps value")
+    blocks = _load(highdim.load_blocks, "blocks", args.blocks)
+    size = _run_size(args, "burn_in", "discard")
     report = highdim.validate_blocks(blocks)
     assumptions = {"nonnegative": report.nonnegative,
                    "coupling_nonzero": report.coupling_nonzero,
@@ -399,7 +370,7 @@ def _run_highdim(args):
                    "primitive": report.primitive,
                    "passes": report.passes}
     doc = {"d": blocks.d, "assumptions": assumptions, "seed": args.seed,
-           "steps": steps}
+           "steps": size["n_steps"]}
     files = {}
     if args.K is not None:
         if not args.eps_grid:
@@ -407,12 +378,8 @@ def _run_highdim(args):
         grid = _parse_grid(args.eps_grid)
         if args.method == "both":
             raise _UsageError("extraction mode needs a single --method")
-        method = lyapunov.DIRECT if args.method == "direct" \
-            else lyapunov.INVARIANT
         fit = highdim.extract_expansion(
-            blocks, args.K, grid, method=method, n_steps=steps,
-            seed=args.seed, burn_in=args.burn_in, replicas=args.replicas,
-            discard=args.discard, threads=threads)
+            blocks, args.K, grid, method=_METHODS[args.method], **size)
         doc.update({
             "order": fit.order, "powers": list(fit.powers),
             "coefficients": list(fit.coefficients),
@@ -429,18 +396,8 @@ def _run_highdim(args):
     elif args.eps:
         eps = _parse_number(args.eps)
         doc["eps"] = eps
-        common = dict(n_steps=steps, seed=args.seed, burn_in=args.burn_in,
-                      replicas=args.replicas, discard=args.discard,
-                      threads=threads)
-        if args.method in ("direct", "both"):
-            est = highdim.lyapunov_general(blocks, eps,
-                                           method=lyapunov.DIRECT, **common)
-            doc["direct"] = _estimate_doc(est)
-        if args.method in ("invariant", "both"):
-            est = highdim.lyapunov_general(blocks, eps,
-                                           method=lyapunov.INVARIANT,
-                                           **common)
-            doc["invariant"] = _estimate_doc(est)
+        doc.update(_estimates(highdim.lyapunov_general, blocks, eps,
+                              args.method, size))
     else:
         raise _UsageError("highdim needs either --K with --eps-grid, or --eps")
     files["highdim.json"] = _doc_json(doc)
@@ -448,24 +405,17 @@ def _run_highdim(args):
 
 
 def _run_ising(args):
-    field_law = _load_spec_file(args.field_law)
-    threads = _resolve_threads(args)
+    field_law = _load(dist.load_spec, "spec", args.field_law)
+    size = _run_size(args, "burn_in", "discard")
     couplings = tuple(_parse_number(t) if t.strip() != "inf" else math.inf
                       for t in args.couplings.split(",") if t.strip())
     model = ising_mod.IsingModel(args.range, couplings, args.T, field_law)
-    steps = _parse_steps(args.steps)
-    if isinstance(steps, list):
-        raise _UsageError("ising takes a single --steps value")
-    method = lyapunov.DIRECT if args.method == "direct" \
-        else lyapunov.INVARIANT
+    method = _METHODS[args.method]
     doc = {"range": args.range, "couplings": list(model.couplings),
            "T": model.temperature, "eps_l": list(model.eps),
-           "dim": model.dim, "seed": args.seed, "steps": steps,
+           "dim": model.dim, "seed": args.seed, "steps": size["n_steps"],
            "z_law": dist.spec_to_dict(field_law)}
     files = {}
-    common = dict(n_steps=steps, seed=args.seed, burn_in=args.burn_in,
-                  replicas=args.replicas, discard=args.discard,
-                  threads=threads, method=method)
     if args.scan:
         if not args.scales:
             raise _UsageError("--scan needs --scales")
@@ -474,25 +424,17 @@ def _run_ising(args):
         if args.ray:
             ray = [_parse_number(t) for t in args.ray.split(",") if t.strip()]
         report = ising_mod.strong_coupling_scan(
-            model, scales, order=args.scan_order, ray=ray, **common)
-        doc["scan"] = {
-            "order": report.order, "ray": list(report.ray),
-            "scales": list(report.scales), "values": list(report.values),
-            "stderrs": list(report.stderrs), "powers": list(report.powers),
-            "coefficients": list(report.coefficients),
-            "coefficient_stderrs": list(report.coefficient_stderrs),
-            "r2": report.r2,
-        }
+            model, scales, order=args.scan_order, ray=ray, method=method,
+            **size)
+        doc["scan"] = asdict(report)
         rows = list(zip(report.scales, report.values, report.stderrs))
         files["scan.csv"] = _csv(("scale", "f", "stderr"), rows)
         if args.emit_plot:
             files["scan.dat"] = _dat(zip(report.scales, report.values))
     else:
-        est = ising_mod.free_energy(model, **common)
-        doc["f"] = est.value
-        doc["stderr"] = est.stderr
-        doc["n"] = est.n
-        doc["method"] = est.method
+        est = _estimate_doc(ising_mod.free_energy(model, method=method,
+                                                  **size))
+        doc.update(f=est.pop("value"), **est)
     files["ising.json"] = _doc_json(doc)
     return doc, files
 
@@ -503,8 +445,8 @@ def _selftest_checks():
     def multi_index_counts():
         for d in range(1, 5):
             for l in range(0, 7):
-                if len(highdim.multi_indices(d, l)) != math.comb(l + d - 1,
-                                                                 d - 1):
+                if len(highdim.multi_indices(d, l)) != \
+                        highdim.count_multi_indices(d, l):
                     return False
         return highdim.multi_indices(2, 2) == [(2, 0), (1, 1), (0, 2)]
 
@@ -609,28 +551,30 @@ def _run_rerun(args):
         raise InvalidSpec(f"cannot read manifest {args.manifest}: {exc}")
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"malformed manifest {args.manifest}: {exc}")
+    if not isinstance(manifest, dict):
+        raise InvalidSpec("manifest is not an object")
     for key in ("subcommand", "config", "outputs"):
         if key not in manifest:
             raise InvalidSpec(f"manifest lacks the {key!r} field")
     sub = manifest["subcommand"]
-    if sub not in _HANDLERS or sub == "rerun":
+    if not isinstance(sub, str) or sub not in _HANDLERS or sub == "rerun":
         raise InvalidSpec(f"manifest names unknown subcommand {sub!r}")
     config = manifest["config"]
     if not isinstance(config, dict):
         raise InvalidSpec("manifest 'config' is not an object")
-    defaults, required = _option_defaults(sub)
-    missing = [key for key in required if key not in config]
-    if missing:
-        raise InvalidSpec(f"manifest config lacks the {missing[0]!r} key")
-    ns = argparse.Namespace(**{**defaults, **config})
-    ns.json = False
-    ns.out = args.out
+    expected = manifest["outputs"]
+    if not isinstance(expected, dict):
+        raise InvalidSpec("manifest 'outputs' is not an object")
     if args.threads:
-        ns.threads = args.threads
-    _, files = _HANDLERS[sub](ns)
+        config = {**config, "threads": args.threads}
+    parser = build_parser()
+    try:
+        replay = parser.parse_args(_config_argv(parser, sub, config))
+        _, files = _HANDLERS[sub](replay)
+    except _UsageError as exc:
+        raise InvalidSpec(f"manifest config: {exc}") from None
     if args.out:
         _write_files(args.out, files)
-    expected = manifest["outputs"]
     produced = {name: _sha256(text) for name, text in files.items()}
     mismatched = sorted(set(expected) ^ set(produced)
                         | {n for n in expected
@@ -644,20 +588,29 @@ def _run_rerun(args):
     return doc, {}
 
 
-def _option_defaults(sub):
-    """Defaults of ``sub``'s options by destination, and the destinations
-    of its required options (which have none)."""
-    subs = next(a for a in build_parser()._actions
+def _config_argv(parser, sub: str, config: dict) -> list:
+    """The command line a manifest's ``config`` stands for: ``sub``, then
+    ``--option=value`` for each of its options that ``config`` sets, so
+    the values pass the same checks as a fresh command line.  An absent
+    or null value leaves the option at its default; a flag is set by
+    ``true``.  A required option without a value is invalid input."""
+    subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
-    defaults, required = {}, []
+    argv = [sub]
     for action in subs.choices[sub]._actions:
-        if argparse.SUPPRESS in (action.dest, action.default):
+        if action.default == argparse.SUPPRESS:
             continue  # --help
-        if action.required:
-            required.append(action.dest)
+        option, value = action.option_strings[0], config.get(action.dest)
+        if value is None:
+            if action.required:
+                raise InvalidSpec(
+                    f"manifest config lacks the {action.dest!r} key")
+        elif action.nargs == 0 and isinstance(value, bool):
+            if value:
+                argv.append(option)
         else:
-            defaults[action.dest] = action.default
-    return defaults, required
+            argv.append(f"{option}={value}")
+    return argv
 
 
 # -- plumbing -------------------------------------------------------------
@@ -681,7 +634,7 @@ def _write_files(out_dir, files):
             f"cannot write to --out {out_dir}: {exc.strerror or exc}") from exc
 
 
-_PATH_KEYS = ("spec", "blocks", "field_law", "manifest")
+_PATH_KEYS = ("spec", "blocks", "field_law")
 
 
 def _manifest_config(args) -> dict:
@@ -728,8 +681,8 @@ def _summary(sub, doc) -> str:
     return json.dumps(_clean(doc), indent=2, sort_keys=True)
 
 
-def _add_common(p, steps_default="1e6"):
-    p.add_argument("--steps", default=steps_default,
+def _add_common(p):
+    p.add_argument("--steps", default="1e6",
                    help="Monte Carlo steps (accepts 1e7 or a comma list "
                         "where per-point budgets make sense)")
     p.add_argument("--seed", type=int, default=0)

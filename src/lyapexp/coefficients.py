@@ -91,9 +91,6 @@ class CoefficientTable:
     def ell_entry(self, s: int) -> Fraction:
         return self.ell[s - 1]
 
-    def ell_floats(self) -> tuple:
-        return tuple(float(e) for e in self.ell)
-
 
 def _check_moments(mv: MomentVector, order: int) -> None:
     for l in range(1, order + 1):

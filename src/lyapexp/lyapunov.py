@@ -101,11 +101,14 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
 
 
 def estimate(spec: dist.DistributionSpec, eps: float, method: str = DIRECT,
+             burn_in: int = 10_000, discard: int = 1000,
              **kwargs) -> LyapunovEstimate:
+    """Either estimator; the direct one runs ``discard`` unaveraged steps
+    per replica, the invariant one ``burn_in``."""
     if method == DIRECT:
-        return lyapunov_direct(spec, eps, **kwargs)
+        return lyapunov_direct(spec, eps, discard=discard, **kwargs)
     if method == INVARIANT:
-        return lyapunov_invariant(spec, eps, **kwargs)
+        return lyapunov_invariant(spec, eps, burn_in=burn_in, **kwargs)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -163,8 +163,7 @@ def test_series_rejects_inadmissible_order():
 
 def test_series_budget_schedule_validation():
     with pytest.raises(ValueError):
-        analysis.residual_series(TP, 1, (0.25, 0.125), n_steps=64_000,
-                                 n_steps_per_eps=[64_000])
+        analysis.residual_series(TP, 1, (0.25, 0.125), n_steps=[64_000])
     with pytest.raises(ValueError):
         analysis.residual_series(TP, -1, (0.25,))
 

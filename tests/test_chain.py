@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapexp import chain
+from lyapexp import chain, kernels
 from lyapexp import distributions as dist
 from lyapexp.errors import TruncationOverflow
 
@@ -181,6 +181,14 @@ def test_coupled_path_matches_scalar_replay():
     for i in range(64):
         x = (zs[i] + zs[i] * x) / (1.0 + 0.09 * x)
         assert path[i] == x
+
+
+def test_coupled_paths_on_numpy_fallback(monkeypatch):
+    monkeypatch.setattr(kernels, "_library", lambda: None)
+    test_coupling_monotone_in_damping()
+    test_coupling_against_undamped_majorant()
+    test_equal_damping_paths_identical()
+    test_coupled_path_matches_scalar_replay()
 
 
 # -- perpetuity ----------------------------------------------------------------

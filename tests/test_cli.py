@@ -421,6 +421,11 @@ def test_rerun_rejects_malformed_manifest(capsys, tmp_path):
     assert run(capsys, "rerun", "--manifest", str(bad))[0] == 2
     bad.write_text("{not json")
     assert run(capsys, "rerun", "--manifest", str(bad))[0] == 2
+    for doc in ([1], {"subcommand": ["lyap"], "config": {}, "outputs": {}},
+                {"subcommand": "lyap", "config": {}, "outputs": []}):
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "rerun", "--manifest", str(bad))
+        assert code == 2 and err.count("\n") == 1, doc
     assert run(capsys, "rerun", "--manifest",
                str(tmp_path / "absent.json"))[0] == 2
 
@@ -451,6 +456,28 @@ def test_rerun_rejects_manifest_without_required_key(capsys, lyap_manifest):
     manifest.write_text(json.dumps(doc))
     code, _, err = run(capsys, "rerun", "--manifest", str(manifest))
     assert code == 2 and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("steps", 1000, 0), ("eps", 0.25, 0), ("burn_in", None, 0),
+    ("replicas", 64.5, 2), ("method", 7, 2), ("steps", [1000], 2)])
+def test_rerun_parses_config_values(capsys, tmp_path, key, value, code):
+    # config values pass the parser's checks like a fresh command line:
+    # the original ran with --eps 1/4 --steps 1000 and the default burn-in
+    out_dir = tmp_path / "orig"
+    assert run(capsys, *LYAP, "--out", str(out_dir))[0] == 0
+    manifest = out_dir / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["config"][key] = value
+    manifest.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "rerun", "--manifest", str(manifest),
+                        "--json")
+    assert got == code, err
+    if code == 0:
+        assert json.loads(out)["match"] is True
+    else:
+        assert out == "" and err.startswith("error: InvalidSpec:")
+        assert err.count("\n") == 1
 
 
 def test_closed_stdout_keeps_files_and_exits_quietly(tmp_path):
