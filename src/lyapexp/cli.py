@@ -130,7 +130,7 @@ def _parse_int_list(text: str):
 
 
 def _resolve_threads(args) -> int:
-    threads = getattr(args, "threads", None) or 0
+    threads = args.threads
     if threads < 0:
         raise InvalidParameter(f"--threads must be >= 0, got {threads}")
     if threads:
