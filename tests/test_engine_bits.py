@@ -6,11 +6,22 @@ change unless a PR changes the layout on purpose.  The cases cover a
 lead (burn-in or discard) longer than one time chunk, two replica
 blocks with a partial last one, a cutoff that bites, log-space moments,
 a finite block law and a callable (Ising range 2) block law, at 1 and 3
-threads.
+threads, and Ising range 4 (d = 15, where numpy's pairwise sums group
+differently from a plain left-to-right sum).
+
+``DIGESTS`` pins the SHA-256 of block outputs that are whole arrays:
+coupled vector paths, a Monte Carlo G-matrix and its standard errors,
+and the atom tables of discrete Ising block laws.  Print both tables
+afresh with
+
+    PYTHONPATH=src python tests/test_engine_bits.py
 """
 
+import hashlib
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lyapexp import chain, highdim, ising, lyapunov
@@ -21,8 +32,15 @@ TWO_POINT = dist.load_spec(SPECS / "two_point.json")
 HEAVY = dist.load_spec(SPECS / "heavy_half.json")
 UNIF = dist.load_spec(SPECS / "uniform_sub.json")
 BLOCKS_D2 = highdim.load_blocks(SPECS / "blocks_d2.json")
+UNIF_BLOCKS = highdim.from_scalar(UNIF)
+THREE_ATOM = dist.finite_discrete(["1/4", "3/4", "5/2"],
+                                  ["1/2", "3/10", "1/5"])
 ISING_2 = ising.map_to_blocks(
     ising.IsingModel(2, (1.0, 1.5), 1.0, UNIF))
+ISING_4_TWO = ising.map_to_blocks(
+    ising.IsingModel(4, (1.0, 1.5, 0.5, 2.0), 1.25, TWO_POINT))
+ISING_4_UNIF = ising.map_to_blocks(
+    ising.IsingModel(4, (1.0, 1.5, 0.5, 2.0), 1.25, UNIF))
 
 # Two blocks (512 + 88 replicas), a lead past the 2048-step chunk, and a
 # per-replica length that is not a multiple of any piece span.
@@ -45,6 +63,12 @@ def _general(blocks, eps, method, threads):
     return _est(highdim.lyapunov_general(
         blocks, eps, method=method, seed=9, burn_in=LEAD, discard=LEAD,
         threads=threads, **WIDE))
+
+
+def _range4(mapped, method, threads):
+    return _est(highdim.lyapunov_general(
+        mapped.blocks, mapped.eps, method=method, n_steps=64 * 300 + 7,
+        seed=8, burn_in=150, discard=150, replicas=64, threads=threads))
 
 
 CASES = {
@@ -72,7 +96,53 @@ CASES = {
         ISING_2.blocks, ISING_2.eps, lyapunov.DIRECT, th),
     "ising2_invariant": lambda th: _general(
         ISING_2.blocks, ISING_2.eps, lyapunov.INVARIANT, th),
+    "ising4_two_point_direct": lambda th: _range4(
+        ISING_4_TWO, lyapunov.DIRECT, th),
+    "ising4_two_point_invariant": lambda th: _range4(
+        ISING_4_TWO, lyapunov.INVARIANT, th),
+    "ising4_uniform_direct": lambda th: _range4(
+        ISING_4_UNIF, lyapunov.DIRECT, th),
+    "ising4_uniform_invariant": lambda th: _range4(
+        ISING_4_UNIF, lyapunov.INVARIANT, th),
 }
+
+
+def _paths(blocks, eps):
+    return highdim.coupled_vector_paths(blocks, eps, n=700, seed=5)
+
+
+def _atoms(model):
+    mapped = ising.map_to_blocks(model)
+    law = mapped.blocks.law
+    return ([mapped.eps], law.cum, law.ls, law.cs, law.ns)
+
+
+def _g_monte_carlo(blocks, l):
+    g = highdim.g_matrix(blocks, l, mc_samples=5000, seed=3)
+    return (g.matrix, g.stderr)
+
+
+ARRAYS = {
+    "paths_blocks_d2_eps0": lambda: _paths(BLOCKS_D2, 0.0),
+    "paths_blocks_d2_eps_half": lambda: _paths(BLOCKS_D2, 0.5),
+    "paths_uniform_eps0": lambda: _paths(UNIF_BLOCKS, 0.0),
+    "paths_uniform_eps_half": lambda: _paths(UNIF_BLOCKS, 0.5),
+    "g_matrix_ising2_l2": lambda: _g_monte_carlo(ISING_2.blocks, 2),
+    "g_matrix_uniform_l3": lambda: _g_monte_carlo(UNIF_BLOCKS, 3),
+    "atoms_ising2_two_point": lambda: _atoms(
+        ising.IsingModel(2, (1.0, 1.5), 1.0, TWO_POINT)),
+    "atoms_ising3_three_atom": lambda: _atoms(
+        ising.IsingModel(3, (0.5, 1.0, math.inf), 0.75, THREE_ATOM)),
+}
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def _hex(values):
@@ -172,6 +242,26 @@ PINNED = {
         "0x1.5afbb72c06069p-15",
         22800,
     ],
+    "ising4_two_point_direct": [
+        "0x1.033c27e66b68ep-10",
+        "0x1.4df0f8bad476ep-16",
+        19264,
+    ],
+    "ising4_two_point_invariant": [
+        "0x1.033c27e66b68ep-10",
+        "0x1.4df0f8bad476cp-16",
+        19264,
+    ],
+    "ising4_uniform_direct": [
+        "0x1.5d83ed1b0af3dp-12",
+        "0x1.329544b9274a5p-19",
+        19264,
+    ],
+    "ising4_uniform_invariant": [
+        "0x1.5d83ed1b0af3ep-12",
+        "0x1.329544b9274a3p-19",
+        19264,
+    ],
 }
 
 
@@ -179,3 +269,42 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_engine_output_bits_pinned(name, threads):
     assert _hex(CASES[name](threads)) == PINNED[name]
+
+
+DIGESTS = {
+    "atoms_ising2_two_point":
+        "fdecbc76466b0d7ac3de5283606e91ab068fb60cfdfde7124fed8756c2ffd79c",
+    "atoms_ising3_three_atom":
+        "d83d390121372c5eb619f22e0941bf89d5ad0db9797dc6e28246efae1c95f667",
+    "g_matrix_ising2_l2":
+        "5ba826c2f903d1aced005ee441794312e3322ad68f36eb39bca24f9d2eedc15c",
+    "g_matrix_uniform_l3":
+        "e7570147cf431539285ec89dccdd498bb4092d9af91dcea2e6bd5136e647a0c3",
+    "paths_blocks_d2_eps0":
+        "7e540166baf014a37a3ffd746e36e5de49c1431833147411caddc39babb55240",
+    "paths_blocks_d2_eps_half":
+        "224d54f8608799cb651e680ea10ba94c54dc32a19046390d222348903aef672c",
+    "paths_uniform_eps0":
+        "2564f8cf4d82b63c4e44f2f0e64c39eb61570b617c5fc2d0cffe35398fb99811",
+    "paths_uniform_eps_half":
+        "0f4319b2a1ee234cab9923215df329ef7fa1b12f5af13ad34b0909ba792fd95a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_block_array_digests_pinned(name):
+    assert _digest(ARRAYS[name]()) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    print("PINNED = {")
+    for name in sorted(CASES):
+        print(f"    {name!r}: [")
+        for val in _hex(CASES[name](1)):
+            print(f"        {val!r},")
+        print("    ],")
+    print("}")
+    print("DIGESTS = {")
+    for name in sorted(ARRAYS):
+        print(f"    {name!r}:\n        {_digest(ARRAYS[name]())!r},")
+    print("}")
