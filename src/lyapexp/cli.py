@@ -61,6 +61,10 @@ class _UsageError(Exception):
     pass
 
 
+class _EnvUsageError(_UsageError):
+    """Usage error that comes from the environment, not the arguments."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract here is exit 1
     def error(self, message):
@@ -140,7 +144,8 @@ def _resolve_threads(args) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise _UsageError(f"LYAPEXP_THREADS must be an integer, got {env!r}")
+            raise _EnvUsageError(
+                f"LYAPEXP_THREADS must be an integer, got {env!r}")
     return 1
 
 
@@ -571,6 +576,8 @@ def _run_rerun(args):
     try:
         replay = parser.parse_args(_config_argv(parser, sub, config))
         _, files = _HANDLERS[sub](replay)
+    except _EnvUsageError:
+        raise
     except _UsageError as exc:
         raise InvalidSpec(f"manifest config: {exc}") from None
     if args.out:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateMoment, UnstableMoment
+from .errors import DegenerateMoment, InvalidParameter, UnstableMoment
 from . import distributions as dist
 
 
@@ -39,7 +39,7 @@ class MomentVector:
 
     def __post_init__(self):
         if any(v <= 0 for v in self.values):
-            raise ValueError("moments must be strictly positive")
+            raise InvalidParameter("moments must be strictly positive")
 
     def __len__(self):
         return len(self.values)
@@ -56,6 +56,8 @@ def moments_from_spec(spec, order: int) -> MomentVector:
 
 
 def _as_moment_vector(m, order: int) -> MomentVector:
+    if order < 0:
+        raise InvalidParameter(f"order must be >= 0, got {order}")
     if isinstance(m, MomentVector):
         mv = m
     elif isinstance(m, dist.DistributionSpec):
@@ -64,7 +66,7 @@ def _as_moment_vector(m, order: int) -> MomentVector:
         vals = tuple(Fraction(v) for v in m)
         mv = MomentVector(vals, exact=all(isinstance(v, (int, Fraction)) for v in m))
     if len(mv) < order:
-        raise ValueError(f"need {order} moments, got {len(mv)}")
+        raise InvalidParameter(f"need {order} moments, got {len(mv)}")
     return mv
 
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import as_fraction
-from .errors import InsufficientSignal, InvalidSpec, SingularSystem
+from .errors import (InsufficientSignal, InvalidParameter, InvalidSpec,
+                     SingularSystem)
 from .fitting import power_design, wls_fit
 from .lyapunov import DIRECT, INVARIANT, LyapunovEstimate
 from .mc import (CALLABLE_CHUNK, TIME_CHUNK, batch_means, kept_per_replica,
@@ -56,8 +57,10 @@ class FiniteBlockLaw:
     ns_exact: tuple
     cum: np.ndarray
 
-    def indices(self, u: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.cum, u, side="right")
+    def draw(self, u: np.ndarray):
+        """Blocks (L, C, N) of the atoms that the uniforms ``u`` pick."""
+        idx = np.searchsorted(self.cum, u, side="right")
+        return self.ls[idx], self.cs[idx], self.ns[idx]
 
 
 def finite_block_law(triples, weights) -> FiniteBlockLaw:
@@ -97,14 +100,15 @@ def finite_block_law(triples, weights) -> FiniteBlockLaw:
 
 @dataclass(frozen=True)
 class CallableBlockLaw:
-    """Block law given as a sampler ``fn(eps, gen, shape) -> (L, C, N)``.
+    """Block law given as a map ``draw(u) -> (L, C, N)`` of uniforms.
 
-    The callable owns its own consumption of the generator; its limit
-    moments are estimated by Monte Carlo at a small probe eps.
+    ``draw`` is pure: uniforms of shape S give blocks of shapes S + (d,),
+    S + (d,) and S + (d, d).  Its limit moments are estimated by Monte
+    Carlo.
     """
 
     d: int
-    fn: object
+    draw: object
 
 
 @dataclass(frozen=True)
@@ -131,14 +135,13 @@ def from_scalar(spec: dist.DistributionSpec) -> BlockSpec:
     if spec.is_discrete:
         triples = [(((Fraction(1),)), (a,), ((a,),)) for a in spec.atoms]
         return BlockSpec(d=1, law=finite_block_law(triples, spec.weights))
-    draw = dist.sampler(spec)
+    sample = dist.sampler(spec)
 
-    def fn(eps, gen, shape):
-        z = draw(gen.random(shape))
-        ones = np.ones(shape + (1,))
-        return ones, z[..., None], z[..., None, None]
+    def draw(u):
+        z = sample(u)[..., None]
+        return np.ones(z.shape), z, z[..., None]
 
-    return BlockSpec(d=1, law=CallableBlockLaw(d=1, fn=fn))
+    return BlockSpec(d=1, law=CallableBlockLaw(d=1, draw=draw))
 
 
 # -- multi-index machinery ----------------------------------------------------
@@ -221,8 +224,8 @@ def _exact_block_moment(law: FiniteBlockLaw, omega) -> Fraction:
     return total
 
 
-def g_matrix(block_spec: BlockSpec, l: int, probe_eps: float = 1e-3,
-             mc_samples: int = 20_000, seed: int = 0) -> GMatrix:
+def g_matrix(block_spec: BlockSpec, l: int, mc_samples: int = 20_000,
+             seed: int = 0) -> GMatrix:
     """Compute G^(l); exact for finite laws, Monte Carlo otherwise.
 
     Raises SingularSystem when I - G^(l) has 2-norm condition number
@@ -249,13 +252,13 @@ def g_matrix(block_spec: BlockSpec, l: int, probe_eps: float = 1e-3,
         exact = tuple(tuple(row) for row in ex)
     else:
         gen = philox_generator(seed, 0)
-        _, _, n_blocks = law.fn(probe_eps, gen, (mc_samples,))
+        _, _, n_blocks = law.draw(gen.random(mc_samples))
         mat = np.zeros((size, size))
         stderr = np.zeros((size, size))
         for a, lam in enumerate(idx):
             for b, lam2 in enumerate(idx):
+                # equal norms: at least one table exists
                 acc = np.zeros(mc_samples)
-                nonzero = False
                 for omega in _contingency_tables(lam, lam2):
                     prod = np.ones(mc_samples)
                     for i in range(d):
@@ -264,10 +267,8 @@ def g_matrix(block_spec: BlockSpec, l: int, probe_eps: float = 1e-3,
                             if p:
                                 prod = prod * n_blocks[:, i, j] ** p
                     acc += prod
-                    nonzero = True
-                if nonzero:
-                    mat[a, b] = acc.mean()
-                    stderr[a, b] = acc.std(ddof=1) / math.sqrt(mc_samples)
+                mat[a, b] = acc.mean()
+                stderr[a, b] = acc.std(ddof=1) / math.sqrt(mc_samples)
     eye = np.eye(size)
     condition = float(np.linalg.cond(eye - mat))
     if not np.isfinite(condition) or condition > COND_LIMIT:
@@ -279,37 +280,43 @@ def g_matrix(block_spec: BlockSpec, l: int, probe_eps: float = 1e-3,
 
 # -- vector chain -------------------------------------------------------------
 
-def vector_chain_step(x, L, C, N, eps):
-    """One move  x' = (C + N x) / (1 + eps^2 L.x)  of the vector chain.
+def vector_steps(ls, cs, ns, x, dbuf, e2, xbuf=None):
+    """Run  x' = (C + N x) / (1 + e2 L.x)  over the rows of the blocks.
 
-    Accepts a single state (shape (d,)) or a batch (width, d) with
-    matching leading dimensions on the blocks.  Operation order matches
-    the simulation engines (and the scalar chain at d = 1).
+    ``ls``/``cs`` have shape (span, width, d) and ``ns`` (span, width,
+    d, d); the state ``x`` (width, d) is updated in place, row t's
+    denominators go to ``dbuf[t]`` and, when ``xbuf`` is given, its
+    post-step states to ``xbuf[t]``.  At d = 1 the operations are those
+    of the scalar chain, so the two agree bit for bit.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-        L = np.asarray(L, dtype=float)[None, :]
-        C = np.asarray(C, dtype=float)[None, :]
-        N = np.asarray(N, dtype=float)[None, :, :]
-    e2 = float(eps) * float(eps)
-    nx = (N * x[:, None, :]).sum(axis=2)
-    num = C + nx
-    lx = (L * x).sum(axis=1)
-    den = e2 * lx
-    den = 1.0 + den
-    out = num / den[:, None]
-    return out[0] if single else out
+    for t in range(len(ls)):
+        num = (ns[t] * x[:, None, :]).sum(axis=2)
+        np.add(cs[t], num, out=num)
+        den = dbuf[t]
+        np.multiply(e2, (ls[t] * x).sum(axis=1), out=den)
+        np.add(1.0, den, out=den)
+        np.divide(num, den[:, None], out=x)
+        if xbuf is not None:
+            xbuf[t] = x
+
+
+def vector_chain_step(x, L, C, N, eps):
+    """One move of the vector chain from a state (d,) or a batch (width, d)
+    with matching leading dimensions on the blocks."""
+    x = np.array(x, dtype=float)
+    rows = (1,) + np.atleast_2d(x).shape
+    vector_steps(np.reshape(L, rows), np.reshape(C, rows),
+                 np.reshape(N, rows + rows[-1:]), x.reshape(rows[1:]),
+                 np.empty(rows[:2]), float(eps) * float(eps))
+    return x
 
 
 def _chunk_blocks(law, eps, gen, span, width):
-    """Draw one time-chunk of block triples, shaped (span, width, ...)."""
-    if isinstance(law, FiniteBlockLaw):
-        u = gen.random((span, width))
-        idx = law.indices(u)
-        return law.ls[idx], law.cs[idx], law.ns[idx]
-    return law.fn(eps, gen, (span, width))
+    """Draw one time-chunk of block triples, shaped (span, width, ...).
+
+    ``eps`` is unused; ``perfbench/spans.py`` wraps this function by its
+    signature."""
+    return law.draw(gen.random((span, width)))
 
 
 def lyapunov_general(block_spec: BlockSpec, eps: float, method: str = DIRECT,
@@ -345,19 +352,11 @@ def lyapunov_general(block_spec: BlockSpec, eps: float, method: str = DIRECT,
 
 def _invariant_kernel(law, eps, gen, width, pieces):
     """Vector chain; yields the denominators 1 + eps^2 L.x per piece."""
-    e2 = eps * eps
     x = np.zeros((width, law.d))
     for span, _ in pieces:
-        ls, cs, ns = _chunk_blocks(law, eps, gen, span, width)
         dbuf = np.empty((span, width))
-        for t in range(span):
-            nx = (ns[t] * x[:, None, :]).sum(axis=2)
-            num = cs[t] + nx
-            lx = (ls[t] * x).sum(axis=1)
-            den = e2 * lx
-            den = 1.0 + den
-            dbuf[t] = den
-            x = num / den[:, None]
+        vector_steps(*_chunk_blocks(law, eps, gen, span, width), x, dbuf,
+                     eps * eps)
         yield dbuf
 
 
@@ -380,6 +379,7 @@ def _direct_kernel(law, eps, gen, width, pieces):
             mbuf[t] = m
             v0 = top / m
             w = bot / m[:, None]
+        del ls, cs, ns  # not held while the next piece is drawn
         yield mbuf
 
 
@@ -392,27 +392,15 @@ def coupled_vector_paths(block_spec: BlockSpec, eps: float, n: int,
     n-term partial sum of the matrix perpetuity in law, and dominates
     the damped path coordinatewise.
     """
-    d = block_spec.d
-    law = block_spec.law
     gen = philox_generator(seed, stream)
-    e2 = float(eps) * float(eps)
-    x = np.zeros(d)
-    y = np.zeros(d)
-    xs = np.empty((n, d))
-    ys = np.empty((n, d))
-    done = 0
-    while done < n:
-        span = min(CALLABLE_CHUNK, n - done)
-        ls, cs, ns = _chunk_blocks(law, eps, gen, span, 1)
-        for t in range(span):
-            L, C, N = ls[t][0], cs[t][0], ns[t][0]
-            nx = (N * x).sum(axis=1)
-            x = (C + nx) / (1.0 + e2 * (L * x).sum())
-            y = C + (N * y).sum(axis=1)
-            xs[done + t] = x
-            ys[done + t] = y
-        done += span
-    return xs, ys
+    blocks = _chunk_blocks(block_spec.law, eps, gen, n, 1)
+    dbuf = np.empty((n, 1))
+    paths = []
+    for e2 in (float(eps) * float(eps), 0.0):
+        path = np.empty((n, 1, block_spec.d))
+        vector_steps(*blocks, np.zeros((1, block_spec.d)), dbuf, e2, path)
+        paths.append(path[:, 0])
+    return tuple(paths)
 
 
 # -- expansion extraction ------------------------------------------------------
@@ -443,7 +431,7 @@ def extract_expansion(block_spec: BlockSpec, order: int, eps_grid,
     monomial coefficients eps^2 .. eps^(2K) by weighted least squares.
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise InvalidParameter(f"order must be >= 0, got {order}")
     if order == 0:
         return ExpansionFit(order=0, powers=(), coefficients=(), stderrs=(),
                             r2=math.nan, estimates=(), conditions={})
@@ -455,8 +443,7 @@ def extract_expansion(block_spec: BlockSpec, order: int, eps_grid,
             f"grid points; got {len(eps_grid)}")
     conditions = {}
     for l in range(1, order + 1):
-        conditions[l] = g_matrix(block_spec, l,
-                                 probe_eps=min(eps_grid), seed=seed).condition
+        conditions[l] = g_matrix(block_spec, l, seed=seed).condition
 
     estimates = []
     for eps in eps_grid:
@@ -493,8 +480,8 @@ class BlockReport:
                 and self.feed_nonzero and self.primitive)
 
 
-def validate_blocks(block_spec: BlockSpec, probe_eps: float = 1e-3,
-                    n: int = 1024, seed: int = 0) -> BlockReport:
+def validate_blocks(block_spec: BlockSpec, n: int = 1024,
+                    seed: int = 0) -> BlockReport:
     """Sample triples and test nonnegativity and a primitivity witness.
 
     The witness checks that the union support S of the N samples is
@@ -503,8 +490,7 @@ def validate_blocks(block_spec: BlockSpec, probe_eps: float = 1e-3,
     """
     d = block_spec.d
     gen = philox_generator(seed, 0)
-    ls, cs, ns = _chunk_blocks(block_spec.law, probe_eps, gen, n, 1)
-    ls, cs, ns = ls.reshape(n, d), cs.reshape(n, d), ns.reshape(n, d, d)
+    ls, cs, ns = block_spec.law.draw(gen.random(n))
     nonneg = bool((ls >= 0).all() and (cs >= 0).all() and (ns >= 0).all())
     support = (ns > 0).any(axis=0)
     adj = support.astype(np.int64)

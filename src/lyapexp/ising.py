@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec
-from .errors import InsufficientSignal, InvalidSpec, KNotInA
+from .errors import InsufficientSignal, InvalidParameter, InvalidSpec, KNotInA
 from .fitting import power_design, wls_fit
 from .highdim import (BlockSpec, CallableBlockLaw, finite_block_law,
                       lyapunov_general)
@@ -109,10 +109,7 @@ def transfer_matrix(model: IsingModel, z: float) -> np.ndarray:
     """One 2^d x 2^d transfer step for a given disorder value z."""
     if not z > 0:
         raise InvalidSpec("disorder multiplier z must be positive")
-    a = np.zeros((model.dim, model.dim))
-    for r, c, zp, const in structural_entries(model):
-        a[r, c] = const if zp == 0 else z * const
-    return a
+    return transfer_matrices(model, z)
 
 
 def transfer_matrices(model: IsingModel, zs) -> np.ndarray:
@@ -140,19 +137,17 @@ def map_to_blocks(model: IsingModel) -> MappedBlocks:
     at d = 1 the blocks are exactly (1, Z, Z) -- the scalar model -- with
     no rounding (eps/eps is performed as one float division).
     """
-    d = model.interaction_range
     scale = max(model.eps)
     if not scale > 0:
         raise InvalidSpec("at least one coupling must be finite "
                           "(all bond weights are zero)")
     db = model.dim - 1
-    entries = structural_entries(model)
     l_vec = np.zeros(db)
     c_ratio = np.zeros(db)
     c_pow = np.zeros(db)
     n_const = np.zeros((db, db))
     n_pow = np.zeros((db, db))
-    for r, c, zp, const in entries:
+    for r, c, zp, const in structural_entries(model):
         if r == 0 and c == 0:
             continue
         if r == 0:
@@ -164,29 +159,19 @@ def map_to_blocks(model: IsingModel) -> MappedBlocks:
             n_const[r - 1, c - 1] = const
             n_pow[r - 1, c - 1] = zp
 
-    if model.field_law.is_discrete:
-        triples = []
-        for atom in model.field_law.atoms:
-            z = float(atom)
-            cvec = tuple(c_ratio[i] * z ** c_pow[i] if c_ratio[i] else 0.0
-                         for i in range(db))
-            nmat = tuple(tuple(n_const[i, j] * z ** n_pow[i, j]
-                               if n_const[i, j] else 0.0
-                               for j in range(db)) for i in range(db))
-            triples.append((tuple(l_vec), cvec, nmat))
-        law = finite_block_law(triples, model.field_law.weights)
-        return MappedBlocks(blocks=BlockSpec(d=db, law=law), eps=scale)
-
-    draw = dist.sampler(model.field_law)
-
-    def fn(eps_arg, gen, shape):
-        z = draw(gen.random(shape))
-        ls = np.broadcast_to(l_vec, shape + (db,))
+    def blocks(z):
+        ls = np.broadcast_to(l_vec, z.shape + (db,))
         cs = c_ratio * z[..., None] ** c_pow
         ns = n_const * z[..., None, None] ** n_pow
         return ls, cs, ns
 
-    law = CallableBlockLaw(d=db, fn=fn)
+    field = model.field_law
+    if field.is_discrete:
+        atoms = np.array([float(a) for a in field.atoms])
+        law = finite_block_law(list(zip(*blocks(atoms))), field.weights)
+    else:
+        sample = dist.sampler(field)
+        law = CallableBlockLaw(d=db, draw=lambda u: blocks(sample(u)))
     return MappedBlocks(blocks=BlockSpec(d=db, law=law), eps=scale)
 
 
@@ -261,7 +246,7 @@ def strong_coupling_scan(model: IsingModel, scales, order: int = 2,
     moment condition under which the expansion to that order exists.
     """
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidParameter(f"order must be >= 1, got {order}")
     k = order // 2
     if k >= 1 and dist.moment(model.field_law, k) >= 1:
         raise KNotInA(f"E[Z^{k}] >= 1: expansion to order {order} "

@@ -125,7 +125,17 @@ def test_validation_errors_exit_two(capsys):
                  LYAP[:4] + ("nan", "--steps", "1000"),
                  LYAP[:4] + ("2^5000", "--steps", "1000"),
                  LYAP[:6] + ("inf",),
-                 ("coeffs", "--moments", "1/2,1/0", "--order", "2")):
+                 ("coeffs", "--moments", "1/2,1/0", "--order", "2"),
+                 # expansion orders out of range, and moment lists that
+                 # cannot serve the order
+                 ("coeffs", "--spec", TWO_POINT, "--order", "-1"),
+                 ("coeffs", "--moments", "1/2", "--order", "3"),
+                 ("coeffs", "--moments", "0", "--order", "1"),
+                 ("highdim", "--blocks", BLOCKS_D2, "--K", "-1",
+                  "--eps-grid", "2^-2..2^-3"),
+                 ("ising", "--range", "2", "--couplings", "1,1.5", "--T", "1",
+                  "--field-law", TWO_POINT, "--scan", "--scales", "1,1/2",
+                  "--scan-order", "0", "--steps", "1000")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: InvalidParameter:"), argv
@@ -413,6 +423,21 @@ def test_rerun_detects_tampering(capsys, lyap_manifest):
     code, _, err = run(capsys, "rerun", "--manifest", str(manifest))
     assert code == 3
     assert name in err
+
+
+def test_rerun_reports_bad_thread_environment_as_usage(capsys,
+                                                       lyap_manifest,
+                                                       monkeypatch):
+    # the environment is not the manifest's fault: exit 1, as a fresh run
+    monkeypatch.setenv("LYAPEXP_THREADS", "junk")
+    fresh = run(capsys, *LYAP)
+    replay = run(capsys, "rerun", "--manifest",
+                 str(lyap_manifest / "manifest.json"))
+    assert fresh == replay
+    code, out, err = replay
+    assert code == 1 and out == ""
+    assert err == "usage error: LYAPEXP_THREADS must be an integer, " \
+        "got 'junk'\n"
 
 
 def test_rerun_rejects_malformed_manifest(capsys, tmp_path):

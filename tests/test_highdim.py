@@ -90,7 +90,7 @@ def test_from_scalar_continuous_law_is_callable():
     b = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
     assert isinstance(b.law, highdim.CallableBlockLaw)
     gen = philox_generator(0, 0)
-    L, C, N = b.law.fn(0.1, gen, (5,))
+    L, C, N = b.law.draw(gen.random(5))
     assert L.shape == (5, 1) and C.shape == (5, 1) and N.shape == (5, 1, 1)
     assert np.array_equal(C[:, 0], N[:, 0, 0])
 
