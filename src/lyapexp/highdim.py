@@ -280,43 +280,35 @@ def g_matrix(block_spec: BlockSpec, l: int, mc_samples: int = 20_000,
 
 # -- vector chain -------------------------------------------------------------
 
-def vector_steps(ls, cs, ns, x, dbuf, e2, xbuf=None):
-    """Run  x' = (C + N x) / (1 + e2 L.x)  over the rows of the blocks.
-
-    ``ls``/``cs`` have shape (span, width, d) and ``ns`` (span, width,
-    d, d); the state ``x`` (width, d) is updated in place, row t's
-    denominators go to ``dbuf[t]`` and, when ``xbuf`` is given, its
-    post-step states to ``xbuf[t]``.  At d = 1 the operations are those
-    of the scalar chain, so the two agree bit for bit.
-    """
-    for t in range(len(ls)):
-        num = (ns[t] * x[:, None, :]).sum(axis=2)
-        np.add(cs[t], num, out=num)
-        den = dbuf[t]
-        np.multiply(e2, (ls[t] * x).sum(axis=1), out=den)
-        np.add(1.0, den, out=den)
-        np.divide(num, den[:, None], out=x)
-        if xbuf is not None:
-            xbuf[t] = x
-
-
 def vector_chain_step(x, L, C, N, eps):
-    """One move of the vector chain from a state (d,) or a batch (width, d)
-    with matching leading dimensions on the blocks."""
+    """One move of the vector chain x' = (C + N x) / (1 + eps^2 L.x) from
+    a state (d,) or a batch (width, d) with matching leading dimensions
+    on the blocks."""
+    from . import kernels  # loaded by the first run, not at start-up
+
     x = np.array(x, dtype=float)
     rows = (1,) + np.atleast_2d(x).shape
-    vector_steps(np.reshape(L, rows), np.reshape(C, rows),
-                 np.reshape(N, rows + rows[-1:]), x.reshape(rows[1:]),
-                 np.empty(rows[:2]), float(eps) * float(eps))
+    blocks = [np.ascontiguousarray(b, dtype=float).reshape(shape)
+              for b, shape in ((L, rows), (C, rows), (N, rows + rows[-1:]))]
+    kernels.block_chain_steps(*blocks, None, x.reshape(rows[1:]),
+                              np.empty(rows[:2]), float(eps) * float(eps))
     return x
 
 
 def _chunk_blocks(law, eps, gen, span, width):
-    """Draw one time-chunk of block triples, shaped (span, width, ...).
+    """Draw one time-chunk of blocks as ``(ls, cs, ns, idx)`` for the
+    kernels: a finite law's atom tables and the (span, width) atom
+    indices, or a callable law's drawn (span, width, ...) blocks and
+    None.
 
     ``eps`` is unused; ``perfbench/spans.py`` wraps this function by its
     signature."""
-    return law.draw(gen.random((span, width)))
+    u = gen.random((span, width))
+    if isinstance(law, FiniteBlockLaw):
+        return law.ls, law.cs, law.ns, np.searchsorted(law.cum, u,
+                                                        side="right")
+    return (*(np.ascontiguousarray(b, dtype=float) for b in law.draw(u)),
+            None)
 
 
 def lyapunov_general(block_spec: BlockSpec, eps: float, method: str = DIRECT,
@@ -352,35 +344,28 @@ def lyapunov_general(block_spec: BlockSpec, eps: float, method: str = DIRECT,
 
 def _invariant_kernel(law, eps, gen, width, pieces):
     """Vector chain; yields the denominators 1 + eps^2 L.x per piece."""
+    from . import kernels  # loaded by the first run, not at start-up
+
     x = np.zeros((width, law.d))
+    # one buffer per block: run_chunked logs a piece before the next
+    dbuf = np.empty((pieces[0][0], width))
     for span, _ in pieces:
-        dbuf = np.empty((span, width))
-        vector_steps(*_chunk_blocks(law, eps, gen, span, width), x, dbuf,
-                     eps * eps)
-        yield dbuf
+        kernels.block_chain_steps(*_chunk_blocks(law, eps, gen, span, width),
+                                  x, dbuf[:span], eps * eps)
+        yield dbuf[:span]
 
 
 def _direct_kernel(law, eps, gen, width, pieces):
     """Renormalised (d+1)-vector; yields the max-norm factors per piece."""
+    from . import kernels  # loaded by the first run, not at start-up
+
     v0 = np.ones(width)
     w = np.ones((width, law.d))
+    mbuf = np.empty((pieces[0][0], width))
     for span, _ in pieces:
-        ls, cs, ns = _chunk_blocks(law, eps, gen, span, width)
-        mbuf = np.empty((span, width))
-        for t in range(span):
-            lw = (ls[t] * w).sum(axis=1)
-            top = np.multiply(eps, lw)
-            top = np.add(v0, top)
-            cv = ns[t] * w[:, None, :]
-            bot = cs[t] * v0[:, None]
-            bot = np.multiply(eps, bot)
-            bot = np.add(bot, cv.sum(axis=2))
-            m = np.maximum(top, bot.max(axis=1))
-            mbuf[t] = m
-            v0 = top / m
-            w = bot / m[:, None]
-        del ls, cs, ns  # not held while the next piece is drawn
-        yield mbuf
+        kernels.block_direct_steps(*_chunk_blocks(law, eps, gen, span, width),
+                                   v0, w, mbuf[:span], eps)
+        yield mbuf[:span]
 
 
 def coupled_vector_paths(block_spec: BlockSpec, eps: float, n: int,
@@ -392,13 +377,16 @@ def coupled_vector_paths(block_spec: BlockSpec, eps: float, n: int,
     n-term partial sum of the matrix perpetuity in law, and dominates
     the damped path coordinatewise.
     """
+    from . import kernels  # loaded by the first run, not at start-up
+
     gen = philox_generator(seed, stream)
     blocks = _chunk_blocks(block_spec.law, eps, gen, n, 1)
     dbuf = np.empty((n, 1))
     paths = []
     for e2 in (float(eps) * float(eps), 0.0):
         path = np.empty((n, 1, block_spec.d))
-        vector_steps(*blocks, np.zeros((1, block_spec.d)), dbuf, e2, path)
+        kernels.block_chain_steps(*blocks, np.zeros((1, block_spec.d)), dbuf,
+                                  e2, path)
         paths.append(path[:, 0])
     return tuple(paths)
 

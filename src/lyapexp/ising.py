@@ -161,8 +161,9 @@ def map_to_blocks(model: IsingModel) -> MappedBlocks:
 
     def blocks(z):
         ls = np.broadcast_to(l_vec, z.shape + (db,))
-        cs = c_ratio * z[..., None] ** c_pow
-        ns = n_const * z[..., None, None] ** n_pow
+        # every exponent is 0 or 1, and z**0 = 1, z**1 = z exactly
+        cs = c_ratio * np.where(c_pow == 1, z[..., None], 1.0)
+        ns = n_const * np.where(n_pow == 1, z[..., None, None], 1.0)
         return ls, cs, ns
 
     field = model.field_law

@@ -1,11 +1,27 @@
-"""Per-step recursions of the scalar engines, compiled on first use.
+"""Per-step recursions of the Lyapunov engines, compiled on first use.
 
 :func:`chain_steps` advances the invariant chain of :mod:`.chain` and
 :func:`direct_steps` the renormalised matrix product of
-:mod:`.lyapunov` over one piece of rows.  Each runs a C loop
-(``kernels.c``) through ctypes when the library can be built, and the
-numpy loop below otherwise.  Both perform the same IEEE operations in
-the same order, so they agree bit for bit.
+:mod:`.lyapunov` over one piece of rows; :func:`block_chain_steps` and
+:func:`block_direct_steps` do the same for the block engines of
+:mod:`.highdim` (and so of :mod:`.ising`) at any block dimension ``d``.
+Each runs a C loop (``kernels.c``) through ctypes when the library can
+be built, and the numpy loop below otherwise.  Both perform the same
+IEEE operations in the same order, so they agree bit for bit.
+
+A block piece is either drawn ``(span, width, ...)`` arrays
+``(ls, cs, ns)`` with ``idx=None``, or a finite law's ``(m, ...)`` atom
+tables with the ``(span, width)`` int64 atom indices ``idx``, so that the
+drawn blocks are never gathered.
+
+Sum grouping
+------------
+The block recursions contain length-``d`` sums, ``(ns * x).sum(axis=-1)``
+in numpy, which numpy adds by its ``pairwise_sum``: a sequential sum
+from 0.0 below 8 terms, eight interleaved accumulators up to 128 terms,
+and above that a split at ``n/2`` rounded down to a multiple of 8,
+applied recursively.  The C loops group every such sum the same way
+(``pairwise_dot`` in ``kernels.c``), so one C path serves every ``d``.
 
 Build and cache
 ---------------
@@ -76,6 +92,53 @@ def direct_steps(z, v0, v1, mbuf, eps: float) -> None:
                      mbuf.ctypes.data, span, width, eps)
 
 
+def block_chain_steps(ls, cs, ns, idx, x, dbuf, e2: float,
+                      xbuf=None) -> None:
+    """Run  x' = (C + N x) / (1 + e2 L.x)  over one piece of block rows.
+
+    Cell ``(t, j)`` uses ``ls[t, j]``, ``cs[t, j]``, ``ns[t, j]``, or,
+    given ``idx``, atom ``idx[t, j]`` of the tables.  The state ``x``
+    (width, d) is updated in place; row ``t`` of ``dbuf`` (span, width)
+    gets the denominators and, when ``xbuf`` (span, width, d) is given,
+    row ``t`` of it the post-step states.  At d = 1 the operations are
+    those of :func:`chain_steps`.
+    """
+    lib = _library()
+    if lib is None:
+        _block_chain_numpy(ls, cs, ns, idx, x, dbuf, e2, xbuf)
+        return
+    span, width = dbuf.shape
+    d = _check_blocks(ls, cs, ns, idx, span, width)
+    written = [(x, (width, d)), (dbuf, (span, width))]
+    if xbuf is not None:
+        written.append((xbuf, (span, width, d)))
+    _require(written, writeable=True)
+    _status(lib.block_chain_steps(
+        _ptr(ls), _ptr(cs), _ptr(ns), _ptr(idx), _ptr(x), _ptr(xbuf),
+        _ptr(dbuf), span, width, d, e2))
+
+
+def block_direct_steps(ls, cs, ns, idx, v0, w, mbuf, eps: float) -> None:
+    """Apply ``[[1, eps L^T], [eps C, N]]`` to ``(v0, w)`` for each row.
+
+    Blocks are picked as in :func:`block_chain_steps`.  Row ``t`` of
+    ``mbuf`` (span, width) gets the max-norm of the new vector, which is
+    divided out; ``v0`` (width,) and ``w`` (width, d) hold the vector
+    before the first row and after the last.
+    """
+    lib = _library()
+    if lib is None:
+        _block_direct_numpy(ls, cs, ns, idx, v0, w, mbuf, eps)
+        return
+    span, width = mbuf.shape
+    d = _check_blocks(ls, cs, ns, idx, span, width)
+    _require([(v0, (width,)), (w, (width, d)), (mbuf, (span, width))],
+             writeable=True)
+    _status(lib.block_direct_steps(
+        _ptr(ls), _ptr(cs), _ptr(ns), _ptr(idx), _ptr(v0), _ptr(w),
+        _ptr(mbuf), span, width, d, eps))
+
+
 def recursion() -> str:
     """``"compiled"`` once this process has loaded the library, else
     ``"numpy"``; never builds anything."""
@@ -85,6 +148,8 @@ def recursion() -> str:
 # -- numpy reference -----------------------------------------------------------
 
 def _chain_numpy(z, x, xbuf, dbuf, e2):
+    if z.shape[1] == 1 and _chain_floats(z, x, xbuf, dbuf, float(e2)):
+        return
     num = np.empty_like(x)
     prev = x
     for t in range(len(z)):
@@ -97,6 +162,30 @@ def _chain_numpy(z, x, xbuf, dbuf, e2):
         np.divide(num, den, out=xbuf[t])
         prev = xbuf[t]
     x[...] = prev
+
+
+def _chain_floats(z, x, xbuf, dbuf, e2):
+    """Width-1 chain on Python floats, which are IEEE doubles: the same
+    operations in the same order give the same bits, without one numpy
+    call per operation.  Writes nothing and returns False if a
+    denominator is exactly zero, which Python refuses to divide by."""
+    prev = float(x[0])
+    xs, ds = [], []
+    try:
+        for zt in z[:, 0].tolist():
+            num = zt * prev
+            num = zt + num
+            den = e2 * prev
+            den = 1.0 + den
+            prev = num / den
+            ds.append(den)
+            xs.append(prev)
+    except ZeroDivisionError:
+        return False
+    xbuf[:, 0] = xs
+    dbuf[:, 0] = ds
+    x[0] = prev
+    return True
 
 
 def _direct_numpy(z, v0, v1, mbuf, eps):
@@ -119,24 +208,97 @@ def _direct_numpy(z, v0, v1, mbuf, eps):
         np.divide(w1b, m, out=v1)
 
 
+def _block_row(ls, cs, ns, idx, t):
+    """Blocks of row ``t``: the drawn row, or the atoms ``idx[t]`` picks."""
+    if idx is None:
+        return ls[t], cs[t], ns[t]
+    atoms = idx[t]
+    return ls[atoms], cs[atoms], ns[atoms]
+
+
+def _block_chain_numpy(ls, cs, ns, idx, x, dbuf, e2, xbuf):
+    for t in range(len(dbuf)):
+        lt, ct, nt = _block_row(ls, cs, ns, idx, t)
+        num = (nt * x[:, None, :]).sum(axis=2)
+        np.add(ct, num, out=num)
+        den = dbuf[t]
+        np.multiply(e2, (lt * x).sum(axis=1), out=den)
+        np.add(1.0, den, out=den)
+        np.divide(num, den[:, None], out=x)
+        if xbuf is not None:
+            xbuf[t] = x
+
+
+def _block_direct_numpy(ls, cs, ns, idx, v0, w, mbuf, eps):
+    for t in range(len(mbuf)):
+        lt, ct, nt = _block_row(ls, cs, ns, idx, t)
+        lw = (lt * w).sum(axis=1)
+        top = np.multiply(eps, lw)
+        top = np.add(v0, top)
+        cv = nt * w[:, None, :]
+        bot = ct * v0[:, None]
+        bot = np.multiply(eps, bot)
+        bot = np.add(bot, cv.sum(axis=2))
+        m = np.maximum(top, bot.max(axis=1))
+        mbuf[t] = m
+        np.divide(top, m, out=v0)
+        np.divide(bot, m[:, None], out=w)
+
+
 # -- the compiled library --------------------------------------------------------
 
 def _check(z, states, outs):
     """(span, width) of a kernel call, after checking every buffer the C
-    loop reads or writes: float64, C-contiguous, matching shapes."""
+    loop reads or writes."""
     span, width = z.shape
-    buffers = [(z, (span, width))]
-    buffers += [(a, (width,)) for a in states]
-    buffers += [(a, (span, width)) for a in outs]
+    _require([(z, (span, width))])
+    _require([(a, (width,)) for a in states]
+             + [(a, (span, width)) for a in outs], writeable=True)
+    return span, width
+
+
+def _check_blocks(ls, cs, ns, idx, span, width):
+    """Block dimension d of a piece of ``span`` x ``width`` cells, after
+    checking the blocks the C loop reads: drawn (span, width, ...)
+    arrays, or (m, ...) atom tables and C-contiguous int64 atom indices
+    of shape (span, width), every one in [0, m)."""
+    d = ls.shape[-1] if ls.ndim else 0
+    if d < 1:
+        raise ValueError(f"block dimension must be >= 1, got {ls.shape}")
+    if idx is None:
+        lead = (span, width)
+    else:
+        if idx.dtype != np.int64 or idx.shape != (span, width) \
+                or not idx.flags.c_contiguous:
+            raise ValueError("atom indices must be C-contiguous int64 of "
+                             f"shape {(span, width)}, got {idx.dtype} "
+                             f"{idx.shape}")
+        lead = (len(ls),)
+        if idx.size and not (idx.min() >= 0 and idx.max() < len(ls)):
+            raise ValueError(f"atom indices must lie in [0, {len(ls)})")
+    _require([(ls, lead + (d,)), (cs, lead + (d,)), (ns, lead + (d, d))])
+    return d
+
+
+def _require(buffers, writeable=False):
+    """Check that each (array, shape) pair is C-contiguous float64 of that
+    shape and, if ``writeable``, that the loop may write it."""
     for arr, shape in buffers:
         if arr.dtype != np.float64 or arr.shape != shape \
                 or not arr.flags.c_contiguous:
             raise ValueError("kernel buffers must be C-contiguous float64 "
                              f"of shape {shape}, got {arr.dtype} {arr.shape}")
-    for arr in states + outs:
-        if not arr.flags.writeable:
+        if writeable and not arr.flags.writeable:
             raise ValueError("kernel output buffer is read-only")
-    return span, width
+
+
+def _ptr(arr):
+    return None if arr is None else arr.ctypes.data
+
+
+def _status(code):
+    if code != 0:
+        raise MemoryError("no scratch memory for a block kernel")
 
 
 def _library():
@@ -158,6 +320,10 @@ def _load():
     for fn in (lib.chain_steps, lib.direct_steps):
         fn.argtypes = args
         fn.restype = None
+    args = [ctypes.c_void_p] * 7 + [ctypes.c_ssize_t] * 3 + [ctypes.c_double]
+    for fn in (lib.block_chain_steps, lib.block_direct_steps):
+        fn.argtypes = args
+        fn.restype = ctypes.c_int
     return lib
 
 

@@ -191,6 +191,29 @@ def test_coupled_paths_on_numpy_fallback(monkeypatch):
     test_coupled_path_matches_scalar_replay()
 
 
+@pytest.mark.parametrize("spec", [TP, dist.uniform_interval("1/10", "9/10")])
+def test_coupled_paths_fallback_bits_equal_compiled(monkeypatch, spec):
+    if kernels._library() is None:
+        pytest.skip("no C compiler or writable cache: compiled path absent")
+    compiled = chain.coupled_paths(spec, 0.0, 0.375, 3000, seed=7)
+    monkeypatch.setattr(kernels, "_library", lambda: None)
+    fallback = chain.coupled_paths(spec, 0.0, 0.375, 3000, seed=7)
+    for a, b in zip(compiled, fallback):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_width_one_fallback_survives_a_zero_denominator():
+    # 1 + e2*x = 0 at x = -4: Python floats refuse the division, so the
+    # numpy loop runs and gives the compiled path's inf and nan
+    z = np.array([[-2.0], [3.0], [1.0]])
+    x = np.array([-4.0])
+    xbuf, dbuf = np.empty((3, 1)), np.empty((3, 1))
+    with np.errstate(all="ignore"):
+        kernels._chain_numpy(z, x, xbuf, dbuf, 0.25)
+    assert dbuf[0, 0] == 0.0 and xbuf[0, 0] == math.inf
+    assert np.isnan(xbuf[1:]).all() and np.isnan(x).all()
+
+
 # -- perpetuity ----------------------------------------------------------------
 
 def test_sample_x0_mean_matches_closed_form():

@@ -3,6 +3,7 @@ chain, and exact agreement with the scalar pipeline at d = 1."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lyapexp.errors import InsufficientSignal, InvalidSpec, SingularSystem
 from lyapexp.mc import philox_generator
 
 
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 TP = dist.two_point("1/2", "3/2", "1/4")
 CRIT = dist.two_point("1/2", "2", "1/5")
 
@@ -93,6 +95,17 @@ def test_from_scalar_continuous_law_is_callable():
     L, C, N = b.law.draw(gen.random(5))
     assert L.shape == (5, 1) and C.shape == (5, 1) and N.shape == (5, 1, 1)
     assert np.array_equal(C[:, 0], N[:, 0, 0])
+
+
+def test_chunk_blocks_passes_atom_tables_and_indices():
+    law = highdim.load_blocks(SPECS / "blocks_d2.json").law
+    ls, cs, ns, idx = highdim._chunk_blocks(law, 0.25, philox_generator(3),
+                                            40, 7)
+    assert ls is law.ls and cs is law.cs and ns is law.ns
+    assert idx.dtype == np.int64 and idx.shape == (40, 7)
+    drawn = law.draw(philox_generator(3).random((40, 7)))
+    for table, blocks in zip((ls, cs, ns), drawn):
+        assert np.array_equal(table[idx], blocks)
 
 
 def test_block_spec_dimension_check():

@@ -118,6 +118,143 @@ def test_engine_bits_with_numpy_fallback(numpy_only, name, threads):
     assert bits._hex(bits.CASES[name](threads)) == bits.PINNED[name]
 
 
+@pytest.mark.parametrize("name", sorted(bits.ARRAYS))
+def test_block_array_digests_with_numpy_fallback(numpy_only, name):
+    assert bits._digest(bits.ARRAYS[name]()) == bits.DIGESTS[name]
+
+
+# -- block kernels ----------------------------------------------------------------
+
+def _block_pieces(d, width, indexed):
+    """Two consecutive pieces of blocks, as (span, (ls, cs, ns, idx)):
+    three atoms' tables with indices, or the drawn arrays those indices
+    pick.  The atoms are non-dyadic and nonnegative; N is scaled by 1/d
+    so the chain stays of order one at any d."""
+    gen = philox_generator(d, width)
+    tables = (gen.random((3, d)) + 0.1, gen.random((3, d)) + 0.1,
+              gen.random((3, d, d)) / d)
+    # the drawn arrays hold span x width x d x d floats: keep them small
+    span = max(1, min(12, 2 ** 19 // (width * d * d)))
+    pieces = []
+    for rows in (1, span):
+        idx = gen.integers(0, 3, (rows, width))
+        if indexed:
+            pieces.append((rows, (*tables, idx)))
+        else:
+            pieces.append((rows, (*(t[idx] for t in tables), None)))
+    return pieces
+
+
+def _run_blocks_both(monkeypatch, run, pieces, state):
+    """Run ``run(blocks, state, span)`` over the pieces through the compiled
+    and then the numpy path; return (final state, all rows) of each."""
+    results = []
+    for library in (kernels._library(), None):
+        monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
+        st = [s.copy() for s in state]
+        rows = []
+        for span, blocks in pieces:
+            rows.extend(out.ravel() for out in run(blocks, st, span))
+        results.append((np.concatenate([s.ravel() for s in st]),
+                        np.concatenate(rows)))
+    return results
+
+
+# d crosses numpy's grouping thresholds at 8 and 128; at d = 140 and 300
+# the split n/2 - (n/2 mod 8) differs from a split at n/2 or mod 4
+BLOCK_CASES = [(d, width, indexed)
+               for d in (1, 2, 3, 7, 8, 9, 15, 16, 129)
+               for width in (1, 64, 512) for indexed in (False, True)]
+BLOCK_CASES += [(140, 8, True), (300, 8, True)]
+
+
+@pytest.mark.parametrize("d, width, indexed", BLOCK_CASES)
+def test_block_chain_kernel_matches_numpy_bitwise(compiled, monkeypatch, d,
+                                                  width, indexed):
+    def run(blocks, st, span):
+        dbuf = np.empty((span, width))
+        xbuf = np.empty((span, width, d))
+        kernels.block_chain_steps(*blocks, st[0], dbuf, 0.3, xbuf)
+        return dbuf, xbuf
+
+    (xa, ra), (xb, rb) = _run_blocks_both(
+        monkeypatch, run, _block_pieces(d, width, indexed),
+        [np.zeros((width, d))])
+    assert np.array_equal(_bits(xa), _bits(xb))
+    assert np.array_equal(_bits(ra), _bits(rb))
+
+
+@pytest.mark.parametrize("d, width, indexed", BLOCK_CASES)
+def test_block_direct_kernel_matches_numpy_bitwise(compiled, monkeypatch, d,
+                                                   width, indexed):
+    def run(blocks, st, span):
+        mbuf = np.empty((span, width))
+        kernels.block_direct_steps(*blocks, st[0], st[1], mbuf, 0.375)
+        return (mbuf,)
+
+    (va, ra), (vb, rb) = _run_blocks_both(
+        monkeypatch, run, _block_pieces(d, width, indexed),
+        [np.ones(width), np.ones((width, d))])
+    assert np.array_equal(_bits(va), _bits(vb))
+    assert np.array_equal(_bits(ra), _bits(rb))
+
+
+def test_block_direct_maximum_propagates_nan(compiled, monkeypatch):
+    # atoms 0-2 put NaN into the first, middle and last bottom entry; atom
+    # 3 is finite, and column 3 starts from a NaN top entry
+    d = 3
+    ls = np.ones((4, d))
+    cs = np.ones((4, d))
+    ns = np.tile(np.eye(d), (4, 1, 1))
+    for atom, i in enumerate((0, 1, 2)):
+        ns[atom, i, (i + 1) % d] = np.nan
+    idx = np.array([[0, 1, 2, 3, 3]])
+    for library in (kernels._library(), None):
+        monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
+        v0 = np.array([1.0, 1.0, 1.0, np.nan, 1.0])
+        w = np.ones((5, d))
+        mbuf = np.empty((1, 5))
+        kernels.block_direct_steps(ls, cs, ns, idx, v0, w, mbuf, 0.5)
+        assert np.isnan(mbuf[0]).tolist() == [True] * 4 + [False]
+
+
+def test_block_kernels_reject_bad_buffers(compiled):
+    d, m = 2, 3
+    ls, cs, ns = np.ones((m, d)), np.ones((m, d)), np.ones((m, d, d))
+    idx = np.zeros((4, 8), dtype=np.int64)
+
+    def chain(ls=ls, cs=cs, ns=ns, idx=idx, x=None, dbuf=None):
+        x = np.zeros((8, d)) if x is None else x
+        dbuf = np.empty((4, 8)) if dbuf is None else dbuf
+        kernels.block_chain_steps(ls, cs, ns, idx, x, dbuf, 0.25)
+
+    chain()  # the defaults are valid
+    drawn = np.ones((4, 8, d))
+    for bad in (
+            dict(ls=ls.astype(np.float32)),           # wrong dtype
+            dict(ns=np.ones((m, d, d)).transpose(0, 2, 1)[:, ::-1]),
+            dict(cs=np.ones((m, d + 1))),             # mis-shaped table
+            dict(x=np.zeros((8, d + 1))),             # mis-shaped state
+            dict(dbuf=np.empty((4, 16))[:, ::2]),    # non-contiguous out
+            dict(idx=idx.astype(np.int32)),           # not int64
+            dict(idx=idx[:3]),                         # mis-shaped indices
+            dict(idx=np.full((4, 8), m)),              # past the table
+            dict(idx=np.full((4, 8), -1)),             # before it
+            dict(ls=np.ones((m, 0)), cs=np.ones((m, 0)),
+                 ns=np.ones((m, 0, 0)), x=np.zeros((8, 0))),
+            dict(idx=None, ls=drawn, cs=drawn,
+                 ns=np.ones((4, 8, d, d + 1)))):
+        with pytest.raises(ValueError):
+            chain(**bad)
+    frozen = np.zeros((8, d))
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        chain(x=frozen)
+    with pytest.raises(ValueError):
+        kernels.block_direct_steps(ls, cs, ns, idx, np.ones(7),
+                                   np.ones((8, d)), np.empty((4, 8)), 0.25)
+
+
 # -- build and cache ----------------------------------------------------------
 
 def test_build_is_cached_by_content_hash(tmp_path, monkeypatch):
@@ -169,19 +306,35 @@ def test_cli_import_starts_no_build(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_block_engines_never_build(tmp_path):
+def test_block_run_builds_on_first_engine_call(compiled, tmp_path):
+    """Importing builds nothing, the first block engine call builds the
+    library, and without a compiler the numpy loops give the same bytes."""
     blocks = SPECS / "blocks_d2.json"
     law = SPECS / "uniform_sub.json"
-    proc = _fresh_python(
+    code = (
         "import sys\n"
+        "from pathlib import Path\n"
         "from lyapexp import cli, kernels\n"
+        "cache = Path(sys.argv[1]) / 'lyapexp'\n"
+        "assert not cache.exists(), 'built at import'\n"
         f"assert cli.dispatch(['highdim', '--blocks', r'{blocks}', '--eps',"
         " '1/4', '--method', 'both', '--steps', '2000']) == 0\n"
         "assert cli.dispatch(['ising', '--range', '2', '--couplings',"
         f" '1,1.5', '--T', '1', '--field-law', r'{law}', '--steps',"
         " '2000']) == 0\n"
-        "assert 'subprocess' not in sys.modules, 'subprocess imported'\n"
-        "assert kernels.recursion() == 'numpy'\n",
-        tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert not (tmp_path / "lyapexp").exists()
+        "print(kernels.recursion(), sorted(p.suffix for p in"
+        " cache.glob('kernels-*')), file=sys.stderr)\n")
+    runs = {}
+    for name, path in (("compiled", os.environ.get("PATH", "")),
+                       ("numpy", "")):
+        cache = tmp_path / name
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=path,
+                   PYTHONPATH=str(ROOT / "src"))
+        env.pop("LYAPEXP_THREADS", None)
+        runs[name] = subprocess.run(
+            [sys.executable, "-c", code, str(cache)], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert runs[name].returncode == 0, runs[name].stderr
+    assert runs["compiled"].stderr.split() == ["compiled", "['.so']"]
+    assert runs["numpy"].stderr.split() == ["numpy", "[]"]
+    assert runs["compiled"].stdout == runs["numpy"].stdout != ""
