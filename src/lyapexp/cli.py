@@ -365,16 +365,16 @@ def _run_fit(args):
 
 
 def _run_highdim(args):
-    blocks = _load(highdim.load_blocks, "blocks", args.blocks)
+    law = _load(highdim.load_blocks, "blocks", args.blocks)
     size = _run_size(args, "burn_in", "discard")
-    report = highdim.validate_blocks(blocks)
+    report = highdim.validate_blocks(law)
     assumptions = {"nonnegative": report.nonnegative,
                    "coupling_nonzero": report.coupling_nonzero,
                    "feed_nonzero": report.feed_nonzero,
                    "irreducible": report.irreducible,
                    "primitive": report.primitive,
                    "passes": report.passes}
-    doc = {"d": blocks.d, "assumptions": assumptions, "seed": args.seed,
+    doc = {"d": law.d, "assumptions": assumptions, "seed": args.seed,
            "steps": size["n_steps"]}
     files = {}
     if args.K is not None:
@@ -384,7 +384,7 @@ def _run_highdim(args):
         if args.method == "both":
             raise _UsageError("extraction mode needs a single --method")
         fit = highdim.extract_expansion(
-            blocks, args.K, grid, method=_METHODS[args.method], **size)
+            law, args.K, grid, method=_METHODS[args.method], **size)
         doc.update({
             "order": fit.order, "powers": list(fit.powers),
             "coefficients": list(fit.coefficients),
@@ -401,7 +401,7 @@ def _run_highdim(args):
     elif args.eps:
         eps = _parse_number(args.eps)
         doc["eps"] = eps
-        doc.update(_estimates(highdim.lyapunov_general, blocks, eps,
+        doc.update(_estimates(highdim.lyapunov_general, law, eps,
                               args.method, size))
     else:
         raise _UsageError("highdim needs either --K with --eps-grid, or --eps")
@@ -509,7 +509,7 @@ def _selftest_checks():
 
     def deterministic_blocks():
         m = ising_mod.IsingModel(1, (0.9,), 0.7, dist.degenerate("5/4"))
-        law = ising_mod.map_to_blocks(m).blocks.law
+        law, _ = ising_mod.map_to_blocks(m)
         return isinstance(law, highdim.FiniteBlockLaw) and len(law.weights) == 1
 
     def spec_json_roundtrip():

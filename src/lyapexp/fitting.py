@@ -1,10 +1,10 @@
 """Small weighted-least-squares helper shared by the fitting front-ends.
 
 Weights are 1/sigma^2 with caller-supplied standard errors; coefficient
-covariance is (X^T W X)^{-1}, i.e. the supplied errors are taken at face
-value rather than rescaled by the residual chi^2.  That is the right
-convention here: the sigmas come from batch-means estimates whose own
-noise is small, and rescaling would hide genuine lack of fit.
+standard errors come from (X^T W X)^{-1}, i.e. the supplied errors are
+taken at face value rather than rescaled by the residual chi^2.  That is
+the right convention here: the sigmas come from batch-means estimates
+whose own noise is small, and rescaling would hide genuine lack of fit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 class FitSummary:
     coefficients: tuple
     stderrs: tuple
-    covariance: np.ndarray
     r2: float
     weighted_rss: float
     n_points: int
@@ -54,8 +53,7 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     r2 = 1.0 - rss / tss if tss > 0 else (1.0 if rss == 0 else -np.inf)
     return FitSummary(coefficients=tuple(float(c) for c in coef),
                       stderrs=tuple(float(s) for s in np.sqrt(np.diag(cov))),
-                      covariance=cov, r2=r2, weighted_rss=rss,
-                      n_points=int(y.size))
+                      r2=r2, weighted_rss=rss, n_points=int(y.size))
 
 
 def power_design(x: np.ndarray, powers) -> np.ndarray:

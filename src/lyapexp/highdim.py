@@ -11,9 +11,13 @@ on the multi-index moments of order l.
 
 Everything here reduces to the scalar theory at d = 1 with
 (L, C, N) = (1, Z, Z); the engines deliberately execute the same
-floating-point operations as the scalar ones in that case, so d = 1 runs
-reproduce the 2x2 results bit for bit -- a strong end-to-end check that
-both implementations mean the same object.
+floating-point operations per step as the scalar ones in that case -- a
+strong end-to-end check that both implementations mean the same object.
+For a finite law a d = 1 run reproduces the 2x2 results bit for bit.  A
+continuous law runs in shorter pieces (``CALLABLE_CHUNK`` rows against
+``TIME_CHUNK``), so its log-growth is summed in another grouping: its
+per-step paths are still bitwise those of the scalar chain, and its
+estimates agree up to rounding.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ def finite_block_law(triples, weights) -> FiniteBlockLaw:
         nmat = [[as_fraction(v) for v in row] for row in N]
         if d is None:
             d = len(lrow)
+            if d < 1:
+                raise InvalidSpec("dimension d must be >= 1")
         if len(lrow) != d or len(crow) != d or len(nmat) != d \
                 or any(len(r) != d for r in nmat):
             raise InvalidSpec("all blocks must share one dimension d")
@@ -111,21 +117,7 @@ class CallableBlockLaw:
     draw: object
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Dimension and sampler of a block model."""
-
-    d: int
-    law: object
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidSpec("dimension d must be >= 1")
-        if self.law.d != self.d:
-            raise InvalidSpec("law dimension does not match d")
-
-
-def from_scalar(spec: dist.DistributionSpec) -> BlockSpec:
+def from_scalar(spec: dist.DistributionSpec):
     """d = 1 embedding (L, C, N) = (1, Z, Z) of a scalar disorder law.
 
     For discrete laws the result is a finite block law whose atoms sit
@@ -134,14 +126,14 @@ def from_scalar(spec: dist.DistributionSpec) -> BlockSpec:
     """
     if spec.is_discrete:
         triples = [(((Fraction(1),)), (a,), ((a,),)) for a in spec.atoms]
-        return BlockSpec(d=1, law=finite_block_law(triples, spec.weights))
+        return finite_block_law(triples, spec.weights)
     sample = dist.sampler(spec)
 
     def draw(u):
         z = sample(u)[..., None]
         return np.ones(z.shape), z, z[..., None]
 
-    return BlockSpec(d=1, law=CallableBlockLaw(d=1, draw=draw))
+    return CallableBlockLaw(d=1, draw=draw)
 
 
 # -- multi-index machinery ----------------------------------------------------
@@ -224,7 +216,7 @@ def _exact_block_moment(law: FiniteBlockLaw, omega) -> Fraction:
     return total
 
 
-def g_matrix(block_spec: BlockSpec, l: int, mc_samples: int = 20_000,
+def g_matrix(law, l: int, mc_samples: int = 20_000,
              seed: int = 0) -> GMatrix:
     """Compute G^(l); exact for finite laws, Monte Carlo otherwise.
 
@@ -233,9 +225,8 @@ def g_matrix(block_spec: BlockSpec, l: int, mc_samples: int = 20_000,
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    d = block_spec.d
+    d = law.d
     idx = tuple(multi_indices(d, l))
-    law = block_spec.law
     size = len(idx)
     exact = None
     stderr = None
@@ -287,19 +278,21 @@ def vector_chain_step(x, L, C, N, eps):
     from . import kernels  # loaded by the first run, not at start-up
 
     x = np.array(x, dtype=float)
-    rows = (1,) + np.atleast_2d(x).shape
-    blocks = [np.ascontiguousarray(b, dtype=float).reshape(shape)
-              for b, shape in ((L, rows), (C, rows), (N, rows + rows[-1:]))]
-    kernels.block_chain_steps(*blocks, None, x.reshape(rows[1:]),
-                              np.empty(rows[:2]), float(eps) * float(eps))
+    width, d = np.atleast_2d(x).shape
+    tables = [np.ascontiguousarray(b, dtype=float).reshape(shape)
+              for b, shape in ((L, (width, d)), (C, (width, d)),
+                               (N, (width, d, d)))]
+    kernels.block_chain_steps(*tables, np.arange(width, dtype=np.int64)[None],
+                              x.reshape(width, d), np.empty((1, width)),
+                              float(eps) * float(eps))
     return x
 
 
 def _chunk_blocks(law, eps, gen, span, width):
     """Draw one time-chunk of blocks as ``(ls, cs, ns, idx)`` for the
     kernels: a finite law's atom tables and the (span, width) atom
-    indices, or a callable law's drawn (span, width, ...) blocks and
-    None.
+    indices, or a callable law's ``span * width`` drawn blocks and the
+    index of each cell's own row.
 
     ``eps`` is unused; ``perfbench/spans.py`` wraps this function by its
     signature."""
@@ -307,11 +300,12 @@ def _chunk_blocks(law, eps, gen, span, width):
     if isinstance(law, FiniteBlockLaw):
         return law.ls, law.cs, law.ns, np.searchsorted(law.cum, u,
                                                         side="right")
-    return (*(np.ascontiguousarray(b, dtype=float) for b in law.draw(u)),
-            None)
+    return (*(np.ascontiguousarray(b, dtype=float)
+              for b in law.draw(u.ravel())),
+            np.arange(span * width, dtype=np.int64).reshape(span, width))
 
 
-def lyapunov_general(block_spec: BlockSpec, eps: float, method: str = DIRECT,
+def lyapunov_general(law, eps: float, method: str = DIRECT,
                      n_steps: int = 10 ** 6, seed: int = 0,
                      burn_in: int = 10_000, replicas: int = 64,
                      discard: int = 1000,
@@ -330,7 +324,6 @@ def lyapunov_general(block_spec: BlockSpec, eps: float, method: str = DIRECT,
         kernel, lead = _invariant_kernel, burn_in
     else:
         raise ValueError(f"unknown method {method!r}")
-    law = block_spec.law
     piece = TIME_CHUNK if isinstance(law, FiniteBlockLaw) else CALLABLE_CHUNK
     per_replica, _ = run_chunked(
         lambda gen, width, pieces: kernel(law, eps, gen, width, pieces),
@@ -368,7 +361,7 @@ def _direct_kernel(law, eps, gen, width, pieces):
         yield mbuf[:span]
 
 
-def coupled_vector_paths(block_spec: BlockSpec, eps: float, n: int,
+def coupled_vector_paths(law, eps: float, n: int,
                          seed: int, stream: int = 0):
     """Vector chain and its undamped majorant on shared disorder.
 
@@ -380,13 +373,13 @@ def coupled_vector_paths(block_spec: BlockSpec, eps: float, n: int,
     from . import kernels  # loaded by the first run, not at start-up
 
     gen = philox_generator(seed, stream)
-    blocks = _chunk_blocks(block_spec.law, eps, gen, n, 1)
+    blocks = _chunk_blocks(law, eps, gen, n, 1)
     dbuf = np.empty((n, 1))
     paths = []
     for e2 in (float(eps) * float(eps), 0.0):
-        path = np.empty((n, 1, block_spec.d))
-        kernels.block_chain_steps(*blocks, np.zeros((1, block_spec.d)), dbuf,
-                                  e2, path)
+        path = np.empty((n, 1, law.d))
+        kernels.block_chain_steps(*blocks, np.zeros((1, law.d)), dbuf, e2,
+                                  path)
         paths.append(path[:, 0])
     return tuple(paths)
 
@@ -406,7 +399,7 @@ class ExpansionFit:
     conditions: dict
 
 
-def extract_expansion(block_spec: BlockSpec, order: int, eps_grid,
+def extract_expansion(law, order: int, eps_grid,
                       method: str = INVARIANT, n_steps: int = 10 ** 6,
                       seed: int = 0, burn_in: int = 10_000,
                       replicas: int = 64, discard: int = 1000,
@@ -431,12 +424,12 @@ def extract_expansion(block_spec: BlockSpec, order: int, eps_grid,
             f"grid points; got {len(eps_grid)}")
     conditions = {}
     for l in range(1, order + 1):
-        conditions[l] = g_matrix(block_spec, l, seed=seed).condition
+        conditions[l] = g_matrix(law, l, seed=seed).condition
 
     estimates = []
     for eps in eps_grid:
         estimates.append(lyapunov_general(
-            block_spec, eps, method=method, n_steps=n_steps, seed=seed,
+            law, eps, method=method, n_steps=n_steps, seed=seed,
             burn_in=burn_in, replicas=replicas, discard=discard,
             threads=threads))
     y = np.array([e.value for e in estimates])
@@ -453,7 +446,7 @@ def extract_expansion(block_spec: BlockSpec, order: int, eps_grid,
 
 @dataclass(frozen=True)
 class BlockReport:
-    """Empirical check of the block assumptions on a sample of triples."""
+    """Check of the block assumptions on the atoms or a sample of triples."""
 
     nonnegative: bool
     coupling_nonzero: bool
@@ -468,17 +461,20 @@ class BlockReport:
                 and self.feed_nonzero and self.primitive)
 
 
-def validate_blocks(block_spec: BlockSpec, n: int = 1024,
-                    seed: int = 0) -> BlockReport:
-    """Sample triples and test nonnegativity and a primitivity witness.
+def validate_blocks(law, n: int = 1024, seed: int = 0) -> BlockReport:
+    """Test nonnegativity and a primitivity witness on the triples.
 
-    The witness checks that the union support S of the N samples is
-    strongly connected ((I + S)^d fully positive) and that some power
-    S^k, k up to the Wielandt bound, is fully positive.
+    A finite law is checked on its atom tables, since every atom has
+    positive weight; a callable law on ``n`` sampled triples.  The
+    witness checks that the union support S of the N blocks is strongly
+    connected ((I + S)^d fully positive) and that some power S^k, k up
+    to the Wielandt bound, is fully positive.
     """
-    d = block_spec.d
-    gen = philox_generator(seed, 0)
-    ls, cs, ns = block_spec.law.draw(gen.random(n))
+    d = law.d
+    if isinstance(law, FiniteBlockLaw):
+        ls, cs, ns = law.ls, law.cs, law.ns
+    else:
+        ls, cs, ns = law.draw(philox_generator(seed, 0).random(n))
     nonneg = bool((ls >= 0).all() and (cs >= 0).all() and (ns >= 0).all())
     support = (ns > 0).any(axis=0)
     adj = support.astype(np.int64)
@@ -503,7 +499,7 @@ def validate_blocks(block_spec: BlockSpec, n: int = 1024,
 
 # -- JSON interchange -----------------------------------------------------------
 
-def blocks_from_dict(data: dict) -> BlockSpec:
+def blocks_from_dict(data: dict) -> FiniteBlockLaw:
     """Parse {"d": ..., "triples": [{"weight","L","C","N"}, ...]}."""
     if not isinstance(data, dict) or "triples" not in data:
         raise InvalidSpec("block JSON must be an object with a 'triples' list")
@@ -518,10 +514,10 @@ def blocks_from_dict(data: dict) -> BlockSpec:
     law = finite_block_law(triples, weights)
     if "d" in data and int(data["d"]) != law.d:
         raise InvalidSpec(f"declared d={data['d']} but blocks have d={law.d}")
-    return BlockSpec(d=law.d, law=law)
+    return law
 
 
-def blocks_from_json(text: str) -> BlockSpec:
+def blocks_from_json(text: str) -> FiniteBlockLaw:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -529,6 +525,6 @@ def blocks_from_json(text: str) -> BlockSpec:
     return blocks_from_dict(data)
 
 
-def load_blocks(path) -> BlockSpec:
+def load_blocks(path) -> FiniteBlockLaw:
     with open(path, "r", encoding="utf-8") as fh:
         return blocks_from_json(fh.read())

@@ -17,7 +17,9 @@ At d = 1 this is exactly the 2x2 model [[1, eps], [Z eps, Z]].
 The per-site disorder enters through ``field_law``, the distribution of
 the multiplier Z (that is, exp(-h/T) for a random field h).  Keeping the
 law of Z itself -- rather than the law of h -- is what lets a d = 1 model
-share one disorder stream with the scalar chain, bit for bit.
+share one disorder stream with the scalar chain: it follows the scalar
+chain's per-step path bit for bit, and with a discrete field law its
+estimates are the scalar ones bit for bit too (see :mod:`.highdim`).
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from . import distributions as dist
 from .distributions import DistributionSpec
 from .errors import InsufficientSignal, InvalidParameter, InvalidSpec, KNotInA
 from .fitting import power_design, wls_fit
-from .highdim import (BlockSpec, CallableBlockLaw, finite_block_law,
-                      lyapunov_general)
+from .highdim import CallableBlockLaw, finite_block_law, lyapunov_general
 from .lyapunov import DIRECT, LyapunovEstimate
 from .mc import philox_generator
 
@@ -121,18 +122,11 @@ def transfer_matrices(model: IsingModel, zs) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MappedBlocks:
-    """Block decomposition of the transfer step: spec plus its scale eps."""
-
-    blocks: BlockSpec
-    eps: float
-
-
-def map_to_blocks(model: IsingModel) -> MappedBlocks:
+def map_to_blocks(model: IsingModel):
     """Split the transfer matrix into the [[1, eps L'], [eps C, N]] form.
 
-    The scale eps is the largest bond weight; the single-site row and
+    Returns ``(law, eps)``: the law of the blocks (L, C, N) and the scale
+    eps, which is the largest bond weight.  The single-site row and
     column of the matrix are divided by it once, z-independently, so that
     at d = 1 the blocks are exactly (1, Z, Z) -- the scalar model -- with
     no rounding (eps/eps is performed as one float division).
@@ -173,7 +167,7 @@ def map_to_blocks(model: IsingModel) -> MappedBlocks:
     else:
         sample = dist.sampler(field)
         law = CallableBlockLaw(d=db, draw=lambda u: blocks(sample(u)))
-    return MappedBlocks(blocks=BlockSpec(d=db, law=law), eps=scale)
+    return law, scale
 
 
 def free_energy(model: IsingModel, n_steps: int = 10 ** 6, seed: int = 0,
@@ -186,11 +180,10 @@ def free_energy(model: IsingModel, n_steps: int = 10 ** 6, seed: int = 0,
     estimator; the returned value is the log-growth rate itself (the
     trace and any matrix norm give the same limit).
     """
-    mapping = map_to_blocks(model)
-    return lyapunov_general(mapping.blocks, mapping.eps, method=method,
-                            n_steps=n_steps, seed=seed, burn_in=burn_in,
-                            replicas=replicas, discard=discard,
-                            threads=threads)
+    law, eps = map_to_blocks(model)
+    return lyapunov_general(law, eps, method=method, n_steps=n_steps,
+                            seed=seed, burn_in=burn_in, replicas=replicas,
+                            discard=discard, threads=threads)
 
 
 def trace_growth(model: IsingModel, n: int, seed: int = 0,

@@ -5,9 +5,8 @@
  * multiply and add are fused and the two paths agree bit for bit.
  *
  * All (span, width) arrays are row-major; row t is time step t.  The
- * block loops take d-vectors and d x d matrices per (t, j) cell: either
- * the cell's own row of drawn (span, width, ...) arrays, or, when an
- * index array is given, the atom idx[t, j] of (m, ...) atom tables.
+ * block loops read the d-vectors and d x d matrices of cell (t, j) from
+ * row idx[t, j] of (m, d), (m, d) and (m, d, d) atom tables.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -108,12 +107,6 @@ static double sum_of_products(const double *restrict a,
     return 0.0 + pairwise_dot(a, b, d);
 }
 
-/* Row of the (span, width) cell (t, j) in the block arrays. */
-static ptrdiff_t block_row(const int64_t *idx, ptrdiff_t cell)
-{
-    return idx ? (ptrdiff_t)idx[cell] : cell;
-}
-
 /* Vector chain  x' = (C + N x) / (1 + e2 L.x)  on the (width, d) state x.
  * Row t of dbuf gets the denominators, and, when xbuf is not NULL, row t
  * of the (span, width, d) xbuf the post-step states.  Returns 0, or -1
@@ -130,7 +123,7 @@ int block_chain_steps(const double *restrict ls, const double *restrict cs,
     for (ptrdiff_t t = 0; t < span; t++) {
         for (ptrdiff_t j = 0; j < width; j++) {
             ptrdiff_t cell = t * width + j;
-            ptrdiff_t r = block_row(idx, cell);
+            ptrdiff_t r = (ptrdiff_t)idx[cell];
             const double *l = ls + r * d, *c = cs + r * d;
             const double *n = ns + r * d * d;
             double *xj = x + j * d;
@@ -170,7 +163,7 @@ int block_direct_steps(const double *restrict ls, const double *restrict cs,
     for (ptrdiff_t t = 0; t < span; t++) {
         for (ptrdiff_t j = 0; j < width; j++) {
             ptrdiff_t cell = t * width + j;
-            ptrdiff_t r = block_row(idx, cell);
+            ptrdiff_t r = (ptrdiff_t)idx[cell];
             const double *l = ls + r * d, *c = cs + r * d;
             const double *n = ns + r * d * d;
             double *wj = w + j * d;

@@ -9,10 +9,10 @@ Each runs a C loop (``kernels.c``) through ctypes when the library can
 be built, and the numpy loop below otherwise.  Both perform the same
 IEEE operations in the same order, so they agree bit for bit.
 
-A block piece is either drawn ``(span, width, ...)`` arrays
-``(ls, cs, ns)`` with ``idx=None``, or a finite law's ``(m, ...)`` atom
-tables with the ``(span, width)`` int64 atom indices ``idx``, so that the
-drawn blocks are never gathered.
+A block piece is given as ``(m, ...)`` atom tables ``(ls, cs, ns)`` and
+the ``(span, width)`` int64 indices ``idx`` of the row each cell uses: a
+finite law passes its own atoms, so its blocks are never gathered, and a
+callable law its drawn blocks, one row per cell.
 
 Sum grouping
 ------------
@@ -96,8 +96,8 @@ def block_chain_steps(ls, cs, ns, idx, x, dbuf, e2: float,
                       xbuf=None) -> None:
     """Run  x' = (C + N x) / (1 + e2 L.x)  over one piece of block rows.
 
-    Cell ``(t, j)`` uses ``ls[t, j]``, ``cs[t, j]``, ``ns[t, j]``, or,
-    given ``idx``, atom ``idx[t, j]`` of the tables.  The state ``x``
+    Cell ``(t, j)`` uses row ``idx[t, j]`` of the tables ``ls`` (m, d),
+    ``cs`` (m, d) and ``ns`` (m, d, d).  The state ``x``
     (width, d) is updated in place; row ``t`` of ``dbuf`` (span, width)
     gets the denominators and, when ``xbuf`` (span, width, d) is given,
     row ``t`` of it the post-step states.  At d = 1 the operations are
@@ -209,9 +209,7 @@ def _direct_numpy(z, v0, v1, mbuf, eps):
 
 
 def _block_row(ls, cs, ns, idx, t):
-    """Blocks of row ``t``: the drawn row, or the atoms ``idx[t]`` picks."""
-    if idx is None:
-        return ls[t], cs[t], ns[t]
+    """Blocks of row ``t``: the table rows ``idx[t]`` picks."""
     atoms = idx[t]
     return ls[atoms], cs[atoms], ns[atoms]
 
@@ -259,24 +257,21 @@ def _check(z, states, outs):
 
 def _check_blocks(ls, cs, ns, idx, span, width):
     """Block dimension d of a piece of ``span`` x ``width`` cells, after
-    checking the blocks the C loop reads: drawn (span, width, ...)
-    arrays, or (m, ...) atom tables and C-contiguous int64 atom indices
-    of shape (span, width), every one in [0, m)."""
+    checking the blocks the C loop reads: (m, ...) tables and C-contiguous
+    int64 indices of shape (span, width), every one in [0, m)."""
     d = ls.shape[-1] if ls.ndim else 0
     if d < 1:
         raise ValueError(f"block dimension must be >= 1, got {ls.shape}")
-    if idx is None:
-        lead = (span, width)
-    else:
-        if idx.dtype != np.int64 or idx.shape != (span, width) \
-                or not idx.flags.c_contiguous:
-            raise ValueError("atom indices must be C-contiguous int64 of "
-                             f"shape {(span, width)}, got {idx.dtype} "
-                             f"{idx.shape}")
-        lead = (len(ls),)
-        if idx.size and not (idx.min() >= 0 and idx.max() < len(ls)):
-            raise ValueError(f"atom indices must lie in [0, {len(ls)})")
-    _require([(ls, lead + (d,)), (cs, lead + (d,)), (ns, lead + (d, d))])
+    if not isinstance(idx, np.ndarray) or idx.dtype != np.int64 \
+            or idx.shape != (span, width) or not idx.flags.c_contiguous:
+        got = (f"{idx.dtype} {idx.shape}" if isinstance(idx, np.ndarray)
+               else type(idx).__name__)
+        raise ValueError("atom indices must be C-contiguous int64 of shape "
+                         f"{(span, width)}, got {got}")
+    m = len(ls)
+    if idx.size and not (idx.min() >= 0 and idx.max() < m):
+        raise ValueError(f"atom indices must lie in [0, {m})")
+    _require([(ls, (m, d)), (cs, (m, d)), (ns, (m, d, d))])
     return d
 
 

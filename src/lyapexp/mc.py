@@ -104,10 +104,10 @@ class KahanSum:
         self.total = t
 
 
-def batch_means(per_replica_means: np.ndarray, n_batches: int = N_BATCHES):
+def batch_means(per_replica_means: np.ndarray):
     """Mean and batch-means standard error from per-replica averages.
 
-    Replicas are grouped into ``min(n_batches, R)`` contiguous batches
+    Replicas are grouped into ``min(N_BATCHES, R)`` contiguous batches
     (replicas are independent streams, so batches are independent).  The
     returned mean is the plain average over replicas; the standard error
     is ``std(batch means, ddof=1) / sqrt(#batches)``.
@@ -115,7 +115,7 @@ def batch_means(per_replica_means: np.ndarray, n_batches: int = N_BATCHES):
     r = np.asarray(per_replica_means, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise ValueError("need at least two replica means for an error bar")
-    nb = min(n_batches, r.size)
+    nb = min(N_BATCHES, r.size)
     groups = np.array_split(r, nb)
     bmeans = np.array([g.mean() for g in groups])
     mean = float(r.mean())

@@ -214,9 +214,8 @@ def test_criterion_08_highdim_reduction(capsys, outbox):
         raw = [int(gen.integers(1, 10)) for _ in range(len(triples))]
         weights = [Fraction(r, sum(raw)) for r in raw]
         law = highdim.finite_block_law(triples, weights)
-        spec = highdim.BlockSpec(d=d, law=law)
         try:
-            g = highdim.g_matrix(spec, 1)
+            g = highdim.g_matrix(law, 1)
         except SingularSystem:
             continue
         for a in range(d):

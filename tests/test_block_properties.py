@@ -4,24 +4,36 @@ Random rational two-point and three-atom laws, and random uniform
 intervals, through the d = 1 embedding ``from_scalar``:
 
 - the block engines reproduce the scalar engines bit for bit, for both
-  estimators;
+  estimators, on runs shorter than one piece of rows;
+- across the scalar engines' 2048-row pieces, finite laws still do, and
+  continuous laws, which the block engines run in 256-row pieces and so
+  log-sum in another grouping, follow the scalar chain's per-step path
+  bit for bit and give the same estimates up to rounding;
 - runs at eps and -eps are bit-equal;
-- 1 and 3 worker threads give the same bits.
+- 1 and 3 worker threads give the same bits;
+- coupled paths are ordered: less damping gives a larger path at every
+  step, for the scalar chain and the vector chain alike.
 
-The run size spans two replica blocks (the second partial) and a lead
-that is not a multiple of any piece span.
+The short run size spans two replica blocks (the second partial) and a
+lead that is not a multiple of any piece span.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyapexp import chain, highdim, lyapunov
 from lyapexp import distributions as dist
-from lyapexp import highdim, lyapunov
 
 SIZE = dict(n_steps=520 * 30 + 3, replicas=520, seed=12)
 LEAD = 70
+# 3000 steps a replica: past the first 2048-row piece
+LONG = dict(n_steps=8 * 3000, replicas=8, seed=3)
+LONG_LEAD = 100
+PATH_STEPS = 3000
 # scalar engine and the name of its lead, per method
 SCALAR = {lyapunov.DIRECT: (lyapunov.lyapunov_direct, "discard"),
           lyapunov.INVARIANT: (lyapunov.lyapunov_invariant, "burn_in")}
@@ -85,3 +97,58 @@ def test_sign_of_eps_does_not_change_bits(law, eps, method):
 def test_threads_do_not_change_bits(law, eps, method):
     assert _general(law, eps, method, threads=3) \
         == _general(law, eps, method, threads=1)
+
+
+@given(laws, eps_values, methods)
+@PROPERTY
+def test_d1_identity_across_a_time_piece(law, eps, method):
+    engine, lead = SCALAR[method]
+    ref = engine(law, eps, **LONG, **{lead: LONG_LEAD})
+    blk = highdim.lyapunov_general(highdim.from_scalar(law), eps,
+                                   method=method, burn_in=LONG_LEAD,
+                                   discard=LONG_LEAD, **LONG)
+    if law.is_discrete:
+        assert blk == ref
+    else:
+        assert blk.n == ref.n
+        assert math.isclose(blk.value, ref.value, rel_tol=1e-12)
+        assert math.isclose(blk.stderr, ref.stderr, rel_tol=1e-9)
+
+
+@given(laws, eps_values)
+@PROPERTY
+def test_d1_vector_paths_equal_scalar_paths_bitwise(law, eps):
+    vector = highdim.coupled_vector_paths(highdim.from_scalar(law), eps,
+                                          n=PATH_STEPS, seed=3)
+    scalar = chain.coupled_paths(law, eps, 0.0, PATH_STEPS, 3)
+    for vec, ref in zip(vector, scalar):
+        assert vec.shape == (PATH_STEPS, 1)
+        assert np.array_equal(vec[:, 0].view(np.uint64), ref.view(np.uint64))
+
+
+def _dominates(upper, lower):
+    """``upper >= lower`` at every step up to the first step at which
+    ``upper`` overflows.  Only an undamped path (eps = 0) can overflow:
+    its next step then computes 1 + 0 * inf, which is NaN."""
+    bad = np.flatnonzero(~np.isfinite(upper))
+    stop = bad[0] + 1 if bad.size else len(upper)
+    assert np.isfinite(lower).all()
+    return bool(np.all(upper[:stop] >= lower[:stop]))
+
+
+# (e1, e2) with e1 <= e2 and e2 > 0
+eps_pairs = st.tuples(st.sampled_from([0.0, 1 / 16, 0.3, 0.75, 1.5]),
+                      eps_values).map(sorted)
+
+
+@given(laws, eps_pairs, st.integers(0, 3))
+@PROPERTY
+def test_less_damping_dominates_pathwise(law, eps_pair, seed):
+    e1, e2 = eps_pair
+    lo, hi = chain.coupled_paths(law, e1, e2, PATH_STEPS, seed)
+    if e1 > 0:
+        assert np.isfinite(lo).all()
+    assert _dominates(lo, hi)
+    damped, undamped = highdim.coupled_vector_paths(
+        highdim.from_scalar(law), e2, n=PATH_STEPS, seed=seed)
+    assert _dominates(undamped[:, 0], damped[:, 0])

@@ -59,15 +59,16 @@ def _stats(s):
             s.n_kept)
 
 
-def _general(blocks, eps, method, threads):
+def _general(law, eps, method, threads):
     return _est(highdim.lyapunov_general(
-        blocks, eps, method=method, seed=9, burn_in=LEAD, discard=LEAD,
+        law, eps, method=method, seed=9, burn_in=LEAD, discard=LEAD,
         threads=threads, **WIDE))
 
 
 def _range4(mapped, method, threads):
+    law, eps = mapped
     return _est(highdim.lyapunov_general(
-        mapped.blocks, mapped.eps, method=method, n_steps=64 * 300 + 7,
+        law, eps, method=method, n_steps=64 * 300 + 7,
         seed=8, burn_in=150, discard=150, replicas=64, threads=threads))
 
 
@@ -92,10 +93,9 @@ CASES = {
         BLOCKS_D2, 0.3, lyapunov.DIRECT, th),
     "blocks_d2_invariant": lambda th: _general(
         BLOCKS_D2, 0.3, lyapunov.INVARIANT, th),
-    "ising2_direct": lambda th: _general(
-        ISING_2.blocks, ISING_2.eps, lyapunov.DIRECT, th),
+    "ising2_direct": lambda th: _general(*ISING_2, lyapunov.DIRECT, th),
     "ising2_invariant": lambda th: _general(
-        ISING_2.blocks, ISING_2.eps, lyapunov.INVARIANT, th),
+        *ISING_2, lyapunov.INVARIANT, th),
     "ising4_two_point_direct": lambda th: _range4(
         ISING_4_TWO, lyapunov.DIRECT, th),
     "ising4_two_point_invariant": lambda th: _range4(
@@ -107,18 +107,17 @@ CASES = {
 }
 
 
-def _paths(blocks, eps):
-    return highdim.coupled_vector_paths(blocks, eps, n=700, seed=5)
+def _paths(law, eps):
+    return highdim.coupled_vector_paths(law, eps, n=700, seed=5)
 
 
 def _atoms(model):
-    mapped = ising.map_to_blocks(model)
-    law = mapped.blocks.law
-    return ([mapped.eps], law.cum, law.ls, law.cs, law.ns)
+    law, eps = ising.map_to_blocks(model)
+    return ([eps], law.cum, law.ls, law.cs, law.ns)
 
 
-def _g_monte_carlo(blocks, l):
-    g = highdim.g_matrix(blocks, l, mc_samples=5000, seed=3)
+def _g_monte_carlo(law, l):
+    g = highdim.g_matrix(law, l, mc_samples=5000, seed=3)
     return (g.matrix, g.stderr)
 
 
@@ -127,7 +126,7 @@ ARRAYS = {
     "paths_blocks_d2_eps_half": lambda: _paths(BLOCKS_D2, 0.5),
     "paths_uniform_eps0": lambda: _paths(UNIF_BLOCKS, 0.0),
     "paths_uniform_eps_half": lambda: _paths(UNIF_BLOCKS, 0.5),
-    "g_matrix_ising2_l2": lambda: _g_monte_carlo(ISING_2.blocks, 2),
+    "g_matrix_ising2_l2": lambda: _g_monte_carlo(ISING_2[0], 2),
     "g_matrix_uniform_l3": lambda: _g_monte_carlo(UNIF_BLOCKS, 3),
     "atoms_ising2_two_point": lambda: _atoms(
         ising.IsingModel(2, (1.0, 1.5), 1.0, TWO_POINT)),

@@ -1,6 +1,7 @@
 """Block-matrix generalisation: moment transfer matrices, the vector
 chain, and exact agreement with the scalar pipeline at d = 1."""
 
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapexp import chain
+from lyapexp import chain, cli
 from lyapexp import distributions as dist
 from lyapexp import highdim
 from lyapexp import lyapunov
@@ -78,9 +79,8 @@ def test_finite_block_law_validation():
 
 
 def test_from_scalar_structure():
-    b = highdim.from_scalar(TP)
-    assert b.d == 1
-    law = b.law
+    law = highdim.from_scalar(TP)
+    assert law.d == 1
     assert isinstance(law, highdim.FiniteBlockLaw)
     assert law.weights == TP.weights
     assert np.array_equal(law.ls, [[1.0], [1.0]])
@@ -89,16 +89,16 @@ def test_from_scalar_structure():
 
 
 def test_from_scalar_continuous_law_is_callable():
-    b = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
-    assert isinstance(b.law, highdim.CallableBlockLaw)
+    law = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
+    assert isinstance(law, highdim.CallableBlockLaw)
     gen = philox_generator(0, 0)
-    L, C, N = b.law.draw(gen.random(5))
+    L, C, N = law.draw(gen.random(5))
     assert L.shape == (5, 1) and C.shape == (5, 1) and N.shape == (5, 1, 1)
     assert np.array_equal(C[:, 0], N[:, 0, 0])
 
 
 def test_chunk_blocks_passes_atom_tables_and_indices():
-    law = highdim.load_blocks(SPECS / "blocks_d2.json").law
+    law = highdim.load_blocks(SPECS / "blocks_d2.json")
     ls, cs, ns, idx = highdim._chunk_blocks(law, 0.25, philox_generator(3),
                                             40, 7)
     assert ls is law.ls and cs is law.cs and ns is law.ns
@@ -108,10 +108,29 @@ def test_chunk_blocks_passes_atom_tables_and_indices():
         assert np.array_equal(table[idx], blocks)
 
 
-def test_block_spec_dimension_check():
-    law = highdim.finite_block_law([((1,), (1,), ((1,),))], ["1"])
+def test_chunk_blocks_gives_callable_laws_one_row_per_cell():
+    law = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
+    ls, cs, ns, idx = highdim._chunk_blocks(law, 0.25, philox_generator(3),
+                                            40, 7)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, np.arange(280).reshape(40, 7))
+    drawn = law.draw(philox_generator(3).random((40, 7)))
+    for table, blocks in zip((ls, cs, ns), drawn):
+        assert table.flags.c_contiguous
+        assert np.array_equal(table[idx], blocks)
+
+
+def test_empty_blocks_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(
+        {"triples": [{"weight": "1", "L": [], "C": [], "N": []}]}))
     with pytest.raises(InvalidSpec):
-        highdim.BlockSpec(d=2, law=law)
+        highdim.load_blocks(path)
+    code = cli.dispatch(["highdim", "--blocks", str(path), "--eps", "1/4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: InvalidSpec: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 # -- moment transfer matrices -------------------------------------------------------
@@ -131,9 +150,8 @@ def test_g_matrix_first_order_is_mean_block():
     for trial in range(20):
         d = 2 + trial % 2
         law = _random_finite_law(d, m=1 + trial % 3, gen=gen)
-        spec = highdim.BlockSpec(d=d, law=law)
         try:
-            g = highdim.g_matrix(spec, 1)
+            g = highdim.g_matrix(law, 1)
         except SingularSystem:
             continue  # random law happened to sit on the singular set
         mean = [[Fraction(0)] * d for _ in range(d)]
@@ -166,8 +184,7 @@ def test_g_matrix_block_diagonal_product_law():
         [((1, 1), (1, 1), ((half, 0), (0, 2))),
          ((1, 1), (1, 1), ((Fraction(1, 4), 0), (0, half)))],
         [half, half])
-    spec = highdim.BlockSpec(d=2, law=law)
-    g = highdim.g_matrix(spec, 2)
+    g = highdim.g_matrix(law, 2)
     want = {
         (0, 0): half * Fraction(1, 4) + half * Fraction(1, 16),  # E[z1^2]
         (1, 1): half * 1 + half * Fraction(1, 8),                # E[z1 z2]
@@ -258,7 +275,6 @@ def test_deterministic_blocks_match_eigenvalue():
     C = [0.75, 0.25]
     N = [[0.5, 0.125], [0.25, 0.375]]
     law = highdim.finite_block_law([(L, C, N)], ["1"])
-    spec = highdim.BlockSpec(d=2, law=law)
     eps = 0.3
     m = np.zeros((3, 3))
     m[0, 0] = 1.0
@@ -266,11 +282,11 @@ def test_deterministic_blocks_match_eigenvalue():
     m[1:, 0] = eps * np.array(C)
     m[1:, 1:] = N
     target = math.log(max(abs(np.linalg.eigvals(m))))
-    est = highdim.lyapunov_general(spec, eps, method=lyapunov.INVARIANT,
+    est = highdim.lyapunov_general(law, eps, method=lyapunov.INVARIANT,
                                    n_steps=64_000, seed=0)
     assert est.stderr == 0.0
     assert abs(est.value - target) < 1e-9
-    direct = highdim.lyapunov_general(spec, eps, method=lyapunov.DIRECT,
+    direct = highdim.lyapunov_general(law, eps, method=lyapunov.DIRECT,
                                       n_steps=64_000, seed=0)
     assert abs(direct.value - target) < 1e-9
 
@@ -286,10 +302,10 @@ def _stochastic_d2_law():
 
 
 def test_random_d2_law_methods_agree():
-    spec = highdim.BlockSpec(d=2, law=_stochastic_d2_law())
-    inv = highdim.lyapunov_general(spec, 0.25, method=lyapunov.INVARIANT,
+    law = _stochastic_d2_law()
+    inv = highdim.lyapunov_general(law, 0.25, method=lyapunov.INVARIANT,
                                    n_steps=400_000, seed=9)
-    direct = highdim.lyapunov_general(spec, 0.25, method=lyapunov.DIRECT,
+    direct = highdim.lyapunov_general(law, 0.25, method=lyapunov.DIRECT,
                                       n_steps=400_000, seed=10)
     sigma = math.hypot(inv.stderr, direct.stderr)
     assert abs(inv.value - direct.value) < 4 * sigma
@@ -298,17 +314,17 @@ def test_random_d2_law_methods_agree():
 # -- coupled vector paths ------------------------------------------------------------------
 
 def test_coupled_vector_paths_dominated_by_free_recursion():
-    spec = highdim.BlockSpec(d=2, law=_stochastic_d2_law())
+    law = _stochastic_d2_law()
     for seed in (0, 1, 2):
-        xs, ys = highdim.coupled_vector_paths(spec, 0.5, n=3_000, seed=seed)
+        xs, ys = highdim.coupled_vector_paths(law, 0.5, n=3_000, seed=seed)
         assert xs.shape == ys.shape == (3_000, 2)
         assert np.all(xs <= ys)
         assert np.all(xs >= 0.0)
 
 
 def test_coupled_vector_paths_equal_when_eps_zero():
-    spec = highdim.BlockSpec(d=2, law=_stochastic_d2_law())
-    xs, ys = highdim.coupled_vector_paths(spec, 0.0, n=500, seed=3)
+    xs, ys = highdim.coupled_vector_paths(_stochastic_d2_law(), 0.0, n=500,
+                                          seed=3)
     assert np.array_equal(xs, ys)
 
 
@@ -350,8 +366,7 @@ def test_extract_expansion_recovers_leading_coefficient():
 # -- structural validation -----------------------------------------------------------------
 
 def test_validate_blocks_passes_for_positive_law():
-    report = highdim.validate_blocks(
-        highdim.BlockSpec(d=2, law=_stochastic_d2_law()))
+    report = highdim.validate_blocks(_stochastic_d2_law())
     assert report.nonnegative
     assert report.coupling_nonzero
     assert report.feed_nonzero
@@ -366,7 +381,7 @@ def test_validate_blocks_rejects_reducible_support():
         [((1, 1), (1, 1), ((half, 0), (0, half))),
          ((1, 1), (1, 1), ((2, 0), (0, 2)))],
         [half, half])
-    report = highdim.validate_blocks(highdim.BlockSpec(d=2, law=law))
+    report = highdim.validate_blocks(law)
     assert not report.irreducible
     assert not report.passes
 
@@ -376,10 +391,24 @@ def test_validate_blocks_flags_period_two_support():
     the support never become strictly positive."""
     law = highdim.finite_block_law(
         [((1, 1), (1, 1), ((0, 1), (1, 0)))], ["1"])
-    report = highdim.validate_blocks(highdim.BlockSpec(d=2, law=law))
+    report = highdim.validate_blocks(law)
     assert report.irreducible
     assert not report.primitive
     assert not report.passes
+
+
+def test_validate_blocks_sees_rare_atoms():
+    """A swap atom of weight 1/10000 makes the union support all ones; a
+    sample of 1024 triples almost never draws it."""
+    eye, swap = ((1, 0), (0, 1)), ((0, 1), (1, 0))
+    law = highdim.finite_block_law(
+        [((1, 1), (1, 1), eye), ((1, 1), (1, 1), swap)],
+        ["9999/10000", "1/10000"])
+    report = highdim.validate_blocks(law)
+    assert report.support.all()
+    assert report.irreducible
+    assert report.primitive
+    assert report.passes
 
 
 def test_validate_blocks_scalar_law_passes():
@@ -399,17 +428,16 @@ def test_blocks_from_dict_round_trip(tmp_path):
              "N": [["3/2", "1/2"], ["1/2", "1/4"]]},
         ],
     }
-    spec = highdim.blocks_from_dict(doc)
-    assert spec.d == 2
-    assert spec.law.weights[0] == Fraction(1, 2)
-    assert spec.law.ns_exact[1][0][0] == Fraction(3, 2)
+    law = highdim.blocks_from_dict(doc)
+    assert law.d == 2
+    assert law.weights[0] == Fraction(1, 2)
+    assert law.ns_exact[1][0][0] == Fraction(3, 2)
 
     path = tmp_path / "blocks.json"
-    import json
     path.write_text(json.dumps(doc))
     loaded = highdim.load_blocks(path)
-    assert loaded.d == spec.d
-    assert np.array_equal(loaded.law.ns, spec.law.ns)
+    assert loaded.d == law.d
+    assert np.array_equal(loaded.ns, law.ns)
 
 
 def test_blocks_from_dict_error_paths():

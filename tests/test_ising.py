@@ -125,11 +125,10 @@ def test_transfer_matrices_stack():
 
 def test_map_to_blocks_scalar_model_is_exact():
     m = _model(couplings=(0.7,))
-    mapped = ising.map_to_blocks(m)
-    assert mapped.eps == math.exp(-0.7)
-    law = mapped.blocks.law
+    law, eps = ising.map_to_blocks(m)
+    assert eps == math.exp(-0.7)
     assert isinstance(law, highdim.FiniteBlockLaw)
-    assert mapped.blocks.d == 1
+    assert law.d == 1
     # eps/eps collapses to exactly 1.0: the scalar model reappears
     assert np.array_equal(law.ls, [[1.0], [1.0]])
     assert np.array_equal(law.cs, [[0.5], [1.5]])
@@ -138,8 +137,8 @@ def test_map_to_blocks_scalar_model_is_exact():
 
 
 def test_map_to_blocks_continuous_law_is_callable():
-    mapped = ising.map_to_blocks(_model(law=UNIF))
-    assert isinstance(mapped.blocks.law, highdim.CallableBlockLaw)
+    law, _ = ising.map_to_blocks(_model(law=UNIF))
+    assert isinstance(law, highdim.CallableBlockLaw)
 
 
 def test_map_to_blocks_needs_one_live_bond():

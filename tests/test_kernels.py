@@ -125,23 +125,27 @@ def test_block_array_digests_with_numpy_fallback(numpy_only, name):
 
 # -- block kernels ----------------------------------------------------------------
 
-def _block_pieces(d, width, indexed):
+def _block_pieces(d, width, few_atoms):
     """Two consecutive pieces of blocks, as (span, (ls, cs, ns, idx)):
-    three atoms' tables with indices, or the drawn arrays those indices
-    pick.  The atoms are non-dyadic and nonnegative; N is scaled by 1/d
-    so the chain stays of order one at any d."""
+    three atoms' tables with random indices, as a finite law passes them,
+    or the rows those indices pick with one row per cell (idx = arange),
+    as a callable law passes them.  The atoms are non-dyadic and
+    nonnegative; N is scaled by 1/d so the chain stays of order one at
+    any d."""
     gen = philox_generator(d, width)
     tables = (gen.random((3, d)) + 0.1, gen.random((3, d)) + 0.1,
               gen.random((3, d, d)) / d)
-    # the drawn arrays hold span x width x d x d floats: keep them small
+    # one row per cell holds span x width x d x d floats: keep them small
     span = max(1, min(12, 2 ** 19 // (width * d * d)))
     pieces = []
     for rows in (1, span):
         idx = gen.integers(0, 3, (rows, width))
-        if indexed:
+        if few_atoms:
             pieces.append((rows, (*tables, idx)))
         else:
-            pieces.append((rows, (*(t[idx] for t in tables), None)))
+            cells = np.arange(rows * width).reshape(rows, width)
+            pieces.append((rows, (*(t[idx.ravel()] for t in tables),
+                                  cells)))
     return pieces
 
 
@@ -162,15 +166,15 @@ def _run_blocks_both(monkeypatch, run, pieces, state):
 
 # d crosses numpy's grouping thresholds at 8 and 128; at d = 140 and 300
 # the split n/2 - (n/2 mod 8) differs from a split at n/2 or mod 4
-BLOCK_CASES = [(d, width, indexed)
+BLOCK_CASES = [(d, width, few_atoms)
                for d in (1, 2, 3, 7, 8, 9, 15, 16, 129)
-               for width in (1, 64, 512) for indexed in (False, True)]
+               for width in (1, 64, 512) for few_atoms in (False, True)]
 BLOCK_CASES += [(140, 8, True), (300, 8, True)]
 
 
-@pytest.mark.parametrize("d, width, indexed", BLOCK_CASES)
+@pytest.mark.parametrize("d, width, few_atoms", BLOCK_CASES)
 def test_block_chain_kernel_matches_numpy_bitwise(compiled, monkeypatch, d,
-                                                  width, indexed):
+                                                  width, few_atoms):
     def run(blocks, st, span):
         dbuf = np.empty((span, width))
         xbuf = np.empty((span, width, d))
@@ -178,22 +182,22 @@ def test_block_chain_kernel_matches_numpy_bitwise(compiled, monkeypatch, d,
         return dbuf, xbuf
 
     (xa, ra), (xb, rb) = _run_blocks_both(
-        monkeypatch, run, _block_pieces(d, width, indexed),
+        monkeypatch, run, _block_pieces(d, width, few_atoms),
         [np.zeros((width, d))])
     assert np.array_equal(_bits(xa), _bits(xb))
     assert np.array_equal(_bits(ra), _bits(rb))
 
 
-@pytest.mark.parametrize("d, width, indexed", BLOCK_CASES)
+@pytest.mark.parametrize("d, width, few_atoms", BLOCK_CASES)
 def test_block_direct_kernel_matches_numpy_bitwise(compiled, monkeypatch, d,
-                                                   width, indexed):
+                                                   width, few_atoms):
     def run(blocks, st, span):
         mbuf = np.empty((span, width))
         kernels.block_direct_steps(*blocks, st[0], st[1], mbuf, 0.375)
         return (mbuf,)
 
     (va, ra), (vb, rb) = _run_blocks_both(
-        monkeypatch, run, _block_pieces(d, width, indexed),
+        monkeypatch, run, _block_pieces(d, width, few_atoms),
         [np.ones(width), np.ones((width, d))])
     assert np.array_equal(_bits(va), _bits(vb))
     assert np.array_equal(_bits(ra), _bits(rb))
@@ -229,7 +233,6 @@ def test_block_kernels_reject_bad_buffers(compiled):
         kernels.block_chain_steps(ls, cs, ns, idx, x, dbuf, 0.25)
 
     chain()  # the defaults are valid
-    drawn = np.ones((4, 8, d))
     for bad in (
             dict(ls=ls.astype(np.float32)),           # wrong dtype
             dict(ns=np.ones((m, d, d)).transpose(0, 2, 1)[:, ::-1]),
@@ -242,8 +245,7 @@ def test_block_kernels_reject_bad_buffers(compiled):
             dict(idx=np.full((4, 8), -1)),             # before it
             dict(ls=np.ones((m, 0)), cs=np.ones((m, 0)),
                  ns=np.ones((m, 0, 0)), x=np.zeros((8, 0))),
-            dict(idx=None, ls=drawn, cs=drawn,
-                 ns=np.ones((4, 8, d, d + 1)))):
+            dict(idx=None)):                           # no indices
         with pytest.raises(ValueError):
             chain(**bad)
     frozen = np.zeros((8, d))
@@ -252,6 +254,9 @@ def test_block_kernels_reject_bad_buffers(compiled):
         chain(x=frozen)
     with pytest.raises(ValueError):
         kernels.block_direct_steps(ls, cs, ns, idx, np.ones(7),
+                                   np.ones((8, d)), np.empty((4, 8)), 0.25)
+    with pytest.raises(ValueError):
+        kernels.block_direct_steps(ls, cs, ns, None, np.ones(8),
                                    np.ones((8, d)), np.empty((4, 8)), 0.25)
 
 
