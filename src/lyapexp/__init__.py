@@ -2,4 +2,4 @@
 measures, small-coupling expansions of the top Lyapunov exponent, and the
 block / transfer-matrix generalisations."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -52,7 +52,7 @@ from . import highdim
 from . import ising as ising_mod
 from . import lyapunov
 from .errors import (InvalidParameter, InvalidSpec, NumericalError,
-                     ValidationError)
+                     TruncationOverflow, ValidationError)
 
 _FMT = "%.17g"
 
@@ -298,6 +298,8 @@ def _run_chain(args):
 
 
 def _run_dominance(args, spec, steps):
+    import numpy as np
+
     if not args.eps or not args.eps2:
         raise _UsageError("--dominance needs --eps and --eps2")
     eps, eps2 = _parse_number(args.eps), _parse_number(args.eps2)
@@ -308,8 +310,14 @@ def _run_dominance(args, spec, steps):
     series_viol = 0
     for seed in seeds:
         lo, hi = chain_mod.coupled_paths(spec, eps, eps2, steps, seed)
-        pair_viol += int((lo < hi).sum())
         undamped, damped = chain_mod.coupled_paths(spec, 0.0, eps, steps, seed)
+        # a NaN compares false, so it would count as agreement
+        finite = np.isfinite([lo, hi, undamped, damped]).all(axis=0)
+        if not finite.all():
+            raise TruncationOverflow(
+                f"seed {seed}: a coupled path is not finite from step "
+                f"{int(finite.argmin()) + 1} (the perpetuity diverges)")
+        pair_viol += int((lo < hi).sum())
         series_viol += int((undamped < damped).sum())
     doc = {"eps": eps, "eps2": eps2, "steps": steps, "seeds": seeds,
            "violations_pair": pair_viol, "violations_series": series_viol,

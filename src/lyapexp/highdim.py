@@ -12,16 +12,14 @@ on the multi-index moments of order l.
 Everything here reduces to the scalar theory at d = 1 with
 (L, C, N) = (1, Z, Z); the engines deliberately execute the same
 floating-point operations per step as the scalar ones in that case -- a
-strong end-to-end check that both implementations mean the same object.
-For a finite law a d = 1 run reproduces the 2x2 results bit for bit.  A
-continuous law runs in shorter pieces (``CALLABLE_CHUNK`` rows against
-``TIME_CHUNK``), so its log-growth is summed in another grouping: its
-per-step paths are still bitwise those of the scalar chain, and its
-estimates agree up to rounding.
+strong end-to-end check that both implementations mean the same object:
+a d = 1 run reproduces the 2x2 results bit for bit, for finite and
+continuous laws alike.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,10 +33,11 @@ from .errors import (InsufficientSignal, InvalidParameter, InvalidSpec,
                      SingularSystem)
 from .fitting import power_design, wls_fit
 from .lyapunov import DIRECT, INVARIANT, LyapunovEstimate
-from .mc import (CALLABLE_CHUNK, TIME_CHUNK, batch_means, kept_per_replica,
-                 philox_generator, run_chunked)
+from .mc import batch_means, kept_per_replica, philox_generator, run_chunked
 
 COND_LIMIT = 1e12
+# most N entries a callable law draws at once; larger groups page-fault more
+DRAW_CELLS = 1 << 14
 
 
 # -- block laws --------------------------------------------------------------
@@ -318,16 +317,12 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
     and error bars mirror the scalar estimators exactly.
     """
     eps = abs(float(eps))
-    if method == DIRECT:
-        kernel, lead = _direct_kernel, discard
-    elif method == INVARIANT:
-        kernel, lead = _invariant_kernel, burn_in
-    else:
+    leads = {DIRECT: discard, INVARIANT: burn_in}
+    if method not in leads:
         raise ValueError(f"unknown method {method!r}")
-    piece = TIME_CHUNK if isinstance(law, FiniteBlockLaw) else CALLABLE_CHUNK
     per_replica, _ = run_chunked(
-        lambda gen, width, pieces: kernel(law, eps, gen, width, pieces),
-        n_steps, replicas, lead, seed, threads, piece)
+        functools.partial(_block_kernel, law, eps, method),
+        n_steps, replicas, leads[method], seed, threads)
     value, stderr = batch_means(per_replica)
     return LyapunovEstimate(eps=eps, method=method, value=value,
                             stderr=stderr,
@@ -335,30 +330,29 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
                             seed=seed)
 
 
-def _invariant_kernel(law, eps, gen, width, pieces):
-    """Vector chain; yields the denominators 1 + eps^2 L.x per piece."""
+def _block_kernel(law, eps, method, gen, width, pieces):
+    """Block recursion by either estimator; yields each piece's growth
+    factors.  Rows are drawn in groups that take the uniforms in order:
+    whole pieces for a finite law, ~``DRAW_CELLS`` N entries otherwise."""
     from . import kernels  # loaded by the first run, not at start-up
 
-    x = np.zeros((width, law.d))
+    if method == INVARIANT:
+        step, scale = kernels.block_chain_steps, eps * eps
+        state = (np.zeros((width, law.d)),)
+    else:
+        step, scale = kernels.block_direct_steps, eps
+        state = (np.ones(width), np.ones((width, law.d)))
     # one buffer per block: run_chunked logs a piece before the next
-    dbuf = np.empty((pieces[0][0], width))
+    buf = np.empty((pieces[0][0], width))
+    group = len(buf) if isinstance(law, FiniteBlockLaw) \
+        else max(1, DRAW_CELLS // (width * law.d * law.d))
     for span, _ in pieces:
-        kernels.block_chain_steps(*_chunk_blocks(law, eps, gen, span, width),
-                                  x, dbuf[:span], eps * eps)
-        yield dbuf[:span]
-
-
-def _direct_kernel(law, eps, gen, width, pieces):
-    """Renormalised (d+1)-vector; yields the max-norm factors per piece."""
-    from . import kernels  # loaded by the first run, not at start-up
-
-    v0 = np.ones(width)
-    w = np.ones((width, law.d))
-    mbuf = np.empty((pieces[0][0], width))
-    for span, _ in pieces:
-        kernels.block_direct_steps(*_chunk_blocks(law, eps, gen, span, width),
-                                   v0, w, mbuf[:span], eps)
-        yield mbuf[:span]
+        for r0 in range(0, span, group):
+            r1 = min(r0 + group, span)
+            # one expression: a group's blocks are freed before the next
+            step(*_chunk_blocks(law, eps, gen, r1 - r0, width), *state,
+                 buf[r0:r1], scale)
+        yield buf[:span]
 
 
 def coupled_vector_paths(law, eps: float, n: int,

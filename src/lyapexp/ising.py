@@ -18,8 +18,8 @@ The per-site disorder enters through ``field_law``, the distribution of
 the multiplier Z (that is, exp(-h/T) for a random field h).  Keeping the
 law of Z itself -- rather than the law of h -- is what lets a d = 1 model
 share one disorder stream with the scalar chain: it follows the scalar
-chain's per-step path bit for bit, and with a discrete field law its
-estimates are the scalar ones bit for bit too (see :mod:`.highdim`).
+chain's per-step path, and gives its estimates, bit for bit (see
+:mod:`.highdim`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .fitting import power_design, wls_fit
 from .highdim import CallableBlockLaw, finite_block_law, lyapunov_general
 from .lyapunov import DIRECT, LyapunovEstimate
 from .mc import philox_generator
+
+# largest range: its block law takes ~1.25 s to build, 4-5x more per unit
+MAX_RANGE = 8
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ class IsingModel:
 
     def __post_init__(self):
         d = self.interaction_range
-        if d < 1:
-            raise InvalidSpec("interaction range must be >= 1")
+        if not 1 <= d <= MAX_RANGE:
+            raise InvalidSpec(f"interaction range must lie in 1..{MAX_RANGE}")
         coup = tuple(float(a) for a in self.couplings)
         object.__setattr__(self, "couplings", coup)
         if len(coup) != d:

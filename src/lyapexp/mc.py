@@ -10,10 +10,10 @@ so distinct streams are independent by construction and a (seed, stream)
 pair always reproduces the same draws regardless of how many worker
 threads consume them.  Replicas are grouped into fixed-width blocks
 (:data:`BLOCK_WIDTH` columns, block ``b`` drawing from stream ``b``) and
-the time axis is processed in pieces of :data:`TIME_CHUNK` steps
-(:data:`CALLABLE_CHUNK` for callable block laws); these constants are
-part of the layout, never derived from the thread count, so results are
-bit-identical for any ``threads`` setting.
+the time axis is processed in pieces of :data:`TIME_CHUNK` steps for
+every engine; these constants are part of the layout, never derived from
+the thread count, so results are bit-identical for any ``threads``
+setting.
 
 :func:`run_chunked` owns that layout.  An engine supplies only a kernel,
 a generator that draws each piece and runs its recursion; the driver
@@ -33,9 +33,6 @@ from .errors import InvalidParameter
 # replica, so they are deliberately module-level and not configurable.
 BLOCK_WIDTH = 512
 TIME_CHUNK = 2048
-# Piece span for block laws that materialise whole (span, width, d, d)
-# arrays at once; keeps peak memory modest at d = 4.  Divides TIME_CHUNK.
-CALLABLE_CHUNK = 256
 
 # Batch count for batch-means standard errors.
 N_BATCHES = 64
@@ -139,19 +136,19 @@ def kept_per_replica(n_steps: int, replicas: int) -> int:
 
 
 def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
-                threads: int = 1, piece: int = TIME_CHUNK):
+                threads: int = 1):
     """Run ``kernel`` over every replica block of the fixed layout.
 
     Each replica runs ``lead`` steps whose growth factors are dropped
     (burn-in or discard), then ``kept_per_replica(n_steps, replicas)``
     steps whose factors are kept.  ``kernel(gen, width, pieces)`` is a
     generator: ``pieces`` lists ``(span, keep0)`` for consecutive time
-    pieces of at most ``piece`` steps, and for each piece the kernel
-    draws ``span`` rows from ``gen``, runs its recursion, and yields the
-    ``(span, width)`` growth factors.  Rows ``keep0:`` are those whose
-    post-step index exceeds ``lead``; their logs are summed per replica.
-    This function is done with a piece before it asks for the next, so a
-    kernel may yield views of one buffer that it refills.
+    pieces of at most :data:`TIME_CHUNK` steps, and for each piece the
+    kernel draws ``span`` rows from ``gen``, runs its recursion, and
+    yields the ``(span, width)`` growth factors.  Rows ``keep0:`` are
+    those whose post-step index exceeds ``lead``; their logs are summed
+    per replica.  This function is done with a piece before it asks for
+    the next, so a kernel may yield views of one buffer that it refills.
 
     Returns the per-replica mean log growth, in replica order, and the
     kernels' own return values, in block order.
@@ -159,8 +156,8 @@ def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
     check_run_size(n_steps, replicas, lead)
     kept = kept_per_replica(n_steps, replicas)
     total = lead + kept
-    pieces = [(min(piece, total - c0), max(lead - c0, 0))
-              for c0 in range(0, total, piece)]
+    pieces = [(min(TIME_CHUNK, total - c0), max(lead - c0, 0))
+              for c0 in range(0, total, TIME_CHUNK)]
 
     def worker(block, start, stop):
         width = stop - start
@@ -170,9 +167,6 @@ def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
             rows = next(steps)
             if keep0 < span:
                 acc.add(np.log(rows[keep0:]).sum(axis=0))
-            # a kernel that allocates each piece (the block engines) then
-            # frees it before drawing the next, which bounds peak RSS
-            del rows
         try:
             next(steps)
         except StopIteration as end:

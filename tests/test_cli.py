@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,18 @@ def test_chain_dominance_reports_zero_violations(capsys):
     assert doc["seeds"] == [0, 1, 2, 3, 4]
 
 
+def test_chain_dominance_rejects_a_diverging_path(capsys, tmp_path):
+    spec = tmp_path / "growing.json"
+    spec.write_text(json.dumps({"family": "two_point", "atoms": [
+        {"value": "2", "weight": "1/2"}, {"value": "4", "weight": "1/2"}]}))
+    code, out, err = run(capsys, "chain", "--spec", str(spec), "--dominance",
+                         "--eps", "1/4", "--eps2", "1/2", "--steps", "3000",
+                         "--seeds", "0..1", "--json")
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "TruncationOverflow: seed 0: " in err and "from step " in err
+
+
 def test_chain_dominance_needs_two_eps(capsys):
     code, _, err = run(capsys, "chain", "--spec", TWO_POINT, "--dominance",
                        "--eps", "1/4", "--steps", "1000")
@@ -372,6 +385,20 @@ def test_ising_infinite_coupling_token(capsys):
     doc = json.loads(out)
     assert doc["eps_l"][1] == 0.0
     assert doc["couplings"][1] == "inf"
+
+
+def test_ising_range_above_the_cap_exits_2_before_building(capsys):
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "ising", "--range", "20",
+                           "--couplings", ",".join(["1"] * 20), "--T", "1",
+                           "--field-law", TWO_POINT, "--steps", "1000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    assert "InvalidSpec" in err and "1..8" in err
+    assert peak < 1 << 20
 
 
 # -- selftest -------------------------------------------------------------------------

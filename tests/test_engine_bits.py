@@ -7,7 +7,9 @@ lead (burn-in or discard) longer than one time chunk, two replica
 blocks with a partial last one, a cutoff that bites, log-space moments,
 a finite block law and a callable (Ising range 2) block law, at 1 and 3
 threads, and Ising range 4 (d = 15, where numpy's pairwise sums group
-differently from a plain left-to-right sum).
+differently from a plain left-to-right sum).  The two ``ising4_uniform``
+pins were re-recorded when callable block laws moved from 256-row time
+pieces to the ``TIME_CHUNK`` pieces of every other engine.
 
 ``DIGESTS`` pins the SHA-256 of block outputs that are whole arrays:
 coupled vector paths, a Monte Carlo G-matrix and its standard errors,
@@ -252,13 +254,13 @@ PINNED = {
         19264,
     ],
     "ising4_uniform_direct": [
-        "0x1.5d83ed1b0af3dp-12",
-        "0x1.329544b9274a5p-19",
+        "0x1.5d83ed1b0af3ep-12",
+        "0x1.329544b9274a6p-19",
         19264,
     ],
     "ising4_uniform_invariant": [
         "0x1.5d83ed1b0af3ep-12",
-        "0x1.329544b9274a3p-19",
+        "0x1.329544b9274a4p-19",
         19264,
     ],
 }

@@ -11,7 +11,7 @@ import pytest
 
 from lyapexp import chain, cli
 from lyapexp import distributions as dist
-from lyapexp import highdim
+from lyapexp import highdim, ising
 from lyapexp import lyapunov
 from lyapexp.errors import InsufficientSignal, InvalidSpec, SingularSystem
 from lyapexp.mc import philox_generator
@@ -118,6 +118,52 @@ def test_chunk_blocks_gives_callable_laws_one_row_per_cell():
     for table, blocks in zip((ls, cs, ns), drawn):
         assert table.flags.c_contiguous
         assert np.array_equal(table[idx], blocks)
+
+
+UNIF_FIELD = dist.uniform_interval("1/10", "9/10")
+# callable laws and their eps: a d = 3 Ising law and a d = 1 embedding
+CALLABLE_LAWS = {
+    "ising2_uniform": lambda: ising.map_to_blocks(
+        ising.IsingModel(2, (1.0, 1.5), 1.0, UNIF_FIELD)),
+    "from_scalar_uniform": lambda: (highdim.from_scalar(UNIF_FIELD), 0.25),
+}
+
+
+@pytest.mark.parametrize("method", [lyapunov.DIRECT, lyapunov.INVARIANT])
+@pytest.mark.parametrize("name", sorted(CALLABLE_LAWS))
+def test_callable_law_draw_groups_change_no_bits(monkeypatch, name, method):
+    law, eps = CALLABLE_LAWS[name]()
+
+    def run():
+        # a lead past one time piece, then kept rows over several groups
+        return highdim.lyapunov_general(
+            law, eps, method=method, n_steps=64 * 300 + 3, replicas=64,
+            seed=4, burn_in=2100, discard=2100)
+
+    ref = run()
+    for cells in (1, 1 << 30):
+        monkeypatch.setattr(highdim, "DRAW_CELLS", cells)
+        assert run() == ref
+
+
+@pytest.mark.parametrize("method", [lyapunov.DIRECT, lyapunov.INVARIANT])
+@pytest.mark.parametrize("name", sorted(CALLABLE_LAWS))
+def test_callable_law_draws_at_most_draw_cells(monkeypatch, name, method):
+    law, eps = CALLABLE_LAWS[name]()
+    drawn = []
+    chunk_blocks = highdim._chunk_blocks
+
+    def spy(*args):
+        blocks = chunk_blocks(*args)
+        drawn.append(blocks[2].size)
+        return blocks
+
+    monkeypatch.setattr(highdim, "_chunk_blocks", spy)
+    highdim.lyapunov_general(law, eps, method=method, n_steps=600 * 40,
+                             replicas=600, burn_in=2100, discard=2100)
+    assert max(drawn) <= highdim.DRAW_CELLS
+    # every step of every replica drawn once
+    assert sum(drawn) == (2100 + 40) * 600 * law.d ** 2
 
 
 def test_empty_blocks_json_exits_2(tmp_path, capsys):

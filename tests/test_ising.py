@@ -26,6 +26,9 @@ def _model(d=1, couplings=(1.0,), T=1.0, law=TP):
 def test_model_validation():
     with pytest.raises(InvalidSpec):
         _model(d=0, couplings=())
+    with pytest.raises(InvalidSpec):
+        d = ising.MAX_RANGE + 1
+        _model(d=d, couplings=(1.0,) * d)
     with pytest.raises(InvalidSpec):  # coupling count != range
         _model(d=2, couplings=(1.0,))
     with pytest.raises(InvalidSpec):
