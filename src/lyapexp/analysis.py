@@ -30,11 +30,8 @@ from .fitting import wls_fit
 from .lyapunov import lyapunov_invariant
 
 INTEGER_ALPHA_TOL = 1e-6
-
-
-def default_eps_grid(j_min: int = 2, j_max: int = 10):
-    """Dyadic grid eps = 2^-j, j = j_min..j_max."""
-    return tuple(2.0 ** -j for j in range(j_min, j_max + 1))
+# a fitted residual must exceed this many standard errors
+NOISE_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -44,8 +41,6 @@ class ResidualSeries:
     ``sign`` is (-1)^(K+2), the factor that makes the residual positive;
     ``lam`` and ``regular`` are kept so that the bookkeeping identity
     lam = regular + sign * residual can be re-checked exactly.
-    ``n_steps`` is the budget of every point, or a tuple of per-point
-    budgets.
     """
 
     order: int
@@ -56,8 +51,6 @@ class ResidualSeries:
     residual: tuple
     sign: int
     ell: tuple
-    n_steps: int | tuple
-    seed: int
 
 
 def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
@@ -79,11 +72,8 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
     ell = coeffs.ell_coefficients(spec, order) if order >= 1 else ()
     sign = 1 if order % 2 == 0 else -1
     eps_grid = tuple(float(e) for e in eps_grid)
-    if np.ndim(n_steps):
-        n_steps = tuple(n_steps)
-        budgets = n_steps
-    else:
-        budgets = (n_steps,) * len(eps_grid)
+    budgets = tuple(n_steps) if np.ndim(n_steps) \
+        else (n_steps,) * len(eps_grid)
     if len(budgets) != len(eps_grid):
         raise InvalidParameter(f"{len(budgets)} budgets for "
                                f"{len(eps_grid)} grid points")
@@ -101,8 +91,7 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
     return ResidualSeries(order=order, eps=eps_grid, lam=tuple(lam),
                           lam_stderr=tuple(lse), regular=tuple(reg),
                           residual=tuple(res), sign=sign,
-                          ell=tuple(float(e) for e in ell),
-                          n_steps=n_steps, seed=seed)
+                          ell=tuple(float(e) for e in ell))
 
 
 @dataclass(frozen=True)
@@ -188,11 +177,11 @@ class FitResult:
     bracket: TheoryBracket | None
 
 
-def fit_exponent(series: ResidualSeries, spec=None, min_points: int = 5,
-                 noise_factor: float = 4.0) -> FitResult:
+def fit_exponent(series: ResidualSeries, spec=None,
+                 min_points: int = 5) -> FitResult:
     """Weighted log-log fit of a residual series.
 
-    Grid points whose residual is within ``noise_factor`` standard errors
+    Grid points whose residual is within NOISE_SIGMAS standard errors
     of zero are dropped; fewer than ``min_points`` survivors raises
     InsufficientSignal.  Passing the originating ``spec`` adds the theory
     bracket and enables the pinned-slope log model at integer alpha.
@@ -200,11 +189,11 @@ def fit_exponent(series: ResidualSeries, spec=None, min_points: int = 5,
     r = np.asarray(series.residual)
     se = np.asarray(series.lam_stderr)
     eps = np.asarray(series.eps)
-    keep = r > noise_factor * se
+    keep = r > NOISE_SIGMAS * se
     if int(keep.sum()) < min_points:
         raise InsufficientSignal(
             f"only {int(keep.sum())} of {r.size} grid points clear the "
-            f"{noise_factor}-sigma noise floor; need {min_points}")
+            f"{NOISE_SIGMAS:g}-sigma noise floor; need {min_points}")
     eps, r, se = eps[keep], r[keep], se[keep]
 
     x = np.log(eps)

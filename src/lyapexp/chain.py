@@ -73,27 +73,22 @@ class ChainStats:
 
     ``moments[i]`` estimates E[X^gammas[i]] over retained samples,
     ``trunc_moments[i]`` the truncated version E[X^gamma; eps^2 X <= B]
-    with B = ``b_cutoff``.  ``log1p_mean`` is the invariant-formula
-    Lyapunov estimate E[log(1 + eps^2 X)].  All standard errors are
-    batch means over 64 replica groups.
+    with B the ``b_cutoff`` passed to :func:`simulate_chain`.
+    ``log1p_mean`` is the invariant-formula Lyapunov estimate
+    E[log(1 + eps^2 X)].  All standard errors are batch means over 64
+    replica groups.
     """
 
     eps: float
-    seed: int
     n_kept: int
     gammas: tuple
     moments: tuple
     moment_stderrs: tuple
     trunc_moments: tuple
     trunc_stderrs: tuple
-    b_cutoff: float
     log1p_mean: float
     log1p_stderr: float
     max_x: float
-    replicas: int
-
-    def moment(self, gamma) -> float:
-        return self.moments[self.gammas.index(gamma)]
 
 
 def step(x, z, eps):
@@ -138,9 +133,10 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     def kernel(gen, width, pieces):
         x = np.zeros(width)
         # one buffer pair per block: run_chunked logs a piece's rows, and
-        # the moments below fold them, before the next piece is drawn
-        xbuf = np.empty((pieces[0][0], width))
-        dbuf = np.empty_like(xbuf)
+        # the moments below fold them, before the next piece is drawn; a
+        # row the step never writes stays NaN and poisons the statistics
+        xbuf = np.full((pieces[0][0], width), np.nan)
+        dbuf = np.full_like(xbuf, np.nan)
         moment_acc = [KahanSum(width) for _ in gammas]
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
@@ -200,13 +196,11 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     lmean, lse = batch_means(lyap_rep)
     max_x = float(max(r[2].max() for r in results))
 
-    return ChainStats(eps=eps, seed=cfg.seed, n_kept=kept * cfg.replicas,
-                      gammas=gammas, moments=tuple(moments),
-                      moment_stderrs=tuple(stderrs),
+    return ChainStats(eps=eps, n_kept=kept * cfg.replicas, gammas=gammas,
+                      moments=tuple(moments), moment_stderrs=tuple(stderrs),
                       trunc_moments=tuple(truncs),
-                      trunc_stderrs=tuple(tstderrs), b_cutoff=b_cutoff,
-                      log1p_mean=lmean, log1p_stderr=lse, max_x=max_x,
-                      replicas=cfg.replicas)
+                      trunc_stderrs=tuple(tstderrs), log1p_mean=lmean,
+                      log1p_stderr=lse, max_x=max_x)
 
 
 def _power(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -230,12 +224,11 @@ def _logsumexp0(vals: np.ndarray) -> np.ndarray:
 # -- perpetuity sampler ----------------------------------------------------
 
 def sample_x0(spec: dist.DistributionSpec, n: int, seed: int,
-              trunc_tol: float = 1e-12,
               max_terms: int = 100_000) -> np.ndarray:
     """Draw ``n`` samples of the perpetuity X_0 = sum_k Z_1 ... Z_k.
 
     Partial sums are accumulated until the running product stays below
-    ``trunc_tol`` times the partial sum for 50 consecutive terms; if a
+    1e-12 times the partial sum for 50 consecutive terms; if a
     sample fails to converge within ``max_terms`` terms (drift E[log Z]
     at or above 0), TruncationOverflow is raised.
     """
@@ -251,7 +244,7 @@ def sample_x0(spec: dist.DistributionSpec, n: int, seed: int,
             z = draw(gen.random(width))
             prod *= z
             total += prod
-            small = prod < trunc_tol * total
+            small = prod < 1e-12 * total
             consec = np.where(small, consec + 1, 0)
             if consec.min() >= 50:
                 return total
@@ -265,18 +258,18 @@ def sample_x0(spec: dist.DistributionSpec, n: int, seed: int,
 # -- coupled trajectories ---------------------------------------------------
 
 def coupled_paths(spec: dist.DistributionSpec, eps_a: float, eps_b: float,
-                  n: int, seed: int, stream: int = 0):
+                  n: int, seed: int):
     """Two chains driven by the same disorder sequence, eps_a and eps_b.
 
-    Returns the pair of post-step trajectories (length n each).  With
-    eps_a <= eps_b the first path dominates the second pathwise; with
-    eps_a = 0 the first path follows the undamped recursion
-    x' = Z (1 + x), whose time-n value matches the n-term partial sum of
-    the perpetuity in law.
+    Returns the pair of post-step trajectories (length n each), drawn
+    from stream 0 of ``seed``.  With eps_a <= eps_b the first path
+    dominates the second pathwise; with eps_a = 0 the first path follows
+    the undamped recursion x' = Z (1 + x), whose time-n value matches the
+    n-term partial sum of the perpetuity in law.
     """
     from . import kernels  # loaded by the first run, not at start-up
 
-    gen = philox_generator(seed, stream)
+    gen = philox_generator(seed, 0)
     z = dist.sampler(spec)(gen.random((n, 1)))
     dbuf = np.empty((n, 1))
     paths = []
@@ -287,24 +280,3 @@ def coupled_paths(spec: dist.DistributionSpec, eps_a: float, eps_b: float,
         paths.append(path[:, 0])
     return tuple(paths)
 
-
-# -- grids -------------------------------------------------------------------
-
-def moment_scan(spec: dist.DistributionSpec, gamma, eps_values, n_steps: int,
-                seed: int, burn_in: int = 10_000, replicas: int = 64,
-                b_cutoff=None, threads: int = 1):
-    """Chain statistics for one gamma across an eps grid.
-
-    All grid points share the same (seed, streams), i.e. identical
-    disorder sequences -- differences across eps are then driven purely
-    by the damping, which removes most of the Monte Carlo noise from
-    ratios and differences along the grid.
-    """
-    out = []
-    for eps in eps_values:
-        cfg = ChainConfig(eps=float(eps), n_steps=n_steps, seed=seed,
-                          burn_in=burn_in, replicas=replicas,
-                          threads=threads)
-        out.append(simulate_chain(spec, cfg, gammas=(gamma,),
-                                  b_cutoff=b_cutoff))
-    return out

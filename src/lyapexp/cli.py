@@ -23,7 +23,8 @@ to (seed, stream) pairs fixed before execution.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input (ValidationError),
 3 numerical failure (NumericalError: degenerate moments, singular moment
-systems, no signal, checksum mismatch on rerun).
+systems, no signal, a Monte Carlo statistic that is not finite, checksum
+mismatch on rerun).
 
 Numeric formatting: CSV and .dat files carry 17 significant digits
 (%.17g), enough to round-trip doubles exactly; JSON uses Python's repr,
@@ -39,6 +40,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -200,7 +202,21 @@ def _dat(pairs) -> str:
     return "".join(f"{_FMT % x} {_FMT % y}\n" for x, y in pairs)
 
 
+def _require_finite(where: str, stats: dict) -> None:
+    """Refuse Monte Carlo statistics that are not finite: a run whose
+    recursion overflowed ends in inf or NaN, which must not reach a
+    result silently."""
+    for name, values in stats.items():
+        for value in values if isinstance(values, tuple) else (values,):
+            if not math.isfinite(value):
+                raise TruncationOverflow(
+                    f"{where}: {name} is {value}, not a finite number "
+                    "(the recursion overflowed)")
+
+
 def _estimate_doc(est) -> dict:
+    _require_finite(f"{est.method} at eps {est.eps:g}",
+                    {"value": est.value, "stderr": est.stderr})
     return {"value": est.value, "stderr": est.stderr, "n": est.n,
             "method": est.method}
 
@@ -276,6 +292,11 @@ def _run_chain(args):
         cfg = chain_mod.ChainConfig(eps=eps, **size)
         st = chain_mod.simulate_chain(spec, cfg, gammas=gammas,
                                       b_cutoff=cutoff)
+        _require_finite(f"chain at eps {st.eps:g}", {
+            "moment": st.moments, "moment_stderr": st.moment_stderrs,
+            "trunc_moment": st.trunc_moments,
+            "trunc_stderr": st.trunc_stderrs, "log1p_mean": st.log1p_mean,
+            "log1p_stderr": st.log1p_stderr, "max_x": st.max_x})
         for i, g in enumerate(gammas):
             rows.append((st.eps, g, st.moments[i], st.moment_stderrs[i],
                          st.trunc_moments[i], st.trunc_stderrs[i],
@@ -350,6 +371,9 @@ def _run_fit(args):
     size = _run_size(args, "burn_in")
     grid = _parse_grid(args.eps_grid)
     series = analysis.residual_series(spec, args.order, grid, **size)
+    for eps, lam, se in zip(series.eps, series.lam, series.lam_stderr):
+        _require_finite(f"fit at eps {eps:g}",
+                        {"lambda": lam, "lambda_stderr": se})
     bracket = analysis.theory_brackets(spec, args.order)
     doc = {"order": args.order, "eps_grid": list(series.eps),
            "lambda": list(series.lam), "lambda_stderr": list(series.lam_stderr),
@@ -837,7 +861,11 @@ def dispatch(argv) -> int:
     handler = _HANDLERS[args.subcommand]
     started = time.perf_counter()
     try:
-        doc, files = handler(args)
+        # numpy's overflow warnings are noise: a statistic they spoil is
+        # refused with one line by _require_finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            doc, files = handler(args)
         wall = time.perf_counter() - started
         out = getattr(args, "out", None)
         if out and args.subcommand != "rerun":

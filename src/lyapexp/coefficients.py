@@ -102,18 +102,11 @@ def _check_moments(mv: MomentVector, order: int) -> None:
             raise UnstableMoment(l)
 
 
-def _entry_sum(g, l: int, s: int, horizon: int) -> Fraction:
-    """Right-hand side of the recursion for g[l][s] with explicit horizon.
-
-    Terms with i > s contribute nothing (they would need k = s - i < 0),
-    so any horizon >= s returns the same value; the recursion itself uses
-    horizon = s.
-    """
+def _entry_sum(g, l: int, s: int) -> Fraction:
+    """Right-hand side of the recursion for g[l][s], a sum over i + k = s."""
     acc = Fraction(0)
-    for i in range(0, horizon + 1):
+    for i in range(0, s + 1):
         k = s - i
-        if k < 0:
-            continue
         w_i = math.comb(l + i - 1, i)
         for r in range(0, l + 1):
             if i == 0 and r == l:
@@ -137,7 +130,7 @@ def g_table(m, order: int) -> CoefficientTable:
     for s in range(0, order + 1):
         for l in range(1, order + 1 - s):
             ml = mv.m(l)
-            g[l][s] = ml / (1 - ml) * _entry_sum(g, l, s, horizon=s)
+            g[l][s] = ml / (1 - ml) * _entry_sum(g, l, s)
 
     ell = tuple(
         sum((g[j][s - j] / j for j in range(1, s + 1)), Fraction(0))
@@ -155,16 +148,6 @@ def g_table(m, order: int) -> CoefficientTable:
 def ell_coefficients(m, order: int) -> tuple:
     """Series coefficients (ell_1, ..., ell_K) as exact Fractions."""
     return g_table(m, order).ell
-
-
-def g_entry_with_horizon(m, l: int, s: int, horizon: int) -> Fraction:
-    """Single coefficient computed with an explicit recursion horizon."""
-    if horizon < s:
-        raise ValueError("horizon must be at least s")
-    mv = _as_moment_vector(m, l + s)
-    table = g_table(mv, l + s)
-    ml = mv.m(l)
-    return ml / (1 - ml) * _entry_sum(table.g, l, s, horizon=horizon)
 
 
 # -- closed forms for the first two orders --------------------------------

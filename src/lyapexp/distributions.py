@@ -24,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSpec, NoUpcrossing
-from .mc import philox_generator
 
 TWO_POINT = "two_point"
 FINITE_DISCRETE = "finite_discrete"
@@ -261,13 +260,15 @@ def log_moment(spec: DistributionSpec) -> float:
 # -- critical exponent ---------------------------------------------------
 
 GAMMA_CAP = 512.0
+# bisection stops once the bracket on alpha is this narrow
+ALPHA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class AlphaResult:
     """Critical moment exponent alpha = sup {gamma : E[Z^gamma] < 1}.
 
-    kind is "finite" (usual case, with |E[Z^alpha] - 1| <= tol),
+    kind is "finite" (usual case, alpha bracketed to within ALPHA_TOL),
     "infinite" (Z <= 1 a.s., every moment is < 1) or "zero_boundary"
     (E[log Z] >= 0, no gamma > 0 has E[Z^gamma] < 1).  For bounded
     support, a finite alpha always satisfies E[Z^alpha] = 1, so the
@@ -281,7 +282,7 @@ class AlphaResult:
     moment_at_alpha: float | None = None
 
 
-def solve_alpha(spec: DistributionSpec, tol: float = 1e-10) -> AlphaResult:
+def solve_alpha(spec: DistributionSpec) -> AlphaResult:
     """Locate alpha by bracketed bisection on gamma -> E[Z^gamma] - 1.
 
     The upper bracket doubles from 1 until the curve upcrosses 1; the
@@ -297,7 +298,7 @@ def solve_alpha(spec: DistributionSpec, tol: float = 1e-10) -> AlphaResult:
     def f(g):
         # moment() is exact (Fraction) for rational powers of discrete
         # laws, which lets a true root of E[Z^g] = 1 be recognised as 0
-        # instead of being bisected down to tol.
+        # instead of being bisected down to ALPHA_TOL.
         m = moment(spec, g)
         if m == 1:
             return 0.0
@@ -322,7 +323,7 @@ def solve_alpha(spec: DistributionSpec, tol: float = 1e-10) -> AlphaResult:
             raise NoUpcrossing("cannot bracket the upcrossing from below")
         fl = f(lo)
     # invariant: f(lo) < 0 < f(hi)
-    while hi - lo > tol:
+    while hi - lo > ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -373,12 +374,6 @@ def sampler(spec: DistributionSpec):
     def draw(u):
         return np.exp(la + (lb - la) * u)
     return draw
-
-
-def sample(spec: DistributionSpec, n: int, seed: int, stream: int = 0):
-    """Draw n values of Z from the (seed, stream) Philox stream."""
-    gen = philox_generator(seed, stream)
-    return sampler(spec)(gen.random(n))
 
 
 # -- assumption report ----------------------------------------------------

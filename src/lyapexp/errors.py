@@ -56,7 +56,9 @@ class UnstableMoment(NumericalError):
 
 class TruncationOverflow(NumericalError):
     """Perpetuity series failed to converge within the term cap
-    (drift E[log Z] too close to 0 for the requested tolerance)."""
+    (drift E[log Z] too close to 0 for the requested tolerance), or a
+    Monte Carlo recursion overflowed and left a statistic that is not
+    finite."""
 
 
 class InsufficientSignal(NumericalError):

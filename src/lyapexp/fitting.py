@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TruncationOverflow
+
 
 @dataclass(frozen=True)
 class FitSummary:
@@ -20,22 +22,25 @@ class FitSummary:
     stderrs: tuple
     r2: float
     weighted_rss: float
-    n_points: int
 
 
 def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     """Fit y = design @ coef by weighted least squares.
 
     ``sigma`` holds per-point standard errors; rows with larger errors
-    count less.  The weighted R^2 is measured about the weighted mean of
-    y (1.0 for a perfect fit; can be negative for a model worse than the
-    constant).
+    count less.  Data or errors that are not finite (from a Monte Carlo
+    run that overflowed) raise TruncationOverflow.  The weighted R^2 is
+    measured about the weighted mean of y (1.0 for a perfect fit; can be
+    negative for a model worse than the constant).
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if design.ndim != 2 or design.shape[0] != y.size:
         raise ValueError("design matrix and data length mismatch")
+    if not (np.isfinite(y).all() and np.isfinite(sigma).all()):
+        raise TruncationOverflow("cannot fit estimates that are not finite "
+                                 "(the recursion overflowed)")
     if np.any(sigma <= 0):
         raise ValueError("standard errors must be positive")
     sw = 1.0 / sigma
@@ -53,7 +58,7 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     r2 = 1.0 - rss / tss if tss > 0 else (1.0 if rss == 0 else -np.inf)
     return FitSummary(coefficients=tuple(float(c) for c in coef),
                       stderrs=tuple(float(s) for s in np.sqrt(np.diag(cov))),
-                      r2=r2, weighted_rss=rss, n_points=int(y.size))
+                      r2=r2, weighted_rss=rss)
 
 
 def power_design(x: np.ndarray, powers) -> np.ndarray:

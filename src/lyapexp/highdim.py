@@ -326,8 +326,7 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
     value, stderr = batch_means(per_replica)
     return LyapunovEstimate(eps=eps, method=method, value=value,
                             stderr=stderr,
-                            n=kept_per_replica(n_steps, replicas) * replicas,
-                            seed=seed)
+                            n=kept_per_replica(n_steps, replicas) * replicas)
 
 
 def _block_kernel(law, eps, method, gen, width, pieces):
@@ -342,8 +341,9 @@ def _block_kernel(law, eps, method, gen, width, pieces):
     else:
         step, scale = kernels.block_direct_steps, eps
         state = (np.ones(width), np.ones((width, law.d)))
-    # one buffer per block: run_chunked logs a piece before the next
-    buf = np.empty((pieces[0][0], width))
+    # one buffer per block: run_chunked logs a piece before the next; a
+    # row the step never writes stays NaN
+    buf = np.full((pieces[0][0], width), np.nan)
     group = len(buf) if isinstance(law, FiniteBlockLaw) \
         else max(1, DRAW_CELLS // (width * law.d * law.d))
     for span, _ in pieces:
@@ -355,18 +355,17 @@ def _block_kernel(law, eps, method, gen, width, pieces):
         yield buf[:span]
 
 
-def coupled_vector_paths(law, eps: float, n: int,
-                         seed: int, stream: int = 0):
+def coupled_vector_paths(law, eps: float, n: int, seed: int):
     """Vector chain and its undamped majorant on shared disorder.
 
-    Returns (damped, undamped) trajectories of shape (n, d); the
-    undamped path follows y' = C + N y, whose time-n value matches the
-    n-term partial sum of the matrix perpetuity in law, and dominates
-    the damped path coordinatewise.
+    Returns (damped, undamped) trajectories of shape (n, d), drawn from
+    stream 0 of ``seed``; the undamped path follows y' = C + N y, whose
+    time-n value matches the n-term partial sum of the matrix perpetuity
+    in law, and dominates the damped path coordinatewise.
     """
     from . import kernels  # loaded by the first run, not at start-up
 
-    gen = philox_generator(seed, stream)
+    gen = philox_generator(seed, 0)
     blocks = _chunk_blocks(law, eps, gen, n, 1)
     dbuf = np.empty((n, 1))
     paths = []
@@ -455,20 +454,20 @@ class BlockReport:
                 and self.feed_nonzero and self.primitive)
 
 
-def validate_blocks(law, n: int = 1024, seed: int = 0) -> BlockReport:
+def validate_blocks(law) -> BlockReport:
     """Test nonnegativity and a primitivity witness on the triples.
 
     A finite law is checked on its atom tables, since every atom has
-    positive weight; a callable law on ``n`` sampled triples.  The
-    witness checks that the union support S of the N blocks is strongly
-    connected ((I + S)^d fully positive) and that some power S^k, k up
-    to the Wielandt bound, is fully positive.
+    positive weight; a callable law on 1024 triples drawn from stream 0
+    of seed 0.  The witness checks that the union support S of the N
+    blocks is strongly connected ((I + S)^d fully positive) and that
+    some power S^k, k up to the Wielandt bound, is fully positive.
     """
     d = law.d
     if isinstance(law, FiniteBlockLaw):
         ls, cs, ns = law.ls, law.cs, law.ns
     else:
-        ls, cs, ns = law.draw(philox_generator(seed, 0).random(n))
+        ls, cs, ns = law.draw(philox_generator(0, 0).random(1024))
     nonneg = bool((ls >= 0).all() and (cs >= 0).all() and (ns >= 0).all())
     support = (ns > 0).any(axis=0)
     adj = support.astype(np.int64)

@@ -4,7 +4,7 @@ Two estimators are provided and cross-checked against each other
 throughout the test-suite:
 
 ``direct_product``
-    Iterate a positive vector through the random matrices, renormalising
+    Iterate the vector (1, 1) through the random matrices, renormalising
     by the max-norm at every step and averaging the log of the
     normalisers (Furstenberg--Kesten).  Needs no assumption on the sign
     of E[log Z]; an initial stretch of increments is discarded so the
@@ -42,7 +42,6 @@ class LyapunovEstimate:
     value: float
     stderr: float
     n: int
-    seed: int
 
 
 def lyapunov_invariant(spec: dist.DistributionSpec, eps: float,
@@ -55,37 +54,33 @@ def lyapunov_invariant(spec: dist.DistributionSpec, eps: float,
     stats = simulate_chain(spec, cfg, gammas=())
     return LyapunovEstimate(eps=cfg.eps, method=INVARIANT,
                             value=stats.log1p_mean,
-                            stderr=stats.log1p_stderr, n=stats.n_kept,
-                            seed=seed)
+                            stderr=stats.log1p_stderr, n=stats.n_kept)
 
 
 def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
                     n_steps: int = 10 ** 6, seed: int = 0,
                     replicas: int = 64, discard: int = 1000,
-                    start=(1.0, 1.0), threads: int = 1) -> LyapunovEstimate:
+                    threads: int = 1) -> LyapunovEstimate:
     """Renormalised vector iteration through the matrix product.
 
     ``n_steps`` counted log-increments are split across ``replicas``
-    independent trajectories; each trajectory additionally runs
-    ``discard`` initial steps whose increments are not averaged (the
-    direction of the iterated vector forgets ``start`` at a rate set by
-    the gap between the two exponents, so the default is generous).
+    independent trajectories, each started from the vector (1, 1); each
+    trajectory additionally runs ``discard`` initial steps whose
+    increments are not averaged (the direction of the iterated vector
+    forgets its start at a rate set by the gap between the two
+    exponents, so the default is generous).
     """
     from . import kernels  # loaded by the first run, not at start-up
 
     eps = abs(float(eps))
-    s0, s1 = float(start[0]), float(start[1])
-    if s0 < 0 or s1 < 0 or max(s0, s1) <= 0:
-        raise ValueError("start vector must be nonnegative and nonzero")
-    m0 = max(s0, s1)
-    s0, s1 = s0 / m0, s1 / m0
     draw = dist.sampler(spec)
 
     def kernel(gen, width, pieces):
-        v0 = np.full(width, s0)
-        v1 = np.full(width, s1)
-        # reused by every piece: run_chunked logs its rows before the next
-        mbuf = np.empty((pieces[0][0], width))
+        v0 = np.ones(width)
+        v1 = np.ones(width)
+        # reused by every piece: run_chunked logs its rows before the
+        # next; a row the step never writes stays NaN
+        mbuf = np.full((pieces[0][0], width), np.nan)
         for span, _ in pieces:
             z = draw(gen.random((span, width)))
             kernels.direct_steps(z, v0, v1, mbuf[:span], eps)
@@ -96,8 +91,7 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
     value, stderr = batch_means(per_replica)
     return LyapunovEstimate(eps=eps, method=DIRECT, value=value,
                             stderr=stderr,
-                            n=kept_per_replica(n_steps, replicas) * replicas,
-                            seed=seed)
+                            n=kept_per_replica(n_steps, replicas) * replicas)
 
 
 def estimate(spec: dist.DistributionSpec, eps: float, method: str = DIRECT,
@@ -155,13 +149,11 @@ class FactorizationReport:
 
 
 def factorization_check(spec: dist.DistributionSpec, eps: float,
-                        n_steps: int = 10 ** 6, seed: int = 0,
-                        replicas: int = 64,
-                        discard: int = 1000) -> FactorizationReport:
-    lam = lyapunov_direct(spec, eps, n_steps=n_steps, seed=seed,
-                          replicas=replicas, discard=discard)
+                        n_steps: int = 10 ** 6,
+                        seed: int = 0) -> FactorizationReport:
+    lam = lyapunov_direct(spec, eps, n_steps=n_steps, seed=seed)
     lam_r = lyapunov_direct(dist.reciprocal(spec), eps, n_steps=n_steps,
-                            seed=seed, replicas=replicas, discard=discard)
+                            seed=seed)
     elog = dist.log_moment(spec)
     gap = lam.value - (elog + lam_r.value)
     gap_stderr = math.hypot(lam.stderr, lam_r.stderr)

@@ -168,11 +168,6 @@ def test_series_budget_schedule_validation():
         analysis.residual_series(TP, -1, (0.25,))
 
 
-def test_default_grid():
-    g = analysis.default_eps_grid(2, 5)
-    assert g == (0.25, 0.125, 0.0625, 0.03125)
-
-
 # -- exponent fit ----------------------------------------------------------------
 
 def _synthetic_series(exponent, amp=1.0, sigma=1e-9, js=range(2, 10),
@@ -182,7 +177,7 @@ def _synthetic_series(exponent, amp=1.0, sigma=1e-9, js=range(2, 10),
     return analysis.ResidualSeries(order=order, eps=eps, lam=res,
                                    lam_stderr=(sigma,) * len(eps),
                                    regular=(0.0,) * len(eps), residual=res,
-                                   sign=1, ell=(), n_steps=0, seed=0)
+                                   sign=1, ell=())
 
 
 def test_fit_recovers_synthetic_slope():
@@ -206,8 +201,7 @@ def test_fit_drops_noise_floor_points():
     se[-1] = se[-2] = 1.0
     s2 = analysis.ResidualSeries(order=0, eps=s.eps, lam=s.lam,
                                  lam_stderr=tuple(se), regular=s.regular,
-                                 residual=s.residual, sign=1, ell=(),
-                                 n_steps=0, seed=0)
+                                 residual=s.residual, sign=1, ell=())
     fit = analysis.fit_exponent(s2, min_points=5)
     assert fit.n_used == 6
     assert min(fit.used_eps) == 2.0 ** -7
@@ -227,7 +221,7 @@ def test_fit_attaches_bracket_and_log_model():
     s = analysis.ResidualSeries(order=1, eps=eps, lam=res,
                                 lam_stderr=(1e-10,) * len(eps),
                                 regular=(0.0,) * len(eps), residual=res,
-                                sign=-1, ell=(4.0,), n_steps=0, seed=0)
+                                sign=-1, ell=(4.0,))
     fit = analysis.fit_exponent(s, spec=CRIT, min_points=5)
     assert fit.bracket is not None and fit.bracket.log_correction
     assert fit.with_log_model
@@ -240,8 +234,8 @@ def test_fit_attaches_bracket_and_log_model():
 def test_fit_measured_heavy_tail_slope():
     """End-to-end: measured K = 0 residual of the alpha = 1/2 law decays
     like eps^1 (up to the theta window)."""
-    s = analysis.residual_series(HEAVY, 0, analysis.default_eps_grid(2, 7),
-                                 n_steps=200_000, seed=7)
+    grid = tuple(2.0 ** -j for j in range(2, 8))
+    s = analysis.residual_series(HEAVY, 0, grid, n_steps=200_000, seed=7)
     fit = analysis.fit_exponent(s, spec=HEAVY, min_points=5)
     assert 0.85 <= fit.exponent <= 1.45
     assert fit.r2 > 0.99

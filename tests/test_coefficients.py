@@ -121,20 +121,6 @@ def test_condition_number_reported():
 
 # -- structural properties -------------------------------------------------
 
-def test_horizon_independence():
-    """Entries are unchanged by enlarging the recursion horizon.
-
-    The inner sum formally ranges over all i >= 0, but i > s contributes
-    nothing; computing g[l][s] with any horizon >= s gives the same exact
-    rational.
-    """
-    for l, s in ((1, 0), (1, 1), (2, 0), (1, 2), (2, 1), (3, 0)):
-        base = coeffs.g_entry_with_horizon(M34 + M34, l, s, horizon=s)
-        for extra in (1, 3, 7):
-            assert coeffs.g_entry_with_horizon(M34 + M34, l, s,
-                                               horizon=s + extra) == base
-
-
 def test_prefix_stability():
     """Lower-order coefficients do not move when the order grows."""
     m = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5), Fraction(3, 20),

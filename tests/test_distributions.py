@@ -197,16 +197,16 @@ def test_alpha_bisection_monotone_envelope():
 
 def test_sample_reproducible_and_stream_separated():
     s = dist.two_point("1/2", "3/2", "1/4")
-    a = dist.sample(s, 1000, seed=7)
-    b = dist.sample(s, 1000, seed=7)
-    c = dist.sample(s, 1000, seed=7, stream=1)
+    a = dist.sampler(s)(philox_generator(7, 0).random(1000))
+    b = dist.sampler(s)(philox_generator(7, 0).random(1000))
+    c = dist.sampler(s)(philox_generator(7, 1).random(1000))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_sample_discrete_hits_only_atoms_with_right_frequencies():
     s = dist.two_point("1/2", "3/2", "1/4")
-    zs = dist.sample(s, 200_000, seed=3)
+    zs = dist.sampler(s)(philox_generator(3, 0).random(200_000))
     assert set(np.unique(zs)) == {0.5, 1.5}
     frac_hi = float(np.mean(zs == 1.5))
     assert abs(frac_hi - 0.25) < 0.005  # ~4.5 sigma at n = 2e5
@@ -214,7 +214,7 @@ def test_sample_discrete_hits_only_atoms_with_right_frequencies():
 
 def test_sample_uniform_respects_bounds_and_mean():
     u = dist.uniform_interval("1/10", "9/10")
-    zs = dist.sample(u, 100_000, seed=5)
+    zs = dist.sampler(u)(philox_generator(5, 0).random(100_000))
     assert zs.min() >= 0.1 and zs.max() <= 0.9
     assert abs(zs.mean() - 0.5) < 0.004
 
@@ -247,8 +247,8 @@ def test_single_uniform_consumed_per_draw():
     """
     lo = dist.two_point("1/2", "3/2", "1/4")
     hi = dist.two_point("3/4", "7/4", "1/4")  # same weights, shifted atoms
-    a = dist.sample(lo, 500, seed=11)
-    b = dist.sample(hi, 500, seed=11)
+    a = dist.sampler(lo)(philox_generator(11, 0).random(500))
+    b = dist.sampler(hi)(philox_generator(11, 0).random(500))
     # the hi draw is large exactly when the lo draw is large
     assert np.array_equal(a == 1.5, b == 1.75)
 

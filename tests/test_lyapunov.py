@@ -101,26 +101,6 @@ def test_sign_of_eps_is_irrelevant_bitwise():
     assert c == d
 
 
-def test_start_vector_forgotten():
-    a = lyap.lyapunov_direct(TP, 0.25, n_steps=200_000, seed=3,
-                             start=(1.0, 1.0))
-    b = lyap.lyapunov_direct(TP, 0.25, n_steps=200_000, seed=3,
-                             start=(1.0, 0.0))
-    c = lyap.lyapunov_direct(TP, 0.25, n_steps=200_000, seed=3,
-                             start=(0.001, 1.0))
-    sig = 4 * math.hypot(a.stderr, b.stderr)
-    assert abs(a.value - b.value) < max(sig, 1e-6)
-    assert abs(a.value - c.value) < max(4 * math.hypot(a.stderr, c.stderr),
-                                        1e-6)
-
-
-def test_start_vector_validation():
-    with pytest.raises(ValueError):
-        lyap.lyapunov_direct(TP, 0.25, n_steps=64_000, start=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        lyap.lyapunov_direct(TP, 0.25, n_steps=64_000, start=(-1.0, 1.0))
-
-
 def test_thread_count_does_not_change_bits():
     a = lyap.lyapunov_direct(TP, 0.25, n_steps=128_000, seed=1, threads=1)
     b = lyap.lyapunov_direct(TP, 0.25, n_steps=128_000, seed=1, threads=8)
