@@ -489,7 +489,11 @@ def _selftest_checks():
 
     def g_base_case():
         t = coeffs_mod.g_table([Fraction(1, 2)], 1)
-        return t.g_entry(0, 0) == 1 and t.ell_entry(1) == 1
+        # and the block G^(2) of Z uniform on [1/10, 9/10], exactly
+        # E[Z^2] = (9^3 - 1^3) / (3 * 8 * 100)
+        law = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
+        return (t.g_entry(0, 0) == 1 and t.ell_entry(1) == 1
+                and highdim.g_matrix(law, 2).exact == ((Fraction(91, 300),),))
 
     def moment_at_zero():
         return dist.moment(dist.two_point("1/2", "2", "1/5"), 0) == 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationOverflow
+from .errors import InsufficientSignal, TruncationOverflow
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,13 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
 
     ``sigma`` holds per-point standard errors; rows with larger errors
     count less.  Data or errors that are not finite (from a Monte Carlo
-    run that overflowed) raise TruncationOverflow.  The weighted R^2 is
-    measured about the weighted mean of y (1.0 for a perfect fit; can be
-    negative for a model worse than the constant).
+    run that overflowed) raise TruncationOverflow.  A point of zero error
+    whose value is 0 and whose design row is all zero (eps = 0 in a power
+    fit) carries no information and is dropped; any other error that is
+    not positive, or fewer points left than coefficients, raises
+    InsufficientSignal.  The weighted R^2 is measured about the weighted
+    mean of y (1.0 for a perfect fit; can be negative for a model worse
+    than the constant).
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -41,8 +45,15 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     if not (np.isfinite(y).all() and np.isfinite(sigma).all()):
         raise TruncationOverflow("cannot fit estimates that are not finite "
                                  "(the recursion overflowed)")
+    void = (sigma == 0) & (y == 0) & ~design.any(axis=1)
+    design, y, sigma = design[~void], y[~void], sigma[~void]
     if np.any(sigma <= 0):
-        raise ValueError("standard errors must be positive")
+        raise InsufficientSignal("a fitted estimate has a zero error bar, "
+                                 "so it cannot be weighted")
+    if y.size < design.shape[1]:
+        raise InsufficientSignal(
+            f"{design.shape[1]} coefficients need at least "
+            f"{design.shape[1]} informative points; got {y.size}")
     sw = 1.0 / sigma
     a = design * sw[:, None]
     b = y * sw

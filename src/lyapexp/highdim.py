@@ -9,6 +9,12 @@ E[log(1 + eps^2 L.X_eps)], and the role of the moment conditions
 E[Z^l] != 1 is taken by the invertibility of I - G^(l), where G^(l) acts
 on the multi-index moments of order l.
 
+A block law is data in one of two forms, which are also the two forms
+of block piece the kernels take (see :mod:`.kernels`): a finite law's
+atom tables, picked per step by an index, or a scalar-driven law's
+one-row tables and 0/1 masks, whose masked C and N entries are
+multiplied by one drawn Z per step.  Either way G^(l) is exact.
+
 Everything here reduces to the scalar theory at d = 1 with
 (L, C, N) = (1, Z, Z); the engines deliberately execute the same
 floating-point operations per step as the scalar ones in that case -- a
@@ -36,8 +42,6 @@ from .lyapunov import DIRECT, INVARIANT, LyapunovEstimate
 from .mc import batch_means, kept_per_replica, philox_generator, run_chunked
 
 COND_LIMIT = 1e12
-# most N entries a callable law draws at once; larger groups page-fault more
-DRAW_CELLS = 1 << 14
 
 
 # -- block laws --------------------------------------------------------------
@@ -64,6 +68,18 @@ class FiniteBlockLaw:
         """Blocks (L, C, N) of the atoms that the uniforms ``u`` pick."""
         idx = np.searchsorted(self.cum, u, side="right")
         return self.ls[idx], self.cs[idx], self.ns[idx]
+
+    def moment(self, omega) -> Fraction:
+        """E[N^omega], exactly."""
+        total = Fraction(0)
+        for w, nmat in zip(self.weights, self.ns_exact):
+            term = w
+            for i, row in enumerate(omega):
+                for j, p in enumerate(row):
+                    if p:
+                        term *= nmat[i][j] ** p
+            total += term
+        return total
 
 
 def finite_block_law(triples, weights) -> FiniteBlockLaw:
@@ -104,16 +120,34 @@ def finite_block_law(triples, weights) -> FiniteBlockLaw:
 
 
 @dataclass(frozen=True)
-class CallableBlockLaw:
-    """Block law given as a map ``draw(u) -> (L, C, N)`` of uniforms.
+class ScalarBlockLaw:
+    """Block law driven by one positive scalar Z per step:
+    (L, C, N) = (L0, C0 * Z^cpow, N0 * Z^npow), entrywise.
 
-    ``draw`` is pure: uniforms of shape S give blocks of shapes S + (d,),
-    S + (d,) and S + (d, d).  Its limit moments are estimated by Monte
-    Carlo.
+    ``ls`` (1, d), ``cs`` (1, d) and ``ns`` (1, d, d) hold L0, C0 and N0;
+    the 0/1 masks ``cpow`` (d,) and ``npow`` (d, d) mark the entries
+    that Z multiplies, and ``spec`` is the law of Z.  Every moment is a
+    constant times a moment of Z.
     """
 
     d: int
-    draw: object
+    spec: dist.DistributionSpec
+    ls: np.ndarray
+    cs: np.ndarray
+    ns: np.ndarray
+    cpow: np.ndarray
+    npow: np.ndarray
+
+    def moment(self, omega):
+        """E[N^omega] = N0^omega E[Z^k], k the powers omega puts on masked
+        entries: a Fraction when E[Z^k] is exact, else a float."""
+        const, k = Fraction(1), 0
+        for i, row in enumerate(omega):
+            for j, p in enumerate(row):
+                if p:
+                    const *= Fraction(float(self.ns[0, i, j])) ** p
+                    k += p * int(self.npow[i, j])
+        return const * dist.moment(self.spec, k)
 
 
 def from_scalar(spec: dist.DistributionSpec):
@@ -121,18 +155,15 @@ def from_scalar(spec: dist.DistributionSpec):
 
     For discrete laws the result is a finite block law whose atoms sit
     in the same order as the scalar sampler's, so both consume identical
-    uniforms and draw identical disorder.
+    uniforms and draw identical disorder; other laws give a
+    scalar-driven law with every table entry and mask 1.
     """
     if spec.is_discrete:
         triples = [(((Fraction(1),)), (a,), ((a,),)) for a in spec.atoms]
         return finite_block_law(triples, spec.weights)
-    sample = dist.sampler(spec)
-
-    def draw(u):
-        z = sample(u)[..., None]
-        return np.ones(z.shape), z, z[..., None]
-
-    return CallableBlockLaw(d=1, draw=draw)
+    return ScalarBlockLaw(d=1, spec=spec, ls=np.ones((1, 1)),
+                          cs=np.ones((1, 1)), ns=np.ones((1, 1, 1)),
+                          cpow=np.ones(1), npow=np.ones((1, 1)))
 
 
 # -- multi-index machinery ----------------------------------------------------
@@ -191,7 +222,8 @@ class GMatrix:
 
     entry(lam, lam') = sum over contingency tables omega with row sums
     lam and column sums lam' of E[N^omega], N^omega = prod N_ij^omega_ij.
-    ``exact`` holds the same entries as Fractions when the law is finite.
+    ``exact`` holds the same entries as Fractions when every moment the
+    law gives is exact.
     """
 
     l: int
@@ -200,72 +232,29 @@ class GMatrix:
     matrix: np.ndarray
     condition: float
     exact: tuple | None = None
-    stderr: np.ndarray | None = None
 
 
-def _exact_block_moment(law: FiniteBlockLaw, omega) -> Fraction:
-    total = Fraction(0)
-    for w, nmat in zip(law.weights, law.ns_exact):
-        term = w
-        for i, row in enumerate(omega):
-            for j, p in enumerate(row):
-                if p:
-                    term *= nmat[i][j] ** p
-        total += term
-    return total
-
-
-def g_matrix(law, l: int, mc_samples: int = 20_000,
-             seed: int = 0) -> GMatrix:
-    """Compute G^(l); exact for finite laws, Monte Carlo otherwise.
+def g_matrix(law, l: int) -> GMatrix:
+    """Compute G^(l) from the law's exact moments E[N^omega].
 
     Raises SingularSystem when I - G^(l) has 2-norm condition number
     above 1e12, which is the block analogue of E[Z^l] == 1.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    d = law.d
-    idx = tuple(multi_indices(d, l))
-    size = len(idx)
-    exact = None
-    stderr = None
-    if isinstance(law, FiniteBlockLaw):
-        ex = [[Fraction(0)] * size for _ in range(size)]
-        mat = np.zeros((size, size))
-        for a, lam in enumerate(idx):
-            for b, lam2 in enumerate(idx):
-                total = Fraction(0)
-                for omega in _contingency_tables(lam, lam2):
-                    total += _exact_block_moment(law, omega)
-                ex[a][b] = total
-                mat[a, b] = float(total)
-        exact = tuple(tuple(row) for row in ex)
-    else:
-        gen = philox_generator(seed, 0)
-        _, _, n_blocks = law.draw(gen.random(mc_samples))
-        mat = np.zeros((size, size))
-        stderr = np.zeros((size, size))
-        for a, lam in enumerate(idx):
-            for b, lam2 in enumerate(idx):
-                # equal norms: at least one table exists
-                acc = np.zeros(mc_samples)
-                for omega in _contingency_tables(lam, lam2):
-                    prod = np.ones(mc_samples)
-                    for i in range(d):
-                        for j in range(d):
-                            p = omega[i][j]
-                            if p:
-                                prod = prod * n_blocks[:, i, j] ** p
-                    acc += prod
-                mat[a, b] = acc.mean()
-                stderr[a, b] = acc.std(ddof=1) / math.sqrt(mc_samples)
-    eye = np.eye(size)
-    condition = float(np.linalg.cond(eye - mat))
+    idx = tuple(multi_indices(law.d, l))
+    # equal norms: at least one table exists
+    ex = [[sum((law.moment(omega) for omega in _contingency_tables(lam, lam2)),
+               Fraction(0)) for lam2 in idx] for lam in idx]
+    mat = np.array([[float(v) for v in row] for row in ex])
+    exact = tuple(tuple(row) for row in ex) \
+        if all(isinstance(v, Fraction) for row in ex for v in row) else None
+    condition = float(np.linalg.cond(np.eye(len(idx)) - mat))
     if not np.isfinite(condition) or condition > COND_LIMIT:
         raise SingularSystem(
             f"I - G^({l}) is numerically singular (cond ~ {condition:.3g})")
-    return GMatrix(l=l, d=d, indices=idx, matrix=mat, condition=condition,
-                   exact=exact, stderr=stderr)
+    return GMatrix(l=l, d=law.d, indices=idx, matrix=mat,
+                   condition=condition, exact=exact)
 
 
 # -- vector chain -------------------------------------------------------------
@@ -282,26 +271,25 @@ def vector_chain_step(x, L, C, N, eps):
               for b, shape in ((L, (width, d)), (C, (width, d)),
                                (N, (width, d, d)))]
     kernels.block_chain_steps(*tables, np.arange(width, dtype=np.int64)[None],
-                              x.reshape(width, d), np.empty((1, width)),
-                              float(eps) * float(eps))
+                              None, None, None, x.reshape(width, d),
+                              np.empty((1, width)), float(eps) * float(eps))
     return x
 
 
 def _chunk_blocks(law, eps, gen, span, width):
-    """Draw one time-chunk of blocks as ``(ls, cs, ns, idx)`` for the
-    kernels: a finite law's atom tables and the (span, width) atom
-    indices, or a callable law's ``span * width`` drawn blocks and the
-    index of each cell's own row.
+    """Draw one time piece as the kernels' ``(ls, cs, ns, idx, z, cpow,
+    npow)``: a finite law's atom tables and (span, width) atom indices,
+    or a scalar-driven law's one-row tables, (span, width) draws of Z
+    and masks.  Either way one uniform per cell, in the same order.
 
     ``eps`` is unused; ``perfbench/spans.py`` wraps this function by its
     signature."""
     u = gen.random((span, width))
     if isinstance(law, FiniteBlockLaw):
-        return law.ls, law.cs, law.ns, np.searchsorted(law.cum, u,
-                                                        side="right")
-    return (*(np.ascontiguousarray(b, dtype=float)
-              for b in law.draw(u.ravel())),
-            np.arange(span * width, dtype=np.int64).reshape(span, width))
+        return (law.ls, law.cs, law.ns,
+                np.searchsorted(law.cum, u, side="right"), None, None, None)
+    return (law.ls, law.cs, law.ns, None, dist.sampler(law.spec)(u),
+            law.cpow, law.npow)
 
 
 def lyapunov_general(law, eps: float, method: str = DIRECT,
@@ -331,8 +319,7 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
 
 def _block_kernel(law, eps, method, gen, width, pieces):
     """Block recursion by either estimator; yields each piece's growth
-    factors.  Rows are drawn in groups that take the uniforms in order:
-    whole pieces for a finite law, ~``DRAW_CELLS`` N entries otherwise."""
+    factors."""
     from . import kernels  # loaded by the first run, not at start-up
 
     if method == INVARIANT:
@@ -344,14 +331,10 @@ def _block_kernel(law, eps, method, gen, width, pieces):
     # one buffer per block: run_chunked logs a piece before the next; a
     # row the step never writes stays NaN
     buf = np.full((pieces[0][0], width), np.nan)
-    group = len(buf) if isinstance(law, FiniteBlockLaw) \
-        else max(1, DRAW_CELLS // (width * law.d * law.d))
     for span, _ in pieces:
-        for r0 in range(0, span, group):
-            r1 = min(r0 + group, span)
-            # one expression: a group's blocks are freed before the next
-            step(*_chunk_blocks(law, eps, gen, r1 - r0, width), *state,
-                 buf[r0:r1], scale)
+        # one expression: a piece's draws are freed before the next
+        step(*_chunk_blocks(law, eps, gen, span, width), *state, buf[:span],
+             scale)
         yield buf[:span]
 
 
@@ -417,7 +400,7 @@ def extract_expansion(law, order: int, eps_grid,
             f"grid points; got {len(eps_grid)}")
     conditions = {}
     for l in range(1, order + 1):
-        conditions[l] = g_matrix(law, l, seed=seed).condition
+        conditions[l] = g_matrix(law, l).condition
 
     estimates = []
     for eps in eps_grid:
@@ -426,7 +409,7 @@ def extract_expansion(law, order: int, eps_grid,
             burn_in=burn_in, replicas=replicas, discard=discard,
             threads=threads))
     y = np.array([e.value for e in estimates])
-    sig = np.array([max(e.stderr, 1e-300) for e in estimates])
+    sig = np.array([e.stderr for e in estimates])
     design = power_design(np.array(eps_grid), powers)
     fit = wls_fit(design, y, sig)
     return ExpansionFit(order=order, powers=powers,
@@ -457,17 +440,15 @@ class BlockReport:
 def validate_blocks(law) -> BlockReport:
     """Test nonnegativity and a primitivity witness on the triples.
 
-    A finite law is checked on its atom tables, since every atom has
-    positive weight; a callable law on 1024 triples drawn from stream 0
-    of seed 0.  The witness checks that the union support S of the N
-    blocks is strongly connected ((I + S)^d fully positive) and that
-    some power S^k, k up to the Wielandt bound, is fully positive.
+    The law's tables are checked: a finite law's atoms, every one of
+    positive weight, or a scalar-driven law's one row, whose zero
+    entries stay zero and positive ones positive since Z > 0.  The
+    witness checks that the union support S of the N blocks is strongly
+    connected ((I + S)^d fully positive) and that some power S^k, k up
+    to the Wielandt bound, is fully positive.
     """
     d = law.d
-    if isinstance(law, FiniteBlockLaw):
-        ls, cs, ns = law.ls, law.cs, law.ns
-    else:
-        ls, cs, ns = law.draw(philox_generator(0, 0).random(1024))
+    ls, cs, ns = law.ls, law.cs, law.ns
     nonneg = bool((ls >= 0).all() and (cs >= 0).all() and (ns >= 0).all())
     support = (ns > 0).any(axis=0)
     adj = support.astype(np.int64)

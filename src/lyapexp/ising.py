@@ -33,7 +33,7 @@ from . import distributions as dist
 from .distributions import DistributionSpec
 from .errors import InsufficientSignal, InvalidParameter, InvalidSpec, KNotInA
 from .fitting import power_design, wls_fit
-from .highdim import CallableBlockLaw, finite_block_law, lyapunov_general
+from .highdim import ScalarBlockLaw, finite_block_law, lyapunov_general
 from .lyapunov import DIRECT, LyapunovEstimate
 from .mc import philox_generator
 
@@ -129,10 +129,12 @@ def map_to_blocks(model: IsingModel):
     """Split the transfer matrix into the [[1, eps L'], [eps C, N]] form.
 
     Returns ``(law, eps)``: the law of the blocks (L, C, N) and the scale
-    eps, which is the largest bond weight.  The single-site row and
-    column of the matrix are divided by it once, z-independently, so that
-    at d = 1 the blocks are exactly (1, Z, Z) -- the scalar model -- with
-    no rounding (eps/eps is performed as one float division).
+    eps, which is the largest bond weight.  A discrete field gives a
+    finite law with one atom per field value, any other field a
+    scalar-driven law.  The single-site row and column of the matrix are
+    divided by it once, z-independently, so that at d = 1 the blocks are
+    exactly (1, Z, Z) -- the scalar model -- with no rounding (eps/eps is
+    performed as one float division).
     """
     scale = max(model.eps)
     if not scale > 0:
@@ -156,21 +158,17 @@ def map_to_blocks(model: IsingModel):
             n_const[r - 1, c - 1] = const
             n_pow[r - 1, c - 1] = zp
 
-    def blocks(z):
-        ls = np.broadcast_to(l_vec, z.shape + (db,))
-        # every exponent is 0 or 1, and z**0 = 1, z**1 = z exactly
-        cs = c_ratio * np.where(c_pow == 1, z[..., None], 1.0)
-        ns = n_const * np.where(n_pow == 1, z[..., None, None], 1.0)
-        return ls, cs, ns
-
     field = model.field_law
-    if field.is_discrete:
-        atoms = np.array([float(a) for a in field.atoms])
-        law = finite_block_law(list(zip(*blocks(atoms))), field.weights)
-    else:
-        sample = dist.sampler(field)
-        law = CallableBlockLaw(d=db, draw=lambda u: blocks(sample(u)))
-    return law, scale
+    if not field.is_discrete:
+        return ScalarBlockLaw(d=db, spec=field, ls=l_vec[None],
+                              cs=c_ratio[None], ns=n_const[None],
+                              cpow=c_pow, npow=n_pow), scale
+    z = np.array([float(a) for a in field.atoms])
+    ls = np.broadcast_to(l_vec, z.shape + (db,))
+    # every exponent is 0 or 1, and z**0 = 1, z**1 = z exactly
+    cs = c_ratio * np.where(c_pow == 1, z[:, None], 1.0)
+    ns = n_const * np.where(n_pow == 1, z[:, None, None], 1.0)
+    return finite_block_law(list(zip(ls, cs, ns)), field.weights), scale
 
 
 def free_energy(model: IsingModel, n_steps: int = 10 ** 6, seed: int = 0,
@@ -283,8 +281,8 @@ def strong_coupling_scan(model: IsingModel, scales, order: int = 2,
         stderrs.append(est.stderr)
 
     y = np.array(values)
-    sig = np.array([max(s, 1e-300) for s in stderrs])
-    fit = wls_fit(power_design(np.array(scales), powers), y, sig)
+    fit = wls_fit(power_design(np.array(scales), powers), y,
+                  np.array(stderrs))
     return ScanReport(order=order, ray=ray, scales=scales,
                       values=tuple(values), stderrs=tuple(stderrs),
                       powers=powers, coefficients=fit.coefficients,

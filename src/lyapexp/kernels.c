@@ -6,7 +6,8 @@
  *
  * All (span, width) arrays are row-major; row t is time step t.  The
  * block loops read the d-vectors and d x d matrices of cell (t, j) from
- * row idx[t, j] of (m, d), (m, d) and (m, d, d) atom tables.
+ * row idx[t, j] of (m, d), (m, d) and (m, d, d) atom tables, or form
+ * them from one-row tables and the cell's scalar z[t, j] (struct piece).
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -107,25 +108,76 @@ static double sum_of_products(const double *restrict a,
     return 0.0 + pairwise_dot(a, b, d);
 }
 
+/* The blocks of one piece: rows idx[cell] of (m, d), (m, d) and
+ * (m, d, d) atom tables, or, when idx is NULL, the one-row tables with
+ * each entry whose 0/1 mask (cpow (d,), npow (d, d)) is set multiplied
+ * by the cell's scalar z[cell].  c and n are scratch rows for the
+ * latter. */
+struct piece {
+    const double *ls, *cs, *ns;
+    const int64_t *idx;
+    const double *z, *cpow, *npow;
+    double *c, *n;
+    ptrdiff_t d;
+};
+
+/* Point l, c, n at the blocks of one cell. */
+static void cell_blocks(const struct piece *p, ptrdiff_t cell,
+                        const double **l, const double **c,
+                        const double **n)
+{
+    ptrdiff_t d = p->d;
+    if (p->idx != NULL) {
+        ptrdiff_t r = (ptrdiff_t)p->idx[cell];
+        *l = p->ls + r * d;
+        *c = p->cs + r * d;
+        *n = p->ns + r * d * d;
+        return;
+    }
+    double zc = p->z[cell];
+    for (ptrdiff_t i = 0; i < d; i++)
+        p->c[i] = p->cpow[i] != 0.0 ? p->cs[i] * zc : p->cs[i];
+    for (ptrdiff_t k = 0; k < d * d; k++)
+        p->n[k] = p->npow[k] != 0.0 ? p->ns[k] * zc : p->ns[k];
+    *l = p->ls;
+    *c = p->c;
+    *n = p->n;
+}
+
+/* Scratch for d entries of the loop and, for a scalar-driven piece, its
+ * c and n rows; NULL when no memory could be had. */
+static double *scratch(struct piece *p)
+{
+    ptrdiff_t d = p->d;
+    size_t extra = p->idx == NULL ? (size_t)(d + d * d) : 0;
+    double *buf = malloc(((size_t)d + extra) * sizeof *buf);
+    if (buf != NULL && extra) {
+        p->c = buf + d;
+        p->n = buf + 2 * d;
+    }
+    return buf;
+}
+
 /* Vector chain  x' = (C + N x) / (1 + e2 L.x)  on the (width, d) state x.
  * Row t of dbuf gets the denominators, and, when xbuf is not NULL, row t
  * of the (span, width, d) xbuf the post-step states.  Returns 0, or -1
  * when no scratch memory could be had. */
 int block_chain_steps(const double *restrict ls, const double *restrict cs,
                       const double *restrict ns, const int64_t *restrict idx,
-                      double *restrict x, double *restrict xbuf,
-                      double *restrict dbuf, ptrdiff_t span,
-                      ptrdiff_t width, ptrdiff_t d, double e2)
+                      const double *restrict z, const double *restrict cpow,
+                      const double *restrict npow, double *restrict x,
+                      double *restrict xbuf, double *restrict dbuf,
+                      ptrdiff_t span, ptrdiff_t width, ptrdiff_t d, double e2)
 {
-    double *num = malloc((size_t)d * sizeof *num);
+    struct piece p = {ls, cs, ns, idx, z, cpow, npow, NULL, NULL, d};
+    double *num = scratch(&p);
     if (num == NULL)
         return -1;
     for (ptrdiff_t t = 0; t < span; t++) {
         for (ptrdiff_t j = 0; j < width; j++) {
             ptrdiff_t cell = t * width + j;
-            ptrdiff_t r = (ptrdiff_t)idx[cell];
-            const double *l = ls + r * d, *c = cs + r * d;
-            const double *n = ns + r * d * d;
+            const double *l, *c, *n;
+            cell_blocks(&p, cell, &l, &c, &n);
             double *xj = x + j * d;
             for (ptrdiff_t i = 0; i < d; i++) {
                 double s = sum_of_products(n + i * d, xj, d);
@@ -153,19 +205,21 @@ int block_chain_steps(const double *restrict ls, const double *restrict cs,
  * could be had. */
 int block_direct_steps(const double *restrict ls, const double *restrict cs,
                        const double *restrict ns, const int64_t *restrict idx,
-                       double *restrict v0, double *restrict w,
-                       double *restrict mbuf, ptrdiff_t span,
-                       ptrdiff_t width, ptrdiff_t d, double eps)
+                       const double *restrict z, const double *restrict cpow,
+                       const double *restrict npow, double *restrict v0,
+                       double *restrict w, double *restrict mbuf,
+                       ptrdiff_t span, ptrdiff_t width, ptrdiff_t d,
+                       double eps)
 {
-    double *bot = malloc((size_t)d * sizeof *bot);
+    struct piece p = {ls, cs, ns, idx, z, cpow, npow, NULL, NULL, d};
+    double *bot = scratch(&p);
     if (bot == NULL)
         return -1;
     for (ptrdiff_t t = 0; t < span; t++) {
         for (ptrdiff_t j = 0; j < width; j++) {
             ptrdiff_t cell = t * width + j;
-            ptrdiff_t r = (ptrdiff_t)idx[cell];
-            const double *l = ls + r * d, *c = cs + r * d;
-            const double *n = ns + r * d * d;
+            const double *l, *c, *n;
+            cell_blocks(&p, cell, &l, &c, &n);
             double *wj = w + j * d;
             double top = sum_of_products(l, wj, d);
             top = eps * top;

@@ -9,10 +9,15 @@ Each runs a C loop (``kernels.c``) through ctypes when the library can
 be built, and the numpy loop below otherwise.  Both perform the same
 IEEE operations in the same order, so they agree bit for bit.
 
-A block piece is given as ``(m, ...)`` atom tables ``(ls, cs, ns)`` and
-the ``(span, width)`` int64 indices ``idx`` of the row each cell uses: a
-finite law passes its own atoms, so its blocks are never gathered, and a
-callable law its drawn blocks, one row per cell.
+A block piece is given as ``(ls, cs, ns, idx, z, cpow, npow)`` in one of
+two forms.  A finite law passes its ``(m, ...)`` atom tables and the
+``(span, width)`` int64 indices ``idx`` of the row each cell uses, with
+``z``, ``cpow`` and ``npow`` None, so its blocks are never gathered.  A
+scalar-driven law passes one-row tables ``ls`` (1, d), ``cs`` (1, d),
+``ns`` (1, d, d), ``idx`` None, the ``(span, width)`` draws ``z`` of its
+scalar, and 0/1 masks ``cpow`` (d,) and ``npow`` (d, d): cell ``(t, j)``
+uses ``C_i = cs_i * z[t, j]`` where ``cpow_i`` is set and ``cs_i`` where
+it is not, and likewise for ``N``; ``L`` is the table row itself.
 
 Sum grouping
 ------------
@@ -92,12 +97,12 @@ def direct_steps(z, v0, v1, mbuf, eps: float) -> None:
                      mbuf.ctypes.data, span, width, eps)
 
 
-def block_chain_steps(ls, cs, ns, idx, x, dbuf, e2: float,
+def block_chain_steps(ls, cs, ns, idx, z, cpow, npow, x, dbuf, e2: float,
                       xbuf=None) -> None:
     """Run  x' = (C + N x) / (1 + e2 L.x)  over one piece of block rows.
 
-    Cell ``(t, j)`` uses row ``idx[t, j]`` of the tables ``ls`` (m, d),
-    ``cs`` (m, d) and ``ns`` (m, d, d).  The state ``x``
+    The blocks of each cell come from ``(ls, cs, ns, idx, z, cpow,
+    npow)`` in either form of the module docstring.  The state ``x``
     (width, d) is updated in place; row ``t`` of ``dbuf`` (span, width)
     gets the denominators and, when ``xbuf`` (span, width, d) is given,
     row ``t`` of it the post-step states.  At d = 1 the operations are
@@ -105,20 +110,22 @@ def block_chain_steps(ls, cs, ns, idx, x, dbuf, e2: float,
     """
     lib = _library()
     if lib is None:
-        _block_chain_numpy(ls, cs, ns, idx, x, dbuf, e2, xbuf)
+        _block_chain_numpy((ls, cs, ns, idx, z, cpow, npow), x, dbuf, e2,
+                           xbuf)
         return
     span, width = dbuf.shape
-    d = _check_blocks(ls, cs, ns, idx, span, width)
+    d = _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width)
     written = [(x, (width, d)), (dbuf, (span, width))]
     if xbuf is not None:
         written.append((xbuf, (span, width, d)))
     _require(written, writeable=True)
     _status(lib.block_chain_steps(
-        _ptr(ls), _ptr(cs), _ptr(ns), _ptr(idx), _ptr(x), _ptr(xbuf),
-        _ptr(dbuf), span, width, d, e2))
+        *map(_ptr, (ls, cs, ns, idx, z, cpow, npow, x, xbuf, dbuf)),
+        span, width, d, e2))
 
 
-def block_direct_steps(ls, cs, ns, idx, v0, w, mbuf, eps: float) -> None:
+def block_direct_steps(ls, cs, ns, idx, z, cpow, npow, v0, w, mbuf,
+                       eps: float) -> None:
     """Apply ``[[1, eps L^T], [eps C, N]]`` to ``(v0, w)`` for each row.
 
     Blocks are picked as in :func:`block_chain_steps`.  Row ``t`` of
@@ -128,15 +135,16 @@ def block_direct_steps(ls, cs, ns, idx, v0, w, mbuf, eps: float) -> None:
     """
     lib = _library()
     if lib is None:
-        _block_direct_numpy(ls, cs, ns, idx, v0, w, mbuf, eps)
+        _block_direct_numpy((ls, cs, ns, idx, z, cpow, npow), v0, w, mbuf,
+                            eps)
         return
     span, width = mbuf.shape
-    d = _check_blocks(ls, cs, ns, idx, span, width)
+    d = _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width)
     _require([(v0, (width,)), (w, (width, d)), (mbuf, (span, width))],
              writeable=True)
     _status(lib.block_direct_steps(
-        _ptr(ls), _ptr(cs), _ptr(ns), _ptr(idx), _ptr(v0), _ptr(w),
-        _ptr(mbuf), span, width, d, eps))
+        *map(_ptr, (ls, cs, ns, idx, z, cpow, npow, v0, w, mbuf)),
+        span, width, d, eps))
 
 
 def recursion() -> str:
@@ -208,15 +216,21 @@ def _direct_numpy(z, v0, v1, mbuf, eps):
         np.divide(w1b, m, out=v1)
 
 
-def _block_row(ls, cs, ns, idx, t):
-    """Blocks of row ``t``: the table rows ``idx[t]`` picks."""
-    atoms = idx[t]
-    return ls[atoms], cs[atoms], ns[atoms]
+def _block_row(piece, t):
+    """Blocks of row ``t``: the table rows ``idx[t]`` picks, or the one
+    table row with its masked C and N entries multiplied by ``z[t]``."""
+    ls, cs, ns, idx, z, cpow, npow = piece
+    if idx is not None:
+        atoms = idx[t]
+        return ls[atoms], cs[atoms], ns[atoms]
+    zt = z[t]
+    return (ls[0], np.where(cpow != 0, cs[0] * zt[:, None], cs[0]),
+            np.where(npow != 0, ns[0] * zt[:, None, None], ns[0]))
 
 
-def _block_chain_numpy(ls, cs, ns, idx, x, dbuf, e2, xbuf):
+def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
     for t in range(len(dbuf)):
-        lt, ct, nt = _block_row(ls, cs, ns, idx, t)
+        lt, ct, nt = _block_row(piece, t)
         num = (nt * x[:, None, :]).sum(axis=2)
         np.add(ct, num, out=num)
         den = dbuf[t]
@@ -227,9 +241,9 @@ def _block_chain_numpy(ls, cs, ns, idx, x, dbuf, e2, xbuf):
             xbuf[t] = x
 
 
-def _block_direct_numpy(ls, cs, ns, idx, v0, w, mbuf, eps):
+def _block_direct_numpy(piece, v0, w, mbuf, eps):
     for t in range(len(mbuf)):
-        lt, ct, nt = _block_row(ls, cs, ns, idx, t)
+        lt, ct, nt = _block_row(piece, t)
         lw = (lt * w).sum(axis=1)
         top = np.multiply(eps, lw)
         top = np.add(v0, top)
@@ -255,13 +269,22 @@ def _check(z, states, outs):
     return span, width
 
 
-def _check_blocks(ls, cs, ns, idx, span, width):
+def _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width):
     """Block dimension d of a piece of ``span`` x ``width`` cells, after
     checking the blocks the C loop reads: (m, ...) tables and C-contiguous
-    int64 indices of shape (span, width), every one in [0, m)."""
+    int64 indices of shape (span, width), every one in [0, m); or one-row
+    tables, (span, width) draws and (d,), (d, d) masks."""
     d = ls.shape[-1] if ls.ndim else 0
     if d < 1:
         raise ValueError(f"block dimension must be >= 1, got {ls.shape}")
+    if (idx is None) == (z is None) \
+            or (cpow is None) != (z is None) or (npow is None) != (z is None):
+        raise ValueError("a block piece takes atom indices, or scalar draws "
+                         "with their masks: exactly one of the two")
+    if z is not None:
+        _require([(z, (span, width)), (cpow, (d,)), (npow, (d, d)),
+                  (ls, (1, d)), (cs, (1, d)), (ns, (1, d, d))])
+        return d
     if not isinstance(idx, np.ndarray) or idx.dtype != np.int64 \
             or idx.shape != (span, width) or not idx.flags.c_contiguous:
         got = (f"{idx.dtype} {idx.shape}" if isinstance(idx, np.ndarray)
@@ -315,7 +338,7 @@ def _load():
     for fn in (lib.chain_steps, lib.direct_steps):
         fn.argtypes = args
         fn.restype = None
-    args = [ctypes.c_void_p] * 7 + [ctypes.c_ssize_t] * 3 + [ctypes.c_double]
+    args = [ctypes.c_void_p] * 10 + [ctypes.c_ssize_t] * 3 + [ctypes.c_double]
     for fn in (lib.block_chain_steps, lib.block_direct_steps):
         fn.argtypes = args
         fn.restype = ctypes.c_int

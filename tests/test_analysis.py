@@ -43,10 +43,30 @@ def test_wls_weights_matter():
 def test_wls_validation():
     with pytest.raises(ValueError):
         wls_fit(np.ones((3, 1)), np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientSignal):
         wls_fit(np.ones((2, 1)), np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(np.linalg.LinAlgError):
         wls_fit(np.zeros((3, 2)), np.zeros(3), np.ones(3))
+
+
+def test_wls_zero_error_bars():
+    """A zero-error point with value 0 and an all-zero design row (eps = 0
+    in a power fit) is dropped; any other zero error bar is refused, and
+    so is a fit left with fewer points than coefficients."""
+    design = power_design(np.array([0.0, 0.5, 0.25]), (2,))
+    y = np.array([0.0, 1.0, 0.25])
+    sigma = np.array([0.0, 0.1, 0.1])
+    with np.errstate(all="raise"):
+        fit = wls_fit(design, y, sigma)
+        ref = wls_fit(design[1:], y[1:], sigma[1:])
+    assert fit == ref
+    for bad_y, bad_sigma in ((np.array([0.5, 1.0, 0.25]), sigma),
+                             (y, np.array([0.0, 0.0, 0.1])),
+                             (y, np.array([-0.1, 0.1, 0.1]))):
+        with pytest.raises(InsufficientSignal):
+            wls_fit(design, bad_y, bad_sigma)
+    with pytest.raises(InsufficientSignal):
+        wls_fit(design[:1], y[:1], sigma[:1])
 
 
 def test_power_design_columns():

@@ -6,7 +6,9 @@ intervals, through the d = 1 embedding ``from_scalar``:
 - the block engines reproduce the scalar engines bit for bit, for both
   estimators, on runs shorter than one piece of rows;
 - they still do across the 2048-row time pieces that every engine
-  log-sums in, and across the row groups a continuous law is drawn in;
+  draws and log-sums in, for finite laws (atom tables and indices) and
+  continuous ones (a scalar-driven law: one drawn Z per step and
+  replica) alike;
 - runs at eps and -eps are bit-equal;
 - 1 and 3 worker threads give the same bits;
 - coupled paths are ordered: less damping gives a larger path at every
@@ -27,8 +29,7 @@ from lyapexp import distributions as dist
 
 SIZE = dict(n_steps=520 * 30 + 3, replicas=520, seed=12)
 LEAD = 70
-# 3000 steps a replica: past the first 2048-row piece; at 64 replicas a
-# continuous law draws each piece in groups of 256 rows
+# 3000 steps a replica: past the first 2048-row piece
 LONG = dict(n_steps=64 * 3000, replicas=64, seed=3)
 LONG_LEAD = 100
 PATH_STEPS = 3000

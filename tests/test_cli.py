@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lyapexp import cli
@@ -200,6 +201,44 @@ def test_non_finite_statistic_exits_3_with_one_line(tmp_path, name):
     assert proc.stderr.startswith("error: TruncationOverflow: ")
     assert proc.stderr.count("\n") == 1 and message in proc.stderr
     assert not out_dir.exists()
+
+
+def test_fit_of_a_deterministic_law_exits_3_with_one_line(tmp_path):
+    """One atom: every replica agrees, so every lambda_stderr is 0 and no
+    point can be weighted."""
+    spec = tmp_path / "deterministic.json"
+    spec.write_text(json.dumps({"family": "finite_discrete", "atoms": [
+        {"value": "1/2", "weight": "1"}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lyapexp.cli", "fit", "--spec", str(spec),
+         "--order", "0", "--eps-grid", "2^-2..2^-6", "--steps", "5000"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(SPECS.parent / "src")))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: InsufficientSignal: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_extraction_drops_a_zero_error_eps_0_point(tmp_path, capsys):
+    """At eps = 0 the estimate is exactly 0 +- 0 and its design row is
+    all zero: it carries no information, so the q_2 fit rests on
+    eps = 1/2 alone, and no weight overflows (numpy raises if one does)."""
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps(GROWING_BLOCKS))
+    with np.errstate(all="raise"):
+        code, out, err = run(capsys, "highdim", "--blocks", str(blocks),
+                             "--K", "1", "--eps-grid", "0,0.5", "--method",
+                             "invariant", "--steps", "20000", "--burn-in",
+                             "100", "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    zero, half = doc["estimates"]
+    assert (zero["eps"], zero["value"], zero["stderr"]) == (0.0, 0.0, 0.0)
+    assert half["eps"] == 0.5 and half["stderr"] > 0
+    assert doc["coefficients"] == [pytest.approx(half["value"] / 0.25,
+                                                 rel=1e-12)]
+    assert doc["coefficient_stderrs"] == [
+        pytest.approx(half["stderr"] / 0.25, rel=1e-12)]
 
 
 @pytest.mark.parametrize("step, argv, message", [

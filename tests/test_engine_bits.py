@@ -5,16 +5,19 @@ onto the shared chunk/block driver of ``lyapexp.mc``; they must never
 change unless a PR changes the layout on purpose.  The cases cover a
 lead (burn-in or discard) longer than one time chunk, two replica
 blocks with a partial last one, a cutoff that bites, log-space moments,
-a finite block law and a callable (Ising range 2) block law, at 1 and 3
-threads, and Ising range 4 (d = 15, where numpy's pairwise sums group
-differently from a plain left-to-right sum).  The two ``ising4_uniform``
-pins were re-recorded when callable block laws moved from 256-row time
-pieces to the ``TIME_CHUNK`` pieces of every other engine.
+at 1 and 3 threads, and both forms of block piece the kernels take: a
+finite law's atom tables with per-cell indices (``blocks_d2``, Ising
+with a two-point field), and a scalar-driven law's one-row tables with
+0/1 masks and one drawn Z per cell (Ising with a uniform field, and
+``from_scalar`` of it in the path digests).  Ising range 4 has d = 15,
+where numpy's pairwise sums group differently from a plain left-to-right
+sum.  The two ``ising4_uniform`` pins were re-recorded when those laws
+moved from 256-row time pieces to the ``TIME_CHUNK`` pieces of every
+other engine.
 
 ``DIGESTS`` pins the SHA-256 of block outputs that are whole arrays:
-coupled vector paths, a Monte Carlo G-matrix and its standard errors,
-and the atom tables of discrete Ising block laws.  Print both tables
-afresh with
+coupled vector paths and the atom tables of discrete Ising block laws.
+Print both tables afresh with
 
     PYTHONPATH=src python tests/test_engine_bits.py
 """
@@ -118,18 +121,11 @@ def _atoms(model):
     return ([eps], law.cum, law.ls, law.cs, law.ns)
 
 
-def _g_monte_carlo(law, l):
-    g = highdim.g_matrix(law, l, mc_samples=5000, seed=3)
-    return (g.matrix, g.stderr)
-
-
 ARRAYS = {
     "paths_blocks_d2_eps0": lambda: _paths(BLOCKS_D2, 0.0),
     "paths_blocks_d2_eps_half": lambda: _paths(BLOCKS_D2, 0.5),
     "paths_uniform_eps0": lambda: _paths(UNIF_BLOCKS, 0.0),
     "paths_uniform_eps_half": lambda: _paths(UNIF_BLOCKS, 0.5),
-    "g_matrix_ising2_l2": lambda: _g_monte_carlo(ISING_2[0], 2),
-    "g_matrix_uniform_l3": lambda: _g_monte_carlo(UNIF_BLOCKS, 3),
     "atoms_ising2_two_point": lambda: _atoms(
         ising.IsingModel(2, (1.0, 1.5), 1.0, TWO_POINT)),
     "atoms_ising3_three_atom": lambda: _atoms(
@@ -277,10 +273,6 @@ DIGESTS = {
         "fdecbc76466b0d7ac3de5283606e91ab068fb60cfdfde7124fed8756c2ffd79c",
     "atoms_ising3_three_atom":
         "d83d390121372c5eb619f22e0941bf89d5ad0db9797dc6e28246efae1c95f667",
-    "g_matrix_ising2_l2":
-        "5ba826c2f903d1aced005ee441794312e3322ad68f36eb39bca24f9d2eedc15c",
-    "g_matrix_uniform_l3":
-        "e7570147cf431539285ec89dccdd498bb4092d9af91dcea2e6bd5136e647a0c3",
     "paths_blocks_d2_eps0":
         "7e540166baf014a37a3ffd746e36e5de49c1431833147411caddc39babb55240",
     "paths_blocks_d2_eps_half":

@@ -14,7 +14,7 @@ from lyapexp import distributions as dist
 from lyapexp import highdim, ising
 from lyapexp import lyapunov
 from lyapexp.errors import InsufficientSignal, InvalidSpec, SingularSystem
-from lyapexp.mc import philox_generator
+from lyapexp.mc import TIME_CHUNK, philox_generator
 
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -88,41 +88,44 @@ def test_from_scalar_structure():
     assert np.array_equal(law.ns, [[[0.5]], [[1.5]]])
 
 
-def test_from_scalar_continuous_law_is_callable():
-    law = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
-    assert isinstance(law, highdim.CallableBlockLaw)
-    gen = philox_generator(0, 0)
-    L, C, N = law.draw(gen.random(5))
-    assert L.shape == (5, 1) and C.shape == (5, 1) and N.shape == (5, 1, 1)
-    assert np.array_equal(C[:, 0], N[:, 0, 0])
+def test_from_scalar_continuous_law_is_scalar_driven():
+    spec = dist.uniform_interval("1/10", "9/10")
+    law = highdim.from_scalar(spec)
+    assert isinstance(law, highdim.ScalarBlockLaw)
+    assert law.d == 1 and law.spec == spec
+    # (L, C, N) = (1, Z, Z): unit tables, every entry driven by Z
+    for table, shape in ((law.ls, (1, 1)), (law.cs, (1, 1)),
+                         (law.ns, (1, 1, 1)), (law.cpow, (1,)),
+                         (law.npow, (1, 1))):
+        assert table.shape == shape and np.array_equal(table, np.ones(shape))
 
 
 def test_chunk_blocks_passes_atom_tables_and_indices():
     law = highdim.load_blocks(SPECS / "blocks_d2.json")
-    ls, cs, ns, idx = highdim._chunk_blocks(law, 0.25, philox_generator(3),
-                                            40, 7)
+    ls, cs, ns, idx, z, cpow, npow = highdim._chunk_blocks(
+        law, 0.25, philox_generator(3), 40, 7)
     assert ls is law.ls and cs is law.cs and ns is law.ns
+    assert z is None and cpow is None and npow is None
     assert idx.dtype == np.int64 and idx.shape == (40, 7)
     drawn = law.draw(philox_generator(3).random((40, 7)))
     for table, blocks in zip((ls, cs, ns), drawn):
         assert np.array_equal(table[idx], blocks)
 
 
-def test_chunk_blocks_gives_callable_laws_one_row_per_cell():
-    law = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
-    ls, cs, ns, idx = highdim._chunk_blocks(law, 0.25, philox_generator(3),
-                                            40, 7)
-    assert idx.dtype == np.int64
-    assert np.array_equal(idx, np.arange(280).reshape(40, 7))
-    drawn = law.draw(philox_generator(3).random((40, 7)))
-    for table, blocks in zip((ls, cs, ns), drawn):
-        assert table.flags.c_contiguous
-        assert np.array_equal(table[idx], blocks)
+def test_chunk_blocks_gives_scalar_laws_one_z_per_cell():
+    spec = dist.uniform_interval("1/10", "9/10")
+    law, _ = ising.map_to_blocks(ising.IsingModel(2, (1.0, 1.5), 1.0, spec))
+    ls, cs, ns, idx, z, cpow, npow = highdim._chunk_blocks(
+        law, 0.25, philox_generator(3), 40, 7)
+    assert ls is law.ls and cs is law.cs and ns is law.ns
+    assert cpow is law.cpow and npow is law.npow and idx is None
+    assert np.array_equal(
+        z, dist.sampler(spec)(philox_generator(3).random((40, 7))))
 
 
 UNIF_FIELD = dist.uniform_interval("1/10", "9/10")
-# callable laws and their eps: a d = 3 Ising law and a d = 1 embedding
-CALLABLE_LAWS = {
+# scalar-driven laws and their eps: a d = 3 Ising law and a d = 1 embedding
+SCALAR_LAWS = {
     "ising2_uniform": lambda: ising.map_to_blocks(
         ising.IsingModel(2, (1.0, 1.5), 1.0, UNIF_FIELD)),
     "from_scalar_uniform": lambda: (highdim.from_scalar(UNIF_FIELD), 0.25),
@@ -130,40 +133,25 @@ CALLABLE_LAWS = {
 
 
 @pytest.mark.parametrize("method", [lyapunov.DIRECT, lyapunov.INVARIANT])
-@pytest.mark.parametrize("name", sorted(CALLABLE_LAWS))
-def test_callable_law_draw_groups_change_no_bits(monkeypatch, name, method):
-    law, eps = CALLABLE_LAWS[name]()
-
-    def run():
-        # a lead past one time piece, then kept rows over several groups
-        return highdim.lyapunov_general(
-            law, eps, method=method, n_steps=64 * 300 + 3, replicas=64,
-            seed=4, burn_in=2100, discard=2100)
-
-    ref = run()
-    for cells in (1, 1 << 30):
-        monkeypatch.setattr(highdim, "DRAW_CELLS", cells)
-        assert run() == ref
-
-
-@pytest.mark.parametrize("method", [lyapunov.DIRECT, lyapunov.INVARIANT])
-@pytest.mark.parametrize("name", sorted(CALLABLE_LAWS))
-def test_callable_law_draws_at_most_draw_cells(monkeypatch, name, method):
-    law, eps = CALLABLE_LAWS[name]()
+@pytest.mark.parametrize("name", sorted(SCALAR_LAWS))
+def test_scalar_law_draws_each_step_once(monkeypatch, name, method):
+    law, eps = SCALAR_LAWS[name]()
     drawn = []
     chunk_blocks = highdim._chunk_blocks
 
     def spy(*args):
         blocks = chunk_blocks(*args)
-        drawn.append(blocks[2].size)
+        drawn.append(blocks[4].shape)
         return blocks
 
     monkeypatch.setattr(highdim, "_chunk_blocks", spy)
     highdim.lyapunov_general(law, eps, method=method, n_steps=600 * 40,
                              replicas=600, burn_in=2100, discard=2100)
-    assert max(drawn) <= highdim.DRAW_CELLS
-    # every step of every replica drawn once
-    assert sum(drawn) == (2100 + 40) * 600 * law.d ** 2
+    # one call per time piece of each replica block (512 + 88 replicas),
+    # one draw of Z per step of every replica
+    assert sorted(drawn) == sorted(
+        (span, width) for width in (512, 88)
+        for span in (TIME_CHUNK, 2100 + 40 - TIME_CHUNK))
 
 
 def test_empty_blocks_json_exits_2(tmp_path, capsys):
@@ -241,12 +229,40 @@ def test_g_matrix_block_diagonal_product_law():
             assert g.exact[a][b] == want.get((a, b), Fraction(0))
 
 
-def test_g_matrix_monte_carlo_close_to_exact_for_scalar_uniform():
-    u = dist.uniform_interval("1/10", "9/10")
-    b = highdim.from_scalar(u)  # callable law: MC moment path
-    g = highdim.g_matrix(b, 2, mc_samples=200_000, seed=1)
-    target = float(dist.moment(u, 2))
-    assert abs(g.matrix[0, 0] - target) < 5 * g.stderr[0, 0]
+def test_g_matrix_of_scalar_uniform_is_exact():
+    b = highdim.from_scalar(UNIF_FIELD)
+    for l in (1, 2, 3):
+        g = highdim.g_matrix(b, l)
+        assert g.exact == ((dist.moment(UNIF_FIELD, l),),)
+        assert isinstance(g.exact[0][0], Fraction)
+        assert g.matrix[0, 0] == float(g.exact[0][0])
+
+
+def test_g_matrix_of_log_uniform_is_float():
+    spec = dist.log_uniform("1/10", "9/10")
+    g = highdim.g_matrix(highdim.from_scalar(spec), 2)
+    assert g.exact is None
+    assert g.matrix[0, 0] == dist.moment(spec, 2)
+
+
+def test_g_matrix_ising2_uniform_agrees_with_monte_carlo():
+    """Exact G^(2) of a scalar-driven Ising law against the mean of
+    sum_omega N^omega over drawn blocks, within 4 sigma; an entry with
+    no Z in it has sigma ~ 0 and agrees up to rounding."""
+    law, _ = SCALAR_LAWS["ising2_uniform"]()
+    g = highdim.g_matrix(law, 2)
+    n = 100_000
+    z = dist.sampler(UNIF_FIELD)(philox_generator(3).random(n))
+    nz = law.ns[0] * np.where(law.npow != 0, z[:, None, None], 1.0)
+    for a, lam in enumerate(g.indices):
+        for b, lam2 in enumerate(g.indices):
+            acc = np.zeros(n)
+            for omega in highdim._contingency_tables(lam, lam2):
+                acc += np.prod(nz ** np.array(omega), axis=(1, 2))
+            sigma = acc.std(ddof=1) / math.sqrt(n)
+            assert abs(acc.mean() - g.matrix[a, b]) \
+                <= 4 * sigma + 1e-12 * abs(g.matrix[a, b])
+            assert g.matrix[a, b] == float(g.exact[a][b])
 
 
 # -- vector chain --------------------------------------------------------------------

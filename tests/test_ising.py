@@ -139,9 +139,24 @@ def test_map_to_blocks_scalar_model_is_exact():
     assert law.weights == TP.weights
 
 
-def test_map_to_blocks_continuous_law_is_callable():
-    law, _ = ising.map_to_blocks(_model(law=UNIF))
-    assert isinstance(law, highdim.CallableBlockLaw)
+def test_map_to_blocks_continuous_law_is_scalar_driven():
+    """A continuous field gives one-row tables and 0/1 masks; at a
+    discrete field's atoms they form the finite law's blocks exactly."""
+    coup = (1.0, 1.5, 0.5)
+    law, eps = ising.map_to_blocks(_model(3, coup, law=UNIF))
+    finite, eps_f = ising.map_to_blocks(_model(3, coup, law=TP))
+    assert isinstance(law, highdim.ScalarBlockLaw) and law.spec == UNIF
+    assert law.d == 7 and eps == eps_f
+    assert law.ls.shape == (1, 7) and law.ns.shape == (1, 7, 7)
+    assert set(law.cpow) == set(law.npow.ravel()) == {0.0, 1.0}
+    z = np.array([float(a) for a in TP.atoms])
+    assert np.array_equal(np.broadcast_to(law.ls, finite.ls.shape),
+                          finite.ls)
+    assert np.array_equal(
+        np.where(law.cpow != 0, law.cs * z[:, None], law.cs), finite.cs)
+    assert np.array_equal(
+        np.where(law.npow != 0, law.ns * z[:, None, None], law.ns),
+        finite.ns)
 
 
 def test_map_to_blocks_needs_one_live_bond():

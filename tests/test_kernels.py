@@ -126,26 +126,31 @@ def test_block_array_digests_with_numpy_fallback(numpy_only, name):
 # -- block kernels ----------------------------------------------------------------
 
 def _block_pieces(d, width, few_atoms):
-    """Two consecutive pieces of blocks, as (span, (ls, cs, ns, idx)):
-    three atoms' tables with random indices, as a finite law passes them,
-    or the rows those indices pick with one row per cell (idx = arange),
-    as a callable law passes them.  The atoms are non-dyadic and
-    nonnegative; N is scaled by 1/d so the chain stays of order one at
-    any d."""
+    """Two consecutive pieces of blocks, as (span, (ls, cs, ns, idx, z,
+    cpow, npow)): three atoms' tables with random indices, as a finite law
+    passes them, or (``few_atoms`` False) one row of tables, 0/1 masks
+    that mix both values where d > 1, and one drawn Z per cell, as a
+    scalar-driven law passes them.  The tables and draws are non-dyadic
+    and nonnegative; N is scaled by 1/d so the chain stays of order one
+    at any d."""
     gen = philox_generator(d, width)
-    tables = (gen.random((3, d)) + 0.1, gen.random((3, d)) + 0.1,
-              gen.random((3, d, d)) / d)
-    # one row per cell holds span x width x d x d floats: keep them small
+    m = 3 if few_atoms else 1
+    tables = (gen.random((m, d)) + 0.1, gen.random((m, d)) + 0.1,
+              gen.random((m, d, d)) / d)
+    cpow = gen.integers(0, 2, d).astype(float)
+    npow = gen.integers(0, 2, (d, d)).astype(float)
+    cpow[0] = npow.flat[0] = 1.0
+    cpow[-1] = npow.flat[-1] = 1.0 if d == 1 else 0.0
+    # the numpy loop forms width x d x d blocks per row: keep them small
     span = max(1, min(12, 2 ** 19 // (width * d * d)))
     pieces = []
     for rows in (1, span):
-        idx = gen.integers(0, 3, (rows, width))
         if few_atoms:
-            pieces.append((rows, (*tables, idx)))
+            idx = gen.integers(0, 3, (rows, width))
+            pieces.append((rows, (*tables, idx, None, None, None)))
         else:
-            cells = np.arange(rows * width).reshape(rows, width)
-            pieces.append((rows, (*(t[idx.ravel()] for t in tables),
-                                  cells)))
+            z = dist.sampler(UNIF)(gen.random((rows, width)))
+            pieces.append((rows, (*tables, None, z, cpow, npow)))
     return pieces
 
 
@@ -203,6 +208,44 @@ def test_block_direct_kernel_matches_numpy_bitwise(compiled, monkeypatch, d,
     assert np.array_equal(_bits(ra), _bits(rb))
 
 
+def _gathered(piece):
+    """A scalar-driven piece as per-cell blocks, one table row per cell:
+    the blocks its masks and draws stand for, formed in numpy."""
+    ls, cs, ns, _, z, cpow, npow = piece
+    zc = z.reshape(-1, 1)
+    tables = (np.repeat(ls, z.size, axis=0),
+              np.where(cpow != 0, cs * zc, cs),
+              np.where(npow != 0, ns * zc[:, :, None], ns))
+    return (*tables, np.arange(z.size).reshape(z.shape), None, None, None)
+
+
+@pytest.mark.parametrize("d", [1, 3, 15])
+@pytest.mark.parametrize("method", ["chain", "direct"])
+def test_scalar_pieces_match_their_gathered_blocks(monkeypatch, d, method):
+    """Masks and one Z per cell give the bits of the blocks they stand
+    for (c * 1.0 == c), on whichever path this process runs and on the
+    numpy loops."""
+    width = 64
+    pieces = _block_pieces(d, width, few_atoms=False)
+
+    def run(blocks, st, span):
+        buf = np.empty((span, width))
+        if method == "chain":
+            kernels.block_chain_steps(*blocks, st[0], buf, 0.3)
+        else:
+            kernels.block_direct_steps(*blocks, st[0], st[1], buf, 0.375)
+        return (buf,)
+
+    state = ([np.zeros((width, d))] if method == "chain"
+             else [np.ones(width), np.ones((width, d))])
+    got = _run_blocks_both(monkeypatch, run, pieces, state)
+    want = _run_blocks_both(
+        monkeypatch, run, [(span, _gathered(p)) for span, p in pieces], state)
+    for (sa, ra), (sb, rb) in zip(got, want):
+        assert np.array_equal(_bits(sa), _bits(sb))
+        assert np.array_equal(_bits(ra), _bits(rb))
+
+
 def test_block_direct_maximum_propagates_nan(compiled, monkeypatch):
     # atoms 0-2 put NaN into the first, middle and last bottom entry; atom
     # 3 is finite, and column 3 starts from a NaN top entry
@@ -218,7 +261,8 @@ def test_block_direct_maximum_propagates_nan(compiled, monkeypatch):
         v0 = np.array([1.0, 1.0, 1.0, np.nan, 1.0])
         w = np.ones((5, d))
         mbuf = np.empty((1, 5))
-        kernels.block_direct_steps(ls, cs, ns, idx, v0, w, mbuf, 0.5)
+        kernels.block_direct_steps(ls, cs, ns, idx, None, None, None, v0, w,
+                                   mbuf, 0.5)
         assert np.isnan(mbuf[0]).tolist() == [True] * 4 + [False]
 
 
@@ -226,13 +270,18 @@ def test_block_kernels_reject_bad_buffers(compiled):
     d, m = 2, 3
     ls, cs, ns = np.ones((m, d)), np.ones((m, d)), np.ones((m, d, d))
     idx = np.zeros((4, 8), dtype=np.int64)
+    scalar = dict(ls=ls[:1], cs=cs[:1], ns=ns[:1], idx=None,
+                  z=np.ones((4, 8)), cpow=np.ones(d), npow=np.eye(d))
 
-    def chain(ls=ls, cs=cs, ns=ns, idx=idx, x=None, dbuf=None):
+    def chain(ls=ls, cs=cs, ns=ns, idx=idx, z=None, cpow=None, npow=None,
+              x=None, dbuf=None):
         x = np.zeros((8, d)) if x is None else x
         dbuf = np.empty((4, 8)) if dbuf is None else dbuf
-        kernels.block_chain_steps(ls, cs, ns, idx, x, dbuf, 0.25)
+        kernels.block_chain_steps(ls, cs, ns, idx, z, cpow, npow, x, dbuf,
+                                  0.25)
 
     chain()  # the defaults are valid
+    chain(**scalar)  # and so is a scalar-driven piece
     for bad in (
             dict(ls=ls.astype(np.float32)),           # wrong dtype
             dict(ns=np.ones((m, d, d)).transpose(0, 2, 1)[:, ::-1]),
@@ -245,7 +294,13 @@ def test_block_kernels_reject_bad_buffers(compiled):
             dict(idx=np.full((4, 8), -1)),             # before it
             dict(ls=np.ones((m, 0)), cs=np.ones((m, 0)),
                  ns=np.ones((m, 0, 0)), x=np.zeros((8, 0))),
-            dict(idx=None)):                           # no indices
+            dict(idx=None),                            # no indices
+            dict(scalar, idx=idx),                     # indices and draws
+            dict(scalar, z=None),                      # neither
+            dict(scalar, z=np.ones((4, 9))),           # mis-shaped draws
+            dict(scalar, cpow=np.ones(d + 1)),         # mis-shaped mask
+            dict(scalar, npow=np.ones((d, d), dtype=bool)),
+            dict(scalar, ls=ls)):                      # more than one row
         with pytest.raises(ValueError):
             chain(**bad)
     frozen = np.zeros((8, d))
@@ -253,11 +308,17 @@ def test_block_kernels_reject_bad_buffers(compiled):
     with pytest.raises(ValueError):
         chain(x=frozen)
     with pytest.raises(ValueError):
-        kernels.block_direct_steps(ls, cs, ns, idx, np.ones(7),
-                                   np.ones((8, d)), np.empty((4, 8)), 0.25)
+        kernels.block_direct_steps(ls, cs, ns, idx, None, None, None,
+                                   np.ones(7), np.ones((8, d)),
+                                   np.empty((4, 8)), 0.25)
     with pytest.raises(ValueError):
-        kernels.block_direct_steps(ls, cs, ns, None, np.ones(8),
-                                   np.ones((8, d)), np.empty((4, 8)), 0.25)
+        kernels.block_direct_steps(ls, cs, ns, None, None, None, None,
+                                   np.ones(8), np.ones((8, d)),
+                                   np.empty((4, 8)), 0.25)
+    with pytest.raises(ValueError):
+        kernels.block_direct_steps(**dict(scalar, idx=idx), v0=np.ones(8),
+                                   w=np.ones((8, d)), mbuf=np.empty((4, 8)),
+                                   eps=0.25)
 
 
 # -- build and cache ----------------------------------------------------------
