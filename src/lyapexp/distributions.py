@@ -339,6 +339,18 @@ def solve_alpha(spec: DistributionSpec) -> AlphaResult:
 
 # -- sampling ------------------------------------------------------------
 
+def atom_index(weights):
+    """Map from uniforms u in [0, 1) to int64 atom indices: u picks the
+    first k with u < cum[k], cum the cumulative float weights with the
+    last set to 1, so u == cum[k] picks atom k + 1."""
+    if len(weights) == 2:
+        c0 = float(weights[0])
+        return lambda u: (u >= c0).astype(np.int64)
+    cum = np.cumsum([float(w) for w in weights])
+    cum[-1] = 1.0
+    return lambda u: np.searchsorted(cum, u, side="right")
+
+
 def sampler(spec: DistributionSpec):
     """Return a vectorised quantile map u in [0,1) -> Z.
 
@@ -348,21 +360,13 @@ def sampler(spec: DistributionSpec):
     the package.
     """
     if spec.is_discrete:
-        cum = np.cumsum(np.array([float(w) for w in spec.weights]))
-        cum[-1] = 1.0
         atoms = np.array([float(a) for a in spec.atoms])
         if len(atoms) == 2:
-            # the same map as the search below (u == cum[0] gives the
-            # second atom there too), without the index array
-            c0, a0, a1 = float(cum[0]), float(atoms[0]), float(atoms[1])
-
-            def draw(u):
-                return np.where(u < c0, a0, a1)
-            return draw
-
-        def draw(u):
-            return atoms[np.searchsorted(cum, u, side="right")]
-        return draw
+            # atom_index's threshold, without the index array
+            c0, a0, a1 = float(spec.weights[0]), *atoms.tolist()
+            return lambda u: np.where(u < c0, a0, a1)
+        index = atom_index(spec.weights)
+        return lambda u: atoms[index(u)]
     if spec.family == UNIFORM_INTERVAL:
         a, b = float(spec.lower), float(spec.upper)
 

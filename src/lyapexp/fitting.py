@@ -34,8 +34,8 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     fit) carries no information and is dropped; any other error that is
     not positive, or fewer points left than coefficients, raises
     InsufficientSignal.  The weighted R^2 is measured about the weighted
-    mean of y (1.0 for a perfect fit; can be negative for a model worse
-    than the constant).
+    mean of y (1.0 for a perfect fit, negative for a model worse than the
+    constant, NaN for a fit with no more points than coefficients).
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -66,7 +66,10 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     w = sw * sw
     ybar = float((w * y).sum() / w.sum())
     tss = float((w * (y - ybar) ** 2).sum())
-    r2 = 1.0 - rss / tss if tss > 0 else (1.0 if rss == 0 else -np.inf)
+    if y.size <= design.shape[1]:
+        r2 = np.nan
+    else:
+        r2 = 1.0 - rss / tss if tss > 0 else (1.0 if rss == 0 else -np.inf)
     return FitSummary(coefficients=tuple(float(c) for c in coef),
                       stderrs=tuple(float(s) for s in np.sqrt(np.diag(cov))),
                       r2=r2, weighted_rss=rss)

@@ -13,7 +13,9 @@ A block law is data in one of two forms, which are also the two forms
 of block piece the kernels take (see :mod:`.kernels`): a finite law's
 atom tables, picked per step by an index, or a scalar-driven law's
 one-row tables and 0/1 masks, whose masked C and N entries are
-multiplied by one drawn Z per step.  Either way G^(l) is exact.
+multiplied by one drawn Z per step.  Every law driven by one Z comes
+from :func:`scalar_driven`, a discrete Z as atom tables.  Either way
+G^(l) is exact.
 
 Everything here reduces to the scalar theory at d = 1 with
 (L, C, N) = (1, Z, Z); the engines deliberately execute the same
@@ -62,12 +64,6 @@ class FiniteBlockLaw:
     cs: np.ndarray
     ns: np.ndarray
     ns_exact: tuple
-    cum: np.ndarray
-
-    def draw(self, u: np.ndarray):
-        """Blocks (L, C, N) of the atoms that the uniforms ``u`` pick."""
-        idx = np.searchsorted(self.cum, u, side="right")
-        return self.ls[idx], self.cs[idx], self.ns[idx]
 
     def moment(self, omega) -> Fraction:
         """E[N^omega], exactly."""
@@ -113,10 +109,8 @@ def finite_block_law(triples, weights) -> FiniteBlockLaw:
         cs.append([float(v) for v in crow])
         ns.append([[float(v) for v in row] for row in nmat])
         ns_exact.append(tuple(tuple(row) for row in nmat))
-    cum = np.cumsum(np.array([float(x) for x in w]))
-    cum[-1] = 1.0
     return FiniteBlockLaw(d=d, weights=w, ls=np.array(ls), cs=np.array(cs),
-                          ns=np.array(ns), ns_exact=tuple(ns_exact), cum=cum)
+                          ns=np.array(ns), ns_exact=tuple(ns_exact))
 
 
 @dataclass(frozen=True)
@@ -150,20 +144,33 @@ class ScalarBlockLaw:
         return const * dist.moment(self.spec, k)
 
 
-def from_scalar(spec: dist.DistributionSpec):
-    """d = 1 embedding (L, C, N) = (1, Z, Z) of a scalar disorder law.
+def scalar_driven(ls, cs, ns, cpow, npow, spec: dist.DistributionSpec):
+    """Law of (L0, C0 * Z^cpow, N0 * Z^npow) for Z of law ``spec``, from
+    the tables and masks of ScalarBlockLaw less its leading axis.  A
+    discrete Z gives a finite law, one atom per value of Z in the
+    sampler's order, with exact N tables Fraction(N0) * Z^npow (the rule
+    of :meth:`ScalarBlockLaw.moment`); any other Z a ScalarBlockLaw."""
+    if not spec.is_discrete:
+        return ScalarBlockLaw(d=len(ls), spec=spec, ls=ls[None],
+                              cs=cs[None], ns=ns[None], cpow=cpow,
+                              npow=npow)
+    z = np.array([float(a) for a in spec.atoms])
+    n0 = [[Fraction(v) for v in row] for row in ns.tolist()]
+    # every mask entry is 0 or 1, and z**0 = 1, z**1 = z exactly
+    return FiniteBlockLaw(
+        d=len(ls), weights=spec.weights, ls=np.tile(ls, (len(z), 1)),
+        cs=cs * np.where(cpow == 1, z[:, None], 1.0),
+        ns=ns * np.where(npow == 1, z[:, None, None], 1.0),
+        ns_exact=tuple(tuple(tuple(v * a if p else v
+                                   for v, p in zip(row, prow))
+                             for row, prow in zip(n0, npow.tolist()))
+                       for a in spec.atoms))
 
-    For discrete laws the result is a finite block law whose atoms sit
-    in the same order as the scalar sampler's, so both consume identical
-    uniforms and draw identical disorder; other laws give a
-    scalar-driven law with every table entry and mask 1.
-    """
-    if spec.is_discrete:
-        triples = [(((Fraction(1),)), (a,), ((a,),)) for a in spec.atoms]
-        return finite_block_law(triples, spec.weights)
-    return ScalarBlockLaw(d=1, spec=spec, ls=np.ones((1, 1)),
-                          cs=np.ones((1, 1)), ns=np.ones((1, 1, 1)),
-                          cpow=np.ones(1), npow=np.ones((1, 1)))
+
+def from_scalar(spec: dist.DistributionSpec):
+    """d = 1 embedding (L, C, N) = (1, Z, Z) of a scalar disorder law."""
+    return scalar_driven(np.ones(1), np.ones(1), np.ones((1, 1)),
+                         np.ones(1), np.ones((1, 1)), spec)
 
 
 # -- multi-index machinery ----------------------------------------------------
@@ -286,8 +293,8 @@ def _chunk_blocks(law, eps, gen, span, width):
     signature."""
     u = gen.random((span, width))
     if isinstance(law, FiniteBlockLaw):
-        return (law.ls, law.cs, law.ns,
-                np.searchsorted(law.cum, u, side="right"), None, None, None)
+        return (law.ls, law.cs, law.ns, dist.atom_index(law.weights)(u),
+                None, None, None)
     return (law.ls, law.cs, law.ns, None, dist.sampler(law.spec)(u),
             law.cpow, law.npow)
 

@@ -222,7 +222,8 @@ def test_fit_of_a_deterministic_law_exits_3_with_one_line(tmp_path):
 def test_extraction_drops_a_zero_error_eps_0_point(tmp_path, capsys):
     """At eps = 0 the estimate is exactly 0 +- 0 and its design row is
     all zero: it carries no information, so the q_2 fit rests on
-    eps = 1/2 alone, and no weight overflows (numpy raises if one does)."""
+    eps = 1/2 alone, and no weight overflows (numpy raises if one does).
+    One point for one coefficient tests nothing, so r2 is NaN."""
     blocks = tmp_path / "blocks.json"
     blocks.write_text(json.dumps(GROWING_BLOCKS))
     with np.errstate(all="raise"):
@@ -239,6 +240,7 @@ def test_extraction_drops_a_zero_error_eps_0_point(tmp_path, capsys):
                                                  rel=1e-12)]
     assert doc["coefficient_stderrs"] == [
         pytest.approx(half["stderr"] / 0.25, rel=1e-12)]
+    assert doc["r2"] == "nan"
 
 
 @pytest.mark.parametrize("step, argv, message", [

@@ -223,20 +223,33 @@ def test_sample_uniform_respects_bounds_and_mean():
     dist.two_point("1/2", "2", "1/5"),
     dist.two_point("1/4", "4", "1/3"),
     dist.finite_discrete(["3", "1/7"], ["1/10", "9/10"]),
+    dist.degenerate("3/4"),
+    dist.finite_discrete(["1/2", "2", "3"], ["1/3", "1/3", "1/3"]),
+    dist.finite_discrete(["1/5", "1/2", "2", "3"],
+                         ["1/10", "1/5", "3/10", "2/5"]),
+    dist.finite_discrete(["1/5", "1/2", "2", "3", "7"],
+                         ["1/7", "1/7", "2/7", "2/7", "1/7"]),
 ])
 def test_two_atom_sampler_matches_searchsorted_bitwise(spec):
+    """atom_index and the sampler match a search on the cumulative float
+    weights bit for bit, for 1 to 5 atoms, also at every inner edge."""
     cum = np.cumsum([float(w) for w in spec.weights])
     cum[-1] = 1.0
     atoms = np.array([float(a) for a in spec.atoms])
-    c0 = cum[0]
-    edges = [0.0, np.nextafter(c0, 0.0), c0, np.nextafter(c0, 1.0),
-             np.nextafter(1.0, 0.0)]
+    inner = cum[:-1]
+    edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], inner,
+                            np.nextafter(inner, 0.0),
+                            np.nextafter(inner, 1.0)])
     u = np.concatenate([philox_generator(5, 0).random(10 ** 6), edges])
+    want = np.searchsorted(cum, u, side="right")
+    index = dist.atom_index(spec.weights)
+    assert index(u).dtype == np.int64
+    assert np.array_equal(index(u), want)
     got = dist.sampler(spec)(u)
-    want = atoms[np.searchsorted(cum, u, side="right")]
-    assert got.dtype == want.dtype == np.float64
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert got[-3] == atoms[1]  # u == cum[0] draws the second atom
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), atoms[want].view(np.int64))
+    # u == cum[k] picks atom k + 1
+    assert np.array_equal(index(inner), np.arange(1, len(atoms)))
 
 
 def test_single_uniform_consumed_per_draw():

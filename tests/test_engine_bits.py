@@ -118,7 +118,9 @@ def _paths(law, eps):
 
 def _atoms(model):
     law, eps = ising.map_to_blocks(model)
-    return ([eps], law.cum, law.ls, law.cs, law.ns)
+    cum = np.cumsum([float(w) for w in law.weights])
+    cum[-1] = 1.0
+    return ([eps], cum, law.ls, law.cs, law.ns)
 
 
 ARRAYS = {

@@ -1,6 +1,7 @@
 """Block-matrix generalisation: moment transfer matrices, the vector
 chain, and exact agreement with the scalar pipeline at d = 1."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -107,9 +108,10 @@ def test_chunk_blocks_passes_atom_tables_and_indices():
     assert ls is law.ls and cs is law.cs and ns is law.ns
     assert z is None and cpow is None and npow is None
     assert idx.dtype == np.int64 and idx.shape == (40, 7)
-    drawn = law.draw(philox_generator(3).random((40, 7)))
-    for table, blocks in zip((ls, cs, ns), drawn):
-        assert np.array_equal(table[idx], blocks)
+    cum = np.cumsum([float(w) for w in law.weights])
+    cum[-1] = 1.0
+    u = philox_generator(3).random((40, 7))
+    assert np.array_equal(idx, np.searchsorted(cum, u, side="right"))
 
 
 def test_chunk_blocks_gives_scalar_laws_one_z_per_cell():
@@ -263,6 +265,19 @@ def test_g_matrix_ising2_uniform_agrees_with_monte_carlo():
             assert abs(acc.mean() - g.matrix[a, b]) \
                 <= 4 * sigma + 1e-12 * abs(g.matrix[a, b])
             assert g.matrix[a, b] == float(g.exact[a][b])
+
+
+def test_g_matrix_ising2_discrete_field_takes_the_scalar_rule():
+    """A discrete field's atom tables give the exact G^(l) of the
+    scalar-driven law on the same tables: a model's G does not depend on
+    whether its field law is discrete."""
+    law, _ = ising.map_to_blocks(ising.IsingModel(2, (1.0, 1.5), 1.0, TP))
+    unif, _ = SCALAR_LAWS["ising2_uniform"]()
+    scalar = dataclasses.replace(unif, spec=TP)
+    for l in (1, 2):
+        exact = highdim.g_matrix(law, l).exact
+        assert exact is not None
+        assert exact == highdim.g_matrix(scalar, l).exact
 
 
 # -- vector chain --------------------------------------------------------------------
