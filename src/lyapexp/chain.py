@@ -18,10 +18,13 @@ common-random-number comparisons across an eps grid.
 
 The step is evaluated as ``(z + z*x) / (1 + eps^2 * x)``: numerator and
 denominator are kept monotone in x floating-point-wise, which makes the
-pathwise domination results hold exactly in simulation, and the same
-operation order is used by the d = 1 case of the block engine so the two
-produce bit-identical trajectories.  The per-step loop itself lives in
-:mod:`.kernels`, compiled or in numpy, with bitwise equal results.
+pathwise domination results hold exactly in simulation.  The step
+itself is the block engine's at d = 1: the chain is the vector chain of
+:func:`.highdim.scalar_law`, ``(L, C, N) = (1, Z, Z)``, whose pieces run
+the d = 1 scalar-driven loop of :mod:`.kernels`, compiled or in numpy,
+with bitwise equal results.  A discrete law as atom tables
+(:func:`.highdim.from_scalar`) runs the general block loop to the same
+bits.
 """
 
 from __future__ import annotations
@@ -118,39 +121,42 @@ def default_cutoff(spec: dist.DistributionSpec) -> float:
 def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
                    gammas=(1.0, 2.0), b_cutoff=None) -> ChainStats:
     """Run the chain and collect stationary moment / Lyapunov statistics."""
-    from . import kernels  # loaded by the first run, not at start-up
+    # loaded by the first run, not at start-up; highdim imports this module
+    from . import highdim, kernels
 
     gammas = tuple(float(g) for g in gammas)
     if b_cutoff is None:
         b_cutoff = default_cutoff(spec)
     b_cutoff = float(b_cutoff)
-    draw = dist.sampler(spec)
+    law = highdim.scalar_law(spec)
     eps = abs(float(cfg.eps))
     e2 = eps * eps
     kept = cfg.kept_per_replica
     log_space = [g > LOG_SPACE_GAMMA for g in gammas]
 
     def kernel(gen, width, pieces):
-        x = np.zeros(width)
+        x = np.zeros((width, 1))
         # one buffer pair per block: run_chunked logs a piece's rows, and
         # the moments below fold them, before the next piece is drawn; a
         # row the step never writes stays NaN and poisons the statistics
-        xbuf = np.full((pieces[0][0], width), np.nan)
-        dbuf = np.full_like(xbuf, np.nan)
+        xbuf = np.full((pieces[0][0], width, 1), np.nan)
+        dbuf = np.full(xbuf.shape[:2], np.nan)
         moment_acc = [KahanSum(width) for _ in gammas]
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
         trunc_logsum = [np.full(width, -np.inf) for _ in gammas]
         xmax = np.zeros(width)
         for span, keep0 in pieces:
-            z = draw(gen.random((span, width)))
-            kernels.chain_steps(z, x, xbuf[:span], dbuf[:span], e2)
+            # held until the next is drawn, as in highdim._block_kernel
+            piece = highdim._chunk_blocks(law, eps, gen, span, width)
+            kernels.block_chain_steps(*piece, x, dbuf[:span], e2,
+                                      xbuf[:span])
             # the growth factor of row t is its denominator; the moments
             # fold the matching post-step states over the same kept rows
             yield dbuf[:span]
             if keep0 >= span:
                 continue
-            xk = xbuf[keep0:span]
+            xk = xbuf[keep0:span, :, 0]
             np.maximum(xmax, xk.max(axis=0), out=xmax)
             wmask = None
             for i, g in enumerate(gammas):
@@ -253,30 +259,4 @@ def sample_x0(spec: dist.DistributionSpec, n: int, seed: int,
             "E[log Z] may be too close to 0 for the requested tolerance")
 
     return np.concatenate(run_blocks(run_block, n))
-
-
-# -- coupled trajectories ---------------------------------------------------
-
-def coupled_paths(spec: dist.DistributionSpec, eps_a: float, eps_b: float,
-                  n: int, seed: int):
-    """Two chains driven by the same disorder sequence, eps_a and eps_b.
-
-    Returns the pair of post-step trajectories (length n each), drawn
-    from stream 0 of ``seed``.  With eps_a <= eps_b the first path
-    dominates the second pathwise; with eps_a = 0 the first path follows
-    the undamped recursion x' = Z (1 + x), whose time-n value matches the
-    n-term partial sum of the perpetuity in law.
-    """
-    from . import kernels  # loaded by the first run, not at start-up
-
-    gen = philox_generator(seed, 0)
-    z = dist.sampler(spec)(gen.random((n, 1)))
-    dbuf = np.empty((n, 1))
-    paths = []
-    for eps in (eps_a, eps_b):
-        path = np.empty((n, 1))
-        kernels.chain_steps(z, np.zeros(1), path, dbuf,
-                            float(eps) * float(eps))
-        paths.append(path[:, 0])
-    return tuple(paths)
 

@@ -117,7 +117,8 @@ def _parse_grid(text: str):
         step = 1 if j1 >= j0 else -1
         return [_parse_number(f"{base_s}^{j}")
                 for j in range(j0, j1 + step, step)]
-    return [_parse_number(t) for t in text.split(",") if t.strip()]
+    return _nonempty((_parse_number(t) for t in text.split(",") if t.strip()),
+                     text)
 
 
 def _parse_steps(text: str):
@@ -131,8 +132,17 @@ def _parse_int_list(text: str):
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(_finite(lo, int), _finite(hi, int) + 1))
-    return [_finite(t, int) for t in text.split(",") if t.strip()]
+        return _nonempty(range(_finite(lo, int), _finite(hi, int) + 1), text)
+    return _nonempty((_finite(t, int) for t in text.split(",") if t.strip()),
+                     text)
+
+
+def _nonempty(values, text: str):
+    """The list of ``values``; one that names no value is a usage error."""
+    values = list(values)
+    if not values:
+        raise _UsageError(f"{text.strip()!r} names no value")
+    return values
 
 
 def _resolve_threads(args) -> int:
@@ -327,11 +337,12 @@ def _run_dominance(args, spec, steps):
     if eps > eps2:
         raise _UsageError("--dominance expects eps <= eps2")
     seeds = _parse_int_list(args.seeds)
+    law = highdim.scalar_law(spec)
     pair_viol = 0
     series_viol = 0
     for seed in seeds:
-        lo, hi = chain_mod.coupled_paths(spec, eps, eps2, steps, seed)
-        undamped, damped = chain_mod.coupled_paths(spec, 0.0, eps, steps, seed)
+        lo, hi = highdim.coupled_paths(law, eps, eps2, steps, seed)
+        undamped, damped = highdim.coupled_paths(law, 0.0, eps, steps, seed)
         # a NaN compares false, so it would count as agreement
         finite = np.isfinite([lo, hi, undamped, damped]).all(axis=0)
         if not finite.all():

@@ -18,11 +18,11 @@ from :func:`scalar_driven`, a discrete Z as atom tables.  Either way
 G^(l) is exact.
 
 Everything here reduces to the scalar theory at d = 1 with
-(L, C, N) = (1, Z, Z); the engines deliberately execute the same
-floating-point operations per step as the scalar ones in that case -- a
-strong end-to-end check that both implementations mean the same object:
-a d = 1 run reproduces the 2x2 results bit for bit, for finite and
-continuous laws alike.
+(L, C, N) = (1, Z, Z), and the scalar engines are these engines at
+d = 1 (:func:`scalar_law`).  Their pieces take the kernels' d = 1
+scalar-driven loop, while :func:`from_scalar` gives a discrete Z as
+atom tables, which take the general loop: the two reproduce each other
+bit for bit, for finite and continuous laws alike.
 """
 
 from __future__ import annotations
@@ -168,9 +168,21 @@ def scalar_driven(ls, cs, ns, cpow, npow, spec: dist.DistributionSpec):
 
 
 def from_scalar(spec: dist.DistributionSpec):
-    """d = 1 embedding (L, C, N) = (1, Z, Z) of a scalar disorder law."""
+    """d = 1 embedding (L, C, N) = (1, Z, Z) of a scalar disorder law, a
+    discrete Z as atom tables."""
     return scalar_driven(np.ones(1), np.ones(1), np.ones((1, 1)),
                          np.ones(1), np.ones((1, 1)), spec)
+
+
+def scalar_law(spec: dist.DistributionSpec) -> ScalarBlockLaw:
+    """The same embedding as the scalar engines run it: one-row tables
+    and masks of 1, and one Z per step drawn by ``dist.sampler(spec)``
+    whatever its law, so every piece takes the kernels' d = 1
+    scalar-driven loop.  The draws, and so the bits, are those of
+    :func:`from_scalar`."""
+    one = np.ones((1, 1))
+    return ScalarBlockLaw(d=1, spec=spec, ls=one, cs=one, ns=one[None],
+                          cpow=one[0], npow=one)
 
 
 # -- multi-index machinery ----------------------------------------------------
@@ -339,30 +351,34 @@ def _block_kernel(law, eps, method, gen, width, pieces):
     # row the step never writes stays NaN
     buf = np.full((pieces[0][0], width), np.nan)
     for span, _ in pieces:
-        # one expression: a piece's draws are freed before the next
-        step(*_chunk_blocks(law, eps, gen, span, width), *state, buf[:span],
-             scale)
+        # a piece is freed once the next is drawn, so the allocator reuses
+        # its memory instead of returning it and faulting it back in
+        piece = _chunk_blocks(law, eps, gen, span, width)
+        step(*piece, *state, buf[:span], scale)
         yield buf[:span]
 
 
-def coupled_vector_paths(law, eps: float, n: int, seed: int):
-    """Vector chain and its undamped majorant on shared disorder.
+def coupled_paths(law, eps_a: float, eps_b: float, n: int, seed: int):
+    """Two vector chains driven by the same blocks, at eps_a and eps_b.
 
-    Returns (damped, undamped) trajectories of shape (n, d), drawn from
-    stream 0 of ``seed``; the undamped path follows y' = C + N y, whose
-    time-n value matches the n-term partial sum of the matrix perpetuity
-    in law, and dominates the damped path coordinatewise.
+    Returns the pair of post-step trajectories, each of shape (n, d),
+    drawn from stream 0 of ``seed``.  At eps_a = 0 the first follows the
+    undamped recursion y' = C + N y, whose time-n value matches the
+    n-term partial sum of the matrix perpetuity in law, and dominates
+    the second coordinatewise.  The scalar chain's paths are those of
+    :func:`scalar_law`; there eps_a <= eps_b gives a first path that
+    dominates the second.
     """
     from . import kernels  # loaded by the first run, not at start-up
 
     gen = philox_generator(seed, 0)
-    blocks = _chunk_blocks(law, eps, gen, n, 1)
+    blocks = _chunk_blocks(law, eps_a, gen, n, 1)
     dbuf = np.empty((n, 1))
     paths = []
-    for e2 in (float(eps) * float(eps), 0.0):
+    for eps in (eps_a, eps_b):
         path = np.empty((n, 1, law.d))
-        kernels.block_chain_steps(*blocks, np.zeros((1, law.d)), dbuf, e2,
-                                  path)
+        kernels.block_chain_steps(*blocks, np.zeros((1, law.d)), dbuf,
+                                  float(eps) * float(eps), path)
         paths.append(path[:, 0])
     return tuple(paths)
 

@@ -1,4 +1,4 @@
-/* Per-step recursions of the Lyapunov engines; see kernels.py.
+/* Per-step recursions of every Lyapunov engine; see kernels.py.
  *
  * Each loop performs the numpy fallback's operations in the same order,
  * one IEEE rounding per operation.  Built with -ffp-contract=off, so no
@@ -8,57 +8,12 @@
  * block loops read the d-vectors and d x d matrices of cell (t, j) from
  * row idx[t, j] of (m, d), (m, d) and (m, d, d) atom tables, or form
  * them from one-row tables and the cell's scalar z[t, j] (struct piece).
+ * The scalar engines pass the latter form at d = 1, which each kernel
+ * hands to a loop on scalars with the general loop's operations.
  */
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
-
-/* Invariant chain  x' = (z + z*x) / (1 + e2*x).  Row t of dbuf gets the
- * denominator (the step's growth factor), row t of xbuf the post-step
- * state.  x holds the state before the first row and after the last. */
-void chain_steps(const double *restrict z, double *restrict x,
-                 double *restrict xbuf, double *restrict dbuf,
-                 ptrdiff_t span, ptrdiff_t width, double e2)
-{
-    for (ptrdiff_t t = 0; t < span; t++) {
-        const double *restrict zt = z + t * width;
-        double *restrict xt = xbuf + t * width;
-        double *restrict dt = dbuf + t * width;
-        for (ptrdiff_t j = 0; j < width; j++) {
-            double num = zt[j] * x[j];
-            num = zt[j] + num;
-            double den = e2 * x[j];
-            den = 1.0 + den;
-            dt[j] = den;
-            x[j] = xt[j] = num / den;
-        }
-    }
-}
-
-/* Renormalised product of [[1, eps], [eps z, z]] applied to (v0, v1).
- * Row t of mbuf gets the max-norm of the new vector, which is then
- * divided out.  The maximum propagates NaN like np.maximum. */
-void direct_steps(const double *restrict z, double *restrict v0,
-                  double *restrict v1, double *restrict mbuf,
-                  ptrdiff_t span, ptrdiff_t width, double eps)
-{
-    for (ptrdiff_t t = 0; t < span; t++) {
-        const double *restrict zt = z + t * width;
-        double *restrict mt = mbuf + t * width;
-        for (ptrdiff_t j = 0; j < width; j++) {
-            double w0 = eps * v1[j];
-            w0 = v0[j] + w0;
-            double w1a = zt[j] * v0[j];
-            w1a = eps * w1a;
-            double w1b = zt[j] * v1[j];
-            w1b = w1a + w1b;
-            double m = (w0 >= w1b || w0 != w0) ? w0 : w1b;
-            mt[j] = m;
-            v0[j] = w0 / m;
-            v1[j] = w1b / m;
-        }
-    }
-}
 
 /* Sum of the products a[i]*b[i], i < n, grouped as numpy's pairwise_sum
  * groups a contiguous reduction: below 8 terms one sequential sum from
@@ -158,6 +113,52 @@ static double *scratch(struct piece *p)
     return buf;
 }
 
+/* A scalar-driven piece at d = 1: the general loop's operations on the
+ * cell's 1 x 1 blocks l, c and n, formed from the masks and z without a
+ * scratch row.  sum_of_products(a, b, 1) is 0.0 + (0.0 + a*b), which
+ * rounds as 0.0 + a*b. */
+static void scalar_chain_d1(const struct piece *p, double *restrict x,
+                            double *restrict xbuf, double *restrict dbuf,
+                            ptrdiff_t span, ptrdiff_t width, double e2)
+{
+    const double l = p->ls[0], c0 = p->cs[0], n0 = p->ns[0];
+    const int cz = p->cpow[0] != 0.0, nz = p->npow[0] != 0.0;
+    for (ptrdiff_t t = 0; t < span; t++) {
+        for (ptrdiff_t j = 0; j < width; j++) {
+            ptrdiff_t cell = t * width + j;
+            double c = cz ? c0 * p->z[cell] : c0;
+            double n = nz ? n0 * p->z[cell] : n0;
+            double num = c + (0.0 + n * x[j]);
+            double den = 1.0 + e2 * (0.0 + l * x[j]);
+            dbuf[cell] = den;
+            x[j] = num / den;
+            if (xbuf != NULL)
+                xbuf[cell] = x[j];
+        }
+    }
+}
+
+static void scalar_direct_d1(const struct piece *p, double *restrict v0,
+                             double *restrict w, double *restrict mbuf,
+                             ptrdiff_t span, ptrdiff_t width, double eps)
+{
+    const double l = p->ls[0], c0 = p->cs[0], n0 = p->ns[0];
+    const int cz = p->cpow[0] != 0.0, nz = p->npow[0] != 0.0;
+    for (ptrdiff_t t = 0; t < span; t++) {
+        for (ptrdiff_t j = 0; j < width; j++) {
+            ptrdiff_t cell = t * width + j;
+            double c = cz ? c0 * p->z[cell] : c0;
+            double n = nz ? n0 * p->z[cell] : n0;
+            double top = v0[j] + eps * (0.0 + l * w[j]);
+            double b = eps * (c * v0[j]) + (0.0 + n * w[j]);
+            double m = (top >= b || top != top) ? top : b;
+            mbuf[cell] = m;
+            v0[j] = top / m;
+            w[j] = b / m;
+        }
+    }
+}
+
 /* Vector chain  x' = (C + N x) / (1 + e2 L.x)  on the (width, d) state x.
  * Row t of dbuf gets the denominators, and, when xbuf is not NULL, row t
  * of the (span, width, d) xbuf the post-step states.  Returns 0, or -1
@@ -170,6 +171,10 @@ int block_chain_steps(const double *restrict ls, const double *restrict cs,
                       ptrdiff_t span, ptrdiff_t width, ptrdiff_t d, double e2)
 {
     struct piece p = {ls, cs, ns, idx, z, cpow, npow, NULL, NULL, d};
+    if (d == 1 && idx == NULL) {
+        scalar_chain_d1(&p, x, xbuf, dbuf, span, width, e2);
+        return 0;
+    }
     double *num = scratch(&p);
     if (num == NULL)
         return -1;
@@ -212,6 +217,10 @@ int block_direct_steps(const double *restrict ls, const double *restrict cs,
                        double eps)
 {
     struct piece p = {ls, cs, ns, idx, z, cpow, npow, NULL, NULL, d};
+    if (d == 1 && idx == NULL) {
+        scalar_direct_d1(&p, v0, w, mbuf, span, width, eps);
+        return 0;
+    }
     double *bot = scratch(&p);
     if (bot == NULL)
         return -1;

@@ -1,13 +1,14 @@
 """Per-step recursions of the Lyapunov engines, compiled on first use.
 
-:func:`chain_steps` advances the invariant chain of :mod:`.chain` and
-:func:`direct_steps` the renormalised matrix product of
-:mod:`.lyapunov` over one piece of rows; :func:`block_chain_steps` and
-:func:`block_direct_steps` do the same for the block engines of
-:mod:`.highdim` (and so of :mod:`.ising`) at any block dimension ``d``.
-Each runs a C loop (``kernels.c``) through ctypes when the library can
-be built, and the numpy loop below otherwise.  Both perform the same
-IEEE operations in the same order, so they agree bit for bit.
+:func:`block_chain_steps` advances the invariant vector chain and
+:func:`block_direct_steps` the renormalised block matrix product over
+one piece of rows, at any block dimension ``d``.  They serve every
+engine: those of :mod:`.highdim` (and so of :mod:`.ising`), and the
+scalar ones of :mod:`.chain` and :mod:`.lyapunov`, which run the d = 1
+law ``(L, C, N) = (1, Z, Z)``.  Each runs a C loop (``kernels.c``)
+through ctypes when the library can be built, and the numpy loop below
+otherwise.  Both perform the same IEEE operations in the same order, so
+they agree bit for bit.
 
 A block piece is given as ``(ls, cs, ns, idx, z, cpow, npow)`` in one of
 two forms.  A finite law passes its ``(m, ...)`` atom tables and the
@@ -18,6 +19,10 @@ scalar-driven law passes one-row tables ``ls`` (1, d), ``cs`` (1, d),
 scalar, and 0/1 masks ``cpow`` (d,) and ``npow`` (d, d): cell ``(t, j)``
 uses ``C_i = cs_i * z[t, j]`` where ``cpow_i`` is set and ``cs_i`` where
 it is not, and likewise for ``N``; ``L`` is the table row itself.
+
+A scalar-driven piece at d = 1, as the scalar engines pass, runs a loop
+on scalars; every other piece, d = 1 atom tables included, runs the
+general loop.  Both give the general loop's bits.
 
 Sum grouping
 ------------
@@ -34,8 +39,8 @@ The first kernel call compiles ``kernels.c`` with
 ``cc -O3 -ffp-contract=off -shared -fPIC``.  ``-ffp-contract=off``
 forbids fusing a multiply and an add into one rounding: a fused step
 would differ from numpy in the last bit, and the exact pathwise
-dominance of the chain and the bitwise ``d = 1`` identity with the block
-engine rest on identical rounding.  The library is cached in
+dominance of the chain and the bitwise agreement of the loops rest on
+identical rounding.  The library is cached in
 ``$XDG_CACHE_HOME/lyapexp`` (default ``~/.cache/lyapexp``, mode 0700)
 under the SHA-256 of source, flags and machine, so each cache builds it
 once; a build happens in a temporary directory and is published with
@@ -65,38 +70,6 @@ _lock = threading.Lock()
 _resolved = {}
 
 
-def chain_steps(z, x, xbuf, dbuf, e2: float) -> None:
-    """Run the chain ``x' = (z + z*x) / (1 + e2*x)`` over the rows of ``z``.
-
-    Row ``t`` of ``dbuf`` gets the denominator (the step's growth
-    factor) and row ``t`` of ``xbuf`` the post-step state; ``x`` holds
-    the state before the first row and after the last.
-    """
-    lib = _library()
-    if lib is None:
-        _chain_numpy(z, x, xbuf, dbuf, e2)
-        return
-    span, width = _check(z, (x,), (xbuf, dbuf))
-    lib.chain_steps(z.ctypes.data, x.ctypes.data, xbuf.ctypes.data,
-                    dbuf.ctypes.data, span, width, e2)
-
-
-def direct_steps(z, v0, v1, mbuf, eps: float) -> None:
-    """Apply ``[[1, eps], [z eps, z]]`` to ``(v0, v1)`` for each row of ``z``.
-
-    Row ``t`` of ``mbuf`` gets the max-norm of the new vector, which is
-    divided out; ``v0``, ``v1`` hold the vector before the first row and
-    after the last.
-    """
-    lib = _library()
-    if lib is None:
-        _direct_numpy(z, v0, v1, mbuf, eps)
-        return
-    span, width = _check(z, (v0, v1), (mbuf,))
-    lib.direct_steps(z.ctypes.data, v0.ctypes.data, v1.ctypes.data,
-                     mbuf.ctypes.data, span, width, eps)
-
-
 def block_chain_steps(ls, cs, ns, idx, z, cpow, npow, x, dbuf, e2: float,
                       xbuf=None) -> None:
     """Run  x' = (C + N x) / (1 + e2 L.x)  over one piece of block rows.
@@ -105,20 +78,19 @@ def block_chain_steps(ls, cs, ns, idx, z, cpow, npow, x, dbuf, e2: float,
     npow)`` in either form of the module docstring.  The state ``x``
     (width, d) is updated in place; row ``t`` of ``dbuf`` (span, width)
     gets the denominators and, when ``xbuf`` (span, width, d) is given,
-    row ``t`` of it the post-step states.  At d = 1 the operations are
-    those of :func:`chain_steps`.
+    row ``t`` of it the post-step states.
     """
-    lib = _library()
-    if lib is None:
-        _block_chain_numpy((ls, cs, ns, idx, z, cpow, npow), x, dbuf, e2,
-                           xbuf)
-        return
     span, width = dbuf.shape
     d = _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width)
     written = [(x, (width, d)), (dbuf, (span, width))]
     if xbuf is not None:
         written.append((xbuf, (span, width, d)))
     _require(written, writeable=True)
+    lib = _library()
+    if lib is None:
+        _block_chain_numpy((ls, cs, ns, idx, z, cpow, npow), x, dbuf, e2,
+                           xbuf)
+        return
     _status(lib.block_chain_steps(
         *map(_ptr, (ls, cs, ns, idx, z, cpow, npow, x, xbuf, dbuf)),
         span, width, d, e2))
@@ -133,15 +105,15 @@ def block_direct_steps(ls, cs, ns, idx, z, cpow, npow, v0, w, mbuf,
     divided out; ``v0`` (width,) and ``w`` (width, d) hold the vector
     before the first row and after the last.
     """
+    span, width = mbuf.shape
+    d = _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width)
+    _require([(v0, (width,)), (w, (width, d)), (mbuf, (span, width))],
+             writeable=True)
     lib = _library()
     if lib is None:
         _block_direct_numpy((ls, cs, ns, idx, z, cpow, npow), v0, w, mbuf,
                             eps)
         return
-    span, width = mbuf.shape
-    d = _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width)
-    _require([(v0, (width,)), (w, (width, d)), (mbuf, (span, width))],
-             writeable=True)
     _status(lib.block_direct_steps(
         *map(_ptr, (ls, cs, ns, idx, z, cpow, npow, v0, w, mbuf)),
         span, width, d, eps))
@@ -154,67 +126,6 @@ def recursion() -> str:
 
 
 # -- numpy reference -----------------------------------------------------------
-
-def _chain_numpy(z, x, xbuf, dbuf, e2):
-    if z.shape[1] == 1 and _chain_floats(z, x, xbuf, dbuf, float(e2)):
-        return
-    num = np.empty_like(x)
-    prev = x
-    for t in range(len(z)):
-        zt = z[t]
-        np.multiply(zt, prev, out=num)
-        np.add(zt, num, out=num)
-        den = dbuf[t]
-        np.multiply(e2, prev, out=den)
-        np.add(1.0, den, out=den)
-        np.divide(num, den, out=xbuf[t])
-        prev = xbuf[t]
-    x[...] = prev
-
-
-def _chain_floats(z, x, xbuf, dbuf, e2):
-    """Width-1 chain on Python floats, which are IEEE doubles: the same
-    operations in the same order give the same bits, without one numpy
-    call per operation.  Writes nothing and returns False if a
-    denominator is exactly zero, which Python refuses to divide by."""
-    prev = float(x[0])
-    xs, ds = [], []
-    try:
-        for zt in z[:, 0].tolist():
-            num = zt * prev
-            num = zt + num
-            den = e2 * prev
-            den = 1.0 + den
-            prev = num / den
-            ds.append(den)
-            xs.append(prev)
-    except ZeroDivisionError:
-        return False
-    xbuf[:, 0] = xs
-    dbuf[:, 0] = ds
-    x[0] = prev
-    return True
-
-
-def _direct_numpy(z, v0, v1, mbuf, eps):
-    w0 = np.empty_like(v0)
-    w1a = np.empty_like(v0)
-    w1b = np.empty_like(v0)
-    for t in range(len(z)):
-        zt = z[t]
-        # top row:  1*v0 + eps*v1
-        np.multiply(eps, v1, out=w0)
-        np.add(v0, w0, out=w0)
-        # bottom row:  eps*z*v0 + z*v1
-        np.multiply(zt, v0, out=w1a)
-        np.multiply(eps, w1a, out=w1a)
-        np.multiply(zt, v1, out=w1b)
-        np.add(w1a, w1b, out=w1b)
-        m = mbuf[t]
-        np.maximum(w0, w1b, out=m)
-        np.divide(w0, m, out=v0)
-        np.divide(w1b, m, out=v1)
-
 
 def _block_row(piece, t):
     """Blocks of row ``t``: the table rows ``idx[t]`` picks, or the one
@@ -229,6 +140,10 @@ def _block_row(piece, t):
 
 
 def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
+    if _is_scalar_d1(piece):
+        _scalar_chain_numpy(piece, x[:, 0], dbuf, float(e2),
+                            None if xbuf is None else xbuf[:, :, 0])
+        return
     for t in range(len(dbuf)):
         lt, ct, nt = _block_row(piece, t)
         num = (nt * x[:, None, :]).sum(axis=2)
@@ -242,6 +157,9 @@ def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
 
 
 def _block_direct_numpy(piece, v0, w, mbuf, eps):
+    if _is_scalar_d1(piece):
+        _scalar_direct_numpy(piece, v0, w[:, 0], mbuf, eps)
+        return
     for t in range(len(mbuf)):
         lt, ct, nt = _block_row(piece, t)
         lw = (lt * w).sum(axis=1)
@@ -257,21 +175,92 @@ def _block_direct_numpy(piece, v0, w, mbuf, eps):
         np.divide(bot, m[:, None], out=w)
 
 
-# -- the compiled library --------------------------------------------------------
+# The twins of kernels.c's d = 1 scalar-driven loops.  A length-1 sum is
+# 0.0 + a*b here as there; each twin runs on (width,) rows of the 1 x 1
+# blocks, formed for the whole piece at once.
 
-def _check(z, states, outs):
-    """(span, width) of a kernel call, after checking every buffer the C
-    loop reads or writes."""
-    span, width = z.shape
-    _require([(z, (span, width))])
-    _require([(a, (width,)) for a in states]
-             + [(a, (span, width)) for a in outs], writeable=True)
-    return span, width
+def _is_scalar_d1(piece):
+    return piece[3] is None and piece[0].shape[-1] == 1
 
+
+def _scalar_blocks(piece):
+    """l, and the (span, width) c and n of a d = 1 scalar-driven piece."""
+    ls, cs, ns, _, z, cpow, npow = piece
+    c = cs[0, 0] * z if cpow[0] != 0 else np.full_like(z, cs[0, 0])
+    n = ns[0, 0, 0] * z if npow[0, 0] != 0 else np.full_like(z, ns[0, 0, 0])
+    return float(ls[0, 0]), c, n
+
+
+def _scalar_chain_numpy(piece, x, dbuf, e2, xbuf):
+    """The chain on (width,) rows in five numpy calls a row.  It adds
+    c + (0.0 + n*x) as (c + 0.0) + n*x, and forms 1 + e2*(0.0 + l*x) as
+    1 + e2*(l*x), with l*x = x at l = 1: each pair differs at most in the
+    sign of a zero, which the next addition drops, so the bits are the
+    general loop's."""
+    l, c, n = _scalar_blocks(piece)
+    c = c + 0.0
+    if len(x) == 1 and _chain_floats(l, c[:, 0], n[:, 0], x, dbuf, e2,
+                                     xbuf):
+        return
+    num = np.empty_like(x)
+    prev = x
+    for t in range(len(dbuf)):
+        np.multiply(n[t], prev, out=num)
+        np.add(c[t], num, out=num)
+        den = dbuf[t]
+        np.multiply(e2, prev if l == 1.0 else l * prev, out=den)
+        np.add(1.0, den, out=den)
+        prev = x if xbuf is None else xbuf[t]
+        np.divide(num, den, out=prev)
+    x[...] = prev
+
+
+def _chain_floats(l, c, n, x, dbuf, e2, xbuf):
+    """Width-1 chain on Python floats, which are IEEE doubles: the same
+    operations in the same order give the same bits, without one numpy
+    call per operation.  Writes nothing and returns False if a
+    denominator is exactly zero, which Python refuses to divide by."""
+    prev = float(x[0])
+    xs, ds = [], []
+    try:
+        for ct, nt in zip(c.tolist(), n.tolist()):
+            den = 1.0 + e2 * (l * prev)
+            prev = (ct + nt * prev) / den
+            ds.append(den)
+            xs.append(prev)
+    except ZeroDivisionError:
+        return False
+    if xbuf is not None:
+        xbuf[:, 0] = xs
+    dbuf[:, 0] = ds
+    x[0] = prev
+    return True
+
+
+def _scalar_direct_numpy(piece, v0, w, mbuf, eps):
+    l, c, n = _scalar_blocks(piece)
+    top, bot, s = (np.empty_like(v0) for _ in range(3))
+    for t in range(len(mbuf)):
+        np.multiply(l, w, out=top)
+        np.add(0.0, top, out=top)
+        np.multiply(eps, top, out=top)
+        np.add(v0, top, out=top)
+        np.multiply(c[t], v0, out=bot)
+        np.multiply(eps, bot, out=bot)
+        np.multiply(n[t], w, out=s)
+        np.add(0.0, s, out=s)
+        np.add(bot, s, out=bot)
+        m = mbuf[t]
+        np.maximum(top, bot, out=m)
+        np.divide(top, m, out=v0)
+        np.divide(bot, m, out=w)
+
+
+# -- buffer checks and the compiled library --------------------------------------
 
 def _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width):
     """Block dimension d of a piece of ``span`` x ``width`` cells, after
-    checking the blocks the C loop reads: (m, ...) tables and C-contiguous
+    checking the blocks either loop reads: (m, ...) tables and C-contiguous
     int64 indices of shape (span, width), every one in [0, m); or one-row
     tables, (span, width) draws and (d,), (d, d) masks."""
     d = ls.shape[-1] if ls.ndim else 0
@@ -334,10 +323,6 @@ def _load():
         lib = ctypes.CDLL(str(_build()))
     except (OSError, subprocess.SubprocessError):
         return None
-    args = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 2 + [ctypes.c_double]
-    for fn in (lib.chain_steps, lib.direct_steps):
-        fn.argtypes = args
-        fn.restype = None
     args = [ctypes.c_void_p] * 10 + [ctypes.c_ssize_t] * 3 + [ctypes.c_double]
     for fn in (lib.block_chain_steps, lib.block_direct_steps):
         fn.argtypes = args

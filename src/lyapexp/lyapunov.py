@@ -15,6 +15,11 @@ throughout the test-suite:
     :mod:`.chain`; valid in the contracting regime E[log Z] < 0 where
     the chain equilibrates.
 
+Both run on the block engine of :mod:`.highdim` at d = 1, with the law
+``(L, C, N) = (1, Z, Z)`` of :func:`.highdim.scalar_law`: the direct
+product through :func:`.highdim.lyapunov_general`, the invariant formula
+through :func:`.chain.simulate_chain`, which also folds moments.
+
 Both estimates depend on eps only through |eps| (conjugating by
 diag(-1, 1) flips the sign), so engines normalise the sign on entry and
 runs at +/-eps are bit-identical.
@@ -25,11 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import distributions as dist
 from .chain import ChainConfig, simulate_chain
-from .mc import batch_means, kept_per_replica, run_chunked
 
 DIRECT = "direct_product"
 INVARIANT = "invariant_formula"
@@ -70,28 +72,11 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
     forgets its start at a rate set by the gap between the two
     exponents, so the default is generous).
     """
-    from . import kernels  # loaded by the first run, not at start-up
+    from . import highdim  # imports this module
 
-    eps = abs(float(eps))
-    draw = dist.sampler(spec)
-
-    def kernel(gen, width, pieces):
-        v0 = np.ones(width)
-        v1 = np.ones(width)
-        # reused by every piece: run_chunked logs its rows before the
-        # next; a row the step never writes stays NaN
-        mbuf = np.full((pieces[0][0], width), np.nan)
-        for span, _ in pieces:
-            z = draw(gen.random((span, width)))
-            kernels.direct_steps(z, v0, v1, mbuf[:span], eps)
-            yield mbuf[:span]
-
-    per_replica, _ = run_chunked(kernel, n_steps, replicas, discard, seed,
-                                 threads)
-    value, stderr = batch_means(per_replica)
-    return LyapunovEstimate(eps=eps, method=DIRECT, value=value,
-                            stderr=stderr,
-                            n=kept_per_replica(n_steps, replicas) * replicas)
+    return highdim.lyapunov_general(
+        highdim.scalar_law(spec), eps, DIRECT, n_steps=n_steps, seed=seed,
+        replicas=replicas, discard=discard, threads=threads)
 
 
 def estimate(spec: dist.DistributionSpec, eps: float, method: str = DIRECT,

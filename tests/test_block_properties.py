@@ -1,14 +1,18 @@
 """Properties of the block engines over random laws.
 
 Random rational two-point and three-atom laws, and random uniform
-intervals, through the d = 1 embedding ``from_scalar``:
+intervals, at d = 1.  The scalar engines run ``highdim.scalar_law``:
+one-row tables and masks of 1 with one drawn Z per cell, which takes the
+kernels' d = 1 scalar-driven loop.  The embedding ``from_scalar`` gives
+a finite law as atom tables and indices, which take the general block
+loop, and a uniform one as the same scalar-driven law as the engines.
 
-- the block engines reproduce the scalar engines bit for bit, for both
-  estimators, on runs shorter than one piece of rows;
-- they still do across the 2048-row time pieces that every engine
-  draws and log-sums in, for finite laws (atom tables and indices) and
-  continuous ones (a scalar-driven law: one drawn Z per step and
-  replica) alike;
+- for finite laws the two loops give the same bits, for both
+  estimators, on runs shorter than one piece of rows and across the
+  2048-row time pieces that every engine draws and log-sums in, and on
+  coupled paths (for continuous laws both sides would run one loop;
+  ``test_kernels.test_scalar_pieces_match_their_gathered_blocks``
+  checks that loop against the general one on the blocks it forms);
 - runs at eps and -eps are bit-equal;
 - 1 and 3 worker threads give the same bits;
 - coupled paths are ordered: less damping gives a larger path at every
@@ -24,7 +28,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyapexp import chain, highdim, lyapunov
+from lyapexp import highdim, lyapunov
 from lyapexp import distributions as dist
 
 SIZE = dict(n_steps=520 * 30 + 3, replicas=520, seed=12)
@@ -66,7 +70,8 @@ def uniform_laws(draw):
     return dist.uniform_interval(lo, hi)
 
 
-laws = st.one_of(two_point_laws(), three_atom_laws(), uniform_laws())
+finite_laws = st.one_of(two_point_laws(), three_atom_laws())
+laws = st.one_of(finite_laws, uniform_laws())
 eps_values = st.sampled_from([1 / 16, 0.3, 0.75, 1.5])
 methods = st.sampled_from(sorted(SCALAR))
 
@@ -77,7 +82,7 @@ def _general(law, eps, method, threads=1):
                                     burn_in=LEAD, discard=LEAD, **SIZE)
 
 
-@given(laws, eps_values, methods)
+@given(finite_laws, eps_values, methods)
 @PROPERTY
 def test_d1_blocks_equal_scalar_engines_bitwise(law, eps, method):
     engine, lead = SCALAR[method]
@@ -98,7 +103,7 @@ def test_threads_do_not_change_bits(law, eps, method):
         == _general(law, eps, method, threads=1)
 
 
-@given(laws, eps_values, methods)
+@given(finite_laws, eps_values, methods)
 @PROPERTY
 def test_d1_identity_across_a_time_piece(law, eps, method):
     engine, lead = SCALAR[method]
@@ -109,15 +114,16 @@ def test_d1_identity_across_a_time_piece(law, eps, method):
     assert blk == ref
 
 
-@given(laws, eps_values)
+@given(finite_laws, eps_values)
 @PROPERTY
 def test_d1_vector_paths_equal_scalar_paths_bitwise(law, eps):
-    vector = highdim.coupled_vector_paths(highdim.from_scalar(law), eps,
-                                          n=PATH_STEPS, seed=3)
-    scalar = chain.coupled_paths(law, eps, 0.0, PATH_STEPS, 3)
+    vector = highdim.coupled_paths(highdim.from_scalar(law), eps, 0.0,
+                                   PATH_STEPS, 3)
+    scalar = highdim.coupled_paths(highdim.scalar_law(law), eps, 0.0,
+                                   PATH_STEPS, 3)
     for vec, ref in zip(vector, scalar):
-        assert vec.shape == (PATH_STEPS, 1)
-        assert np.array_equal(vec[:, 0].view(np.uint64), ref.view(np.uint64))
+        assert vec.shape == ref.shape == (PATH_STEPS, 1)
+        assert np.array_equal(vec.view(np.uint64), ref.view(np.uint64))
 
 
 def _dominates(upper, lower):
@@ -139,10 +145,11 @@ eps_pairs = st.tuples(st.sampled_from([0.0, 1 / 16, 0.3, 0.75, 1.5]),
 @PROPERTY
 def test_less_damping_dominates_pathwise(law, eps_pair, seed):
     e1, e2 = eps_pair
-    lo, hi = chain.coupled_paths(law, e1, e2, PATH_STEPS, seed)
+    lo, hi = highdim.coupled_paths(highdim.scalar_law(law), e1, e2,
+                                   PATH_STEPS, seed)
     if e1 > 0:
         assert np.isfinite(lo).all()
-    assert _dominates(lo, hi)
-    damped, undamped = highdim.coupled_vector_paths(
-        highdim.from_scalar(law), e2, n=PATH_STEPS, seed=seed)
+    assert _dominates(lo[:, 0], hi[:, 0])
+    damped, undamped = highdim.coupled_paths(
+        highdim.from_scalar(law), e2, 0.0, PATH_STEPS, seed)
     assert _dominates(undamped[:, 0], damped[:, 0])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapexp import chain, kernels
+from lyapexp import chain, highdim, kernels
 from lyapexp import distributions as dist
 from lyapexp.errors import TruncationOverflow
 from lyapexp.mc import philox_generator
@@ -158,25 +158,31 @@ def test_n_kept_accounting():
 
 # -- coupled paths ------------------------------------------------------------
 
+def _coupled(spec, eps_a, eps_b, n, seed):
+    """The scalar chain's coupled paths, as 1-d arrays."""
+    return tuple(p[:, 0] for p in highdim.coupled_paths(
+        highdim.scalar_law(spec), eps_a, eps_b, n, seed))
+
+
 def test_coupling_monotone_in_damping():
     for seed in range(3):
-        lo, hi = chain.coupled_paths(TP, 0.125, 0.5, 20_000, seed)
+        lo, hi = _coupled(TP, 0.125, 0.5, 20_000, seed)
         assert np.all(lo >= hi)
 
 
 def test_coupling_against_undamped_majorant():
     for seed in range(3):
-        undamped, damped = chain.coupled_paths(TP, 0.0, 0.25, 20_000, seed)
+        undamped, damped = _coupled(TP, 0.0, 0.25, 20_000, seed)
         assert np.all(undamped >= damped)
 
 
 def test_equal_damping_paths_identical():
-    a, b = chain.coupled_paths(TP, 0.25, 0.25, 5_000, seed=3)
+    a, b = _coupled(TP, 0.25, 0.25, 5_000, seed=3)
     assert np.array_equal(a, b)
 
 
 def test_coupled_path_matches_scalar_replay():
-    path, _ = chain.coupled_paths(TP, 0.3, 0.3, 64, seed=5)
+    path, _ = _coupled(TP, 0.3, 0.3, 64, seed=5)
     zs = dist.sampler(TP)(philox_generator(5, 0).random(64))
     x = 0.0
     for i in range(64):
@@ -196,22 +202,25 @@ def test_coupled_paths_on_numpy_fallback(monkeypatch):
 def test_coupled_paths_fallback_bits_equal_compiled(monkeypatch, spec):
     if kernels._library() is None:
         pytest.skip("no C compiler or writable cache: compiled path absent")
-    compiled = chain.coupled_paths(spec, 0.0, 0.375, 3000, seed=7)
+    compiled = _coupled(spec, 0.0, 0.375, 3000, seed=7)
     monkeypatch.setattr(kernels, "_library", lambda: None)
-    fallback = chain.coupled_paths(spec, 0.0, 0.375, 3000, seed=7)
+    fallback = _coupled(spec, 0.0, 0.375, 3000, seed=7)
     for a, b in zip(compiled, fallback):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_width_one_fallback_survives_a_zero_denominator():
+def test_width_one_fallback_survives_a_zero_denominator(monkeypatch):
     # 1 + e2*x = 0 at x = -4: Python floats refuse the division, so the
-    # numpy loop runs and gives the compiled path's inf and nan
+    # numpy rows run and give the compiled path's inf and nan
+    monkeypatch.setattr(kernels, "_library", lambda: None)
+    law = highdim.scalar_law(TP)
     z = np.array([[-2.0], [3.0], [1.0]])
-    x = np.array([-4.0])
-    xbuf, dbuf = np.empty((3, 1)), np.empty((3, 1))
+    x = np.array([[-4.0]])
+    xbuf, dbuf = np.empty((3, 1, 1)), np.empty((3, 1))
     with np.errstate(all="ignore"):
-        kernels._chain_numpy(z, x, xbuf, dbuf, 0.25)
-    assert dbuf[0, 0] == 0.0 and xbuf[0, 0] == math.inf
+        kernels.block_chain_steps(law.ls, law.cs, law.ns, None, z, law.cpow,
+                                  law.npow, x, dbuf, 0.25, xbuf)
+    assert dbuf[0, 0] == 0.0 and xbuf[0, 0, 0] == math.inf
     assert np.isnan(xbuf[1:]).all() and np.isnan(x).all()
 
 

@@ -59,6 +59,11 @@ def test_parse_steps_and_int_lists():
         cli._parse_steps(" , ")
     assert cli._parse_int_list("0..3") == [0, 1, 2, 3]
     assert cli._parse_int_list("4,7") == [4, 7]
+    for text in ("3..2", " , ", ""):
+        with pytest.raises(cli._UsageError):
+            cli._parse_int_list(text)
+    with pytest.raises(cli._UsageError):
+        cli._parse_grid(" , ")
 
 
 def test_thread_resolution(monkeypatch):
@@ -244,12 +249,12 @@ def test_extraction_drops_a_zero_error_eps_0_point(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("step, argv, message", [
-    ("chain_steps", ("lyap", "--method", "invariant", "--spec", TWO_POINT),
-     "value is nan"),
-    ("chain_steps", ("chain", "--gamma", "1", "--spec", TWO_POINT),
+    ("block_chain_steps", ("lyap", "--method", "invariant", "--spec",
+                           TWO_POINT), "value is nan"),
+    ("block_chain_steps", ("chain", "--gamma", "1", "--spec", TWO_POINT),
      "moment is nan"),
-    ("direct_steps", ("lyap", "--method", "direct", "--spec", TWO_POINT),
-     "value is nan"),
+    ("block_direct_steps", ("lyap", "--method", "direct", "--spec",
+                            TWO_POINT), "value is nan"),
     ("block_chain_steps", ("highdim", "--method", "invariant",
                            "--blocks", BLOCKS_D2), "value is nan"),
     ("block_direct_steps", ("highdim", "--method", "direct",
@@ -408,6 +413,31 @@ def test_chain_dominance_rejects_a_diverging_path(capsys, tmp_path):
     assert code == 3 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert "TruncationOverflow: seed 0: " in err and "from step " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("chain", "--spec", TWO_POINT, "--dominance", "--eps", "1/4", "--eps2",
+     "1/2", "--steps", "1000", "--seeds", "5..3"),
+    ("chain", "--spec", TWO_POINT, "--dominance", "--eps", "1/4", "--eps2",
+     "1/2", "--steps", "1000", "--seeds", ""),
+    ("fit", "--spec", CRITICAL, "--order", "1", "--eps-grid", ",",
+     "--steps", "1000", "--no-fit"),
+    ("highdim", "--blocks", BLOCKS_D2, "--K", "1", "--eps-grid", ",",
+     "--steps", "1000"),
+    ("ising", "--range", "1", "--couplings", "1.0", "--T", "1",
+     "--field-law", TWO_POINT, "--scan", "--scales", ",", "--steps",
+     "1000"),
+], ids=["seeds_range", "seeds_blank", "fit_grid", "highdim_grid",
+        "ising_scales"])
+def test_empty_lists_are_usage_errors(capsys, tmp_path, argv):
+    """A list that names no value checks nothing: exit 1, one line, and
+    no --out file."""
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "names no value" in err
+    assert len(err.splitlines()) == 1
+    assert not out_dir.exists()
 
 
 def test_chain_dominance_needs_two_eps(capsys):

@@ -393,15 +393,15 @@ def test_random_d2_law_methods_agree():
 def test_coupled_vector_paths_dominated_by_free_recursion():
     law = _stochastic_d2_law()
     for seed in (0, 1, 2):
-        xs, ys = highdim.coupled_vector_paths(law, 0.5, n=3_000, seed=seed)
+        xs, ys = highdim.coupled_paths(law, 0.5, 0.0, n=3_000, seed=seed)
         assert xs.shape == ys.shape == (3_000, 2)
         assert np.all(xs <= ys)
         assert np.all(xs >= 0.0)
 
 
 def test_coupled_vector_paths_equal_when_eps_zero():
-    xs, ys = highdim.coupled_vector_paths(_stochastic_d2_law(), 0.0, n=500,
-                                          seed=3)
+    xs, ys = highdim.coupled_paths(_stochastic_d2_law(), 0.0, 0.0, n=500,
+                                   seed=3)
     assert np.array_equal(xs, ys)
 
 

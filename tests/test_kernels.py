@@ -38,38 +38,34 @@ def _bits(arr):
     return np.ascontiguousarray(arr).view(np.int64)
 
 
-def _run_both(monkeypatch, fn, state, width, spans):
-    """Feed ``fn(z, state, span)`` one piece of draws per span, through the
-    compiled and then the numpy path; return (final state, all rows) of
-    each."""
-    results = []
-    for library in (kernels._library(), None):
-        monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
-        gen = philox_generator(7, width)
-        st = [s.copy() for s in state]
-        rows = []
-        for span in spans:
-            z = dist.sampler(UNIF)(gen.random((span, width)))
-            rows.extend(out.ravel() for out in fn(z, st, span))
-        results.append((np.vstack(st), np.concatenate(rows)))
-    return results
+# the scalar engines' d = 1 piece: one-row tables and masks of 1
+ONE = np.ones((1, 1))
+
+
+def _scalar_piece(z):
+    return (ONE, ONE, ONE[None], None, z, ONE[0], ONE)
+
+
+def _scalar_pieces(width):
+    """Pieces of the scalar engines' law with draws of UNIF, in spans
+    that are not multiples of one another, so the state is carried."""
+    gen = philox_generator(7, width)
+    return [(span, _scalar_piece(dist.sampler(UNIF)(
+        gen.random((span, width))))) for span in (1, 37, 300)]
 
 
 @pytest.mark.parametrize("width", [1, 64, 88, 512])
 @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
 def test_chain_kernel_matches_numpy_bitwise(compiled, monkeypatch, width,
                                             eps):
-    e2 = eps * eps
-
-    def fn(z, st, span):
-        xbuf = np.empty((span, width))
+    def run(blocks, st, span):
+        xbuf = np.empty((span, width, 1))
         dbuf = np.empty((span, width))
-        kernels.chain_steps(z, st[0], xbuf, dbuf, e2)
+        kernels.block_chain_steps(*blocks, st[0], dbuf, eps * eps, xbuf)
         return xbuf, dbuf
 
-    # piece spans that are not multiples of one another, state carried
-    (xa, ra), (xb, rb) = _run_both(monkeypatch, fn, [np.zeros(width)],
-                                   width, [1, 37, 300])
+    (xa, ra), (xb, rb) = _run_blocks_both(
+        monkeypatch, run, _scalar_pieces(width), [np.zeros((width, 1))])
     assert np.array_equal(_bits(xa), _bits(xb))
     assert np.array_equal(_bits(ra), _bits(rb))
 
@@ -78,38 +74,49 @@ def test_chain_kernel_matches_numpy_bitwise(compiled, monkeypatch, width,
 @pytest.mark.parametrize("eps", [0.0, 0.375, 1.0])
 def test_direct_kernel_matches_numpy_bitwise(compiled, monkeypatch, width,
                                              eps):
-    def fn(z, st, span):
+    def run(blocks, st, span):
         mbuf = np.empty((span, width))
-        kernels.direct_steps(z, st[0], st[1], mbuf, eps)
+        kernels.block_direct_steps(*blocks, st[0], st[1], mbuf, eps)
         return (mbuf,)
 
-    start = [np.full(width, 1.0), np.full(width, 0.5)]
-    (va, ra), (vb, rb) = _run_both(monkeypatch, fn, start, width,
-                                   [1, 37, 300])
+    start = [np.full(width, 1.0), np.full((width, 1), 0.5)]
+    (va, ra), (vb, rb) = _run_blocks_both(
+        monkeypatch, run, _scalar_pieces(width), start)
     assert np.array_equal(_bits(va), _bits(vb))
     assert np.array_equal(_bits(ra), _bits(rb))
 
 
-def test_direct_kernel_maximum_propagates_nan(compiled):
-    z = np.array([[1.0, 1.0]])
-    v0 = np.array([np.nan, 1.0])
-    v1 = np.array([1.0, np.nan])
-    mbuf = np.empty((1, 2))
-    kernels.direct_steps(z, v0, v1, mbuf, 0.5)
-    assert np.isnan(mbuf).all()
+def test_direct_kernel_maximum_propagates_nan(compiled, monkeypatch):
+    for library in (kernels._library(), None):
+        monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
+        v0 = np.array([np.nan, 1.0])
+        w = np.array([[1.0], [np.nan]])
+        mbuf = np.empty((1, 2))
+        kernels.block_direct_steps(*_scalar_piece(np.ones((1, 2))), v0, w,
+                                   mbuf, 0.5)
+        assert np.isnan(mbuf).all()
 
 
-def test_kernel_rejects_mismatched_buffers(compiled):
+def test_kernel_rejects_mismatched_buffers(monkeypatch):
+    """On either path: the numpy loops check what the C loops would."""
     z = np.ones((4, 8))
-    with pytest.raises(ValueError):
-        kernels.chain_steps(z, np.zeros(8), np.empty((4, 8)),
-                            np.empty((3, 8)), 0.25)
-    with pytest.raises(ValueError):
-        kernels.chain_steps(z, np.zeros(8, dtype=np.float32),
-                            np.empty((4, 8)), np.empty((4, 8)), 0.25)
-    with pytest.raises(ValueError):
-        kernels.direct_steps(np.ones((8, 4)).T, np.ones(8), np.ones(8),
-                             np.empty((4, 8)), 0.25)
+    for library in (kernels._library(), None):
+        monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
+        with pytest.raises(ValueError):
+            kernels.block_chain_steps(*_scalar_piece(z), np.zeros((8, 1)),
+                                      np.empty((3, 8)), 0.25)
+        with pytest.raises(ValueError):
+            kernels.block_chain_steps(*_scalar_piece(z),
+                                      np.zeros((8, 1), dtype=np.float32),
+                                      np.empty((4, 8)), 0.25)
+        with pytest.raises(ValueError):
+            kernels.block_chain_steps(*_scalar_piece(z), np.zeros((8, 1)),
+                                      np.empty((4, 8)), 0.25,
+                                      np.empty((4, 8, 2))[:, :, :1])
+        with pytest.raises(ValueError):
+            kernels.block_direct_steps(*_scalar_piece(np.ones((8, 4)).T),
+                                       np.ones(8), np.ones((8, 1)),
+                                       np.empty((4, 8)), 0.25)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -129,10 +136,10 @@ def _block_pieces(d, width, few_atoms):
     """Two consecutive pieces of blocks, as (span, (ls, cs, ns, idx, z,
     cpow, npow)): three atoms' tables with random indices, as a finite law
     passes them, or (``few_atoms`` False) one row of tables, 0/1 masks
-    that mix both values where d > 1, and one drawn Z per cell, as a
-    scalar-driven law passes them.  The tables and draws are non-dyadic
-    and nonnegative; N is scaled by 1/d so the chain stays of order one
-    at any d."""
+    that mix both values, and one drawn Z per cell, as a scalar-driven
+    law passes them.  The tables and draws are non-dyadic and
+    nonnegative; N is scaled by 1/d so the chain stays of order one at
+    any d."""
     gen = philox_generator(d, width)
     m = 3 if few_atoms else 1
     tables = (gen.random((m, d)) + 0.1, gen.random((m, d)) + 0.1,
@@ -140,17 +147,22 @@ def _block_pieces(d, width, few_atoms):
     cpow = gen.integers(0, 2, d).astype(float)
     npow = gen.integers(0, 2, (d, d)).astype(float)
     cpow[0] = npow.flat[0] = 1.0
-    cpow[-1] = npow.flat[-1] = 1.0 if d == 1 else 0.0
+    cpow[-1] = npow.flat[-1] = 0.0
+    masks = [(cpow, npow)] * 2
+    if d == 1:
+        # one entry a mask: C's and N's differ, and swap between pieces
+        masks = [(np.zeros(1), np.ones((1, 1))),
+                 (np.ones(1), np.zeros((1, 1)))]
     # the numpy loop forms width x d x d blocks per row: keep them small
     span = max(1, min(12, 2 ** 19 // (width * d * d)))
     pieces = []
-    for rows in (1, span):
+    for rows, mask in zip((1, span), masks):
         if few_atoms:
             idx = gen.integers(0, 3, (rows, width))
             pieces.append((rows, (*tables, idx, None, None, None)))
         else:
             z = dist.sampler(UNIF)(gen.random((rows, width)))
-            pieces.append((rows, (*tables, None, z, cpow, npow)))
+            pieces.append((rows, (*tables, None, z, *mask)))
     return pieces
 
 
