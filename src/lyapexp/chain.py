@@ -20,11 +20,11 @@ The step is evaluated as ``(z + z*x) / (1 + eps^2 * x)``: numerator and
 denominator are kept monotone in x floating-point-wise, which makes the
 pathwise domination results hold exactly in simulation.  The step
 itself is the block engine's at d = 1: the chain is the vector chain of
-:func:`.highdim.scalar_law`, ``(L, C, N) = (1, Z, Z)``, whose pieces run
-the d = 1 scalar-driven loop of :mod:`.kernels`, compiled or in numpy,
-with bitwise equal results.  A discrete law as atom tables
-(:func:`.highdim.from_scalar`) runs the general block loop to the same
-bits.
+:func:`.highdim.from_scalar`, ``(L, C, N) = (1, Z, Z)``, a discrete Z
+as atom tables and a continuous one as one-row tables driven by Z.
+Each piece passes the kernels its Philox uniforms, and the d = 1 loop
+of :mod:`.kernels`, compiled or in numpy with bitwise equal results,
+maps each to its atom or to Z as it steps.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     if b_cutoff is None:
         b_cutoff = default_cutoff(spec)
     b_cutoff = float(b_cutoff)
-    law = highdim.scalar_law(spec)
+    law = highdim.from_scalar(spec)
     eps = abs(float(cfg.eps))
     e2 = eps * eps
     kept = cfg.kept_per_replica

@@ -337,7 +337,7 @@ def _run_dominance(args, spec, steps):
     if eps > eps2:
         raise _UsageError("--dominance expects eps <= eps2")
     seeds = _parse_int_list(args.seeds)
-    law = highdim.scalar_law(spec)
+    law = highdim.from_scalar(spec)
     pair_viol = 0
     series_viol = 0
     for seed in seeds:

@@ -339,6 +339,12 @@ def solve_alpha(spec: DistributionSpec) -> AlphaResult:
 
 # -- sampling ------------------------------------------------------------
 
+def atom_thresholds(weights) -> np.ndarray:
+    """The m - 1 thresholds of :func:`atom_index`, ``cum[:-1]``: u picks
+    the atom numbered by how many of them are <= u."""
+    return np.cumsum([float(w) for w in weights])[:-1]
+
+
 def atom_index(weights):
     """Map from uniforms u in [0, 1) to int64 atom indices: u picks the
     first k with u < cum[k], cum the cumulative float weights with the
@@ -349,6 +355,23 @@ def atom_index(weights):
     cum = np.cumsum([float(w) for w in weights])
     cum[-1] = 1.0
     return lambda u: np.searchsorted(cum, u, side="right")
+
+
+def affine_quantile(spec: DistributionSpec):
+    """The quantile map of a continuous law split as ``(pre, (a, s))``:
+    Z = a + s * v, with v = u for ``uniform_interval`` (pre None) and
+    v = pre(u) otherwise.  ``log_uniform`` keeps its whole map in pre,
+    since the last bit of ``np.exp`` is not libm's, and takes
+    (a, s) = (0, 1), for which a + s * v == v exactly.  Either way Z is
+    ``sampler(spec)(u)`` bit for bit."""
+    if spec.family == UNIFORM_INTERVAL:
+        a, b = float(spec.lower), float(spec.upper)
+        return None, (a, b - a)
+    la, lb = math.log(float(spec.lower)), math.log(float(spec.upper))
+
+    def draw(u):
+        return np.exp(la + (lb - la) * u)
+    return draw, (0.0, 1.0)
 
 
 def sampler(spec: DistributionSpec):
@@ -367,16 +390,12 @@ def sampler(spec: DistributionSpec):
             return lambda u: np.where(u < c0, a0, a1)
         index = atom_index(spec.weights)
         return lambda u: atoms[index(u)]
-    if spec.family == UNIFORM_INTERVAL:
-        a, b = float(spec.lower), float(spec.upper)
-
-        def draw(u):
-            return a + (b - a) * u
-        return draw
-    la, lb = math.log(float(spec.lower)), math.log(float(spec.upper))
+    pre, (a, s) = affine_quantile(spec)
+    if pre is not None:
+        return pre
 
     def draw(u):
-        return np.exp(la + (lb - la) * u)
+        return a + s * u
     return draw
 
 

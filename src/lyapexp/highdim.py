@@ -11,18 +11,20 @@ on the multi-index moments of order l.
 
 A block law is data in one of two forms, which are also the two forms
 of block piece the kernels take (see :mod:`.kernels`): a finite law's
-atom tables, picked per step by an index, or a scalar-driven law's
-one-row tables and 0/1 masks, whose masked C and N entries are
-multiplied by one drawn Z per step.  Every law driven by one Z comes
-from :func:`scalar_driven`, a discrete Z as atom tables.  Either way
-G^(l) is exact.
+atom tables, one picked per step by a uniform against the law's
+thresholds, or a scalar-driven law's one-row tables and 0/1 masks,
+whose masked C and N entries are multiplied by one Z per step, an
+affine map of a uniform.  Each law builds its quantile map once, on
+first use, and the kernels apply it as they step.  Every law driven by
+one Z comes from :func:`scalar_driven`, a discrete Z as atom tables.
+Either way G^(l) is exact.
 
 Everything here reduces to the scalar theory at d = 1 with
 (L, C, N) = (1, Z, Z), and the scalar engines are these engines at
-d = 1 (:func:`scalar_law`).  Their pieces take the kernels' d = 1
-scalar-driven loop, while :func:`from_scalar` gives a discrete Z as
-atom tables, which take the general loop: the two reproduce each other
-bit for bit, for finite and continuous laws alike.
+d = 1, on the law :func:`from_scalar` gives.  Their pieces take the
+kernels' d = 1 loop, of either form; embedded in d = 2 with a
+coordinate that stays zero, the same law runs the general loop to the
+same bits.
 """
 
 from __future__ import annotations
@@ -64,6 +66,12 @@ class FiniteBlockLaw:
     cs: np.ndarray
     ns: np.ndarray
     ns_exact: tuple
+
+    @functools.cached_property
+    def quantile(self) -> np.ndarray:
+        """The kernels' map from a uniform to an atom: the thresholds of
+        :func:`.distributions.atom_thresholds`."""
+        return dist.atom_thresholds(self.weights)
 
     def moment(self, omega) -> Fraction:
         """E[N^omega], exactly."""
@@ -132,6 +140,14 @@ class ScalarBlockLaw:
     cpow: np.ndarray
     npow: np.ndarray
 
+    @functools.cached_property
+    def quantile(self):
+        """The kernels' map from a uniform to Z, as ``(pre, q)``: the
+        numpy part of :func:`.distributions.affine_quantile`, None when
+        there is none, and its affine part (a, s) as an array."""
+        pre, affine = dist.affine_quantile(self.spec)
+        return pre, np.array(affine)
+
     def moment(self, omega):
         """E[N^omega] = N0^omega E[Z^k], k the powers omega puts on masked
         entries: a Fraction when E[Z^k] is exact, else a float."""
@@ -169,20 +185,9 @@ def scalar_driven(ls, cs, ns, cpow, npow, spec: dist.DistributionSpec):
 
 def from_scalar(spec: dist.DistributionSpec):
     """d = 1 embedding (L, C, N) = (1, Z, Z) of a scalar disorder law, a
-    discrete Z as atom tables."""
+    discrete Z as atom tables: the law the scalar engines run."""
     return scalar_driven(np.ones(1), np.ones(1), np.ones((1, 1)),
                          np.ones(1), np.ones((1, 1)), spec)
-
-
-def scalar_law(spec: dist.DistributionSpec) -> ScalarBlockLaw:
-    """The same embedding as the scalar engines run it: one-row tables
-    and masks of 1, and one Z per step drawn by ``dist.sampler(spec)``
-    whatever its law, so every piece takes the kernels' d = 1
-    scalar-driven loop.  The draws, and so the bits, are those of
-    :func:`from_scalar`."""
-    one = np.ones((1, 1))
-    return ScalarBlockLaw(d=1, spec=spec, ls=one, cs=one, ns=one[None],
-                          cpow=one[0], npow=one)
 
 
 # -- multi-index machinery ----------------------------------------------------
@@ -289,25 +294,29 @@ def vector_chain_step(x, L, C, N, eps):
     tables = [np.ascontiguousarray(b, dtype=float).reshape(shape)
               for b, shape in ((L, (width, d)), (C, (width, d)),
                                (N, (width, d, d)))]
-    kernels.block_chain_steps(*tables, np.arange(width, dtype=np.int64)[None],
-                              None, None, None, x.reshape(width, d),
-                              np.empty((1, width)), float(eps) * float(eps))
+    # row j of the tables is the one picked by u = j against the
+    # thresholds 1, ..., width - 1
+    rows = np.arange(width, dtype=float)
+    kernels.block_chain_steps(*tables, rows[None], rows[1:], None, None,
+                              x.reshape(width, d), np.empty((1, width)),
+                              float(eps) * float(eps))
     return x
 
 
 def _chunk_blocks(law, eps, gen, span, width):
-    """Draw one time piece as the kernels' ``(ls, cs, ns, idx, z, cpow,
-    npow)``: a finite law's atom tables and (span, width) atom indices,
-    or a scalar-driven law's one-row tables, (span, width) draws of Z
-    and masks.  Either way one uniform per cell, in the same order.
+    """Draw one time piece as the kernels' ``(ls, cs, ns, u, q, cpow,
+    npow)``: the law's tables, (span, width) uniforms, one per cell, and
+    its quantile map, built once per law: a finite law's thresholds, or
+    a scalar-driven law's affine map of Z and masks.  A law of Z whose
+    map is not affine has the rest of it applied here, in numpy.
 
     ``eps`` is unused; ``perfbench/spans.py`` wraps this function by its
     signature."""
     u = gen.random((span, width))
     if isinstance(law, FiniteBlockLaw):
-        return (law.ls, law.cs, law.ns, dist.atom_index(law.weights)(u),
-                None, None, None)
-    return (law.ls, law.cs, law.ns, None, dist.sampler(law.spec)(u),
+        return law.ls, law.cs, law.ns, u, law.quantile, None, None
+    pre, q = law.quantile
+    return (law.ls, law.cs, law.ns, u if pre is None else pre(u), q,
             law.cpow, law.npow)
 
 
@@ -366,7 +375,7 @@ def coupled_paths(law, eps_a: float, eps_b: float, n: int, seed: int):
     undamped recursion y' = C + N y, whose time-n value matches the
     n-term partial sum of the matrix perpetuity in law, and dominates
     the second coordinatewise.  The scalar chain's paths are those of
-    :func:`scalar_law`; there eps_a <= eps_b gives a first path that
+    :func:`from_scalar`; there eps_a <= eps_b gives a first path that
     dominates the second.
     """
     from . import kernels  # loaded by the first run, not at start-up

@@ -4,15 +4,15 @@
  * one IEEE rounding per operation.  Built with -ffp-contract=off, so no
  * multiply and add are fused and the two paths agree bit for bit.
  *
- * All (span, width) arrays are row-major; row t is time step t.  The
- * block loops read the d-vectors and d x d matrices of cell (t, j) from
- * row idx[t, j] of (m, d), (m, d) and (m, d, d) atom tables, or form
- * them from one-row tables and the cell's scalar z[t, j] (struct piece).
- * The scalar engines pass the latter form at d = 1, which each kernel
- * hands to a loop on scalars with the general loop's operations.
+ * All (span, width) arrays are row-major; row t is time step t.  Every
+ * cell (t, j) reads one uniform u[t, j] and applies its law's quantile
+ * map here (struct piece): a finite law's uniform picks a row of
+ * (m, d), (m, d) and (m, d, d) atom tables by its m - 1 thresholds; a
+ * scalar-driven law's gives the scalar z = a + s u that scales the
+ * masked entries of one-row tables.  Each kernel hands d = 1 pieces of
+ * either form to a loop on scalars with the general loop's operations.
  */
 #include <stddef.h>
-#include <stdint.h>
 #include <stdlib.h>
 
 /* Sum of the products a[i]*b[i], i < n, grouped as numpy's pairwise_sum
@@ -63,18 +63,34 @@ static double sum_of_products(const double *restrict a,
     return 0.0 + pairwise_dot(a, b, d);
 }
 
-/* The blocks of one piece: rows idx[cell] of (m, d), (m, d) and
- * (m, d, d) atom tables, or, when idx is NULL, the one-row tables with
- * each entry whose 0/1 mask (cpow (d,), npow (d, d)) is set multiplied
- * by the cell's scalar z[cell].  c and n are scratch rows for the
- * latter. */
+/* The blocks of one piece.  A finite law (cpow NULL) passes (m, d),
+ * (m, d) and (m, d, d) atom tables and its m - 1 nondecreasing
+ * thresholds q: cell (t, j) uses row atom_row(q, m - 1, u[t, j]).  A
+ * scalar-driven law passes one-row tables (m = 1), q = (a, s) and the
+ * 0/1 masks cpow (d,) and npow (d, d): the cell's scalar is
+ * z = a + s * u[t, j], and each entry whose mask is set is multiplied
+ * by it.  c and n are scratch rows for the latter. */
 struct piece {
-    const double *ls, *cs, *ns;
-    const int64_t *idx;
-    const double *z, *cpow, *npow;
+    const double *ls, *cs, *ns, *u, *q, *cpow, *npow;
     double *c, *n;
-    ptrdiff_t d;
+    ptrdiff_t m, d;
 };
+
+/* The number of the n nondecreasing thresholds q that are <= u, by
+ * bisection: the row distributions.atom_index gives u.  A NaN u
+ * compares false with every threshold and picks row 0. */
+static inline ptrdiff_t atom_row(const double *q, ptrdiff_t n, double u)
+{
+    ptrdiff_t lo = 0, hi = n;
+    while (lo < hi) {
+        ptrdiff_t mid = lo + (hi - lo) / 2;
+        if (q[mid] <= u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
 
 /* Point l, c, n at the blocks of one cell. */
 static void cell_blocks(const struct piece *p, ptrdiff_t cell,
@@ -82,14 +98,14 @@ static void cell_blocks(const struct piece *p, ptrdiff_t cell,
                         const double **n)
 {
     ptrdiff_t d = p->d;
-    if (p->idx != NULL) {
-        ptrdiff_t r = (ptrdiff_t)p->idx[cell];
+    if (p->cpow == NULL) {
+        ptrdiff_t r = atom_row(p->q, p->m - 1, p->u[cell]);
         *l = p->ls + r * d;
         *c = p->cs + r * d;
         *n = p->ns + r * d * d;
         return;
     }
-    double zc = p->z[cell];
+    double zc = p->q[0] + p->q[1] * p->u[cell];
     for (ptrdiff_t i = 0; i < d; i++)
         p->c[i] = p->cpow[i] != 0.0 ? p->cs[i] * zc : p->cs[i];
     for (ptrdiff_t k = 0; k < d * d; k++)
@@ -104,7 +120,7 @@ static void cell_blocks(const struct piece *p, ptrdiff_t cell,
 static double *scratch(struct piece *p)
 {
     ptrdiff_t d = p->d;
-    size_t extra = p->idx == NULL ? (size_t)(d + d * d) : 0;
+    size_t extra = p->cpow != NULL ? (size_t)(d + d * d) : 0;
     double *buf = malloc(((size_t)d + extra) * sizeof *buf);
     if (buf != NULL && extra) {
         p->c = buf + d;
@@ -113,66 +129,141 @@ static double *scratch(struct piece *p)
     return buf;
 }
 
-/* A scalar-driven piece at d = 1: the general loop's operations on the
- * cell's 1 x 1 blocks l, c and n, formed from the masks and z without a
- * scratch row.  sum_of_products(a, b, 1) is 0.0 + (0.0 + a*b), which
- * rounds as 0.0 + a*b. */
-static void scalar_chain_d1(const struct piece *p, double *restrict x,
-                            double *restrict xbuf, double *restrict dbuf,
-                            ptrdiff_t span, ptrdiff_t width, double e2)
+/* The d = 1 loops take a piece in one of three forms, each a constant
+ * argument of an inlined loop, so no cell tests the form. */
+enum form { AFFINE, TWO_ATOMS, ATOMS };
+
+/* What a d = 1 piece's cells share, read once so that the loops keep it
+ * in registers and the compiler can vectorise them: the map, q0 (and
+ * q1), and the 1 x 1 tables, both rows of two atoms or the one row of
+ * a scalar-driven piece with the flags cz, nz of its masks. */
+struct d1 {
+    enum form form;
+    double q0, q1, l[2], c[2], n[2];
+    int cz, nz;
+};
+
+static struct d1 d1_piece(const struct piece *p)
 {
-    const double l = p->ls[0], c0 = p->cs[0], n0 = p->ns[0];
-    const int cz = p->cpow[0] != 0.0, nz = p->npow[0] != 0.0;
-    for (ptrdiff_t t = 0; t < span; t++) {
-        for (ptrdiff_t j = 0; j < width; j++) {
-            ptrdiff_t cell = t * width + j;
-            double c = cz ? c0 * p->z[cell] : c0;
-            double n = nz ? n0 * p->z[cell] : n0;
-            double num = c + (0.0 + n * x[j]);
-            double den = 1.0 + e2 * (0.0 + l * x[j]);
-            dbuf[cell] = den;
-            x[j] = num / den;
-            if (xbuf != NULL)
-                xbuf[cell] = x[j];
-        }
+    struct d1 k = {ATOMS, 0.0, 0.0, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, 0, 0};
+    if (p->cpow != NULL) {
+        k.form = AFFINE;
+        k.q0 = p->q[0];
+        k.q1 = p->q[1];
+        k.cz = p->cpow[0] != 0.0;
+        k.nz = p->npow[0] != 0.0;
+    } else if (p->m == 2) {
+        k.form = TWO_ATOMS;
+        k.q0 = p->q[0];
+    } else {
+        return k;
+    }
+    for (ptrdiff_t r = 0; r < p->m; r++) {
+        k.l[r] = p->ls[r];
+        k.c[r] = p->cs[r];
+        k.n[r] = p->ns[r];
+    }
+    return k;
+}
+
+/* The 1 x 1 blocks l, c and n of a cell of a d = 1 piece with uniform
+ * u: the atom row u picks (of two atoms, row 1 where q0 <= u), or the
+ * one row with z = q0 + q1 u applied where cz and nz say. */
+static inline void cell_d1(const struct piece *p, const struct d1 *k,
+                           enum form form, double u, double *l, double *c,
+                           double *n)
+{
+    if (form == AFFINE) {
+        double z = k->q0 + k->q1 * u;
+        *l = k->l[0];
+        *c = k->cz ? k->c[0] * z : k->c[0];
+        *n = k->nz ? k->n[0] * z : k->n[0];
+    } else if (form == TWO_ATOMS) {
+        int r = k->q0 <= u;
+        *l = r ? k->l[1] : k->l[0];
+        *c = r ? k->c[1] : k->c[0];
+        *n = r ? k->n[1] : k->n[0];
+    } else {
+        ptrdiff_t r = atom_row(p->q, p->m - 1, u);
+        *l = p->ls[r];
+        *c = p->cs[r];
+        *n = p->ns[r];
     }
 }
 
-static void scalar_direct_d1(const struct piece *p, double *restrict v0,
+/* The chain at d = 1: the general loop's operations on the cell's
+ * 1 x 1 blocks.  sum_of_products(a, b, 1) is 0.0 + (0.0 + a*b), which
+ * rounds as 0.0 + a*b. */
+static inline void chain_d1(const struct piece *p, const struct d1 k,
+                            enum form form, double *restrict x,
+                            double *restrict xbuf, double *restrict dbuf,
+                            ptrdiff_t span, ptrdiff_t width, double e2)
+{
+    for (ptrdiff_t t = 0; t < span; t++) {
+        const double *ut = p->u + t * width;
+        double *dt = dbuf + t * width;
+        for (ptrdiff_t j = 0; j < width; j++) {
+            double l, c, n;
+            cell_d1(p, &k, form, ut[j], &l, &c, &n);
+            double num = c + (0.0 + n * x[j]);
+            double den = 1.0 + e2 * (0.0 + l * x[j]);
+            dt[j] = den;
+            x[j] = num / den;
+        }
+        if (xbuf != NULL)
+            for (ptrdiff_t j = 0; j < width; j++)
+                xbuf[t * width + j] = x[j];
+    }
+}
+
+static inline void direct_d1(const struct piece *p, const struct d1 k,
+                             enum form form, double *restrict v0,
                              double *restrict w, double *restrict mbuf,
                              ptrdiff_t span, ptrdiff_t width, double eps)
 {
-    const double l = p->ls[0], c0 = p->cs[0], n0 = p->ns[0];
-    const int cz = p->cpow[0] != 0.0, nz = p->npow[0] != 0.0;
     for (ptrdiff_t t = 0; t < span; t++) {
+        const double *ut = p->u + t * width;
+        double *mt = mbuf + t * width;
         for (ptrdiff_t j = 0; j < width; j++) {
-            ptrdiff_t cell = t * width + j;
-            double c = cz ? c0 * p->z[cell] : c0;
-            double n = nz ? n0 * p->z[cell] : n0;
+            double l, c, n;
+            cell_d1(p, &k, form, ut[j], &l, &c, &n);
             double top = v0[j] + eps * (0.0 + l * w[j]);
             double b = eps * (c * v0[j]) + (0.0 + n * w[j]);
             double m = (top >= b || top != top) ? top : b;
-            mbuf[cell] = m;
+            mt[j] = m;
             v0[j] = top / m;
             w[j] = b / m;
         }
     }
 }
 
-/* Vector chain  x' = (C + N x) / (1 + e2 L.x)  on the (width, d) state x.
- * Row t of dbuf gets the denominators, and, when xbuf is not NULL, row t
- * of the (span, width, d) xbuf the post-step states.  Returns 0, or -1
+/* Vector chain  x' = (C + N x) / (1 + e2 L.x)  on the (width, d) state x,
+ * over a piece whose tables have the given number of rows.  Row t of
+ * dbuf gets the denominators, and, when xbuf is not NULL, row t of the
+ * (span, width, d) xbuf the post-step states.  Returns 0, or -1
  * when no scratch memory could be had. */
 int block_chain_steps(const double *restrict ls, const double *restrict cs,
-                      const double *restrict ns, const int64_t *restrict idx,
-                      const double *restrict z, const double *restrict cpow,
+                      const double *restrict ns, const double *restrict u,
+                      const double *restrict q, const double *restrict cpow,
                       const double *restrict npow, double *restrict x,
                       double *restrict xbuf, double *restrict dbuf,
-                      ptrdiff_t span, ptrdiff_t width, ptrdiff_t d, double e2)
+                      ptrdiff_t span, ptrdiff_t width, ptrdiff_t rows,
+                      ptrdiff_t d, double e2)
 {
-    struct piece p = {ls, cs, ns, idx, z, cpow, npow, NULL, NULL, d};
-    if (d == 1 && idx == NULL) {
-        scalar_chain_d1(&p, x, xbuf, dbuf, span, width, e2);
+    struct piece p = {ls, cs, ns, u, q, cpow, npow, NULL, NULL, rows, d};
+    if (d == 1) {
+        struct d1 k = d1_piece(&p);
+        switch (k.form) {
+        case AFFINE:
+            chain_d1(&p, k, AFFINE, x, xbuf, dbuf, span, width, e2);
+            break;
+        case TWO_ATOMS:
+            chain_d1(&p, k, TWO_ATOMS, x, xbuf, dbuf, span, width, e2);
+            break;
+        case ATOMS:
+            chain_d1(&p, k, ATOMS, x, xbuf, dbuf, span, width, e2);
+            break;
+        }
         return 0;
     }
     double *num = scratch(&p);
@@ -209,16 +300,27 @@ int block_chain_steps(const double *restrict ls, const double *restrict cs,
  * like np.max and np.maximum.  Returns 0, or -1 when no scratch memory
  * could be had. */
 int block_direct_steps(const double *restrict ls, const double *restrict cs,
-                       const double *restrict ns, const int64_t *restrict idx,
-                       const double *restrict z, const double *restrict cpow,
+                       const double *restrict ns, const double *restrict u,
+                       const double *restrict q, const double *restrict cpow,
                        const double *restrict npow, double *restrict v0,
                        double *restrict w, double *restrict mbuf,
-                       ptrdiff_t span, ptrdiff_t width, ptrdiff_t d,
-                       double eps)
+                       ptrdiff_t span, ptrdiff_t width, ptrdiff_t rows,
+                       ptrdiff_t d, double eps)
 {
-    struct piece p = {ls, cs, ns, idx, z, cpow, npow, NULL, NULL, d};
-    if (d == 1 && idx == NULL) {
-        scalar_direct_d1(&p, v0, w, mbuf, span, width, eps);
+    struct piece p = {ls, cs, ns, u, q, cpow, npow, NULL, NULL, rows, d};
+    if (d == 1) {
+        struct d1 k = d1_piece(&p);
+        switch (k.form) {
+        case AFFINE:
+            direct_d1(&p, k, AFFINE, v0, w, mbuf, span, width, eps);
+            break;
+        case TWO_ATOMS:
+            direct_d1(&p, k, TWO_ATOMS, v0, w, mbuf, span, width, eps);
+            break;
+        case ATOMS:
+            direct_d1(&p, k, ATOMS, v0, w, mbuf, span, width, eps);
+            break;
+        }
         return 0;
     }
     double *bot = scratch(&p);

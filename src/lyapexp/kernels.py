@@ -10,19 +10,26 @@ through ctypes when the library can be built, and the numpy loop below
 otherwise.  Both perform the same IEEE operations in the same order, so
 they agree bit for bit.
 
-A block piece is given as ``(ls, cs, ns, idx, z, cpow, npow)`` in one of
-two forms.  A finite law passes its ``(m, ...)`` atom tables and the
-``(span, width)`` int64 indices ``idx`` of the row each cell uses, with
-``z``, ``cpow`` and ``npow`` None, so its blocks are never gathered.  A
+A block piece is given as ``(ls, cs, ns, u, q, cpow, npow)``: tables of
+the blocks, the ``(span, width)`` Philox uniforms ``u``, one per cell,
+and the law's quantile map ``q``, which the loops apply to each uniform
+as they step, so no array of draws or atom indices is ever formed.  It
+comes in one of two forms.  A finite law passes its ``(m, ...)`` atom
+tables and the ``m - 1`` nondecreasing thresholds ``q`` of
+:func:`.distributions.atom_thresholds`, with ``cpow`` and ``npow`` None:
+cell ``(t, j)`` uses the table row numbered by how many thresholds are
+``<= u[t, j]``, the row :func:`.distributions.atom_index` gives.  A
 scalar-driven law passes one-row tables ``ls`` (1, d), ``cs`` (1, d),
-``ns`` (1, d, d), ``idx`` None, the ``(span, width)`` draws ``z`` of its
-scalar, and 0/1 masks ``cpow`` (d,) and ``npow`` (d, d): cell ``(t, j)``
-uses ``C_i = cs_i * z[t, j]`` where ``cpow_i`` is set and ``cs_i`` where
-it is not, and likewise for ``N``; ``L`` is the table row itself.
+``ns`` (1, d, d), ``q = (a, s)`` and 0/1 masks ``cpow`` (d,) and
+``npow`` (d, d): cell ``(t, j)`` draws ``z = a + s * u[t, j]`` and uses
+``C_i = cs_i * z`` where ``cpow_i`` is set and ``cs_i`` where it is not,
+and likewise for ``N``; ``L`` is the table row itself.  A law of Z whose
+quantile map is not affine passes its draws of Z as ``u`` with
+``q = (0, 1)``, an exact identity
+(:func:`.distributions.affine_quantile`).
 
-A scalar-driven piece at d = 1, as the scalar engines pass, runs a loop
-on scalars; every other piece, d = 1 atom tables included, runs the
-general loop.  Both give the general loop's bits.
+Every d = 1 piece, of either form, runs a loop on scalars; every other
+piece runs the general loop.  Both give the general loop's bits.
 
 Sum grouping
 ------------
@@ -70,33 +77,33 @@ _lock = threading.Lock()
 _resolved = {}
 
 
-def block_chain_steps(ls, cs, ns, idx, z, cpow, npow, x, dbuf, e2: float,
+def block_chain_steps(ls, cs, ns, u, q, cpow, npow, x, dbuf, e2: float,
                       xbuf=None) -> None:
     """Run  x' = (C + N x) / (1 + e2 L.x)  over one piece of block rows.
 
-    The blocks of each cell come from ``(ls, cs, ns, idx, z, cpow,
-    npow)`` in either form of the module docstring.  The state ``x``
-    (width, d) is updated in place; row ``t`` of ``dbuf`` (span, width)
-    gets the denominators and, when ``xbuf`` (span, width, d) is given,
-    row ``t`` of it the post-step states.
+    The blocks of each cell come from ``(ls, cs, ns, u, q, cpow, npow)``
+    in either form of the module docstring.  The state ``x`` (width, d)
+    is updated in place; row ``t`` of ``dbuf`` (span, width) gets the
+    denominators and, when ``xbuf`` (span, width, d) is given, row ``t``
+    of it the post-step states.
     """
     span, width = dbuf.shape
-    d = _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width)
+    m, d = _check_blocks(ls, cs, ns, u, q, cpow, npow, span, width)
     written = [(x, (width, d)), (dbuf, (span, width))]
     if xbuf is not None:
         written.append((xbuf, (span, width, d)))
     _require(written, writeable=True)
     lib = _library()
     if lib is None:
-        _block_chain_numpy((ls, cs, ns, idx, z, cpow, npow), x, dbuf, e2,
-                           xbuf)
+        _block_chain_numpy(_resolve((ls, cs, ns, u, q, cpow, npow)), x,
+                           dbuf, e2, xbuf)
         return
     _status(lib.block_chain_steps(
-        *map(_ptr, (ls, cs, ns, idx, z, cpow, npow, x, xbuf, dbuf)),
-        span, width, d, e2))
+        *map(_ptr, (ls, cs, ns, u, q, cpow, npow, x, xbuf, dbuf)),
+        span, width, m, d, e2))
 
 
-def block_direct_steps(ls, cs, ns, idx, z, cpow, npow, v0, w, mbuf,
+def block_direct_steps(ls, cs, ns, u, q, cpow, npow, v0, w, mbuf,
                        eps: float) -> None:
     """Apply ``[[1, eps L^T], [eps C, N]]`` to ``(v0, w)`` for each row.
 
@@ -106,17 +113,17 @@ def block_direct_steps(ls, cs, ns, idx, z, cpow, npow, v0, w, mbuf,
     before the first row and after the last.
     """
     span, width = mbuf.shape
-    d = _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width)
+    m, d = _check_blocks(ls, cs, ns, u, q, cpow, npow, span, width)
     _require([(v0, (width,)), (w, (width, d)), (mbuf, (span, width))],
              writeable=True)
     lib = _library()
     if lib is None:
-        _block_direct_numpy((ls, cs, ns, idx, z, cpow, npow), v0, w, mbuf,
-                            eps)
+        _block_direct_numpy(_resolve((ls, cs, ns, u, q, cpow, npow)), v0, w,
+                            mbuf, eps)
         return
     _status(lib.block_direct_steps(
-        *map(_ptr, (ls, cs, ns, idx, z, cpow, npow, v0, w, mbuf)),
-        span, width, d, eps))
+        *map(_ptr, (ls, cs, ns, u, q, cpow, npow, v0, w, mbuf)),
+        span, width, m, d, eps))
 
 
 def recursion() -> str:
@@ -127,12 +134,26 @@ def recursion() -> str:
 
 # -- numpy reference -----------------------------------------------------------
 
+def _resolve(piece):
+    """The piece with its quantile map applied for the whole piece at
+    once: ``(ls, cs, ns, rows, z, cpow, npow)``, with the (span, width)
+    table rows of a finite piece, or the draws z = a + s * u of a
+    scalar-driven one, and None for the other."""
+    ls, cs, ns, u, q, cpow, npow = piece
+    if cpow is None:
+        rows = np.searchsorted(q, u, side="right")
+        rows[np.isnan(u)] = 0  # as kernels.c's atom_row
+        return ls, cs, ns, rows, None, None, None
+    return ls, cs, ns, None, q[0] + q[1] * u, cpow, npow
+
+
 def _block_row(piece, t):
-    """Blocks of row ``t``: the table rows ``idx[t]`` picks, or the one
-    table row with its masked C and N entries multiplied by ``z[t]``."""
-    ls, cs, ns, idx, z, cpow, npow = piece
-    if idx is not None:
-        atoms = idx[t]
+    """Blocks of row ``t`` of a resolved piece: the table rows ``rows[t]``
+    picks, or the one table row with its masked C and N entries
+    multiplied by ``z[t]``."""
+    ls, cs, ns, rows, z, cpow, npow = piece
+    if rows is not None:
+        atoms = rows[t]
         return ls[atoms], cs[atoms], ns[atoms]
     zt = z[t]
     return (ls[0], np.where(cpow != 0, cs[0] * zt[:, None], cs[0]),
@@ -140,9 +161,9 @@ def _block_row(piece, t):
 
 
 def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
-    if _is_scalar_d1(piece):
-        _scalar_chain_numpy(piece, x[:, 0], dbuf, float(e2),
-                            None if xbuf is None else xbuf[:, :, 0])
+    if piece[0].shape[-1] == 1:
+        _chain_d1_numpy(piece, x[:, 0], dbuf, float(e2),
+                        None if xbuf is None else xbuf[:, :, 0])
         return
     for t in range(len(dbuf)):
         lt, ct, nt = _block_row(piece, t)
@@ -157,8 +178,8 @@ def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
 
 
 def _block_direct_numpy(piece, v0, w, mbuf, eps):
-    if _is_scalar_d1(piece):
-        _scalar_direct_numpy(piece, v0, w[:, 0], mbuf, eps)
+    if piece[0].shape[-1] == 1:
+        _direct_d1_numpy(piece, v0, w[:, 0], mbuf, eps)
         return
     for t in range(len(mbuf)):
         lt, ct, nt = _block_row(piece, t)
@@ -175,40 +196,39 @@ def _block_direct_numpy(piece, v0, w, mbuf, eps):
         np.divide(bot, m[:, None], out=w)
 
 
-# The twins of kernels.c's d = 1 scalar-driven loops.  A length-1 sum is
-# 0.0 + a*b here as there; each twin runs on (width,) rows of the 1 x 1
-# blocks, formed for the whole piece at once.
+# The twins of kernels.c's d = 1 loops.  A length-1 sum is 0.0 + a*b
+# here as there; each twin runs on (width,) rows of the 1 x 1 blocks,
+# formed for the whole piece at once.
 
-def _is_scalar_d1(piece):
-    return piece[3] is None and piece[0].shape[-1] == 1
-
-
-def _scalar_blocks(piece):
-    """l, and the (span, width) c and n of a d = 1 scalar-driven piece."""
-    ls, cs, ns, _, z, cpow, npow = piece
+def _d1_blocks(piece):
+    """The (span, width) l, c and n of a resolved d = 1 piece."""
+    ls, cs, ns, rows, z, cpow, npow = piece
+    if rows is not None:
+        return ls[rows, 0], cs[rows, 0], ns[rows, 0, 0]
     c = cs[0, 0] * z if cpow[0] != 0 else np.full_like(z, cs[0, 0])
     n = ns[0, 0, 0] * z if npow[0, 0] != 0 else np.full_like(z, ns[0, 0, 0])
-    return float(ls[0, 0]), c, n
+    return np.full_like(z, ls[0, 0]), c, n
 
 
-def _scalar_chain_numpy(piece, x, dbuf, e2, xbuf):
-    """The chain on (width,) rows in five numpy calls a row.  It adds
-    c + (0.0 + n*x) as (c + 0.0) + n*x, and forms 1 + e2*(0.0 + l*x) as
-    1 + e2*(l*x), with l*x = x at l = 1: each pair differs at most in the
-    sign of a zero, which the next addition drops, so the bits are the
-    general loop's."""
-    l, c, n = _scalar_blocks(piece)
+def _chain_d1_numpy(piece, x, dbuf, e2, xbuf):
+    """The chain on (width,) rows in five numpy calls a row where every
+    l is 1.  It adds c + (0.0 + n*x) as (c + 0.0) + n*x, and forms
+    1 + e2*(0.0 + l*x) as 1 + e2*(l*x), with l*x = x at l = 1: each pair
+    differs at most in the sign of a zero, which the next addition drops,
+    so the bits are the general loop's."""
+    l, c, n = _d1_blocks(piece)
     c = c + 0.0
-    if len(x) == 1 and _chain_floats(l, c[:, 0], n[:, 0], x, dbuf, e2,
-                                     xbuf):
+    if len(x) == 1 and _chain_floats(l[:, 0], c[:, 0], n[:, 0], x, dbuf,
+                                     e2, xbuf):
         return
+    unit = bool((l == 1.0).all())
     num = np.empty_like(x)
     prev = x
     for t in range(len(dbuf)):
         np.multiply(n[t], prev, out=num)
         np.add(c[t], num, out=num)
         den = dbuf[t]
-        np.multiply(e2, prev if l == 1.0 else l * prev, out=den)
+        np.multiply(e2, prev if unit else l[t] * prev, out=den)
         np.add(1.0, den, out=den)
         prev = x if xbuf is None else xbuf[t]
         np.divide(num, den, out=prev)
@@ -223,8 +243,8 @@ def _chain_floats(l, c, n, x, dbuf, e2, xbuf):
     prev = float(x[0])
     xs, ds = [], []
     try:
-        for ct, nt in zip(c.tolist(), n.tolist()):
-            den = 1.0 + e2 * (l * prev)
+        for lt, ct, nt in zip(l.tolist(), c.tolist(), n.tolist()):
+            den = 1.0 + e2 * (lt * prev)
             prev = (ct + nt * prev) / den
             ds.append(den)
             xs.append(prev)
@@ -237,11 +257,11 @@ def _chain_floats(l, c, n, x, dbuf, e2, xbuf):
     return True
 
 
-def _scalar_direct_numpy(piece, v0, w, mbuf, eps):
-    l, c, n = _scalar_blocks(piece)
+def _direct_d1_numpy(piece, v0, w, mbuf, eps):
+    l, c, n = _d1_blocks(piece)
     top, bot, s = (np.empty_like(v0) for _ in range(3))
     for t in range(len(mbuf)):
-        np.multiply(l, w, out=top)
+        np.multiply(l[t], w, out=top)
         np.add(0.0, top, out=top)
         np.multiply(eps, top, out=top)
         np.add(v0, top, out=top)
@@ -258,43 +278,41 @@ def _scalar_direct_numpy(piece, v0, w, mbuf, eps):
 
 # -- buffer checks and the compiled library --------------------------------------
 
-def _check_blocks(ls, cs, ns, idx, z, cpow, npow, span, width):
-    """Block dimension d of a piece of ``span`` x ``width`` cells, after
-    checking the blocks either loop reads: (m, ...) tables and C-contiguous
-    int64 indices of shape (span, width), every one in [0, m); or one-row
-    tables, (span, width) draws and (d,), (d, d) masks."""
+def _check_blocks(ls, cs, ns, u, q, cpow, npow, span, width):
+    """Rows m and block dimension d of a piece of ``span`` x ``width``
+    cells, after checking what either loop reads: (span, width) uniforms;
+    (m, ...) tables with m - 1 nondecreasing thresholds, or one-row
+    tables, an affine map (a, s) and (d,), (d, d) masks."""
     d = ls.shape[-1] if ls.ndim else 0
     if d < 1:
         raise ValueError(f"block dimension must be >= 1, got {ls.shape}")
-    if (idx is None) == (z is None) \
-            or (cpow is None) != (z is None) or (npow is None) != (z is None):
-        raise ValueError("a block piece takes atom indices, or scalar draws "
-                         "with their masks: exactly one of the two")
-    if z is not None:
-        _require([(z, (span, width)), (cpow, (d,)), (npow, (d, d)),
-                  (ls, (1, d)), (cs, (1, d)), (ns, (1, d, d))])
-        return d
-    if not isinstance(idx, np.ndarray) or idx.dtype != np.int64 \
-            or idx.shape != (span, width) or not idx.flags.c_contiguous:
-        got = (f"{idx.dtype} {idx.shape}" if isinstance(idx, np.ndarray)
-               else type(idx).__name__)
-        raise ValueError("atom indices must be C-contiguous int64 of shape "
-                         f"{(span, width)}, got {got}")
+    if (cpow is None) != (npow is None):
+        raise ValueError("a scalar-driven piece takes both masks, a finite "
+                         "one neither")
+    _require([(u, (span, width))])
+    if cpow is not None:
+        _require([(q, (2,)), (cpow, (d,)), (npow, (d, d)), (ls, (1, d)),
+                  (cs, (1, d)), (ns, (1, d, d))])
+        return 1, d
     m = len(ls)
-    if idx.size and not (idx.min() >= 0 and idx.max() < m):
-        raise ValueError(f"atom indices must lie in [0, {m})")
-    _require([(ls, (m, d)), (cs, (m, d)), (ns, (m, d, d))])
-    return d
+    if m < 1:
+        raise ValueError("a finite piece needs at least one atom")
+    _require([(q, (m - 1,)), (ls, (m, d)), (cs, (m, d)), (ns, (m, d, d))])
+    if np.isnan(q).any() or not (q[:-1] <= q[1:]).all():
+        raise ValueError("atom thresholds must be nondecreasing numbers")
+    return m, d
 
 
 def _require(buffers, writeable=False):
     """Check that each (array, shape) pair is C-contiguous float64 of that
     shape and, if ``writeable``, that the loop may write it."""
     for arr, shape in buffers:
-        if arr.dtype != np.float64 or arr.shape != shape \
-                or not arr.flags.c_contiguous:
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 \
+                or arr.shape != shape or not arr.flags.c_contiguous:
+            got = (f"{arr.dtype} {arr.shape}" if isinstance(arr, np.ndarray)
+                   else type(arr).__name__)
             raise ValueError("kernel buffers must be C-contiguous float64 "
-                             f"of shape {shape}, got {arr.dtype} {arr.shape}")
+                             f"of shape {shape}, got {got}")
         if writeable and not arr.flags.writeable:
             raise ValueError("kernel output buffer is read-only")
 
@@ -323,7 +341,7 @@ def _load():
         lib = ctypes.CDLL(str(_build()))
     except (OSError, subprocess.SubprocessError):
         return None
-    args = [ctypes.c_void_p] * 10 + [ctypes.c_ssize_t] * 3 + [ctypes.c_double]
+    args = [ctypes.c_void_p] * 10 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double]
     for fn in (lib.block_chain_steps, lib.block_direct_steps):
         fn.argtypes = args
         fn.restype = ctypes.c_int

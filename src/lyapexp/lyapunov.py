@@ -16,9 +16,11 @@ throughout the test-suite:
     the chain equilibrates.
 
 Both run on the block engine of :mod:`.highdim` at d = 1, with the law
-``(L, C, N) = (1, Z, Z)`` of :func:`.highdim.scalar_law`: the direct
+``(L, C, N) = (1, Z, Z)`` of :func:`.highdim.from_scalar`: the direct
 product through :func:`.highdim.lyapunov_general`, the invariant formula
-through :func:`.chain.simulate_chain`, which also folds moments.
+through :func:`.chain.simulate_chain`, which also folds moments.  Their
+kernels read the Philox uniforms and apply the quantile map of Z
+themselves.
 
 Both estimates depend on eps only through |eps| (conjugating by
 diag(-1, 1) flips the sign), so engines normalise the sign on entry and
@@ -75,7 +77,7 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
     from . import highdim  # imports this module
 
     return highdim.lyapunov_general(
-        highdim.scalar_law(spec), eps, DIRECT, n_steps=n_steps, seed=seed,
+        highdim.from_scalar(spec), eps, DIRECT, n_steps=n_steps, seed=seed,
         replicas=replicas, discard=discard, threads=threads)
 
 

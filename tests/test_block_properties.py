@@ -1,22 +1,22 @@
 """Properties of the block engines over random laws.
 
 Random rational two-point and three-atom laws, and random uniform
-intervals, at d = 1.  The scalar engines run ``highdim.scalar_law``:
-one-row tables and masks of 1 with one drawn Z per cell, which takes the
-kernels' d = 1 scalar-driven loop.  The embedding ``from_scalar`` gives
-a finite law as atom tables and indices, which take the general block
-loop, and a uniform one as the same scalar-driven law as the engines.
+intervals, at d = 1.  The scalar engines run the law ``from_scalar``
+gives, ``(L, C, N) = (1, Z, Z)``: a finite law as atom tables, a
+uniform one as one-row tables driven by Z, either of which takes the
+kernels' d = 1 loop.  The same law embedded in d = 2 with a coordinate
+that stays zero, ``L = (1, 0)``, ``C = (Z, 0)``, ``N = [[Z, 0], [0, 0]]``,
+takes the general block loop, whose sums of two terms round as the
+d = 1 loop's sums of one.
 
-- for finite laws the two loops give the same bits, for both
-  estimators, on runs shorter than one piece of rows and across the
-  2048-row time pieces that every engine draws and log-sums in, and on
-  coupled paths (for continuous laws both sides would run one loop;
-  ``test_kernels.test_scalar_pieces_match_their_gathered_blocks``
-  checks that loop against the general one on the blocks it forms);
+- for finite and uniform laws the two loops give the same bits, for
+  both estimators, on runs shorter than one piece of rows and across
+  the 2048-row time pieces that every engine draws and log-sums in, and
+  on coupled paths;
 - runs at eps and -eps are bit-equal;
 - 1 and 3 worker threads give the same bits;
 - coupled paths are ordered: less damping gives a larger path at every
-  step, for the scalar chain and the vector chain alike.
+  step, on the d = 1 loop and the general loop alike.
 
 The short run size spans two replica blocks (the second partial) and a
 lead that is not a multiple of any piece span.
@@ -76,13 +76,20 @@ eps_values = st.sampled_from([1 / 16, 0.3, 0.75, 1.5])
 methods = st.sampled_from(sorted(SCALAR))
 
 
+def _padded(law):
+    """The d = 1 law of ``law`` embedded in d = 2, its second coordinate
+    held at zero, so that its pieces run the general loop."""
+    e = np.array([1.0, 0.0])
+    return highdim.scalar_driven(e, e, np.diag(e), e, np.diag(e), law)
+
+
 def _general(law, eps, method, threads=1):
-    return highdim.lyapunov_general(highdim.from_scalar(law), eps,
-                                    method=method, threads=threads,
-                                    burn_in=LEAD, discard=LEAD, **SIZE)
+    return highdim.lyapunov_general(_padded(law), eps, method=method,
+                                    threads=threads, burn_in=LEAD,
+                                    discard=LEAD, **SIZE)
 
 
-@given(finite_laws, eps_values, methods)
+@given(laws, eps_values, methods)
 @PROPERTY
 def test_d1_blocks_equal_scalar_engines_bitwise(law, eps, method):
     engine, lead = SCALAR[method]
@@ -103,27 +110,28 @@ def test_threads_do_not_change_bits(law, eps, method):
         == _general(law, eps, method, threads=1)
 
 
-@given(finite_laws, eps_values, methods)
+@given(laws, eps_values, methods)
 @PROPERTY
 def test_d1_identity_across_a_time_piece(law, eps, method):
     engine, lead = SCALAR[method]
     ref = engine(law, eps, **LONG, **{lead: LONG_LEAD})
-    blk = highdim.lyapunov_general(highdim.from_scalar(law), eps,
-                                   method=method, burn_in=LONG_LEAD,
-                                   discard=LONG_LEAD, **LONG)
+    blk = highdim.lyapunov_general(_padded(law), eps, method=method,
+                                   burn_in=LONG_LEAD, discard=LONG_LEAD,
+                                   **LONG)
     assert blk == ref
 
 
-@given(finite_laws, eps_values)
+@given(laws, eps_values)
 @PROPERTY
 def test_d1_vector_paths_equal_scalar_paths_bitwise(law, eps):
-    vector = highdim.coupled_paths(highdim.from_scalar(law), eps, 0.0,
-                                   PATH_STEPS, 3)
-    scalar = highdim.coupled_paths(highdim.scalar_law(law), eps, 0.0,
+    vector = highdim.coupled_paths(_padded(law), eps, 0.0, PATH_STEPS, 3)
+    scalar = highdim.coupled_paths(highdim.from_scalar(law), eps, 0.0,
                                    PATH_STEPS, 3)
     for vec, ref in zip(vector, scalar):
-        assert vec.shape == ref.shape == (PATH_STEPS, 1)
-        assert np.array_equal(vec.view(np.uint64), ref.view(np.uint64))
+        assert vec.shape == (PATH_STEPS, 2) and ref.shape == (PATH_STEPS, 1)
+        assert not vec[np.isfinite(vec[:, 0]), 1].any()
+        assert np.array_equal(vec[:, :1].view(np.uint64),
+                              ref.view(np.uint64))
 
 
 def _dominates(upper, lower):
@@ -145,11 +153,11 @@ eps_pairs = st.tuples(st.sampled_from([0.0, 1 / 16, 0.3, 0.75, 1.5]),
 @PROPERTY
 def test_less_damping_dominates_pathwise(law, eps_pair, seed):
     e1, e2 = eps_pair
-    lo, hi = highdim.coupled_paths(highdim.scalar_law(law), e1, e2,
+    lo, hi = highdim.coupled_paths(highdim.from_scalar(law), e1, e2,
                                    PATH_STEPS, seed)
     if e1 > 0:
         assert np.isfinite(lo).all()
     assert _dominates(lo[:, 0], hi[:, 0])
-    damped, undamped = highdim.coupled_paths(
-        highdim.from_scalar(law), e2, 0.0, PATH_STEPS, seed)
+    damped, undamped = highdim.coupled_paths(_padded(law), e2, 0.0,
+                                             PATH_STEPS, seed)
     assert _dominates(undamped[:, 0], damped[:, 0])

@@ -161,7 +161,7 @@ def test_n_kept_accounting():
 def _coupled(spec, eps_a, eps_b, n, seed):
     """The scalar chain's coupled paths, as 1-d arrays."""
     return tuple(p[:, 0] for p in highdim.coupled_paths(
-        highdim.scalar_law(spec), eps_a, eps_b, n, seed))
+        highdim.from_scalar(spec), eps_a, eps_b, n, seed))
 
 
 def test_coupling_monotone_in_damping():
@@ -213,13 +213,15 @@ def test_width_one_fallback_survives_a_zero_denominator(monkeypatch):
     # 1 + e2*x = 0 at x = -4: Python floats refuse the division, so the
     # numpy rows run and give the compiled path's inf and nan
     monkeypatch.setattr(kernels, "_library", lambda: None)
-    law = highdim.scalar_law(TP)
+    law = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
+    # the affine map (0, 1) passes these z through exactly
     z = np.array([[-2.0], [3.0], [1.0]])
     x = np.array([[-4.0]])
     xbuf, dbuf = np.empty((3, 1, 1)), np.empty((3, 1))
     with np.errstate(all="ignore"):
-        kernels.block_chain_steps(law.ls, law.cs, law.ns, None, z, law.cpow,
-                                  law.npow, x, dbuf, 0.25, xbuf)
+        kernels.block_chain_steps(law.ls, law.cs, law.ns, z,
+                                  np.array([0.0, 1.0]), law.cpow, law.npow,
+                                  x, dbuf, 0.25, xbuf)
     assert dbuf[0, 0] == 0.0 and xbuf[0, 0, 0] == math.inf
     assert np.isnan(xbuf[1:]).all() and np.isnan(x).all()
 

@@ -103,26 +103,40 @@ def test_from_scalar_continuous_law_is_scalar_driven():
 
 def test_chunk_blocks_passes_atom_tables_and_indices():
     law = highdim.load_blocks(SPECS / "blocks_d2.json")
-    ls, cs, ns, idx, z, cpow, npow = highdim._chunk_blocks(
+    ls, cs, ns, u, q, cpow, npow = highdim._chunk_blocks(
         law, 0.25, philox_generator(3), 40, 7)
     assert ls is law.ls and cs is law.cs and ns is law.ns
-    assert z is None and cpow is None and npow is None
-    assert idx.dtype == np.int64 and idx.shape == (40, 7)
+    assert cpow is None and npow is None
+    # the uniforms themselves, and the map built once for the law
+    assert np.array_equal(u, philox_generator(3).random((40, 7)))
+    assert q is law.quantile
+    assert q is highdim._chunk_blocks(law, 0.25, philox_generator(4), 2,
+                                      7)[4]
     cum = np.cumsum([float(w) for w in law.weights])
+    assert q.dtype == np.float64 and np.array_equal(q, cum[:-1])
+    # the kernels' row, the number of thresholds <= u, is the atom
+    # searchsorted picks on the cumulative weights with the last set to 1
     cum[-1] = 1.0
-    u = philox_generator(3).random((40, 7))
-    assert np.array_equal(idx, np.searchsorted(cum, u, side="right"))
+    rows = (q[None, None, :] <= u[:, :, None]).sum(axis=2)
+    assert np.array_equal(rows, np.searchsorted(cum, u, side="right"))
+    assert np.array_equal(rows, dist.atom_index(law.weights)(u))
 
 
 def test_chunk_blocks_gives_scalar_laws_one_z_per_cell():
-    spec = dist.uniform_interval("1/10", "9/10")
-    law, _ = ising.map_to_blocks(ising.IsingModel(2, (1.0, 1.5), 1.0, spec))
-    ls, cs, ns, idx, z, cpow, npow = highdim._chunk_blocks(
-        law, 0.25, philox_generator(3), 40, 7)
-    assert ls is law.ls and cs is law.cs and ns is law.ns
-    assert cpow is law.cpow and npow is law.npow and idx is None
-    assert np.array_equal(
-        z, dist.sampler(spec)(philox_generator(3).random((40, 7))))
+    for spec in (dist.uniform_interval("1/10", "9/10"),
+                 dist.log_uniform("1/4", "3")):
+        law, _ = ising.map_to_blocks(
+            ising.IsingModel(2, (1.0, 1.5), 1.0, spec))
+        ls, cs, ns, v, q, cpow, npow = highdim._chunk_blocks(
+            law, 0.25, philox_generator(3), 40, 7)
+        assert ls is law.ls and cs is law.cs and ns is law.ns
+        assert cpow is law.cpow and npow is law.npow
+        assert q is law.quantile[1]
+        assert v.shape == (40, 7)
+        # the Z each cell's loop forms, a + s * v, is the sampler's draw
+        z = dist.sampler(spec)(philox_generator(3).random((40, 7)))
+        assert np.array_equal((q[0] + q[1] * v).view(np.int64),
+                              z.view(np.int64))
 
 
 UNIF_FIELD = dist.uniform_interval("1/10", "9/10")
@@ -138,22 +152,24 @@ SCALAR_LAWS = {
 @pytest.mark.parametrize("name", sorted(SCALAR_LAWS))
 def test_scalar_law_draws_each_step_once(monkeypatch, name, method):
     law, eps = SCALAR_LAWS[name]()
-    drawn = []
+    drawn, maps = [], []
     chunk_blocks = highdim._chunk_blocks
 
     def spy(*args):
         blocks = chunk_blocks(*args)
-        drawn.append(blocks[4].shape)
+        drawn.append(blocks[3].shape)
+        maps.append(blocks[4])
         return blocks
 
     monkeypatch.setattr(highdim, "_chunk_blocks", spy)
     highdim.lyapunov_general(law, eps, method=method, n_steps=600 * 40,
                              replicas=600, burn_in=2100, discard=2100)
     # one call per time piece of each replica block (512 + 88 replicas),
-    # one draw of Z per step of every replica
+    # one uniform per step of every replica, and one map for them all
     assert sorted(drawn) == sorted(
         (span, width) for width in (512, 88)
         for span in (TIME_CHUNK, 2100 + 40 - TIME_CHUNK))
+    assert all(q is law.quantile[1] for q in maps)
 
 
 def test_empty_blocks_json_exits_2(tmp_path, capsys):

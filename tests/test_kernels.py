@@ -1,16 +1,19 @@
 """The compiled recursion kernels: bitwise agreement with the numpy
 reference, the forced fallback, the build cache, and lazy building."""
 
+import functools
 import os
 import stat
 import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from lyapexp import kernels
+from lyapexp import highdim, kernels
 from lyapexp import distributions as dist
 from lyapexp.mc import philox_generator
 
@@ -38,20 +41,32 @@ def _bits(arr):
     return np.ascontiguousarray(arr).view(np.int64)
 
 
-# the scalar engines' d = 1 piece: one-row tables and masks of 1
+# the scalar engines' d = 1 pieces, of both forms: a uniform law's
+# one-row tables driven by Z, and finite laws' atom tables
 ONE = np.ones((1, 1))
+Q_UNIF = highdim.from_scalar(UNIF).quantile[1]
+TWO_ATOMS = highdim.from_scalar(dist.two_point("1/2", "2", "1/5"))
+THREE_ATOMS = highdim.from_scalar(
+    dist.finite_discrete(["1/3", "3/4", "5/2"], ["1/10", "2/10", "7/10"]))
 
 
-def _scalar_piece(z):
-    return (ONE, ONE, ONE[None], None, z, ONE[0], ONE)
+def _scalar_piece(u):
+    return (ONE, ONE, ONE[None], u, Q_UNIF, ONE[0], ONE)
+
+
+def _atom_piece(law, u):
+    return (law.ls, law.cs, law.ns, u, law.quantile, None, None)
 
 
 def _scalar_pieces(width):
-    """Pieces of the scalar engines' law with draws of UNIF, in spans
-    that are not multiples of one another, so the state is carried."""
+    """Pieces of the scalar engines' laws on Philox uniforms, in spans
+    that are not multiples of one another, so the state is carried
+    from one form to the next."""
     gen = philox_generator(7, width)
-    return [(span, _scalar_piece(dist.sampler(UNIF)(
-        gen.random((span, width))))) for span in (1, 37, 300)]
+    forms = (_scalar_piece, functools.partial(_atom_piece, TWO_ATOMS),
+             functools.partial(_atom_piece, THREE_ATOMS), _scalar_piece)
+    return [(span, form(gen.random((span, width))))
+            for span, form in zip((1, 37, 300, 50), forms)]
 
 
 @pytest.mark.parametrize("width", [1, 64, 88, 512])
@@ -92,25 +107,31 @@ def test_direct_kernel_maximum_propagates_nan(compiled, monkeypatch):
         v0 = np.array([np.nan, 1.0])
         w = np.array([[1.0], [np.nan]])
         mbuf = np.empty((1, 2))
-        kernels.block_direct_steps(*_scalar_piece(np.ones((1, 2))), v0, w,
-                                   mbuf, 0.5)
-        assert np.isnan(mbuf).all()
+        for piece in (_scalar_piece(np.full((1, 2), 0.5)),
+                      _atom_piece(TWO_ATOMS, np.full((1, 2), 0.5))):
+            kernels.block_direct_steps(*piece, v0.copy(), w.copy(), mbuf,
+                                       0.5)
+            assert np.isnan(mbuf).all()
 
 
 def test_kernel_rejects_mismatched_buffers(monkeypatch):
     """On either path: the numpy loops check what the C loops would."""
-    z = np.ones((4, 8))
+    u = np.full((4, 8), 0.5)
     for library in (kernels._library(), None):
         monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
         with pytest.raises(ValueError):
-            kernels.block_chain_steps(*_scalar_piece(z), np.zeros((8, 1)),
+            kernels.block_chain_steps(*_scalar_piece(u), np.zeros((8, 1)),
                                       np.empty((3, 8)), 0.25)
         with pytest.raises(ValueError):
-            kernels.block_chain_steps(*_scalar_piece(z),
+            kernels.block_chain_steps(*_scalar_piece(u),
                                       np.zeros((8, 1), dtype=np.float32),
                                       np.empty((4, 8)), 0.25)
         with pytest.raises(ValueError):
-            kernels.block_chain_steps(*_scalar_piece(z), np.zeros((8, 1)),
+            kernels.block_chain_steps(*_atom_piece(TWO_ATOMS, u[:3]),
+                                      np.zeros((8, 1)), np.empty((4, 8)),
+                                      0.25)
+        with pytest.raises(ValueError):
+            kernels.block_chain_steps(*_scalar_piece(u), np.zeros((8, 1)),
                                       np.empty((4, 8)), 0.25,
                                       np.empty((4, 8, 2))[:, :, :1])
         with pytest.raises(ValueError):
@@ -132,14 +153,18 @@ def test_block_array_digests_with_numpy_fallback(numpy_only, name):
 
 # -- block kernels ----------------------------------------------------------------
 
+# three atoms' thresholds, whose float cumsum rounds (0.1 + 0.2)
+THRESHOLDS = THREE_ATOMS.quantile
+
+
 def _block_pieces(d, width, few_atoms):
-    """Two consecutive pieces of blocks, as (span, (ls, cs, ns, idx, z,
-    cpow, npow)): three atoms' tables with random indices, as a finite law
-    passes them, or (``few_atoms`` False) one row of tables, 0/1 masks
-    that mix both values, and one drawn Z per cell, as a scalar-driven
-    law passes them.  The tables and draws are non-dyadic and
-    nonnegative; N is scaled by 1/d so the chain stays of order one at
-    any d."""
+    """Two consecutive pieces of blocks, as (span, (ls, cs, ns, u, q,
+    cpow, npow)), each cell with its own uniform: three atoms' tables and
+    their thresholds, as a finite law passes them, or (``few_atoms``
+    False) one row of tables, the affine map of UNIF and 0/1 masks that
+    mix both values, as a scalar-driven law passes them.  The tables and
+    draws are non-dyadic and nonnegative; N is scaled by 1/d so the
+    chain stays of order one at any d."""
     gen = philox_generator(d, width)
     m = 3 if few_atoms else 1
     tables = (gen.random((m, d)) + 0.1, gen.random((m, d)) + 0.1,
@@ -157,12 +182,11 @@ def _block_pieces(d, width, few_atoms):
     span = max(1, min(12, 2 ** 19 // (width * d * d)))
     pieces = []
     for rows, mask in zip((1, span), masks):
+        u = gen.random((rows, width))
         if few_atoms:
-            idx = gen.integers(0, 3, (rows, width))
-            pieces.append((rows, (*tables, idx, None, None, None)))
+            pieces.append((rows, (*tables, u, THRESHOLDS, None, None)))
         else:
-            z = dist.sampler(UNIF)(gen.random((rows, width)))
-            pieces.append((rows, (*tables, None, z, *mask)))
+            pieces.append((rows, (*tables, u, Q_UNIF, *mask)))
     return pieces
 
 
@@ -221,14 +245,16 @@ def test_block_direct_kernel_matches_numpy_bitwise(compiled, monkeypatch, d,
 
 
 def _gathered(piece):
-    """A scalar-driven piece as per-cell blocks, one table row per cell:
-    the blocks its masks and draws stand for, formed in numpy."""
-    ls, cs, ns, _, z, cpow, npow = piece
-    zc = z.reshape(-1, 1)
-    tables = (np.repeat(ls, z.size, axis=0),
+    """A scalar-driven piece as per-cell blocks, one table row per cell,
+    which uniform k picks against the thresholds 1, 2, ...: the blocks
+    its map, masks and uniforms stand for, formed in numpy."""
+    ls, cs, ns, u, q, cpow, npow = piece
+    zc = dist.sampler(UNIF)(u).reshape(-1, 1)
+    tables = (np.repeat(ls, u.size, axis=0),
               np.where(cpow != 0, cs * zc, cs),
               np.where(npow != 0, ns * zc[:, :, None], ns))
-    return (*tables, np.arange(z.size).reshape(z.shape), None, None, None)
+    cells = np.arange(u.size, dtype=float)
+    return (*tables, cells.reshape(u.shape), cells[1:], None, None)
 
 
 @pytest.mark.parametrize("d", [1, 3, 15])
@@ -267,13 +293,15 @@ def test_block_direct_maximum_propagates_nan(compiled, monkeypatch):
     ns = np.tile(np.eye(d), (4, 1, 1))
     for atom, i in enumerate((0, 1, 2)):
         ns[atom, i, (i + 1) % d] = np.nan
-    idx = np.array([[0, 1, 2, 3, 3]])
+    # u = k picks atom k against the thresholds 1, 2, 3
+    u = np.array([[0.0, 1.0, 2.0, 3.0, 3.5]])
+    q = np.array([1.0, 2.0, 3.0])
     for library in (kernels._library(), None):
         monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
         v0 = np.array([1.0, 1.0, 1.0, np.nan, 1.0])
         w = np.ones((5, d))
         mbuf = np.empty((1, 5))
-        kernels.block_direct_steps(ls, cs, ns, idx, None, None, None, v0, w,
+        kernels.block_direct_steps(ls, cs, ns, u, q, None, None, v0, w,
                                    mbuf, 0.5)
         assert np.isnan(mbuf[0]).tolist() == [True] * 4 + [False]
 
@@ -281,15 +309,16 @@ def test_block_direct_maximum_propagates_nan(compiled, monkeypatch):
 def test_block_kernels_reject_bad_buffers(compiled):
     d, m = 2, 3
     ls, cs, ns = np.ones((m, d)), np.ones((m, d)), np.ones((m, d, d))
-    idx = np.zeros((4, 8), dtype=np.int64)
-    scalar = dict(ls=ls[:1], cs=cs[:1], ns=ns[:1], idx=None,
-                  z=np.ones((4, 8)), cpow=np.ones(d), npow=np.eye(d))
+    u = np.full((4, 8), 0.5)
+    q = np.array([0.25, 0.75])
+    scalar = dict(ls=ls[:1], cs=cs[:1], ns=ns[:1], q=Q_UNIF,
+                  cpow=np.ones(d), npow=np.eye(d))
 
-    def chain(ls=ls, cs=cs, ns=ns, idx=idx, z=None, cpow=None, npow=None,
-              x=None, dbuf=None):
+    def chain(ls=ls, cs=cs, ns=ns, u=u, q=q, cpow=None, npow=None, x=None,
+              dbuf=None):
         x = np.zeros((8, d)) if x is None else x
         dbuf = np.empty((4, 8)) if dbuf is None else dbuf
-        kernels.block_chain_steps(ls, cs, ns, idx, z, cpow, npow, x, dbuf,
+        kernels.block_chain_steps(ls, cs, ns, u, q, cpow, npow, x, dbuf,
                                   0.25)
 
     chain()  # the defaults are valid
@@ -300,16 +329,21 @@ def test_block_kernels_reject_bad_buffers(compiled):
             dict(cs=np.ones((m, d + 1))),             # mis-shaped table
             dict(x=np.zeros((8, d + 1))),             # mis-shaped state
             dict(dbuf=np.empty((4, 16))[:, ::2]),    # non-contiguous out
-            dict(idx=idx.astype(np.int32)),           # not int64
-            dict(idx=idx[:3]),                         # mis-shaped indices
-            dict(idx=np.full((4, 8), m)),              # past the table
-            dict(idx=np.full((4, 8), -1)),             # before it
+            dict(u=u.astype(np.float32)),             # not float64
+            dict(u=u[:3]),                             # mis-shaped uniforms
+            dict(u=np.full((8, 4), 0.5).T),           # non-contiguous
+            dict(u=None),                              # no uniforms
+            dict(q=q[:1]),                             # a threshold short
+            dict(q=q[::-1].copy()),                    # not nondecreasing
+            dict(q=np.array([0.25, np.nan])),          # not a number
+            dict(q=None),                              # no map
+            dict(ls=np.ones((0, d)), cs=np.ones((0, d)),
+                 ns=np.ones((0, d, d)), q=np.ones(0)),  # no atom
             dict(ls=np.ones((m, 0)), cs=np.ones((m, 0)),
                  ns=np.ones((m, 0, 0)), x=np.zeros((8, 0))),
-            dict(idx=None),                            # no indices
-            dict(scalar, idx=idx),                     # indices and draws
-            dict(scalar, z=None),                      # neither
-            dict(scalar, z=np.ones((4, 9))),           # mis-shaped draws
+            dict(cpow=np.ones(d)),                     # one mask only
+            dict(scalar, npow=None),                   # the other only
+            dict(scalar, q=np.ones(3)),                # not (a, s)
             dict(scalar, cpow=np.ones(d + 1)),         # mis-shaped mask
             dict(scalar, npow=np.ones((d, d), dtype=bool)),
             dict(scalar, ls=ls)):                      # more than one row
@@ -320,17 +354,100 @@ def test_block_kernels_reject_bad_buffers(compiled):
     with pytest.raises(ValueError):
         chain(x=frozen)
     with pytest.raises(ValueError):
-        kernels.block_direct_steps(ls, cs, ns, idx, None, None, None,
+        kernels.block_direct_steps(ls, cs, ns, u, q, None, None,
                                    np.ones(7), np.ones((8, d)),
                                    np.empty((4, 8)), 0.25)
     with pytest.raises(ValueError):
-        kernels.block_direct_steps(ls, cs, ns, None, None, None, None,
+        kernels.block_direct_steps(ls, cs, ns, u, None, None, None,
                                    np.ones(8), np.ones((8, d)),
                                    np.empty((4, 8)), 0.25)
     with pytest.raises(ValueError):
-        kernels.block_direct_steps(**dict(scalar, idx=idx), v0=np.ones(8),
-                                   w=np.ones((8, d)), mbuf=np.empty((4, 8)),
-                                   eps=0.25)
+        kernels.block_direct_steps(**dict(scalar, q=np.ones(3)), u=u,
+                                   v0=np.ones(8), w=np.ones((8, d)),
+                                   mbuf=np.empty((4, 8)), eps=0.25)
+
+
+# -- the quantile map in the loops -------------------------------------------------
+
+def _edge_uniforms(q, gen):
+    """Philox uniforms with each threshold, its neighbours and the ends
+    of [0, 1) among them."""
+    near = [np.nextafter(t, to) for t in q for to in (0.0, 1.0)]
+    edges = np.concatenate([q, near, [0.0, np.nextafter(1.0, 0.0)]])
+    return np.concatenate([edges, gen.random(256 - len(edges))])
+
+
+MAP_SPECS = {
+    "two_point": dist.two_point("1/2", "2", "1/5"),
+    "three_atoms_rounding": dist.finite_discrete(
+        ["1/3", "3/4", "5/2"], ["1/10", "2/10", "7/10"]),
+    "seven_atoms": dist.finite_discrete(
+        range(1, 8), ["1/7", "1/11", "1/13", "1/3", "1/17", "1/19",
+                      1 - sum(Fraction(1, k) for k in (7, 11, 13, 3, 17,
+                                                        19))]),
+    "uniform_interval": UNIF,
+    "log_uniform": dist.log_uniform("1/4", "3"),
+}
+
+
+class _Fixed:
+    """A generator whose draw is a fixed array, for _chunk_blocks."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return self.u.reshape(size)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", sorted(MAP_SPECS))
+def test_kernel_map_matches_atom_index_and_sampler(monkeypatch, name, d):
+    """The Z each loop forms from a cell's uniform is the sampler's, and
+    for a finite law the atom it picks is atom_index's, on both paths, at
+    the d = 1 loop and the general one: the chain with C = (Z, 0, ...)
+    and N = 0 writes C, and the direct product with L = C = 0 and
+    N = Z e_1 e_1^T writes max(0, Z w_1) = Z with w kept at e_1."""
+    spec = MAP_SPECS[name]
+    thresholds = dist.atom_thresholds(spec.weights) if spec.is_discrete \
+        else np.array([])
+    u = _edge_uniforms(thresholds, philox_generator(11)).reshape(8, 32)
+    want = dist.sampler(spec)(u)
+    if spec.is_discrete:
+        atoms = np.array([float(a) for a in spec.atoms])
+        assert np.array_equal(want, atoms[dist.atom_index(spec.weights)(u)])
+    e = np.eye(d)[0]
+    feed = highdim.scalar_driven(np.zeros(d), e, np.zeros((d, d)), e,
+                                 np.zeros((d, d)), spec)
+    grow = highdim.scalar_driven(np.zeros(d), np.zeros(d), np.diag(e),
+                                 np.zeros(d), np.diag(e), spec)
+    for library in (kernels._library(), None):
+        monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
+        xbuf = np.empty((8, 32, d))
+        kernels.block_chain_steps(
+            *highdim._chunk_blocks(feed, 0.0, _Fixed(u), 8, 32),
+            np.zeros((32, d)), np.empty((8, 32)), 0.0, xbuf)
+        assert np.array_equal(_bits(xbuf[:, :, 0]), _bits(want))
+        w = np.zeros((32, d))
+        w[:, 0] = 1.0
+        mbuf = np.empty((8, 32))
+        kernels.block_direct_steps(
+            *highdim._chunk_blocks(grow, 0.0, _Fixed(u), 8, 32),
+            np.zeros(32), w, mbuf, 0.5)
+        assert np.array_equal(_bits(mbuf), _bits(want))
+
+
+def test_kernel_map_sends_a_nan_uniform_to_the_first_atom(monkeypatch):
+    """A NaN uniform compares false with every threshold, on both paths."""
+    u = np.array([[np.nan, 0.1, np.nan, 0.9]])
+    for library in (kernels._library(), None):
+        monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
+        for law in (TWO_ATOMS, THREE_ATOMS):
+            xbuf = np.empty((1, 4, 1))
+            kernels.block_chain_steps(*_atom_piece(law, u), np.zeros((4, 1)),
+                                      np.empty((1, 4)), 0.0, xbuf)
+            rows = dist.atom_index(law.weights)(np.nan_to_num(u[0]))
+            assert np.array_equal(xbuf[0, :, 0], law.cs[rows, 0])
 
 
 # -- build and cache ----------------------------------------------------------
