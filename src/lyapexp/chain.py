@@ -119,12 +119,21 @@ def default_cutoff(spec: dist.DistributionSpec) -> float:
 
 
 def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
-                   gammas=(1.0, 2.0), b_cutoff=None) -> ChainStats:
-    """Run the chain and collect stationary moment / Lyapunov statistics."""
+                   gammas=(1.0, 2.0), b_cutoff=None,
+                   states=True) -> ChainStats:
+    """Run the chain and collect stationary moment / Lyapunov statistics.
+
+    With ``states`` False the post-step states are neither stored nor
+    folded: ``gammas`` must be empty and ``max_x`` is NaN, which leaves
+    the Lyapunov statistics alone, as
+    :func:`.lyapunov.lyapunov_invariant` reads them.
+    """
     # loaded by the first run, not at start-up; highdim imports this module
     from . import highdim, kernels
 
     gammas = tuple(float(g) for g in gammas)
+    if gammas and not states:
+        raise ValueError("moments are folded over the chain's states")
     if b_cutoff is None:
         b_cutoff = default_cutoff(spec)
     b_cutoff = float(b_cutoff)
@@ -139,8 +148,8 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
         # one buffer pair per block: run_chunked logs a piece's rows, and
         # the moments below fold them, before the next piece is drawn; a
         # row the step never writes stays NaN and poisons the statistics
-        xbuf = np.full((pieces[0][0], width, 1), np.nan)
-        dbuf = np.full(xbuf.shape[:2], np.nan)
+        dbuf = np.full((pieces[0][0], width), np.nan)
+        xbuf = np.full((*dbuf.shape, 1), np.nan) if states else None
         moment_acc = [KahanSum(width) for _ in gammas]
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
@@ -150,11 +159,11 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
             # held until the next is drawn, as in highdim._block_kernel
             piece = highdim._chunk_blocks(law, eps, gen, span, width)
             kernels.block_chain_steps(*piece, x, dbuf[:span], e2,
-                                      xbuf[:span])
+                                      None if xbuf is None else xbuf[:span])
             # the growth factor of row t is its denominator; the moments
             # fold the matching post-step states over the same kept rows
             yield dbuf[:span]
-            if keep0 >= span:
+            if xbuf is None or keep0 >= span:
                 continue
             xk = xbuf[keep0:span, :, 0]
             np.maximum(xmax, xk.max(axis=0), out=xmax)
@@ -200,7 +209,7 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
         truncs.append(mt)
         tstderrs.append(set_)
     lmean, lse = batch_means(lyap_rep)
-    max_x = float(max(r[2].max() for r in results))
+    max_x = float(max(r[2].max() for r in results)) if states else math.nan
 
     return ChainStats(eps=eps, n_kept=kept * cfg.replicas, gammas=gammas,
                       moments=tuple(moments), moment_stderrs=tuple(stderrs),

@@ -340,21 +340,23 @@ def solve_alpha(spec: DistributionSpec) -> AlphaResult:
 # -- sampling ------------------------------------------------------------
 
 def atom_thresholds(weights) -> np.ndarray:
-    """The m - 1 thresholds of :func:`atom_index`, ``cum[:-1]``: u picks
-    the atom numbered by how many of them are <= u."""
+    """The m - 1 thresholds of :func:`atom_index`, ``cum[:-1]`` of the
+    cumulative float weights."""
     return np.cumsum([float(w) for w in weights])[:-1]
+
+
+def pick_atoms(thresholds, u):
+    """The atoms uniforms u pick: for each u, the number of the
+    nondecreasing ``thresholds`` that are <= u."""
+    return np.searchsorted(thresholds, u, side="right")
 
 
 def atom_index(weights):
     """Map from uniforms u in [0, 1) to int64 atom indices: u picks the
-    first k with u < cum[k], cum the cumulative float weights with the
-    last set to 1, so u == cum[k] picks atom k + 1."""
-    if len(weights) == 2:
-        c0 = float(weights[0])
-        return lambda u: (u >= c0).astype(np.int64)
-    cum = np.cumsum([float(w) for w in weights])
-    cum[-1] = 1.0
-    return lambda u: np.searchsorted(cum, u, side="right")
+    first k with u < cum[k], cum the cumulative float weights, so
+    u == cum[k] picks atom k + 1."""
+    q = atom_thresholds(weights)
+    return lambda u: pick_atoms(q, u)
 
 
 def affine_quantile(spec: DistributionSpec):

@@ -76,20 +76,24 @@ struct piece {
     ptrdiff_t m, d;
 };
 
-/* The number of the n nondecreasing thresholds q that are <= u, by
- * bisection: the row distributions.atom_index gives u.  A NaN u
- * compares false with every threshold and picks row 0. */
+/* The number of the n nondecreasing thresholds q that are <= u: the row
+ * distributions.atom_index gives u.  Bisection with a conditional move
+ * in place of a branch, so a random u costs no mispredicted jump: every
+ * threshold before base is <= u, and the count lies in
+ * [base - q, base - q + len].  A NaN u compares false with every
+ * threshold and picks row 0. */
 static inline ptrdiff_t atom_row(const double *q, ptrdiff_t n, double u)
 {
-    ptrdiff_t lo = 0, hi = n;
-    while (lo < hi) {
-        ptrdiff_t mid = lo + (hi - lo) / 2;
-        if (q[mid] <= u)
-            lo = mid + 1;
-        else
-            hi = mid;
+    if (n == 0)
+        return 0;
+    const double *base = q;
+    ptrdiff_t len = n;
+    while (len > 1) {
+        ptrdiff_t half = len / 2;
+        base += base[half] <= u ? half : 0;
+        len -= half;
     }
-    return lo;
+    return (base - q) + (*base <= u);
 }
 
 /* Point l, c, n at the blocks of one cell. */
@@ -129,60 +133,45 @@ static double *scratch(struct piece *p)
     return buf;
 }
 
-/* The d = 1 loops take a piece in one of three forms, each a constant
+/* The d = 1 loops take a piece in one of two forms, each a constant
  * argument of an inlined loop, so no cell tests the form. */
-enum form { AFFINE, TWO_ATOMS, ATOMS };
+enum form { AFFINE, ATOMS };
 
-/* What a d = 1 piece's cells share, read once so that the loops keep it
- * in registers and the compiler can vectorise them: the map, q0 (and
- * q1), and the 1 x 1 tables, both rows of two atoms or the one row of
- * a scalar-driven piece with the flags cz, nz of its masks. */
+/* What a scalar-driven d = 1 piece's cells share, read once so that the
+ * loop keeps it in registers: the map (a, s), the one row of 1 x 1
+ * tables and the flags cz, nz of its masks. */
 struct d1 {
-    enum form form;
-    double q0, q1, l[2], c[2], n[2];
+    double a, s, l, c, n;
     int cz, nz;
 };
 
 static struct d1 d1_piece(const struct piece *p)
 {
-    struct d1 k = {ATOMS, 0.0, 0.0, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, 0, 0};
+    struct d1 k = {0.0, 0.0, 0.0, 0.0, 0.0, 0, 0};
     if (p->cpow != NULL) {
-        k.form = AFFINE;
-        k.q0 = p->q[0];
-        k.q1 = p->q[1];
+        k.a = p->q[0];
+        k.s = p->q[1];
+        k.l = p->ls[0];
+        k.c = p->cs[0];
+        k.n = p->ns[0];
         k.cz = p->cpow[0] != 0.0;
         k.nz = p->npow[0] != 0.0;
-    } else if (p->m == 2) {
-        k.form = TWO_ATOMS;
-        k.q0 = p->q[0];
-    } else {
-        return k;
-    }
-    for (ptrdiff_t r = 0; r < p->m; r++) {
-        k.l[r] = p->ls[r];
-        k.c[r] = p->cs[r];
-        k.n[r] = p->ns[r];
     }
     return k;
 }
 
 /* The 1 x 1 blocks l, c and n of a cell of a d = 1 piece with uniform
- * u: the atom row u picks (of two atoms, row 1 where q0 <= u), or the
- * one row with z = q0 + q1 u applied where cz and nz say. */
+ * u: the one row with z = a + s u applied where cz and nz say, or the
+ * atom row u picks. */
 static inline void cell_d1(const struct piece *p, const struct d1 *k,
                            enum form form, double u, double *l, double *c,
                            double *n)
 {
     if (form == AFFINE) {
-        double z = k->q0 + k->q1 * u;
-        *l = k->l[0];
-        *c = k->cz ? k->c[0] * z : k->c[0];
-        *n = k->nz ? k->n[0] * z : k->n[0];
-    } else if (form == TWO_ATOMS) {
-        int r = k->q0 <= u;
-        *l = r ? k->l[1] : k->l[0];
-        *c = r ? k->c[1] : k->c[0];
-        *n = r ? k->n[1] : k->n[0];
+        double z = k->a + k->s * u;
+        *l = k->l;
+        *c = k->cz ? k->c * z : k->c;
+        *n = k->nz ? k->n * z : k->n;
     } else {
         ptrdiff_t r = atom_row(p->q, p->m - 1, u);
         *l = p->ls[r];
@@ -253,17 +242,10 @@ int block_chain_steps(const double *restrict ls, const double *restrict cs,
     struct piece p = {ls, cs, ns, u, q, cpow, npow, NULL, NULL, rows, d};
     if (d == 1) {
         struct d1 k = d1_piece(&p);
-        switch (k.form) {
-        case AFFINE:
+        if (cpow != NULL)
             chain_d1(&p, k, AFFINE, x, xbuf, dbuf, span, width, e2);
-            break;
-        case TWO_ATOMS:
-            chain_d1(&p, k, TWO_ATOMS, x, xbuf, dbuf, span, width, e2);
-            break;
-        case ATOMS:
+        else
             chain_d1(&p, k, ATOMS, x, xbuf, dbuf, span, width, e2);
-            break;
-        }
         return 0;
     }
     double *num = scratch(&p);
@@ -310,17 +292,10 @@ int block_direct_steps(const double *restrict ls, const double *restrict cs,
     struct piece p = {ls, cs, ns, u, q, cpow, npow, NULL, NULL, rows, d};
     if (d == 1) {
         struct d1 k = d1_piece(&p);
-        switch (k.form) {
-        case AFFINE:
+        if (cpow != NULL)
             direct_d1(&p, k, AFFINE, v0, w, mbuf, span, width, eps);
-            break;
-        case TWO_ATOMS:
-            direct_d1(&p, k, TWO_ATOMS, v0, w, mbuf, span, width, eps);
-            break;
-        case ATOMS:
+        else
             direct_d1(&p, k, ATOMS, v0, w, mbuf, span, width, eps);
-            break;
-        }
         return 0;
     }
     double *bot = scratch(&p);

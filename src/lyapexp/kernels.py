@@ -68,6 +68,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import distributions as dist
+
 _SOURCE = Path(__file__).with_name("kernels.c")
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
@@ -141,7 +143,7 @@ def _resolve(piece):
     scalar-driven one, and None for the other."""
     ls, cs, ns, u, q, cpow, npow = piece
     if cpow is None:
-        rows = np.searchsorted(q, u, side="right")
+        rows = dist.pick_atoms(q, u)
         rows[np.isnan(u)] = 0  # as kernels.c's atom_row
         return ls, cs, ns, rows, None, None, None
     return ls, cs, ns, None, q[0] + q[1] * u, cpow, npow

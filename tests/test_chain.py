@@ -105,6 +105,19 @@ def test_state_bound_from_bounded_disorder():
         assert st.max_x <= 1.5 / eps ** 2
 
 
+def test_chain_without_states_keeps_the_lyapunov_bits():
+    """states=False stores no post-step state; the growth factors, and so
+    the Lyapunov statistics, are those of the full run, bit for bit."""
+    cfg = _cfg(0.3, n=20_000, threads=2)
+    full = chain.simulate_chain(CRIT, cfg, gammas=())
+    bare = chain.simulate_chain(CRIT, cfg, gammas=(), states=False)
+    assert (bare.log1p_mean, bare.log1p_stderr, bare.n_kept) \
+        == (full.log1p_mean, full.log1p_stderr, full.n_kept)
+    assert full.max_x > 0 and math.isnan(bare.max_x)
+    with pytest.raises(ValueError):
+        chain.simulate_chain(CRIT, cfg, gammas=(1.0,), states=False)
+
+
 def test_truncated_equals_plain_for_bounded_z():
     """eps^2 x' <= z <= ||Z||_inf pathwise, so the default cutoff
     B = 2 ||Z||_inf never triggers and both statistics coincide exactly."""

@@ -190,9 +190,10 @@ def _block_pieces(d, width, few_atoms):
     return pieces
 
 
-def _run_blocks_both(monkeypatch, run, pieces, state):
+def _run_blocks_both(monkeypatch, run, pieces, state, keep=None):
     """Run ``run(blocks, state, span)`` over the pieces through the compiled
-    and then the numpy path; return (final state, all rows) of each."""
+    and then the numpy path; return (final state, all rows) of each, with
+    only the first ``keep`` coordinates of each (width, d) state."""
     results = []
     for library in (kernels._library(), None):
         monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
@@ -200,7 +201,8 @@ def _run_blocks_both(monkeypatch, run, pieces, state):
         rows = []
         for span, blocks in pieces:
             rows.extend(out.ravel() for out in run(blocks, st, span))
-        results.append((np.concatenate([s.ravel() for s in st]),
+        results.append((np.concatenate([(s[:, :keep] if s.ndim == 2 else s)
+                                        .ravel() for s in st]),
                         np.concatenate(rows)))
     return results
 
@@ -257,31 +259,84 @@ def _gathered(piece):
     return (*tables, cells.reshape(u.shape), cells[1:], None, None)
 
 
-@pytest.mark.parametrize("d", [1, 3, 15])
-@pytest.mark.parametrize("method", ["chain", "direct"])
-def test_scalar_pieces_match_their_gathered_blocks(monkeypatch, d, method):
-    """Masks and one Z per cell give the bits of the blocks they stand
-    for (c * 1.0 == c), on whichever path this process runs and on the
-    numpy loops."""
-    width = 64
-    pieces = _block_pieces(d, width, few_atoms=False)
+def _embedded(piece):
+    """A d = 1 piece in d = 2, the second coordinate's table entries and
+    masks zero: its first coordinate steps as the d = 1 piece, and it
+    runs the general loop."""
+    ls, cs, ns, u, q, cpow, npow = piece
 
+    def pad(a, k):
+        return None if a is None else \
+            np.pad(a, [(0, 0)] * (a.ndim - k) + [(0, 1)] * k)
+    return (pad(ls, 1), pad(cs, 1), pad(ns, 2), u, q, pad(cpow, 1),
+            pad(npow, 2))
+
+
+def _method_run(method, width, d):
+    """The kernel run of ``method`` for _run_blocks_both, and its start.
+    The direct product starts off the unit vector, and its eps lets
+    either component of the new vector be the larger, so v0 is not left
+    at exactly 1 and the products with it are inexact."""
     def run(blocks, st, span):
         buf = np.empty((span, width))
         if method == "chain":
             kernels.block_chain_steps(*blocks, st[0], buf, 0.3)
         else:
-            kernels.block_direct_steps(*blocks, st[0], st[1], buf, 0.375)
+            kernels.block_direct_steps(*blocks, st[0], st[1], buf, 1.5)
         return (buf,)
 
+    gen = philox_generator(3, width)
     state = ([np.zeros((width, d))] if method == "chain"
-             else [np.ones(width), np.ones((width, d))])
-    got = _run_blocks_both(monkeypatch, run, pieces, state)
-    want = _run_blocks_both(
-        monkeypatch, run, [(span, _gathered(p)) for span, p in pieces], state)
+             else [gen.random(width) + 0.5, gen.random((width, d)) + 0.5])
+    return run, state
+
+
+def _embedded_state(state):
+    """The state of :func:`_embedded` pieces: a second coordinate of 0."""
+    return [np.pad(s, [(0, 0), (0, 1)]) if s.ndim == 2 else s
+            for s in state]
+
+
+def _assert_same_bits(got, want):
     for (sa, ra), (sb, rb) in zip(got, want):
         assert np.array_equal(_bits(sa), _bits(sb))
         assert np.array_equal(_bits(ra), _bits(rb))
+
+
+@pytest.mark.parametrize("d", [1, 3, 15])
+@pytest.mark.parametrize("method", ["chain", "direct"])
+def test_scalar_pieces_match_their_gathered_blocks(monkeypatch, d, method):
+    """Masks and one Z per cell give the bits of the blocks they stand
+    for (c * 1.0 == c), on whichever path this process runs and on the
+    numpy loops.  At d = 1 the gathered blocks are embedded in d = 2, so
+    the d = 1 loop on masks of 0 and 1 and L != 1 is checked against
+    the general loop."""
+    width = 64
+    pieces = _block_pieces(d, width, few_atoms=False)
+    run, state = _method_run(method, width, d)
+    got = _run_blocks_both(monkeypatch, run, pieces, state)
+    gathered = [(span, _gathered(p)) for span, p in pieces]
+    keep = None
+    if d == 1:
+        gathered = [(span, _embedded(p)) for span, p in gathered]
+        state, keep = _embedded_state(state), 1
+    want = _run_blocks_both(monkeypatch, run, gathered, state, keep)
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("method", ["chain", "direct"])
+def test_d1_atom_pieces_match_the_general_loop(monkeypatch, method):
+    """A finite d = 1 piece, with L != 1, gives the bits of the same
+    piece embedded in d = 2, which runs the general loop, on both paths;
+    the gathered test above does this for the affine form."""
+    width = 64
+    pieces = _block_pieces(1, width, few_atoms=True)
+    run, state = _method_run(method, width, 1)
+    got = _run_blocks_both(monkeypatch, run, pieces, state)
+    want = _run_blocks_both(
+        monkeypatch, run, [(span, _embedded(p)) for span, p in pieces],
+        _embedded_state(state), keep=1)
+    _assert_same_bits(got, want)
 
 
 def test_block_direct_maximum_propagates_nan(compiled, monkeypatch):
