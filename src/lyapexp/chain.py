@@ -22,9 +22,9 @@ pathwise domination results hold exactly in simulation.  The step
 itself is the block engine's at d = 1: the chain is the vector chain of
 :func:`.highdim.from_scalar`, ``(L, C, N) = (1, Z, Z)``, a discrete Z
 as atom tables and a continuous one as one-row tables driven by Z.
-Each piece passes the kernels its Philox uniforms, and the d = 1 loop
-of :mod:`.kernels`, compiled or in numpy with bitwise equal results,
-maps each to its atom or to Z as it steps.
+Each piece passes the kernels its Philox uniforms, and the loops of
+:mod:`.kernels` at d = 1, compiled or in numpy with bitwise equal
+results, map each to its atom or to Z as they step.
 """
 
 from __future__ import annotations

@@ -340,23 +340,17 @@ def solve_alpha(spec: DistributionSpec) -> AlphaResult:
 # -- sampling ------------------------------------------------------------
 
 def atom_thresholds(weights) -> np.ndarray:
-    """The m - 1 thresholds of :func:`atom_index`, ``cum[:-1]`` of the
+    """The m - 1 thresholds of :func:`pick_atoms`, ``cum[:-1]`` of the
     cumulative float weights."""
     return np.cumsum([float(w) for w in weights])[:-1]
 
 
 def pick_atoms(thresholds, u):
-    """The atoms uniforms u pick: for each u, the number of the
-    nondecreasing ``thresholds`` that are <= u."""
+    """The int64 atom indices uniforms u pick: for each u, the number of
+    the nondecreasing ``thresholds`` that are <= u.  With the thresholds
+    of :func:`atom_thresholds`, u in [0, 1) picks the first k with
+    u < cum[k], so u == cum[k] picks atom k + 1."""
     return np.searchsorted(thresholds, u, side="right")
-
-
-def atom_index(weights):
-    """Map from uniforms u in [0, 1) to int64 atom indices: u picks the
-    first k with u < cum[k], cum the cumulative float weights, so
-    u == cum[k] picks atom k + 1."""
-    q = atom_thresholds(weights)
-    return lambda u: pick_atoms(q, u)
 
 
 def affine_quantile(spec: DistributionSpec):
@@ -386,12 +380,8 @@ def sampler(spec: DistributionSpec):
     """
     if spec.is_discrete:
         atoms = np.array([float(a) for a in spec.atoms])
-        if len(atoms) == 2:
-            # atom_index's threshold, without the index array
-            c0, a0, a1 = float(spec.weights[0]), *atoms.tolist()
-            return lambda u: np.where(u < c0, a0, a1)
-        index = atom_index(spec.weights)
-        return lambda u: atoms[index(u)]
+        q = atom_thresholds(spec.weights)
+        return lambda u: atoms[pick_atoms(q, u)]
     pre, (a, s) = affine_quantile(spec)
     if pre is not None:
         return pre

@@ -21,10 +21,10 @@ Either way G^(l) is exact.
 
 Everything here reduces to the scalar theory at d = 1 with
 (L, C, N) = (1, Z, Z), and the scalar engines are these engines at
-d = 1, on the law :func:`from_scalar` gives.  Their pieces take the
-kernels' d = 1 loop, of either form; embedded in d = 2 with a
-coordinate that stays zero, the same law runs the general loop to the
-same bits.
+d = 1, on the law :func:`from_scalar` gives.  Their pieces run the
+kernels' loops compiled for d = 1, of either form; embedded in d = 2
+with a coordinate that stays zero, the same law runs the loops at
+general d to the same bits.
 """
 
 from __future__ import annotations

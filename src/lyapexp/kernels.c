@@ -9,45 +9,33 @@
  * map here (struct piece): a finite law's uniform picks a row of
  * (m, d), (m, d) and (m, d, d) atom tables by its m - 1 thresholds; a
  * scalar-driven law's gives the scalar z = a + s u that scales the
- * masked entries of one-row tables.  Each kernel hands d = 1 pieces of
- * either form to a loop on scalars with the general loop's operations.
+ * masked entries of one-row tables.  Each recursion has one loop body,
+ * which each kernel instantiates with the form and d as constants: once
+ * for d = 1, the scalar engines' case, and once for general d.
  */
 #include <stddef.h>
 #include <stdlib.h>
+#include <string.h>
 
-/* Sum of the products a[i]*b[i], i < n, grouped as numpy's pairwise_sum
- * groups a contiguous reduction: below 8 terms one sequential sum from
- * 0.0; up to 128 terms eight strided accumulators, combined as
- * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above
- * that, halves split at a multiple of 8. */
+/* Sum of the products a[i]*b[i], i < n, n >= 8, grouped as numpy's
+ * pairwise_sum groups a contiguous reduction: up to 128 terms eight
+ * strided accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+ * then the rest in order; above that, halves split at a multiple of 8. */
 static double pairwise_dot(const double *restrict a, const double *restrict b,
                            ptrdiff_t n)
 {
-    if (n < 8) {
-        double res = 0.0;
-        for (ptrdiff_t i = 0; i < n; i++) {
-            double p = a[i] * b[i];
-            res = res + p;
-        }
-        return res;
-    }
     if (n <= 128) {
         double r[8];
         ptrdiff_t i;
         for (int k = 0; k < 8; k++)
             r[k] = a[k] * b[k];
-        for (i = 8; i < n - n % 8; i += 8) {
-            for (int k = 0; k < 8; k++) {
-                double p = a[i + k] * b[i + k];
-                r[k] = r[k] + p;
-            }
-        }
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] = r[k] + a[i + k] * b[i + k];
         double res = ((r[0] + r[1]) + (r[2] + r[3]))
                      + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++) {
-            double p = a[i] * b[i];
-            res = res + p;
-        }
+        for (; i < n; i++)
+            res = res + a[i] * b[i];
         return res;
     }
     ptrdiff_t n2 = n / 2;
@@ -56,11 +44,18 @@ static double pairwise_dot(const double *restrict a, const double *restrict b,
 }
 
 /* (a*b).sum(axis=-1) for one row: numpy adds the pairwise sum to the
- * reduction's identity 0.0, which turns a sum of -0.0 into +0.0. */
-static double sum_of_products(const double *restrict a,
-                              const double *restrict b, ptrdiff_t d)
+ * reduction's identity 0.0, which turns a sum of -0.0 into +0.0.  Below
+ * 8 terms numpy sums in order from 0.0; a sum started at +0.0 is never
+ * -0.0, so adding it to 0.0 again changes no bit and is left out. */
+static inline double sum_of_products(const double *restrict a,
+                                     const double *restrict b, ptrdiff_t d)
 {
-    return 0.0 + pairwise_dot(a, b, d);
+    if (d >= 8)
+        return 0.0 + pairwise_dot(a, b, d);
+    double res = 0.0;
+    for (ptrdiff_t i = 0; i < d; i++)
+        res = res + a[i] * b[i];
+    return res;
 }
 
 /* The blocks of one piece.  A finite law (cpow NULL) passes (m, d),
@@ -69,15 +64,14 @@ static double sum_of_products(const double *restrict a,
  * scalar-driven law passes one-row tables (m = 1), q = (a, s) and the
  * 0/1 masks cpow (d,) and npow (d, d): the cell's scalar is
  * z = a + s * u[t, j], and each entry whose mask is set is multiplied
- * by it.  c and n are scratch rows for the latter. */
+ * by it. */
 struct piece {
     const double *ls, *cs, *ns, *u, *q, *cpow, *npow;
-    double *c, *n;
-    ptrdiff_t m, d;
+    ptrdiff_t m;
 };
 
 /* The number of the n nondecreasing thresholds q that are <= u: the row
- * distributions.atom_index gives u.  Bisection with a conditional move
+ * distributions.pick_atoms gives u.  Bisection with a conditional move
  * in place of a branch, so a random u costs no mispredicted jump: every
  * threshold before base is <= u, and the count lies in
  * [base - q, base - q + len].  A NaN u compares false with every
@@ -96,133 +90,56 @@ static inline ptrdiff_t atom_row(const double *q, ptrdiff_t n, double u)
     return (base - q) + (*base <= u);
 }
 
-/* Point l, c, n at the blocks of one cell. */
-static void cell_blocks(const struct piece *p, ptrdiff_t cell,
-                        const double **l, const double **c,
-                        const double **n)
+/* Point l, c, n at the d-dimensional blocks of the cell with uniform u:
+ * the atom row u picks or, for an affine piece, the one row with z
+ * applied, formed in the scratch rows crow (d) and nrow (d * d). */
+static inline void cell_blocks(const struct piece *p, int affine,
+                               ptrdiff_t d, double u, double *crow,
+                               double *nrow, const double **l,
+                               const double **c, const double **n)
 {
-    ptrdiff_t d = p->d;
-    if (p->cpow == NULL) {
-        ptrdiff_t r = atom_row(p->q, p->m - 1, p->u[cell]);
+    if (!affine) {
+        ptrdiff_t r = atom_row(p->q, p->m - 1, u);
         *l = p->ls + r * d;
         *c = p->cs + r * d;
         *n = p->ns + r * d * d;
         return;
     }
-    double zc = p->q[0] + p->q[1] * p->u[cell];
+    double z = p->q[0] + p->q[1] * u;
     for (ptrdiff_t i = 0; i < d; i++)
-        p->c[i] = p->cpow[i] != 0.0 ? p->cs[i] * zc : p->cs[i];
+        crow[i] = p->cpow[i] != 0.0 ? p->cs[i] * z : p->cs[i];
     for (ptrdiff_t k = 0; k < d * d; k++)
-        p->n[k] = p->npow[k] != 0.0 ? p->ns[k] * zc : p->ns[k];
+        nrow[k] = p->npow[k] != 0.0 ? p->ns[k] * z : p->ns[k];
     *l = p->ls;
-    *c = p->c;
-    *n = p->n;
+    *c = crow;
+    *n = nrow;
 }
 
-/* Scratch for d entries of the loop and, for a scalar-driven piece, its
- * c and n rows; NULL when no memory could be had. */
-static double *scratch(struct piece *p)
+/* The chain over a piece, with the form and d constant once inlined.
+ * The scratch s holds d * (d + 2) values: one row of d, then the c (d)
+ * and n (d * d) rows an affine piece forms. */
+static inline void chain_loop(const struct piece *p, int affine, ptrdiff_t d,
+                              double *restrict s, double *restrict x,
+                              double *restrict xbuf, double *restrict dbuf,
+                              ptrdiff_t span, ptrdiff_t width, double e2)
 {
-    ptrdiff_t d = p->d;
-    size_t extra = p->cpow != NULL ? (size_t)(d + d * d) : 0;
-    double *buf = malloc(((size_t)d + extra) * sizeof *buf);
-    if (buf != NULL && extra) {
-        p->c = buf + d;
-        p->n = buf + 2 * d;
-    }
-    return buf;
-}
-
-/* The d = 1 loops take a piece in one of two forms, each a constant
- * argument of an inlined loop, so no cell tests the form. */
-enum form { AFFINE, ATOMS };
-
-/* What a scalar-driven d = 1 piece's cells share, read once so that the
- * loop keeps it in registers: the map (a, s), the one row of 1 x 1
- * tables and the flags cz, nz of its masks. */
-struct d1 {
-    double a, s, l, c, n;
-    int cz, nz;
-};
-
-static struct d1 d1_piece(const struct piece *p)
-{
-    struct d1 k = {0.0, 0.0, 0.0, 0.0, 0.0, 0, 0};
-    if (p->cpow != NULL) {
-        k.a = p->q[0];
-        k.s = p->q[1];
-        k.l = p->ls[0];
-        k.c = p->cs[0];
-        k.n = p->ns[0];
-        k.cz = p->cpow[0] != 0.0;
-        k.nz = p->npow[0] != 0.0;
-    }
-    return k;
-}
-
-/* The 1 x 1 blocks l, c and n of a cell of a d = 1 piece with uniform
- * u: the one row with z = a + s u applied where cz and nz say, or the
- * atom row u picks. */
-static inline void cell_d1(const struct piece *p, const struct d1 *k,
-                           enum form form, double u, double *l, double *c,
-                           double *n)
-{
-    if (form == AFFINE) {
-        double z = k->a + k->s * u;
-        *l = k->l;
-        *c = k->cz ? k->c * z : k->c;
-        *n = k->nz ? k->n * z : k->n;
-    } else {
-        ptrdiff_t r = atom_row(p->q, p->m - 1, u);
-        *l = p->ls[r];
-        *c = p->cs[r];
-        *n = p->ns[r];
-    }
-}
-
-/* The chain at d = 1: the general loop's operations on the cell's
- * 1 x 1 blocks.  sum_of_products(a, b, 1) is 0.0 + (0.0 + a*b), which
- * rounds as 0.0 + a*b. */
-static inline void chain_d1(const struct piece *p, const struct d1 k,
-                            enum form form, double *restrict x,
-                            double *restrict xbuf, double *restrict dbuf,
-                            ptrdiff_t span, ptrdiff_t width, double e2)
-{
+    double *num = s, *crow = s + d, *nrow = s + 2 * d;
     for (ptrdiff_t t = 0; t < span; t++) {
         const double *ut = p->u + t * width;
         double *dt = dbuf + t * width;
         for (ptrdiff_t j = 0; j < width; j++) {
-            double l, c, n;
-            cell_d1(p, &k, form, ut[j], &l, &c, &n);
-            double num = c + (0.0 + n * x[j]);
-            double den = 1.0 + e2 * (0.0 + l * x[j]);
+            const double *l, *c, *n;
+            cell_blocks(p, affine, d, ut[j], crow, nrow, &l, &c, &n);
+            double *xj = x + j * d;
+            for (ptrdiff_t i = 0; i < d; i++)
+                num[i] = c[i] + sum_of_products(n + i * d, xj, d);
+            double den = 1.0 + e2 * sum_of_products(l, xj, d);
             dt[j] = den;
-            x[j] = num / den;
+            for (ptrdiff_t i = 0; i < d; i++)
+                xj[i] = num[i] / den;
         }
         if (xbuf != NULL)
-            for (ptrdiff_t j = 0; j < width; j++)
-                xbuf[t * width + j] = x[j];
-    }
-}
-
-static inline void direct_d1(const struct piece *p, const struct d1 k,
-                             enum form form, double *restrict v0,
-                             double *restrict w, double *restrict mbuf,
-                             ptrdiff_t span, ptrdiff_t width, double eps)
-{
-    for (ptrdiff_t t = 0; t < span; t++) {
-        const double *ut = p->u + t * width;
-        double *mt = mbuf + t * width;
-        for (ptrdiff_t j = 0; j < width; j++) {
-            double l, c, n;
-            cell_d1(p, &k, form, ut[j], &l, &c, &n);
-            double top = v0[j] + eps * (0.0 + l * w[j]);
-            double b = eps * (c * v0[j]) + (0.0 + n * w[j]);
-            double m = (top >= b || top != top) ? top : b;
-            mt[j] = m;
-            v0[j] = top / m;
-            w[j] = b / m;
-        }
+            memcpy(xbuf + t * width * d, x, (size_t)(width * d) * sizeof *x);
     }
 }
 
@@ -239,41 +156,56 @@ int block_chain_steps(const double *restrict ls, const double *restrict cs,
                       ptrdiff_t span, ptrdiff_t width, ptrdiff_t rows,
                       ptrdiff_t d, double e2)
 {
-    struct piece p = {ls, cs, ns, u, q, cpow, npow, NULL, NULL, rows, d};
-    if (d == 1) {
-        struct d1 k = d1_piece(&p);
-        if (cpow != NULL)
-            chain_d1(&p, k, AFFINE, x, xbuf, dbuf, span, width, e2);
-        else
-            chain_d1(&p, k, ATOMS, x, xbuf, dbuf, span, width, e2);
-        return 0;
-    }
-    double *num = scratch(&p);
-    if (num == NULL)
+    struct piece p = {ls, cs, ns, u, q, cpow, npow, rows};
+    int affine = cpow != NULL;
+    /* at d = 1 the scratch is on the stack, where it stays in registers */
+    double one[3];
+    double *s = d == 1 ? one : malloc((size_t)d * (d + 2) * sizeof *s);
+    if (s == NULL)
         return -1;
+    if (d == 1 && affine)
+        chain_loop(&p, 1, 1, s, x, xbuf, dbuf, span, width, e2);
+    else if (d == 1)
+        chain_loop(&p, 0, 1, s, x, xbuf, dbuf, span, width, e2);
+    else if (affine)
+        chain_loop(&p, 1, d, s, x, xbuf, dbuf, span, width, e2);
+    else
+        chain_loop(&p, 0, d, s, x, xbuf, dbuf, span, width, e2);
+    if (s != one)
+        free(s);
+    return 0;
+}
+
+/* The direct product over a piece, with the form and d constant once
+ * inlined; the scratch s is as in chain_loop. */
+static inline void direct_loop(const struct piece *p, int affine,
+                               ptrdiff_t d, double *restrict s,
+                               double *restrict v0, double *restrict w,
+                               double *restrict mbuf, ptrdiff_t span,
+                               ptrdiff_t width, double eps)
+{
+    double *bot = s, *crow = s + d, *nrow = s + 2 * d;
     for (ptrdiff_t t = 0; t < span; t++) {
+        const double *ut = p->u + t * width;
+        double *mt = mbuf + t * width;
         for (ptrdiff_t j = 0; j < width; j++) {
-            ptrdiff_t cell = t * width + j;
             const double *l, *c, *n;
-            cell_blocks(&p, cell, &l, &c, &n);
-            double *xj = x + j * d;
-            for (ptrdiff_t i = 0; i < d; i++) {
-                double s = sum_of_products(n + i * d, xj, d);
-                num[i] = c[i] + s;
-            }
-            double den = sum_of_products(l, xj, d);
-            den = e2 * den;
-            den = 1.0 + den;
-            dbuf[cell] = den;
+            cell_blocks(p, affine, d, ut[j], crow, nrow, &l, &c, &n);
+            double *wj = w + j * d;
+            double top = v0[j] + eps * sum_of_products(l, wj, d);
             for (ptrdiff_t i = 0; i < d; i++)
-                xj[i] = num[i] / den;
-            if (xbuf != NULL)
-                for (ptrdiff_t i = 0; i < d; i++)
-                    xbuf[cell * d + i] = xj[i];
+                bot[i] = eps * (c[i] * v0[j])
+                         + sum_of_products(n + i * d, wj, d);
+            double bmax = bot[0];
+            for (ptrdiff_t i = 1; i < d; i++)
+                bmax = (bmax >= bot[i] || bmax != bmax) ? bmax : bot[i];
+            double m = (top >= bmax || top != top) ? top : bmax;
+            mt[j] = m;
+            v0[j] = top / m;
+            for (ptrdiff_t i = 0; i < d; i++)
+                wj[i] = bot[i] / m;
         }
     }
-    free(num);
-    return 0;
 }
 
 /* Renormalised product of [[1, eps L^T], [eps C, N]] applied to
@@ -289,42 +221,22 @@ int block_direct_steps(const double *restrict ls, const double *restrict cs,
                        ptrdiff_t span, ptrdiff_t width, ptrdiff_t rows,
                        ptrdiff_t d, double eps)
 {
-    struct piece p = {ls, cs, ns, u, q, cpow, npow, NULL, NULL, rows, d};
-    if (d == 1) {
-        struct d1 k = d1_piece(&p);
-        if (cpow != NULL)
-            direct_d1(&p, k, AFFINE, v0, w, mbuf, span, width, eps);
-        else
-            direct_d1(&p, k, ATOMS, v0, w, mbuf, span, width, eps);
-        return 0;
-    }
-    double *bot = scratch(&p);
-    if (bot == NULL)
+    struct piece p = {ls, cs, ns, u, q, cpow, npow, rows};
+    int affine = cpow != NULL;
+    /* at d = 1 the scratch is on the stack, where it stays in registers */
+    double one[3];
+    double *s = d == 1 ? one : malloc((size_t)d * (d + 2) * sizeof *s);
+    if (s == NULL)
         return -1;
-    for (ptrdiff_t t = 0; t < span; t++) {
-        for (ptrdiff_t j = 0; j < width; j++) {
-            ptrdiff_t cell = t * width + j;
-            const double *l, *c, *n;
-            cell_blocks(&p, cell, &l, &c, &n);
-            double *wj = w + j * d;
-            double top = sum_of_products(l, wj, d);
-            top = eps * top;
-            top = v0[j] + top;
-            for (ptrdiff_t i = 0; i < d; i++) {
-                double b = c[i] * v0[j];
-                b = eps * b;
-                bot[i] = b + sum_of_products(n + i * d, wj, d);
-            }
-            double bmax = bot[0];
-            for (ptrdiff_t i = 1; i < d; i++)
-                bmax = (bmax >= bot[i] || bmax != bmax) ? bmax : bot[i];
-            double m = (top >= bmax || top != top) ? top : bmax;
-            mbuf[cell] = m;
-            v0[j] = top / m;
-            for (ptrdiff_t i = 0; i < d; i++)
-                wj[i] = bot[i] / m;
-        }
-    }
-    free(bot);
+    if (d == 1 && affine)
+        direct_loop(&p, 1, 1, s, v0, w, mbuf, span, width, eps);
+    else if (d == 1)
+        direct_loop(&p, 0, 1, s, v0, w, mbuf, span, width, eps);
+    else if (affine)
+        direct_loop(&p, 1, d, s, v0, w, mbuf, span, width, eps);
+    else
+        direct_loop(&p, 0, d, s, v0, w, mbuf, span, width, eps);
+    if (s != one)
+        free(s);
     return 0;
 }

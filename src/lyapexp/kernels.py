@@ -18,7 +18,7 @@ comes in one of two forms.  A finite law passes its ``(m, ...)`` atom
 tables and the ``m - 1`` nondecreasing thresholds ``q`` of
 :func:`.distributions.atom_thresholds`, with ``cpow`` and ``npow`` None:
 cell ``(t, j)`` uses the table row numbered by how many thresholds are
-``<= u[t, j]``, the row :func:`.distributions.atom_index` gives.  A
+``<= u[t, j]``, the row :func:`.distributions.pick_atoms` gives.  A
 scalar-driven law passes one-row tables ``ls`` (1, d), ``cs`` (1, d),
 ``ns`` (1, d, d), ``q = (a, s)`` and 0/1 masks ``cpow`` (d,) and
 ``npow`` (d, d): cell ``(t, j)`` draws ``z = a + s * u[t, j]`` and uses
@@ -28,8 +28,11 @@ quantile map is not affine passes its draws of Z as ``u`` with
 ``q = (0, 1)``, an exact identity
 (:func:`.distributions.affine_quantile`).
 
-Every d = 1 piece, of either form, runs a loop on scalars; every other
-piece runs the general loop.  Both give the general loop's bits.
+Each recursion is one C loop body, compiled for each form both at
+d = 1, which every scalar engine piece has, and at general d; at d = 1
+the compiler keeps the blocks and sums in registers.  The numpy
+fallback keeps a loop of its own for d = 1 pieces (see below), which
+gives the general loop's bits.
 
 Sum grouping
 ------------
@@ -37,8 +40,11 @@ The block recursions contain length-``d`` sums, ``(ns * x).sum(axis=-1)``
 in numpy, which numpy adds by its ``pairwise_sum``: a sequential sum
 from 0.0 below 8 terms, eight interleaved accumulators up to 128 terms,
 and above that a split at ``n/2`` rounded down to a multiple of 8,
-applied recursively.  The C loops group every such sum the same way
-(``pairwise_dot`` in ``kernels.c``), so one C path serves every ``d``.
+applied recursively, and the reduction adds that sum to 0.0.  The C
+loops group every such sum the same way (``sum_of_products`` in
+``kernels.c``), so one C path serves every ``d``.  Below 8 terms they
+leave out the final 0.0 +: a sum started at +0.0 is never -0.0, so it
+changes no bit.
 
 Build and cache
 ---------------
@@ -198,9 +204,13 @@ def _block_direct_numpy(piece, v0, w, mbuf, eps):
         np.divide(bot, m[:, None], out=w)
 
 
-# The twins of kernels.c's d = 1 loops.  A length-1 sum is 0.0 + a*b
-# here as there; each twin runs on (width,) rows of the 1 x 1 blocks,
-# formed for the whole piece at once.
+# The numpy loops at d = 1, on (width,) rows of the 1 x 1 blocks formed
+# for the whole piece at once, with the general loop's bits (a length-1
+# sum is 0.0 + a*b).  They exist for speed: the general loop forms
+# (width, d, d) arrays and reduces them along an axis every row, which at
+# d = 1 and width 64 is 1.7-3.3x slower (the two-atom chain: 346 against
+# 153 ns a step), and at width 1 (chain --dominance, coupled_paths)
+# 55-80x slower than _chain_floats; numpy 2.4.6 on one x86-64 core.
 
 def _d1_blocks(piece):
     """The (span, width) l, c and n of a resolved d = 1 piece."""

@@ -3,11 +3,12 @@
 Random rational two-point and three-atom laws, and random uniform
 intervals, at d = 1.  The scalar engines run the law ``from_scalar``
 gives, ``(L, C, N) = (1, Z, Z)``: a finite law as atom tables, a
-uniform one as one-row tables driven by Z, either of which takes the
-kernels' d = 1 loop.  The same law embedded in d = 2 with a coordinate
-that stays zero, ``L = (1, 0)``, ``C = (Z, 0)``, ``N = [[Z, 0], [0, 0]]``,
-takes the general block loop, whose sums of two terms round as the
-d = 1 loop's sums of one.
+uniform one as one-row tables driven by Z, either of which runs the
+kernels at d = 1: in C the loop body compiled for d = 1, in numpy the
+d = 1 loop.  The same law embedded in d = 2 with a coordinate that
+stays zero, ``L = (1, 0)``, ``C = (Z, 0)``, ``N = [[Z, 0], [0, 0]]``,
+runs them at general d, whose sums of two terms round as the sums of
+one at d = 1.
 
 - for finite and uniform laws the two loops give the same bits, for
   both estimators, on runs shorter than one piece of rows and across
@@ -16,7 +17,7 @@ d = 1 loop's sums of one.
 - runs at eps and -eps are bit-equal;
 - 1 and 3 worker threads give the same bits;
 - coupled paths are ordered: less damping gives a larger path at every
-  step, on the d = 1 loop and the general loop alike.
+  step, at d = 1 and at general d alike.
 
 The short run size spans two replica blocks (the second partial) and a
 lead that is not a multiple of any piece span.
@@ -78,7 +79,7 @@ methods = st.sampled_from(sorted(SCALAR))
 
 def _padded(law):
     """The d = 1 law of ``law`` embedded in d = 2, its second coordinate
-    held at zero, so that its pieces run the general loop."""
+    held at zero, so that its pieces run the kernels at general d."""
     e = np.array([1.0, 0.0])
     return highdim.scalar_driven(e, e, np.diag(e), e, np.diag(e), law)
 

@@ -231,8 +231,10 @@ def test_sample_uniform_respects_bounds_and_mean():
                          ["1/7", "1/7", "2/7", "2/7", "1/7"]),
 ])
 def test_two_atom_sampler_matches_searchsorted_bitwise(spec):
-    """atom_index and the sampler match a search on the cumulative float
-    weights bit for bit, for 1 to 5 atoms, also at every inner edge."""
+    """pick_atoms on atom_thresholds, and the sampler, match a search on
+    the cumulative float weights bit for bit, for 1 to 5 atoms, also at
+    every inner edge and its neighbours; a NaN uniform picks the last
+    atom, however many there are."""
     cum = np.cumsum([float(w) for w in spec.weights])
     cum[-1] = 1.0
     atoms = np.array([float(a) for a in spec.atoms])
@@ -242,14 +244,16 @@ def test_two_atom_sampler_matches_searchsorted_bitwise(spec):
                             np.nextafter(inner, 1.0)])
     u = np.concatenate([philox_generator(5, 0).random(10 ** 6), edges])
     want = np.searchsorted(cum, u, side="right")
-    index = dist.atom_index(spec.weights)
-    assert index(u).dtype == np.int64
-    assert np.array_equal(index(u), want)
+    q = dist.atom_thresholds(spec.weights)
+    assert q.dtype == np.float64 and np.array_equal(q, inner)
+    assert dist.pick_atoms(q, u).dtype == np.int64
+    assert np.array_equal(dist.pick_atoms(q, u), want)
     got = dist.sampler(spec)(u)
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.int64), atoms[want].view(np.int64))
     # u == cum[k] picks atom k + 1
-    assert np.array_equal(index(inner), np.arange(1, len(atoms)))
+    assert np.array_equal(dist.pick_atoms(q, inner), np.arange(1, len(atoms)))
+    assert dist.sampler(spec)(np.array([np.nan])).tolist() == [atoms[-1]]
 
 
 def test_single_uniform_consumed_per_draw():

@@ -119,7 +119,8 @@ def test_chunk_blocks_passes_atom_tables_and_indices():
     cum[-1] = 1.0
     rows = (q[None, None, :] <= u[:, :, None]).sum(axis=2)
     assert np.array_equal(rows, np.searchsorted(cum, u, side="right"))
-    assert np.array_equal(rows, dist.atom_index(law.weights)(u))
+    assert np.array_equal(
+        rows, dist.pick_atoms(dist.atom_thresholds(law.weights), u))
 
 
 def test_chunk_blocks_gives_scalar_laws_one_z_per_cell():

@@ -94,11 +94,14 @@ def test_direct_kernel_matches_numpy_bitwise(compiled, monkeypatch, width,
         kernels.block_direct_steps(*blocks, st[0], st[1], mbuf, eps)
         return (mbuf,)
 
+    pieces = _scalar_pieces(width)
     start = [np.full(width, 1.0), np.full((width, 1), 0.5)]
-    (va, ra), (vb, rb) = _run_blocks_both(
-        monkeypatch, run, _scalar_pieces(width), start)
-    assert np.array_equal(_bits(va), _bits(vb))
-    assert np.array_equal(_bits(ra), _bits(rb))
+    # and _method_run's start, where v0 does not stay exactly 1
+    for run_, state in ((run, start), _method_run("direct", width, 1)):
+        (va, ra), (vb, rb) = _run_blocks_both(monkeypatch, run_, pieces,
+                                              state)
+        assert np.array_equal(_bits(va), _bits(vb))
+        assert np.array_equal(_bits(ra), _bits(rb))
 
 
 def test_direct_kernel_maximum_propagates_nan(compiled, monkeypatch):
@@ -190,12 +193,17 @@ def _block_pieces(d, width, few_atoms):
     return pieces
 
 
+# the library lookup itself: _run_blocks_both patches kernels._library,
+# and a second call in the same test must still find the compiled path
+_LIBRARY = kernels._library
+
+
 def _run_blocks_both(monkeypatch, run, pieces, state, keep=None):
     """Run ``run(blocks, state, span)`` over the pieces through the compiled
     and then the numpy path; return (final state, all rows) of each, with
     only the first ``keep`` coordinates of each (width, d) state."""
     results = []
-    for library in (kernels._library(), None):
+    for library in (_LIBRARY(), None):
         monkeypatch.setattr(kernels, "_library", lambda lib=library: lib)
         st = [s.copy() for s in state]
         rows = []
@@ -239,11 +247,69 @@ def test_block_direct_kernel_matches_numpy_bitwise(compiled, monkeypatch, d,
         kernels.block_direct_steps(*blocks, st[0], st[1], mbuf, 0.375)
         return (mbuf,)
 
-    (va, ra), (vb, rb) = _run_blocks_both(
-        monkeypatch, run, _block_pieces(d, width, few_atoms),
-        [np.ones(width), np.ones((width, d))])
-    assert np.array_equal(_bits(va), _bits(vb))
+    pieces = _block_pieces(d, width, few_atoms)
+    start = [np.ones(width), np.ones((width, d))]
+    # and _method_run's start, where v0 does not stay exactly 1
+    for run_, state in ((run, start), _method_run("direct", width, d)):
+        (va, ra), (vb, rb) = _run_blocks_both(monkeypatch, run_, pieces,
+                                              state)
+        assert np.array_equal(_bits(va), _bits(vb))
+        assert np.array_equal(_bits(ra), _bits(rb))
+
+
+def _zeros_or_values(gen, shape):
+    """-0.0, +0.0 or a value in [0.25, 1.25), with probabilities 1/4, 1/4
+    and 1/2."""
+    k = gen.integers(0, 4, shape)
+    return np.where(k == 0, -0.0, np.where(k == 1, 0.0, gen.random(shape)
+                                           + 0.25))
+
+
+@pytest.mark.parametrize("affine", [False, True])
+@pytest.mark.parametrize("method", ["chain", "direct"])
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9])
+def test_kernels_match_numpy_on_signed_zeros(compiled, monkeypatch, d,
+                                             method, affine):
+    """The loops and numpy agree bit for bit when tables and states hold
+    -0.0, on both forms: below 8 terms a sum runs from +0.0, so it is
+    never -0.0 and numpy's outer 0.0 + is an identity, while a pairwise
+    sum of 8 or more -0.0 products is -0.0 until that 0.0 + is added.
+    An affine piece first draws z = -0.0 + -0.0 * u = -0.0.  The direct
+    product runs at eps < 0 with C > 0 and v0 < 0: then top stays
+    negative, every bottom entry positive, and the max-norm with it."""
+    gen = philox_generator(d, 5)
+    width, span, m = 64, 16, 1 if affine else 3
+    direct = method == "direct"
+    ls = _zeros_or_values(gen, (m, d))
+    cs = gen.random((m, d)) + 0.25 if direct \
+        else _zeros_or_values(gen, (m, d))
+    ns = _zeros_or_values(gen, (m, d, d)) / d
+    # the direct product leaves C unmasked, so that z = -0.0 keeps C > 0
+    cpow = gen.integers(0, 2, d).astype(float) * (not direct)
+    npow = gen.integers(0, 2, (d, d)).astype(float)
+    pieces = []
+    for q in ((np.array([-0.0, -0.0]), Q_UNIF) if affine
+              else (THRESHOLDS, THRESHOLDS)):
+        masks = (cpow, npow) if affine else (None, None)
+        pieces.append((span, (ls, cs, ns, gen.random((span, width)), q,
+                              *masks)))
+
+    def run(blocks, st, span):
+        buf = np.empty((span, width))
+        if direct:
+            kernels.block_direct_steps(*blocks, *st, buf, -0.375)
+            return (buf,)
+        xbuf = np.empty((span, width, d))
+        kernels.block_chain_steps(*blocks, *st, buf, 0.3, xbuf)
+        return buf, xbuf
+
+    x = _zeros_or_values(gen, (width, d))
+    x[::4] = -0.0  # so that some sums of 8 or 9 terms are all -0.0
+    state = [-0.25 - gen.random(width), x] if direct else [x]
+    (sa, ra), (sb, rb) = _run_blocks_both(monkeypatch, run, pieces, state)
+    assert np.array_equal(_bits(sa), _bits(sb))
     assert np.array_equal(_bits(ra), _bits(rb))
+    assert np.isfinite(ra).all()
 
 
 def _gathered(piece):
@@ -262,7 +328,7 @@ def _gathered(piece):
 def _embedded(piece):
     """A d = 1 piece in d = 2, the second coordinate's table entries and
     masks zero: its first coordinate steps as the d = 1 piece, and it
-    runs the general loop."""
+    runs the kernels at general d."""
     ls, cs, ns, u, q, cpow, npow = piece
 
     def pad(a, k):
@@ -309,8 +375,8 @@ def test_scalar_pieces_match_their_gathered_blocks(monkeypatch, d, method):
     """Masks and one Z per cell give the bits of the blocks they stand
     for (c * 1.0 == c), on whichever path this process runs and on the
     numpy loops.  At d = 1 the gathered blocks are embedded in d = 2, so
-    the d = 1 loop on masks of 0 and 1 and L != 1 is checked against
-    the general loop."""
+    the kernels at d = 1, on masks of 0 and 1 and L != 1, are checked
+    against the kernels at general d."""
     width = 64
     pieces = _block_pieces(d, width, few_atoms=False)
     run, state = _method_run(method, width, d)
@@ -327,8 +393,8 @@ def test_scalar_pieces_match_their_gathered_blocks(monkeypatch, d, method):
 @pytest.mark.parametrize("method", ["chain", "direct"])
 def test_d1_atom_pieces_match_the_general_loop(monkeypatch, method):
     """A finite d = 1 piece, with L != 1, gives the bits of the same
-    piece embedded in d = 2, which runs the general loop, on both paths;
-    the gathered test above does this for the affine form."""
+    piece embedded in d = 2, which runs the kernels at general d, on
+    both paths; the gathered test above does this for the affine form."""
     width = 64
     pieces = _block_pieces(1, width, few_atoms=True)
     run, state = _method_run(method, width, 1)
@@ -459,9 +525,9 @@ class _Fixed:
 @pytest.mark.parametrize("name", sorted(MAP_SPECS))
 def test_kernel_map_matches_atom_index_and_sampler(monkeypatch, name, d):
     """The Z each loop forms from a cell's uniform is the sampler's, and
-    for a finite law the atom it picks is atom_index's, on both paths, at
-    the d = 1 loop and the general one: the chain with C = (Z, 0, ...)
-    and N = 0 writes C, and the direct product with L = C = 0 and
+    for a finite law the atom it picks is pick_atoms', on both paths, at
+    d = 1 and in the general loop: the chain with C = (Z, 0, ...) and
+    N = 0 writes C, and the direct product with L = C = 0 and
     N = Z e_1 e_1^T writes max(0, Z w_1) = Z with w kept at e_1."""
     spec = MAP_SPECS[name]
     thresholds = dist.atom_thresholds(spec.weights) if spec.is_discrete \
@@ -470,7 +536,7 @@ def test_kernel_map_matches_atom_index_and_sampler(monkeypatch, name, d):
     want = dist.sampler(spec)(u)
     if spec.is_discrete:
         atoms = np.array([float(a) for a in spec.atoms])
-        assert np.array_equal(want, atoms[dist.atom_index(spec.weights)(u)])
+        assert np.array_equal(want, atoms[dist.pick_atoms(thresholds, u)])
     e = np.eye(d)[0]
     feed = highdim.scalar_driven(np.zeros(d), e, np.zeros((d, d)), e,
                                  np.zeros((d, d)), spec)
@@ -501,7 +567,7 @@ def test_kernel_map_sends_a_nan_uniform_to_the_first_atom(monkeypatch):
             xbuf = np.empty((1, 4, 1))
             kernels.block_chain_steps(*_atom_piece(law, u), np.zeros((4, 1)),
                                       np.empty((1, 4)), 0.0, xbuf)
-            rows = dist.atom_index(law.weights)(np.nan_to_num(u[0]))
+            rows = dist.pick_atoms(law.quantile, np.nan_to_num(u[0]))
             assert np.array_equal(xbuf[0, :, 0], law.cs[rows, 0])
 
 
