@@ -18,13 +18,13 @@ common-random-number comparisons across an eps grid.
 
 The step is evaluated as ``(z + z*x) / (1 + eps^2 * x)``: numerator and
 denominator are kept monotone in x floating-point-wise, which makes the
-pathwise domination results hold exactly in simulation.  The step
-itself is the block engine's at d = 1: the chain is the vector chain of
-:func:`.highdim.from_scalar`, ``(L, C, N) = (1, Z, Z)``, a discrete Z
-as atom tables and a continuous one as one-row tables driven by Z.
-Each piece passes the kernels its Philox uniforms, and the loops of
-:mod:`.kernels` at d = 1, compiled or in numpy with bitwise equal
-results, map each to its atom or to Z as they step.
+pathwise domination results of :func:`.highdim.coupled_paths` hold
+exactly in simulation.  This module has no loop of its own: the chain
+is the vector chain of :func:`.highdim.from_scalar`,
+``(L, C, N) = (1, Z, Z)``, whose pieces :func:`.highdim._block_kernel`
+draws and steps through the loops of :mod:`.kernels` at d = 1, compiled
+or in numpy with bitwise equal results.  :func:`simulate_chain` folds
+its moments over the post-step states of each piece.
 """
 
 from __future__ import annotations
@@ -123,13 +123,12 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
                    states=True) -> ChainStats:
     """Run the chain and collect stationary moment / Lyapunov statistics.
 
-    With ``states`` False the post-step states are neither stored nor
-    folded: ``gammas`` must be empty and ``max_x`` is NaN, which leaves
-    the Lyapunov statistics alone, as
-    :func:`.lyapunov.lyapunov_invariant` reads them.
+    With ``states`` False no ``xbuf`` is passed to the kernels, so the
+    post-step states are neither stored nor folded: ``gammas`` must be
+    empty and ``max_x`` is NaN, which leaves the Lyapunov statistics
+    alone, as :func:`.lyapunov.lyapunov_invariant` reads them.
     """
-    # loaded by the first run, not at start-up; highdim imports this module
-    from . import highdim, kernels
+    from . import highdim  # imports this module
 
     gammas = tuple(float(g) for g in gammas)
     if gammas and not states:
@@ -144,45 +143,35 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     log_space = [g > LOG_SPACE_GAMMA for g in gammas]
 
     def kernel(gen, width, pieces):
-        x = np.zeros((width, 1))
-        # one buffer pair per block: run_chunked logs a piece's rows, and
-        # the moments below fold them, before the next piece is drawn; a
-        # row the step never writes stays NaN and poisons the statistics
-        dbuf = np.full((pieces[0][0], width), np.nan)
-        xbuf = np.full((*dbuf.shape, 1), np.nan) if states else None
+        # one buffer per block: the moments below fold a piece's states
+        # before the next is drawn; a row never written stays NaN
+        xbuf = np.full((pieces[0][0], width, 1), np.nan) if states else None
         moment_acc = [KahanSum(width) for _ in gammas]
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
         trunc_logsum = [np.full(width, -np.inf) for _ in gammas]
         xmax = np.zeros(width)
-        for span, keep0 in pieces:
-            # held until the next is drawn, as in highdim._block_kernel
-            piece = highdim._chunk_blocks(law, eps, gen, span, width)
-            kernels.block_chain_steps(*piece, x, dbuf[:span], e2,
-                                      None if xbuf is None else xbuf[:span])
+        steps = highdim._block_kernel(law, eps, highdim.INVARIANT, gen,
+                                      width, pieces, xbuf)
+        for (span, keep0), rows in zip(pieces, steps):
             # the growth factor of row t is its denominator; the moments
             # fold the matching post-step states over the same kept rows
-            yield dbuf[:span]
+            yield rows
             if xbuf is None or keep0 >= span:
                 continue
             xk = xbuf[keep0:span, :, 0]
             np.maximum(xmax, xk.max(axis=0), out=xmax)
-            wmask = None
+            wmask = e2 * xk <= b_cutoff
             for i, g in enumerate(gammas):
                 if log_space[i]:
                     vals = g * np.log(xk)
-                    logsum[i] = np.logaddexp(logsum[i],
-                                             _logsumexp0(vals))
-                    if wmask is None:
-                        wmask = e2 * xk <= b_cutoff
+                    logsum[i] = np.logaddexp(logsum[i], _logsumexp0(vals))
                     tvals = np.where(wmask, vals, -np.inf)
                     trunc_logsum[i] = np.logaddexp(trunc_logsum[i],
                                                    _logsumexp0(tvals))
                 else:
                     vals = _power(xk, g)
                     moment_acc[i].add(vals.sum(axis=0))
-                    if wmask is None:
-                        wmask = e2 * xk <= b_cutoff
                     trunc_acc[i].add(np.where(wmask, vals, 0.0).sum(axis=0))
         out_m = []
         out_t = []

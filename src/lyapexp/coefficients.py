@@ -58,9 +58,7 @@ def moments_from_spec(spec, order: int) -> MomentVector:
 def _as_moment_vector(m, order: int) -> MomentVector:
     if order < 0:
         raise InvalidParameter(f"order must be >= 0, got {order}")
-    if isinstance(m, MomentVector):
-        mv = m
-    elif isinstance(m, dist.DistributionSpec):
+    if isinstance(m, dist.DistributionSpec):
         mv = moments_from_spec(m, order)
     else:
         vals = tuple(Fraction(v) for v in m)
@@ -118,8 +116,8 @@ def _entry_sum(g, l: int, s: int) -> Fraction:
 def g_table(m, order: int) -> CoefficientTable:
     """Build the coefficient table up to total order K = ``order``.
 
-    ``m`` may be a MomentVector, a DistributionSpec, or a plain sequence
-    of the first K integer moments.
+    ``m`` may be a DistributionSpec or a plain sequence of the first K
+    integer moments.
     """
     mv = _as_moment_vector(m, order)
     _check_moments(mv, order)
@@ -165,14 +163,14 @@ def closed_form_ell2(m1, m2) -> Fraction:
 
 # -- evaluation ------------------------------------------------------------
 
-def regular_part(table, eps: float) -> float:
+def regular_part(ell, eps: float) -> float:
     """Alternating partial sum  sum_{k<=K} (-1)^(k+1) ell_k eps^(2k).
 
-    Accepts a CoefficientTable or a plain sequence of ell values.  Terms
-    are combined with exact compensated summation (math.fsum); each term
-    itself is one float multiply of ell_k and eps^(2k).
+    ``ell`` is the sequence (ell_1, ..., ell_K), such as a
+    CoefficientTable's ``ell``.  Terms are combined with exact
+    compensated summation (math.fsum); each term itself is one float
+    multiply of ell_k and eps^(2k).
     """
-    ell = table.ell if isinstance(table, CoefficientTable) else tuple(table)
     e2 = float(eps) * float(eps)
     terms = []
     p = 1.0

@@ -40,18 +40,18 @@ class DegenerateMoment(NumericalError):
     """E[Z^l] == 1 for some order l <= K: the coefficient recursion
     divides by zero at that level."""
 
-    def __init__(self, order, message=None):
+    def __init__(self, order):
         self.order = order
-        super().__init__(message or f"moment of order {order} equals 1")
+        super().__init__(f"moment of order {order} equals 1")
 
 
 class UnstableMoment(NumericalError):
     """E[Z^l] > 1 for some order l <= K: the requested order lies outside
     the convergence region of the expansion."""
 
-    def __init__(self, order, message=None):
+    def __init__(self, order):
         self.order = order
-        super().__init__(message or f"moment of order {order} exceeds 1")
+        super().__init__(f"moment of order {order} exceeds 1")
 
 
 class TruncationOverflow(NumericalError):

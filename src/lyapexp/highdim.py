@@ -43,7 +43,8 @@ from .errors import (InsufficientSignal, InvalidParameter, InvalidSpec,
                      SingularSystem)
 from .fitting import power_design, wls_fit
 from .lyapunov import DIRECT, INVARIANT, LyapunovEstimate
-from .mc import batch_means, kept_per_replica, philox_generator, run_chunked
+from .mc import (batch_means, finite_eps, kept_per_replica, philox_generator,
+                 run_chunked)
 
 COND_LIMIT = 1e12
 
@@ -194,13 +195,7 @@ def from_scalar(spec: dist.DistributionSpec):
 
 def multi_indices(d: int, l: int):
     """All d-part compositions of l, in descending lexicographic order."""
-    if d == 1:
-        return [(l,)]
-    out = []
-    for first in range(l, -1, -1):
-        for rest in multi_indices(d - 1, l - first):
-            out.append((first,) + rest)
-    return out
+    return list(_bounded_compositions(l, (l,) * d))
 
 
 def count_multi_indices(d: int, l: int) -> int:
@@ -245,9 +240,13 @@ class GMatrix:
     """Moment-transfer matrix G^(l) on multi-indices of norm l.
 
     entry(lam, lam') = sum over contingency tables omega with row sums
-    lam and column sums lam' of E[N^omega], N^omega = prod N_ij^omega_ij.
-    ``exact`` holds the same entries as Fractions when every moment the
-    law gives is exact.
+    lam and column sums lam' of the multinomial weight
+    prod_i lam_i! / prod_ij omega_ij! times E[N^omega], with
+    N^omega = prod N_ij^omega_ij.  It is the matrix of the transfer
+    E[(N x)^lam] = sum_lam' G[lam, lam'] x^lam' for every fixed x, so a
+    single atom's G^(l) is the l-th symmetric power of N.  Every weight
+    is 1 at l = 1 and at d = 1.  ``exact`` holds the same entries as
+    Fractions when every moment the law gives is exact.
     """
 
     l: int
@@ -259,7 +258,8 @@ class GMatrix:
 
 
 def g_matrix(law, l: int) -> GMatrix:
-    """Compute G^(l) from the law's exact moments E[N^omega].
+    """Compute G^(l) from the law's exact moments E[N^omega], each
+    weighted by the multinomial factor of :class:`GMatrix`.
 
     Raises SingularSystem when I - G^(l) has 2-norm condition number
     above 1e12, which is the block analogue of E[Z^l] == 1.
@@ -267,9 +267,16 @@ def g_matrix(law, l: int) -> GMatrix:
     if l < 1:
         raise ValueError("l must be >= 1")
     idx = tuple(multi_indices(law.d, l))
+
+    def weight(lam, omega):
+        # an integer: a product of one multinomial coefficient per row
+        return math.prod(map(math.factorial, lam)) // math.prod(
+            math.factorial(p) for row in omega for p in row)
+
     # equal norms: at least one table exists
-    ex = [[sum((law.moment(omega) for omega in _contingency_tables(lam, lam2)),
-               Fraction(0)) for lam2 in idx] for lam in idx]
+    ex = [[sum((weight(lam, omega) * law.moment(omega)
+                for omega in _contingency_tables(lam, lam2)), Fraction(0))
+           for lam2 in idx] for lam in idx]
     mat = np.array([[float(v) for v in row] for row in ex])
     exact = tuple(tuple(row) for row in ex) \
         if all(isinstance(v, Fraction) for row in ex for v in row) else None
@@ -332,7 +339,7 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
     averages log(1 + eps^2 L.x).  Layout, burn-in/discard conventions
     and error bars mirror the scalar estimators exactly.
     """
-    eps = abs(float(eps))
+    eps = finite_eps(eps)
     leads = {DIRECT: discard, INVARIANT: burn_in}
     if method not in leads:
         raise ValueError(f"unknown method {method!r}")
@@ -345,9 +352,11 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
                             n=kept_per_replica(n_steps, replicas) * replicas)
 
 
-def _block_kernel(law, eps, method, gen, width, pieces):
+def _block_kernel(law, eps, method, gen, width, pieces, xbuf=None):
     """Block recursion by either estimator; yields each piece's growth
-    factors."""
+    factors.  The one loop that draws pieces and steps them through the
+    kernels; the chain's ``xbuf`` (pieces[0][0], width, d), if given,
+    gets each piece's post-step states."""
     from . import kernels  # loaded by the first run, not at start-up
 
     if method == INVARIANT:
@@ -363,31 +372,27 @@ def _block_kernel(law, eps, method, gen, width, pieces):
         # a piece is freed once the next is drawn, so the allocator reuses
         # its memory instead of returning it and faulting it back in
         piece = _chunk_blocks(law, eps, gen, span, width)
-        step(*piece, *state, buf[:span], scale)
+        xrows = () if xbuf is None else (xbuf[:span],)
+        step(*piece, *state, buf[:span], scale, *xrows)
         yield buf[:span]
 
 
-def coupled_paths(law, eps_a: float, eps_b: float, n: int, seed: int):
-    """Two vector chains driven by the same blocks, at eps_a and eps_b.
+def coupled_paths(law, epss, n: int, seed: int):
+    """Vector chains driven by the same blocks, one per eps in ``epss``.
 
-    Returns the pair of post-step trajectories, each of shape (n, d),
-    drawn from stream 0 of ``seed``.  At eps_a = 0 the first follows the
-    undamped recursion y' = C + N y, whose time-n value matches the
+    Returns the post-step trajectories, each of shape (n, d), every one
+    drawn afresh from stream 0 of ``seed``.  At eps = 0 a path follows
+    the undamped recursion y' = C + N y, whose time-n value matches the
     n-term partial sum of the matrix perpetuity in law, and dominates
-    the second coordinatewise.  The scalar chain's paths are those of
-    :func:`from_scalar`; there eps_a <= eps_b gives a first path that
-    dominates the second.
+    the path at any other eps coordinatewise.  The scalar chain's paths
+    are those of :func:`from_scalar`; there a smaller eps gives a path
+    that dominates that of a larger one.
     """
-    from . import kernels  # loaded by the first run, not at start-up
-
-    gen = philox_generator(seed, 0)
-    blocks = _chunk_blocks(law, eps_a, gen, n, 1)
-    dbuf = np.empty((n, 1))
     paths = []
-    for eps in (eps_a, eps_b):
+    for eps in epss:
         path = np.empty((n, 1, law.d))
-        kernels.block_chain_steps(*blocks, np.zeros((1, law.d)), dbuf,
-                                  float(eps) * float(eps), path)
+        next(_block_kernel(law, finite_eps(eps), INVARIANT,
+                           philox_generator(seed, 0), 1, [(n, 0)], path))
         paths.append(path[:, 0])
     return tuple(paths)
 

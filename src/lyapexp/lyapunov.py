@@ -16,11 +16,13 @@ throughout the test-suite:
     the chain equilibrates.
 
 Both run on the block engine of :mod:`.highdim` at d = 1, with the law
-``(L, C, N) = (1, Z, Z)`` of :func:`.highdim.from_scalar`: the direct
-product through :func:`.highdim.lyapunov_general`, the invariant formula
-through :func:`.chain.simulate_chain` with ``states`` off, so that no
-post-step state is stored or folded.  Their kernels read the Philox uniforms and apply the quantile map of Z
-themselves.
+``(L, C, N) = (1, Z, Z)`` of :func:`.highdim.from_scalar`, and step
+through its one loop over time pieces, :func:`.highdim._block_kernel`:
+the direct product through :func:`.highdim.lyapunov_general`, the
+invariant formula through :func:`.chain.simulate_chain` with ``states``
+off, so that no post-step state is stored or folded.  Their kernels
+read the Philox uniforms and apply the quantile map of Z themselves.
+Both refuse a non-finite eps.
 
 Both estimates depend on eps only through |eps| (conjugating by
 diag(-1, 1) flips the sign), so engines normalise the sign on entry and

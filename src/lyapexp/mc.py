@@ -23,6 +23,7 @@ returns one mean per replica.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -128,6 +129,15 @@ def check_run_size(n_steps: int, replicas: int, lead: int) -> None:
         raise InvalidParameter("n_steps must be at least the replica count")
     if lead < 0:
         raise InvalidParameter("burn-in and discard must be >= 0")
+
+
+def finite_eps(eps) -> float:
+    """|eps| as a float, which every engine runs on; a non-finite eps is
+    refused."""
+    eps = abs(float(eps))
+    if not eps < math.inf:
+        raise InvalidParameter(f"eps must be finite, got {eps}")
+    return eps
 
 
 def kept_per_replica(n_steps: int, replicas: int) -> int:

@@ -125,8 +125,8 @@ def test_d1_identity_across_a_time_piece(law, eps, method):
 @given(laws, eps_values)
 @PROPERTY
 def test_d1_vector_paths_equal_scalar_paths_bitwise(law, eps):
-    vector = highdim.coupled_paths(_padded(law), eps, 0.0, PATH_STEPS, 3)
-    scalar = highdim.coupled_paths(highdim.from_scalar(law), eps, 0.0,
+    vector = highdim.coupled_paths(_padded(law), (eps, 0.0), PATH_STEPS, 3)
+    scalar = highdim.coupled_paths(highdim.from_scalar(law), (eps, 0.0),
                                    PATH_STEPS, 3)
     for vec, ref in zip(vector, scalar):
         assert vec.shape == (PATH_STEPS, 2) and ref.shape == (PATH_STEPS, 1)
@@ -154,11 +154,11 @@ eps_pairs = st.tuples(st.sampled_from([0.0, 1 / 16, 0.3, 0.75, 1.5]),
 @PROPERTY
 def test_less_damping_dominates_pathwise(law, eps_pair, seed):
     e1, e2 = eps_pair
-    lo, hi = highdim.coupled_paths(highdim.from_scalar(law), e1, e2,
+    lo, hi = highdim.coupled_paths(highdim.from_scalar(law), (e1, e2),
                                    PATH_STEPS, seed)
     if e1 > 0:
         assert np.isfinite(lo).all()
     assert _dominates(lo[:, 0], hi[:, 0])
-    damped, undamped = highdim.coupled_paths(_padded(law), e2, 0.0,
+    damped, undamped = highdim.coupled_paths(_padded(law), (e2, 0.0),
                                              PATH_STEPS, seed)
     assert _dominates(undamped[:, 0], damped[:, 0])

@@ -174,7 +174,7 @@ def test_n_kept_accounting():
 def _coupled(spec, eps_a, eps_b, n, seed):
     """The scalar chain's coupled paths, as 1-d arrays."""
     return tuple(p[:, 0] for p in highdim.coupled_paths(
-        highdim.from_scalar(spec), eps_a, eps_b, n, seed))
+        highdim.from_scalar(spec), (eps_a, eps_b), n, seed))
 
 
 def test_coupling_monotone_in_damping():

@@ -169,7 +169,7 @@ def test_monte_carlo_cross_check_ell1():
 def test_regular_part_alternates_signs():
     table = coeffs.g_table(M34, 2)
     eps = 0.1
-    val = coeffs.regular_part(table, eps)
+    val = coeffs.regular_part(table.ell, eps)
     expect = 3.0 * eps ** 2 - 82.5 * eps ** 4
     assert val == pytest.approx(expect, rel=1e-15)
 

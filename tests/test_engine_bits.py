@@ -113,7 +113,7 @@ CASES = {
 
 
 def _paths(law, eps):
-    return highdim.coupled_paths(law, eps, 0.0, n=700, seed=5)
+    return highdim.coupled_paths(law, (eps, 0.0), n=700, seed=5)
 
 
 def _atoms(model):

@@ -14,7 +14,8 @@ from lyapexp import chain, cli
 from lyapexp import distributions as dist
 from lyapexp import highdim, ising
 from lyapexp import lyapunov
-from lyapexp.errors import InsufficientSignal, InvalidSpec, SingularSystem
+from lyapexp.errors import (InsufficientSignal, InvalidParameter, InvalidSpec,
+                            SingularSystem)
 from lyapexp.mc import TIME_CHUNK, philox_generator
 
 
@@ -266,8 +267,8 @@ def test_g_matrix_of_log_uniform_is_float():
 
 def test_g_matrix_ising2_uniform_agrees_with_monte_carlo():
     """Exact G^(2) of a scalar-driven Ising law against the mean of
-    sum_omega N^omega over drawn blocks, within 4 sigma; an entry with
-    no Z in it has sigma ~ 0 and agrees up to rounding."""
+    sum_omega weight * N^omega over drawn blocks, within 4 sigma; an
+    entry with no Z in it has sigma ~ 0 and agrees up to rounding."""
     law, _ = SCALAR_LAWS["ising2_uniform"]()
     g = highdim.g_matrix(law, 2)
     n = 100_000
@@ -277,7 +278,8 @@ def test_g_matrix_ising2_uniform_agrees_with_monte_carlo():
         for b, lam2 in enumerate(g.indices):
             acc = np.zeros(n)
             for omega in highdim._contingency_tables(lam, lam2):
-                acc += np.prod(nz ** np.array(omega), axis=(1, 2))
+                acc += _multinomial(lam, omega) \
+                    * np.prod(nz ** np.array(omega), axis=(1, 2))
             sigma = acc.std(ddof=1) / math.sqrt(n)
             assert abs(acc.mean() - g.matrix[a, b]) \
                 <= 4 * sigma + 1e-12 * abs(g.matrix[a, b])
@@ -295,6 +297,83 @@ def test_g_matrix_ising2_discrete_field_takes_the_scalar_rule():
         exact = highdim.g_matrix(law, l).exact
         assert exact is not None
         assert exact == highdim.g_matrix(scalar, l).exact
+
+
+def _multinomial(lam, omega):
+    """prod_i lam_i! / prod_j omega_ij!, one binomial at a time."""
+    weight = 1
+    for left, row in zip(lam, omega):
+        for p in row:
+            weight *= math.comb(left, p)
+            left -= p
+    return weight
+
+
+def _transfer_holds(law, l, x):
+    """E[(N x)^lam] == sum_lam' G^(l)[lam, lam'] x^lam' for every lam,
+    in exact arithmetic, for a finite law and a rational vector x."""
+    g = highdim.g_matrix(law, l)
+    for a, lam in enumerate(g.indices):
+        lhs = sum((w * math.prod(sum(r * v for r, v in zip(row, x)) ** p
+                                 for row, p in zip(n, lam))
+                   for w, n in zip(law.weights, law.ns_exact)), Fraction(0))
+        rhs = sum((g.exact[a][b] * math.prod(v ** p for v, p in zip(x, lam2))
+                   for b, lam2 in enumerate(g.indices)), Fraction(0))
+        if lhs != rhs:
+            return False
+    return True
+
+
+XS = ((Fraction(1, 3), Fraction(5, 7)), (Fraction(2), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_g_matrix_is_the_exact_moment_transfer_on_blocks_d2(l):
+    law = highdim.load_blocks(SPECS / "blocks_d2.json")
+    for x in XS:
+        assert _transfer_holds(law, l, x)
+
+
+def test_g_matrix_is_the_exact_moment_transfer_on_random_laws():
+    gen = philox_generator(405)
+    checked = 0
+    for trial in range(12):
+        d = 2 + trial % 2
+        law = _random_finite_law(d, m=1 + trial % 3, gen=gen)
+        x = [Fraction(int(gen.integers(0, 9)), int(gen.integers(1, 9)))
+             for _ in range(d)]
+        for l in (2, 3):
+            try:
+                assert _transfer_holds(law, l, x)
+                checked += 1
+            except SingularSystem:
+                pass  # random law happened to sit on the singular set
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("n", [
+    [["1/2", "1/4"], ["1/4", "1/2"]],
+    [["1/2", "1/8"], ["1/4", "3/8"]],
+    [["1/3", "1/6", "0"], ["1/5", "1/4", "1/10"], ["0", "1/7", "1/2"]],
+])
+def test_g_matrix_of_one_atom_has_the_eigenvalue_products(n):
+    """A single atom's G^(l) is the l-th symmetric power of N: its
+    spectrum is the products mu^lam over N's eigenvalues mu."""
+    d = len(n)
+    law = highdim.finite_block_law([(["1"] * d, ["1"] * d, n)], ["1"])
+    mu = np.linalg.eigvals(law.ns[0])
+    for l in (2, 3):
+        g = highdim.g_matrix(law, l)
+        want = [np.prod(mu ** np.array(lam)) for lam in g.indices]
+        got = np.linalg.eigvals(g.matrix)
+        assert np.allclose(np.sort_complex(got), np.sort_complex(want),
+                           rtol=0, atol=1e-12)
+
+
+def test_g_matrix_of_blocks_d2_second_order_spectral_radius():
+    law = highdim.load_blocks(SPECS / "blocks_d2.json")
+    rho = max(abs(np.linalg.eigvals(highdim.g_matrix(law, 2).matrix)))
+    assert 1.0 < rho < 1.01
 
 
 # -- vector chain --------------------------------------------------------------------
@@ -410,16 +489,29 @@ def test_random_d2_law_methods_agree():
 def test_coupled_vector_paths_dominated_by_free_recursion():
     law = _stochastic_d2_law()
     for seed in (0, 1, 2):
-        xs, ys = highdim.coupled_paths(law, 0.5, 0.0, n=3_000, seed=seed)
+        xs, ys = highdim.coupled_paths(law, (0.5, 0.0), n=3_000, seed=seed)
         assert xs.shape == ys.shape == (3_000, 2)
         assert np.all(xs <= ys)
         assert np.all(xs >= 0.0)
 
 
 def test_coupled_vector_paths_equal_when_eps_zero():
-    xs, ys = highdim.coupled_paths(_stochastic_d2_law(), 0.0, 0.0, n=500,
+    xs, ys = highdim.coupled_paths(_stochastic_d2_law(), (0.0, 0.0), n=500,
                                    seed=3)
     assert np.array_equal(xs, ys)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_engines_refuse_a_non_finite_eps(bad):
+    law = _stochastic_d2_law()
+    for method in (lyapunov.DIRECT, lyapunov.INVARIANT):
+        with pytest.raises(InvalidParameter, match="eps must be finite"):
+            highdim.lyapunov_general(law, bad, method=method, n_steps=128)
+    with pytest.raises(InvalidParameter, match="eps must be finite"):
+        highdim.extract_expansion(law, 1, (0.25, bad), n_steps=128,
+                                  burn_in=0, replicas=2)
+    with pytest.raises(InvalidParameter, match="eps must be finite"):
+        highdim.coupled_paths(law, (0.0, bad), n=8, seed=0)
 
 
 # -- expansion extraction ----------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from lyapexp import distributions as dist
 from lyapexp import highdim, ising, lyapunov
-from lyapexp.coefficients import ell_coefficients, moments_from_spec
+from lyapexp.coefficients import ell_coefficients
 from lyapexp.errors import InsufficientSignal, InvalidSpec, KNotInA
 
 
@@ -229,7 +229,7 @@ def test_scan_recovers_leading_growth_coefficient():
     """As every bond stiffens the free energy grows like ell_1 * t^2 with
     the exact series coefficient of the scalar chain; the fitted t^2
     term must agree within its standard error."""
-    ell = ell_coefficients(moments_from_spec(UNIF, 1), 1)
+    ell = ell_coefficients(UNIF, 1)
     assert float(ell[0]) == 1.0  # m_1 = 1/2 exactly for this law
     rep = ising.strong_coupling_scan(
         _model(law=UNIF), scales=(0.02, 0.03, 0.045, 0.065, 0.09, 0.12),

@@ -6,6 +6,7 @@ import pytest
 
 from lyapexp import distributions as dist
 from lyapexp import lyapunov as lyap
+from lyapexp.errors import InvalidParameter
 
 
 TP = dist.two_point("1/2", "3/2", "1/4")
@@ -88,6 +89,13 @@ def test_estimate_dispatch_and_unknown_method():
     assert est.method == lyap.INVARIANT
     with pytest.raises(ValueError):
         lyap.estimate(TP, 0.5, method="nope")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_estimators_refuse_a_non_finite_eps(bad):
+    for method in (lyap.DIRECT, lyap.INVARIANT):
+        with pytest.raises(InvalidParameter, match="eps must be finite"):
+            lyap.estimate(TP, bad, method=method, n_steps=128)
 
 
 # -- structure of the estimates -------------------------------------------------
