@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
+from . import highdim
 from .errors import InvalidParameter, TruncationOverflow
 from .mc import (KahanSum, batch_means, check_run_size, kept_per_replica,
                  philox_generator, run_blocks, run_chunked)
@@ -119,20 +120,15 @@ def default_cutoff(spec: dist.DistributionSpec) -> float:
 
 
 def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
-                   gammas=(1.0, 2.0), b_cutoff=None,
-                   states=True) -> ChainStats:
+                   gammas=(1.0, 2.0), b_cutoff=None) -> ChainStats:
     """Run the chain and collect stationary moment / Lyapunov statistics.
 
-    With ``states`` False no ``xbuf`` is passed to the kernels, so the
-    post-step states are neither stored nor folded: ``gammas`` must be
-    empty and ``max_x`` is NaN, which leaves the Lyapunov statistics
-    alone, as :func:`.lyapunov.lyapunov_invariant` reads them.
+    The post-step states are stored and folded only when ``gammas`` is
+    not empty; with none, no ``xbuf`` reaches the kernels and ``max_x``
+    is NaN.  The Lyapunov statistics, which
+    :func:`.lyapunov.lyapunov_invariant` reads, are the same bits either way.
     """
-    from . import highdim  # imports this module
-
     gammas = tuple(float(g) for g in gammas)
-    if gammas and not states:
-        raise ValueError("moments are folded over the chain's states")
     if b_cutoff is None:
         b_cutoff = default_cutoff(spec)
     b_cutoff = float(b_cutoff)
@@ -145,7 +141,7 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     def kernel(gen, width, pieces):
         # one buffer per block: the moments below fold a piece's states
         # before the next is drawn; a row never written stays NaN
-        xbuf = np.full((pieces[0][0], width, 1), np.nan) if states else None
+        xbuf = np.full((pieces[0][0], width, 1), np.nan) if gammas else None
         moment_acc = [KahanSum(width) for _ in gammas]
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
@@ -170,7 +166,7 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
                     trunc_logsum[i] = np.logaddexp(trunc_logsum[i],
                                                    _logsumexp0(tvals))
                 else:
-                    vals = _power(xk, g)
+                    vals = xk if g == 1.0 else xk ** g
                     moment_acc[i].add(vals.sum(axis=0))
                     trunc_acc[i].add(np.where(wmask, vals, 0.0).sum(axis=0))
         out_m = []
@@ -198,23 +194,13 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
         truncs.append(mt)
         tstderrs.append(set_)
     lmean, lse = batch_means(lyap_rep)
-    max_x = float(max(r[2].max() for r in results)) if states else math.nan
+    max_x = float(max(r[2].max() for r in results)) if gammas else math.nan
 
     return ChainStats(eps=eps, n_kept=kept * cfg.replicas, gammas=gammas,
                       moments=tuple(moments), moment_stderrs=tuple(stderrs),
                       trunc_moments=tuple(truncs),
                       trunc_stderrs=tuple(tstderrs), log1p_mean=lmean,
                       log1p_stderr=lse, max_x=max_x)
-
-
-def _power(x: np.ndarray, gamma: float) -> np.ndarray:
-    if gamma == 1.0:
-        return x
-    if gamma == 2.0:
-        return x * x
-    if gamma == int(gamma) and 0 < gamma <= LOG_SPACE_GAMMA:
-        return x ** int(gamma)
-    return x ** gamma
 
 
 def _logsumexp0(vals: np.ndarray) -> np.ndarray:

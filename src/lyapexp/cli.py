@@ -291,7 +291,8 @@ def _run_chain(args):
         else [_parse_number(args.eps)] if args.eps else None
     if not grid:
         raise _UsageError("chain needs --eps or --eps-grid")
-    gammas = tuple(_parse_number(t) for t in args.gamma.split(",") if t.strip())
+    gammas = tuple(_nonempty((_parse_number(t) for t in args.gamma.split(",")
+                              if t.strip()), args.gamma))
     if args.cutoff is not None and not math.isfinite(args.cutoff):
         raise InvalidParameter(f"--cutoff must be finite, got {args.cutoff}")
     cutoff = args.cutoff if args.cutoff is not None \

@@ -32,10 +32,12 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     run that overflowed) raise TruncationOverflow.  A point of zero error
     whose value is 0 and whose design row is all zero (eps = 0 in a power
     fit) carries no information and is dropped; any other error that is
-    not positive, or fewer points left than coefficients, raises
-    InsufficientSignal.  The weighted R^2 is measured about the weighted
-    mean of y (1.0 for a perfect fit, negative for a model worse than the
-    constant, NaN for a fit with no more points than coefficients).
+    not positive, fewer points left than coefficients, or a design of
+    lower rank than its column count (too few distinct grid points)
+    raises InsufficientSignal.  The weighted R^2 is measured about the
+    weighted mean of y (1.0 for a perfect fit, negative for a model worse
+    than the constant, NaN for a fit with no more points than
+    coefficients).
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -59,7 +61,9 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     b = y * sw
     coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < design.shape[1]:
-        raise np.linalg.LinAlgError("rank-deficient design matrix")
+        raise InsufficientSignal(
+            f"{design.shape[1]} coefficients need {design.shape[1]} "
+            f"distinct grid points; the design has rank {rank}")
     cov = np.linalg.inv(a.T @ a)
     resid = b - a @ coef
     rss = float(resid @ resid)

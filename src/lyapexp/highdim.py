@@ -40,13 +40,24 @@ import numpy as np
 from . import distributions as dist
 from .distributions import as_fraction
 from .errors import (InsufficientSignal, InvalidParameter, InvalidSpec,
-                     SingularSystem)
+                     KNotInA, SingularSystem)
 from .fitting import power_design, wls_fit
-from .lyapunov import DIRECT, INVARIANT, LyapunovEstimate
 from .mc import (batch_means, finite_eps, kept_per_replica, philox_generator,
                  run_chunked)
 
 COND_LIMIT = 1e12
+
+DIRECT = "direct_product"
+INVARIANT = "invariant_formula"
+
+
+@dataclass(frozen=True)
+class LyapunovEstimate:
+    eps: float
+    method: str
+    value: float
+    stderr: float
+    n: int
 
 
 # -- block laws --------------------------------------------------------------
@@ -419,8 +430,10 @@ def extract_expansion(law, order: int, eps_grid,
                       threads: int = 1) -> ExpansionFit:
     """Fit the regular expansion of the block exponent on an eps grid.
 
-    Checks the invertibility of I - G^(l) for l <= order first (the
-    existence condition for the expansion), then estimates the exponent
+    Takes every grid point to |eps| (refusing a non-finite one) and
+    checks, for l <= order, that I - G^(l) is invertible and that
+    rho(G^(l)) < 1 (the existence condition for the expansion, the
+    block analogue of E[Z^l] < 1) first.  Then it estimates the exponent
     at every grid point with common random numbers and solves for the
     monomial coefficients eps^2 .. eps^(2K) by weighted least squares.
     """
@@ -429,15 +442,20 @@ def extract_expansion(law, order: int, eps_grid,
     if order == 0:
         return ExpansionFit(order=0, powers=(), coefficients=(), stderrs=(),
                             r2=math.nan, estimates=(), conditions={})
-    eps_grid = tuple(float(e) for e in eps_grid)
+    eps_grid = tuple(finite_eps(e) for e in eps_grid)
     powers = tuple(range(2, 2 * order + 1))
-    if len(eps_grid) < len(powers):
+    if len(set(eps_grid)) < len(powers):
         raise InsufficientSignal(
             f"{len(powers)} coefficients need at least {len(powers)} "
-            f"grid points; got {len(eps_grid)}")
+            f"distinct grid points; got {len(set(eps_grid))}")
     conditions = {}
     for l in range(1, order + 1):
-        conditions[l] = g_matrix(law, l).condition
+        g = g_matrix(law, l)
+        rho = float(np.abs(np.linalg.eigvals(g.matrix)).max())
+        if rho >= 1:
+            raise KNotInA(f"rho(G^({l})) = {rho:.4g} >= 1: order {order} "
+                          "is outside the admissible moment interval")
+        conditions[l] = g.condition
 
     estimates = []
     for eps in eps_grid:

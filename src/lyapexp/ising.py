@@ -33,8 +33,8 @@ from . import distributions as dist
 from .distributions import DistributionSpec
 from .errors import InsufficientSignal, InvalidParameter, InvalidSpec, KNotInA
 from .fitting import power_design, wls_fit
-from .highdim import lyapunov_general, scalar_driven
-from .lyapunov import DIRECT, LyapunovEstimate
+from .highdim import (DIRECT, LyapunovEstimate, lyapunov_general,
+                      scalar_driven)
 from .mc import philox_generator
 
 # largest range: its law builds in ~0.14 s; a step costs ~4x range 7's
@@ -248,10 +248,10 @@ def strong_coupling_scan(model: IsingModel, scales, order: int = 2,
     if any(not 0 < t <= 1 for t in scales):
         raise InvalidSpec("scales must lie in (0, 1]")
     powers = tuple(range(order + 1))
-    if len(scales) < len(powers):
+    if len(set(scales)) < len(powers):
         raise InsufficientSignal(
             f"{len(powers)} coefficients need at least {len(powers)} "
-            f"scales; got {len(scales)}")
+            f"distinct scales; got {len(set(scales))}")
 
     t_temp = model.temperature
     values, stderrs = [], []

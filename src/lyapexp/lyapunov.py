@@ -19,10 +19,12 @@ Both run on the block engine of :mod:`.highdim` at d = 1, with the law
 ``(L, C, N) = (1, Z, Z)`` of :func:`.highdim.from_scalar`, and step
 through its one loop over time pieces, :func:`.highdim._block_kernel`:
 the direct product through :func:`.highdim.lyapunov_general`, the
-invariant formula through :func:`.chain.simulate_chain` with ``states``
-off, so that no post-step state is stored or folded.  Their kernels
-read the Philox uniforms and apply the quantile map of Z themselves.
-Both refuse a non-finite eps.
+invariant formula through :func:`.chain.simulate_chain` with no moments,
+so that no post-step state is stored or folded.  Their kernels read the
+Philox uniforms and apply the quantile map of Z themselves.  Both
+refuse a non-finite eps.  The method names and the result type
+:class:`.highdim.LyapunovEstimate` are those of :mod:`.highdim`,
+re-exported here, so that imports run one way.
 
 Both estimates depend on eps only through |eps| (conjugating by
 diag(-1, 1) flips the sign), so engines normalise the sign on entry and
@@ -36,18 +38,8 @@ from dataclasses import dataclass
 
 from . import distributions as dist
 from .chain import ChainConfig, simulate_chain
-
-DIRECT = "direct_product"
-INVARIANT = "invariant_formula"
-
-
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    eps: float
-    method: str
-    value: float
-    stderr: float
-    n: int
+from .highdim import (DIRECT, INVARIANT, LyapunovEstimate, from_scalar,
+                      lyapunov_general)
 
 
 def lyapunov_invariant(spec: dist.DistributionSpec, eps: float,
@@ -57,7 +49,7 @@ def lyapunov_invariant(spec: dist.DistributionSpec, eps: float,
     """E[log(1 + eps^2 X)] along the stationary chain."""
     cfg = ChainConfig(eps=abs(float(eps)), n_steps=n_steps, seed=seed,
                       burn_in=burn_in, replicas=replicas, threads=threads)
-    stats = simulate_chain(spec, cfg, gammas=(), states=False)
+    stats = simulate_chain(spec, cfg, gammas=())
     return LyapunovEstimate(eps=cfg.eps, method=INVARIANT,
                             value=stats.log1p_mean,
                             stderr=stats.log1p_stderr, n=stats.n_kept)
@@ -76,11 +68,9 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
     forgets its start at a rate set by the gap between the two
     exponents, so the default is generous).
     """
-    from . import highdim  # imports this module
-
-    return highdim.lyapunov_general(
-        highdim.from_scalar(spec), eps, DIRECT, n_steps=n_steps, seed=seed,
-        replicas=replicas, discard=discard, threads=threads)
+    return lyapunov_general(from_scalar(spec), eps, DIRECT, n_steps=n_steps,
+                            seed=seed, replicas=replicas, discard=discard,
+                            threads=threads)
 
 
 def estimate(spec: dist.DistributionSpec, eps: float, method: str = DIRECT,

@@ -8,7 +8,7 @@ import pytest
 from lyapexp import analysis
 from lyapexp import distributions as dist
 from lyapexp import lyapunov
-from lyapexp.errors import InsufficientSignal, KNotInA
+from lyapexp.errors import InsufficientSignal, InvalidParameter, KNotInA
 from lyapexp.fitting import power_design, wls_fit
 
 
@@ -45,7 +45,7 @@ def test_wls_validation():
         wls_fit(np.ones((3, 1)), np.zeros(2), np.ones(2))
     with pytest.raises(InsufficientSignal):
         wls_fit(np.ones((2, 1)), np.zeros(2), np.array([1.0, 0.0]))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(InsufficientSignal, match="2 distinct grid points"):
         wls_fit(np.zeros((3, 2)), np.zeros(3), np.ones(3))
 
 
@@ -67,6 +67,23 @@ def test_wls_zero_error_bars():
             wls_fit(design, bad_y, bad_sigma)
     with pytest.raises(InsufficientSignal):
         wls_fit(design[:1], y[:1], sigma[:1])
+
+
+def test_residual_series_of_a_negative_grid_is_that_of_the_positive():
+    grid = (0.25, 0.125, 0.0625)
+    pos, neg = (analysis.residual_series(TP, 1, g, n_steps=20_000, seed=2)
+                for g in (grid, tuple(-e for e in grid)))
+    assert repr(neg) == repr(pos)
+    assert neg.eps == grid
+
+
+def test_residual_series_checks_the_grid_first(monkeypatch):
+    """A non-finite grid point is refused before any estimate runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("an estimate ran before the grid was checked")
+    monkeypatch.setattr(analysis, "lyapunov_invariant", never)
+    with pytest.raises(InvalidParameter, match="eps must be finite"):
+        analysis.residual_series(TP, 1, (0.25, math.nan))
 
 
 def test_power_design_columns():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapexp import chain, highdim, kernels
+from lyapexp import chain, highdim, kernels, lyapunov
 from lyapexp import distributions as dist
 from lyapexp.errors import TruncationOverflow
 from lyapexp.mc import philox_generator
@@ -106,16 +106,18 @@ def test_state_bound_from_bounded_disorder():
 
 
 def test_chain_without_states_keeps_the_lyapunov_bits():
-    """states=False stores no post-step state; the growth factors, and so
-    the Lyapunov statistics, are those of the full run, bit for bit."""
+    """With no gammas no post-step state is stored, so max_x is NaN; the
+    growth factors, and so the Lyapunov statistics, are those of a run
+    that folds a moment, and of lyapunov_invariant, bit for bit."""
     cfg = _cfg(0.3, n=20_000, threads=2)
-    full = chain.simulate_chain(CRIT, cfg, gammas=())
-    bare = chain.simulate_chain(CRIT, cfg, gammas=(), states=False)
+    bare = chain.simulate_chain(CRIT, cfg, gammas=())
+    full = chain.simulate_chain(CRIT, cfg, gammas=(1.0,))
+    inv = lyapunov.lyapunov_invariant(CRIT, 0.3, n_steps=20_000, seed=0,
+                                      threads=2)
+    assert math.isnan(bare.max_x) and full.max_x > 0
     assert (bare.log1p_mean, bare.log1p_stderr, bare.n_kept) \
-        == (full.log1p_mean, full.log1p_stderr, full.n_kept)
-    assert full.max_x > 0 and math.isnan(bare.max_x)
-    with pytest.raises(ValueError):
-        chain.simulate_chain(CRIT, cfg, gammas=(1.0,), states=False)
+        == (full.log1p_mean, full.log1p_stderr, full.n_kept) \
+        == (inv.value, inv.stderr, inv.n)
 
 
 def test_truncated_equals_plain_for_bounded_z():

@@ -176,9 +176,9 @@ NON_FINITE_RUNS = {
                 "--steps 200000 --burn-in 100", "lambda is nan"),
     "highdim_nan": ("highdim --blocks {blocks} --eps 0 --method invariant "
                     "--steps 200000 --burn-in 100", "value is nan"),
-    "highdim_extraction_nan": ("highdim --blocks {blocks} --K 1 "
-                               "--eps-grid 0,1/2 --method invariant "
-                               "--steps 200000 --burn-in 100",
+    "highdim_extraction_nan": ("highdim --blocks " + BLOCKS_SCALAR +
+                               " --K 1 --eps-grid 1e200,1/2 --method "
+                               "invariant --steps 200000 --burn-in 100",
                                "cannot fit estimates that are not finite"),
     "ising_scan_nan": ("ising --range 1 --couplings 1 --T 1 --field-law "
                        "{spec} --method invariant --scan --scales "
@@ -229,10 +229,8 @@ def test_extraction_drops_a_zero_error_eps_0_point(tmp_path, capsys):
     all zero: it carries no information, so the q_2 fit rests on
     eps = 1/2 alone, and no weight overflows (numpy raises if one does).
     One point for one coefficient tests nothing, so r2 is NaN."""
-    blocks = tmp_path / "blocks.json"
-    blocks.write_text(json.dumps(GROWING_BLOCKS))
     with np.errstate(all="raise"):
-        code, out, err = run(capsys, "highdim", "--blocks", str(blocks),
+        code, out, err = run(capsys, "highdim", "--blocks", BLOCKS_SCALAR,
                              "--K", "1", "--eps-grid", "0,0.5", "--method",
                              "invariant", "--steps", "20000", "--burn-in",
                              "100", "--json")
@@ -427,8 +425,10 @@ def test_chain_dominance_rejects_a_diverging_path(capsys, tmp_path):
     ("ising", "--range", "1", "--couplings", "1.0", "--T", "1",
      "--field-law", TWO_POINT, "--scan", "--scales", ",", "--steps",
      "1000"),
+    ("chain", "--spec", TWO_POINT, "--eps", "1/4", "--gamma", ",",
+     "--steps", "1000"),
 ], ids=["seeds_range", "seeds_blank", "fit_grid", "highdim_grid",
-        "ising_scales"])
+        "ising_scales", "chain_gamma"])
 def test_empty_lists_are_usage_errors(capsys, tmp_path, argv):
     """A list that names no value checks nothing: exit 1, one line, and
     no --out file."""
@@ -438,6 +438,51 @@ def test_empty_lists_are_usage_errors(capsys, tmp_path, argv):
     assert err.startswith("usage error: ") and "names no value" in err
     assert len(err.splitlines()) == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--spec", TWO_POINT, "--order", "1", "--eps-grid",
+     "0.25,0.25,0.25,0.25,0.25", "--steps", "20000"),
+    ("ising", "--range", "1", "--couplings", "1", "--T", "1",
+     "--field-law", UNIFORM, "--scan", "--scales",
+     "0.5,0.5,0.5,0.5,0.5", "--steps", "1000"),
+    ("highdim", "--blocks", None, "--K", "2", "--eps-grid",
+     "0.5,0.25,0.25", "--steps", "1000"),
+], ids=["fit", "ising_scan", "highdim_K"])
+def test_too_few_distinct_grid_points_exit_3(capsys, tmp_path, argv):
+    """A fit of k coefficients on fewer than k distinct grid points has a
+    rank-deficient design: exit 3 and one line, not a traceback.  The
+    highdim case reads the two-point law as a d = 1 block file, whose
+    rho(G^(2)) = 3/4 admits K = 2."""
+    blocks = tmp_path / "two_point_blocks.json"
+    blocks.write_text(json.dumps({"d": 1, "triples": [
+        {"weight": "3/4", "L": ["1"], "C": ["1/2"], "N": [["1/2"]]},
+        {"weight": "1/4", "L": ["1"], "C": ["3/2"], "N": [["3/2"]]}]}))
+    argv = [str(blocks) if a is None else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: InsufficientSignal: ")
+    assert "distinct" in err
+
+
+@pytest.mark.parametrize("blocks, order, grid, message", [
+    (BLOCKS_D2, "2", "2^-2..2^-5", "rho(G^(2)) = 1.008 >= 1"),
+    (None, "1", "0,1/2", "rho(G^(1)) = 3 >= 1"),
+], ids=["blocks_d2_K2", "growing_K1"])
+def test_highdim_refuses_an_order_whose_block_moments_diverge(
+        capsys, tmp_path, blocks, order, grid, message):
+    """An order l <= K with rho(G^(l)) >= 1 has no block moments: on
+    blocks_d2 rho(G^(2)) = 1.008, and E[N] = 3 for GROWING_BLOCKS.  Both
+    exit 2 with one line, before any estimate runs."""
+    if blocks is None:
+        blocks = tmp_path / "growing.json"
+        blocks.write_text(json.dumps(GROWING_BLOCKS))
+    code, out, err = run(capsys, "highdim", "--blocks", str(blocks), "--K",
+                         order, "--eps-grid", grid, "--steps", "20000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: KNotInA: " + message)
 
 
 def test_chain_dominance_needs_two_eps(capsys):

@@ -15,7 +15,7 @@ from lyapexp import distributions as dist
 from lyapexp import highdim, ising
 from lyapexp import lyapunov
 from lyapexp.errors import (InsufficientSignal, InvalidParameter, InvalidSpec,
-                            SingularSystem)
+                            KNotInA, SingularSystem)
 from lyapexp.mc import TIME_CHUNK, philox_generator
 
 
@@ -501,17 +501,24 @@ def test_coupled_vector_paths_equal_when_eps_zero():
     assert np.array_equal(xs, ys)
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("ran before the input was checked")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_engines_refuse_a_non_finite_eps(bad):
+def test_engines_refuse_a_non_finite_eps(bad, monkeypatch):
+    """extract_expansion refuses a bad grid point before it builds any
+    G^(l) or runs any estimate."""
     law = _stochastic_d2_law()
     for method in (lyapunov.DIRECT, lyapunov.INVARIANT):
         with pytest.raises(InvalidParameter, match="eps must be finite"):
             highdim.lyapunov_general(law, bad, method=method, n_steps=128)
     with pytest.raises(InvalidParameter, match="eps must be finite"):
-        highdim.extract_expansion(law, 1, (0.25, bad), n_steps=128,
-                                  burn_in=0, replicas=2)
-    with pytest.raises(InvalidParameter, match="eps must be finite"):
         highdim.coupled_paths(law, (0.0, bad), n=8, seed=0)
+    monkeypatch.setattr(highdim, "g_matrix", _never)
+    monkeypatch.setattr(highdim, "lyapunov_general", _never)
+    with pytest.raises(InvalidParameter, match="eps must be finite"):
+        highdim.extract_expansion(law, 1, (0.25, bad))
 
 
 # -- expansion extraction ----------------------------------------------------------------
@@ -527,11 +534,40 @@ def test_extract_expansion_order_zero_is_empty():
 
 
 def test_extract_expansion_needs_enough_grid_points():
-    # order 2 spans powers (2, 3, 4): two grid points cannot pin three
+    # order 2 spans powers (2, 3, 4): two grid points cannot pin three,
+    # and a repeated point pins nothing new
     b = highdim.from_scalar(TP)
-    with pytest.raises(InsufficientSignal):
-        highdim.extract_expansion(b, 2, (0.25, 0.125),
-                                  n_steps=2_000, seed=0)
+    for grid in ((0.25, 0.125), (0.5, 0.25, 0.25), (0.5, -0.25, 0.25)):
+        with pytest.raises(InsufficientSignal,
+                           match="3 distinct grid points; got 2"):
+            highdim.extract_expansion(b, 2, grid, n_steps=2_000, seed=0)
+
+
+def test_extract_expansion_of_a_negative_grid_is_that_of_the_positive():
+    """Every estimate runs at |eps|, and so does the fit."""
+    b = highdim.from_scalar(TP)
+    grid = (0.25, 0.125, 0.0625)
+    pos, neg = (highdim.extract_expansion(b, 2, g, n_steps=20_000, seed=3)
+                for g in (grid, (-0.25, 0.125, -0.0625)))
+    assert repr(neg) == repr(pos)
+    assert [e.eps for e in neg.estimates] == list(grid)
+
+
+def test_extract_expansion_refuses_orders_whose_block_moments_diverge(
+        monkeypatch):
+    """On blocks_d2 rho(G^(l)) is 0.944, 1.008 and 1.176 for l = 1, 2, 3:
+    K = 1 fits, K = 2 and 3 are refused at l = 2 before any estimate."""
+    law = highdim.load_blocks(SPECS / "blocks_d2.json")
+    radii = [np.abs(np.linalg.eigvals(highdim.g_matrix(law, l).matrix)).max()
+             for l in (1, 2, 3)]
+    assert np.round(radii, 3).tolist() == [0.944, 1.008, 1.176]
+    grid = tuple(2.0 ** -k for k in range(2, 7))
+    fit = highdim.extract_expansion(law, 1, grid, n_steps=2_000)
+    assert fit.powers == (2,) and set(fit.conditions) == {1}
+    monkeypatch.setattr(highdim, "lyapunov_general", _never)
+    for order in (2, 3):
+        with pytest.raises(KNotInA, match=r"rho\(G\^\(2\)\) = 1.008 >= 1"):
+            highdim.extract_expansion(law, order, grid)
 
 
 def test_extract_expansion_recovers_leading_coefficient():
