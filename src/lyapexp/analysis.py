@@ -28,7 +28,7 @@ from . import distributions as dist
 from .errors import InsufficientSignal, InvalidParameter, KNotInA
 from .fitting import wls_fit
 from .lyapunov import lyapunov_invariant
-from .mc import finite_eps
+from .mc import chain_eps
 
 INTEGER_ALPHA_TOL = 1e-6
 # a fitted residual must exceed this many standard errors
@@ -62,10 +62,10 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
 
     ``order`` must satisfy E[Z^order] < 1 (raises KNotInA otherwise);
     order 0 is allowed and returns the exponent itself.  Every grid
-    point is taken to |eps|, and a non-finite one is refused, before
-    any estimate runs.  ``n_steps`` is one budget for every point, or a
-    sequence of per-point budgets to spend more effort where the signal
-    is smallest.
+    point is taken to |eps|, and a non-finite one, or one whose square
+    overflows, is refused before any estimate runs.  ``n_steps`` is one
+    budget for every point, or a sequence of per-point budgets to spend
+    more effort where the signal is smallest.
     """
     if order < 0:
         raise InvalidParameter("order must be >= 0")
@@ -74,7 +74,7 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
                       "admissible moment interval")
     ell = coeffs.ell_coefficients(spec, order) if order >= 1 else ()
     sign = 1 if order % 2 == 0 else -1
-    eps_grid = tuple(finite_eps(e) for e in eps_grid)
+    eps_grid = tuple(chain_eps(e) for e in eps_grid)
     budgets = tuple(n_steps) if np.ndim(n_steps) \
         else (n_steps,) * len(eps_grid)
     if len(budgets) != len(eps_grid):

@@ -11,10 +11,11 @@ Numerical layout
 ``replicas`` independent chains run in parallel as numpy rows; replicas
 are grouped into fixed 512-wide blocks, each owning its own Philox
 stream (see :mod:`.mc`), and the time axis is processed in 2048-step
-chunks.  One uniform is consumed per step per replica, so runs with the
-same (seed, replicas) see identical disorder regardless of eps, thread
-count, or which statistics are requested -- the basis for the
-common-random-number comparisons across an eps grid.
+chunks, each drawn in slices of at most 1 MiB of uniforms.  One uniform
+is consumed per step per replica, so runs with the same (seed, replicas)
+see identical disorder regardless of eps, thread count, or which
+statistics are requested -- the basis for the common-random-number
+comparisons across an eps grid.
 
 The step is evaluated as ``(z + z*x) / (1 + eps^2 * x)``: numerator and
 denominator are kept monotone in x floating-point-wise, which makes the
@@ -24,7 +25,8 @@ is the vector chain of :func:`.highdim.from_scalar`,
 ``(L, C, N) = (1, Z, Z)``, whose pieces :func:`.highdim._block_kernel`
 draws and steps through the loops of :mod:`.kernels` at d = 1, compiled
 or in numpy with bitwise equal results.  :func:`simulate_chain` folds
-its moments over the post-step states of each piece.
+its moments over the post-step states of each piece's kept rows, the
+only states it stores.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import numpy as np
 from . import distributions as dist
 from . import highdim
 from .errors import InvalidParameter, TruncationOverflow
-from .mc import (KahanSum, batch_means, check_run_size, kept_per_replica,
-                 philox_generator, run_blocks, run_chunked)
+from .mc import (KahanSum, batch_means, chain_eps, check_run_size,
+                 kept_per_replica, philox_generator, run_blocks, run_chunked)
 
 # Moments with gamma above this cutoff are accumulated in log space
 # (log-sum-exp) to avoid overflow of x**gamma at small eps.
@@ -64,6 +66,7 @@ class ChainConfig:
     def __post_init__(self):
         if not 0 <= self.eps < math.inf:
             raise InvalidParameter("eps must be finite and nonnegative")
+        chain_eps(self.eps)
         check_run_size(self.n_steps, self.replicas, self.burn_in)
 
     @property
@@ -124,9 +127,11 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     """Run the chain and collect stationary moment / Lyapunov statistics.
 
     The post-step states are stored and folded only when ``gammas`` is
-    not empty; with none, no ``xbuf`` reaches the kernels and ``max_x``
-    is NaN.  The Lyapunov statistics, which
-    :func:`.lyapunov.lyapunov_invariant` reads, are the same bits either way.
+    not empty, and only for the kept rows, so a block's state buffer has
+    as many rows as the most any piece keeps; with no gammas, no
+    ``xbuf`` reaches the kernels and ``max_x`` is NaN.  The Lyapunov
+    statistics, which :func:`.lyapunov.lyapunov_invariant` reads, are
+    the same bits either way.
     """
     gammas = tuple(float(g) for g in gammas)
     if b_cutoff is None:
@@ -139,9 +144,11 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     log_space = [g > LOG_SPACE_GAMMA for g in gammas]
 
     def kernel(gen, width, pieces):
-        # one buffer per block: the moments below fold a piece's states
-        # before the next is drawn; a row never written stays NaN
-        xbuf = np.full((pieces[0][0], width, 1), np.nan) if gammas else None
+        # one buffer per block, for the kept rows of a piece only: the
+        # moments below fold a piece's states before the next is drawn;
+        # a row never written stays NaN
+        xbuf = np.full((max(span - keep0 for span, keep0 in pieces), width,
+                        1), np.nan) if gammas else None
         moment_acc = [KahanSum(width) for _ in gammas]
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
@@ -155,7 +162,7 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
             yield rows
             if xbuf is None or keep0 >= span:
                 continue
-            xk = xbuf[keep0:span, :, 0]
+            xk = xbuf[:span - keep0, :, 0]
             np.maximum(xmax, xk.max(axis=0), out=xmax)
             wmask = e2 * xk <= b_cutoff
             for i, g in enumerate(gammas):

@@ -15,11 +15,11 @@ One executable, one subcommand per task:
 Conventions shared by every subcommand: results print to stdout (pass
 ``--json`` for the full machine-readable document); ``--out DIR`` writes
 the same document plus CSV series and a ``manifest.json`` capturing the
-resolved configuration, package version, wall time and the SHA-256 of
-every written file.  A manifest can be replayed with ``rerun``, which
-recomputes the outputs and verifies the checksums -- they are reproducible
-bit for bit, for any ``--threads`` value, because all randomness is keyed
-to (seed, stream) pairs fixed before execution.
+resolved configuration, package version, wall time, peak memory and the
+SHA-256 of every written file.  A manifest can be replayed with
+``rerun``, which recomputes the outputs and verifies the checksums --
+they are reproducible bit for bit, for any ``--threads`` value, because
+all randomness is keyed to (seed, stream) pairs fixed before execution.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input (ValidationError),
 3 numerical failure (NumericalError: degenerate moments, singular moment
@@ -55,6 +55,7 @@ from . import ising as ising_mod
 from . import lyapunov
 from .errors import (InvalidParameter, InvalidSpec, NumericalError,
                      TruncationOverflow, ValidationError)
+from .mc import chain_eps
 
 _FMT = "%.17g"
 
@@ -236,8 +237,11 @@ _METHODS = {"direct": lyapunov.DIRECT, "invariant": lyapunov.INVARIANT}
 
 def _estimates(engine, law, eps, method: str, size) -> dict:
     """``{name: estimate document}`` for each estimator ``--method``
-    names; ``both`` runs the direct one, then the invariant one."""
+    names; ``both`` runs the direct one, then the invariant one.  An eps
+    the invariant chain cannot run at is refused before either runs."""
     names = tuple(_METHODS) if method == "both" else (method,)
+    if "invariant" in names:
+        chain_eps(eps)
     return {name: _estimate_doc(engine(law, eps, _METHODS[name], **size))
             for name in names}
 
@@ -299,8 +303,8 @@ def _run_chain(args):
         else chain_mod.default_cutoff(spec)
     rows = []
     stats_docs = []
-    for eps in grid:
-        cfg = chain_mod.ChainConfig(eps=eps, **size)
+    # every grid point is checked before the first one runs
+    for cfg in [chain_mod.ChainConfig(eps=eps, **size) for eps in grid]:
         st = chain_mod.simulate_chain(spec, cfg, gammas=gammas,
                                       b_cutoff=cutoff)
         _require_finite(f"chain at eps {st.eps:g}", {
@@ -713,11 +717,24 @@ def _write_manifest(out_dir, sub, args, files, wall):
         "version": __version__,
         "recursion": kernels.recursion(),
         "wall_time_s": round(wall, 3),
+        "peak_rss_mb": _peak_rss_mb(),
         "outputs": {name: _sha256(text) for name, text in files.items()},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     (Path(out_dir) / "manifest.json").write_text(text, encoding="utf-8",
                                                  newline="\n")
+
+
+def _peak_rss_mb():
+    """This process's peak resident set so far, in MB of 2^20 bytes, or
+    None where the ``resource`` module is missing.  ``ru_maxrss`` counts
+    bytes on macOS and KiB elsewhere."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << (20 if sys.platform == "darwin" else 10)), 1)
 
 
 def _summary(sub, doc) -> str:

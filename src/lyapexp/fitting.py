@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSignal, TruncationOverflow
+from .errors import InsufficientSignal, InvalidParameter, TruncationOverflow
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,14 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
 
     ``sigma`` holds per-point standard errors; rows with larger errors
     count less.  Data or errors that are not finite (from a Monte Carlo
-    run that overflowed) raise TruncationOverflow.  A point of zero error
-    whose value is 0 and whose design row is all zero (eps = 0 in a power
-    fit) carries no information and is dropped; any other error that is
-    not positive, fewer points left than coefficients, or a design of
-    lower rank than its column count (too few distinct grid points)
-    raises InsufficientSignal.  The weighted R^2 is measured about the
+    run that overflowed) raise TruncationOverflow, and a design entry
+    that is not finite (a grid point whose power overflows)
+    InvalidParameter.  A point of zero error whose value is 0 and whose
+    design row is all zero (eps = 0 in a power fit) carries no
+    information and is dropped; any other error that is not positive,
+    fewer points left than coefficients, or a design of lower rank than
+    its column count (too few distinct grid points) raises
+    InsufficientSignal.  The weighted R^2 is measured about the
     weighted mean of y (1.0 for a perfect fit, negative for a model worse
     than the constant, NaN for a fit with no more points than
     coefficients).
@@ -47,6 +49,9 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     if not (np.isfinite(y).all() and np.isfinite(sigma).all()):
         raise TruncationOverflow("cannot fit estimates that are not finite "
                                  "(the recursion overflowed)")
+    if not np.isfinite(design).all():
+        raise InvalidParameter("a grid point is too large to fit: one of "
+                               "its powers is not finite")
     void = (sigma == 0) & (y == 0) & ~design.any(axis=1)
     design, y, sigma = design[~void], y[~void], sigma[~void]
     if np.any(sigma <= 0):

@@ -42,10 +42,18 @@ from .distributions import as_fraction
 from .errors import (InsufficientSignal, InvalidParameter, InvalidSpec,
                      KNotInA, SingularSystem)
 from .fitting import power_design, wls_fit
-from .mc import (batch_means, finite_eps, kept_per_replica, philox_generator,
-                 run_chunked)
+from .mc import (batch_means, chain_eps, finite_eps, kept_per_replica,
+                 philox_generator, run_chunked)
 
 COND_LIMIT = 1e12
+
+# Most uniforms drawn at once: a time piece is drawn and stepped in row
+# slices of at most this many cells (1 MiB of float64), so a wide block
+# never holds a whole piece of draws.  A Philox stream gives the same
+# numbers however its draws are split, so this is no layout constant:
+# every result is the same at any value.  A block 64 wide or narrower
+# draws each TIME_CHUNK piece at once.
+DRAW_CELLS = 1 << 17
 
 DIRECT = "direct_product"
 INVARIANT = "invariant_formula"
@@ -350,10 +358,10 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
     averages log(1 + eps^2 L.x).  Layout, burn-in/discard conventions
     and error bars mirror the scalar estimators exactly.
     """
-    eps = finite_eps(eps)
     leads = {DIRECT: discard, INVARIANT: burn_in}
     if method not in leads:
         raise ValueError(f"unknown method {method!r}")
+    eps = chain_eps(eps) if method == INVARIANT else finite_eps(eps)
     per_replica, _ = run_chunked(
         functools.partial(_block_kernel, law, eps, method),
         n_steps, replicas, leads[method], seed, threads)
@@ -366,8 +374,10 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
 def _block_kernel(law, eps, method, gen, width, pieces, xbuf=None):
     """Block recursion by either estimator; yields each piece's growth
     factors.  The one loop that draws pieces and steps them through the
-    kernels; the chain's ``xbuf`` (pieces[0][0], width, d), if given,
-    gets each piece's post-step states."""
+    kernels, each in slices of at most :data:`DRAW_CELLS` cells.  The
+    chain's ``xbuf`` (rows, width, d), if given, gets the post-step
+    states of each piece's kept rows, row ``keep0`` of the piece in its
+    row 0; burn-in rows store none."""
     from . import kernels  # loaded by the first run, not at start-up
 
     if method == INVARIANT:
@@ -379,12 +389,20 @@ def _block_kernel(law, eps, method, gen, width, pieces, xbuf=None):
     # one buffer per block: run_chunked logs a piece before the next; a
     # row the step never writes stays NaN
     buf = np.full((pieces[0][0], width), np.nan)
-    for span, _ in pieces:
-        # a piece is freed once the next is drawn, so the allocator reuses
-        # its memory instead of returning it and faulting it back in
-        piece = _chunk_blocks(law, eps, gen, span, width)
-        xrows = () if xbuf is None else (xbuf[:span],)
-        step(*piece, *state, buf[:span], scale, *xrows)
+    rows = max(1, DRAW_CELLS // width)
+    for span, keep0 in pieces:
+        cuts = {*range(0, span, rows), span}
+        if xbuf is not None and keep0 < span:
+            cuts.add(keep0)  # a slice stores states for all its rows or none
+        cuts = sorted(cuts)
+        for a, b in zip(cuts, cuts[1:]):
+            xrows = () if xbuf is None or a < keep0 \
+                else (xbuf[a - keep0:b - keep0],)
+            # no name holds a slice's uniforms, so they are freed before
+            # the next slice is drawn: less memory, and fewer page faults
+            # than keeping the old slice alive while the new one is drawn
+            step(*_chunk_blocks(law, eps, gen, b - a, width), *state,
+                 buf[a:b], scale, *xrows)
         yield buf[:span]
 
 
@@ -400,9 +418,9 @@ def coupled_paths(law, epss, n: int, seed: int):
     that dominates that of a larger one.
     """
     paths = []
-    for eps in epss:
+    for eps in [chain_eps(eps) for eps in epss]:
         path = np.empty((n, 1, law.d))
-        next(_block_kernel(law, finite_eps(eps), INVARIANT,
+        next(_block_kernel(law, eps, INVARIANT,
                            philox_generator(seed, 0), 1, [(n, 0)], path))
         paths.append(path[:, 0])
     return tuple(paths)
@@ -430,10 +448,11 @@ def extract_expansion(law, order: int, eps_grid,
                       threads: int = 1) -> ExpansionFit:
     """Fit the regular expansion of the block exponent on an eps grid.
 
-    Takes every grid point to |eps| (refusing a non-finite one) and
-    checks, for l <= order, that I - G^(l) is invertible and that
-    rho(G^(l)) < 1 (the existence condition for the expansion, the
-    block analogue of E[Z^l] < 1) first.  Then it estimates the exponent
+    Takes every grid point to |eps| (refusing a non-finite one, and for
+    the invariant method one whose square overflows) and checks, for
+    l <= order, that I - G^(l) is invertible and that rho(G^(l)) < 1
+    (the existence condition for the expansion, the block analogue of
+    E[Z^l] < 1) first.  Then it estimates the exponent
     at every grid point with common random numbers and solves for the
     monomial coefficients eps^2 .. eps^(2K) by weighted least squares.
     """
@@ -442,7 +461,8 @@ def extract_expansion(law, order: int, eps_grid,
     if order == 0:
         return ExpansionFit(order=0, powers=(), coefficients=(), stderrs=(),
                             r2=math.nan, estimates=(), conditions={})
-    eps_grid = tuple(finite_eps(e) for e in eps_grid)
+    valid = chain_eps if method == INVARIANT else finite_eps
+    eps_grid = tuple(valid(e) for e in eps_grid)
     powers = tuple(range(2, 2 * order + 1))
     if len(set(eps_grid)) < len(powers):
         raise InsufficientSignal(

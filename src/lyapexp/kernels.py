@@ -103,8 +103,8 @@ def block_chain_steps(ls, cs, ns, u, q, cpow, npow, x, dbuf, e2: float,
     _require(written, writeable=True)
     lib = _library()
     if lib is None:
-        _block_chain_numpy(_resolve((ls, cs, ns, u, q, cpow, npow)), x,
-                           dbuf, e2, xbuf)
+        _block_chain_numpy((ls, cs, ns, u, q, cpow, npow), x, dbuf, e2,
+                           xbuf)
         return
     _status(lib.block_chain_steps(
         *map(_ptr, (ls, cs, ns, u, q, cpow, npow, x, xbuf, dbuf)),
@@ -126,8 +126,8 @@ def block_direct_steps(ls, cs, ns, u, q, cpow, npow, v0, w, mbuf,
              writeable=True)
     lib = _library()
     if lib is None:
-        _block_direct_numpy(_resolve((ls, cs, ns, u, q, cpow, npow)), v0, w,
-                            mbuf, eps)
+        _block_direct_numpy((ls, cs, ns, u, q, cpow, npow), v0, w, mbuf,
+                            eps)
         return
     _status(lib.block_direct_steps(
         *map(_ptr, (ls, cs, ns, u, q, cpow, npow, v0, w, mbuf)),
@@ -170,9 +170,10 @@ def _block_row(piece, t):
 
 def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
     if piece[0].shape[-1] == 1:
-        _chain_d1_numpy(piece, x[:, 0], dbuf, float(e2),
+        _chain_d1_numpy(_d1_blocks(piece), x[:, 0], dbuf, float(e2),
                         None if xbuf is None else xbuf[:, :, 0])
         return
+    piece = _resolve(piece)
     for t in range(len(dbuf)):
         lt, ct, nt = _block_row(piece, t)
         num = (nt * x[:, None, :]).sum(axis=2)
@@ -187,8 +188,9 @@ def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
 
 def _block_direct_numpy(piece, v0, w, mbuf, eps):
     if piece[0].shape[-1] == 1:
-        _direct_d1_numpy(piece, v0, w[:, 0], mbuf, eps)
+        _direct_d1_numpy(_d1_blocks(piece), v0, w[:, 0], mbuf, eps)
         return
+    piece = _resolve(piece)
     for t in range(len(mbuf)):
         lt, ct, nt = _block_row(piece, t)
         lw = (lt * w).sum(axis=1)
@@ -213,23 +215,30 @@ def _block_direct_numpy(piece, v0, w, mbuf, eps):
 # 55-80x slower than _chain_floats; numpy 2.4.6 on one x86-64 core.
 
 def _d1_blocks(piece):
-    """The (span, width) l, c and n of a resolved d = 1 piece."""
-    ls, cs, ns, rows, z, cpow, npow = piece
-    if rows is not None:
+    """The (span, width) l, c and n of a d = 1 piece.  An entry no draw
+    multiplies is a read-only broadcast of its table entry, and n is
+    formed in the memory of the draws z, so a scalar-driven piece forms
+    at most two arrays of its size."""
+    ls, cs, ns, u, q, cpow, npow = piece
+    if cpow is None:
+        rows = _resolve(piece)[3]
         return ls[rows, 0], cs[rows, 0], ns[rows, 0, 0]
-    c = cs[0, 0] * z if cpow[0] != 0 else np.full_like(z, cs[0, 0])
-    n = ns[0, 0, 0] * z if npow[0, 0] != 0 else np.full_like(z, ns[0, 0, 0])
-    return np.full_like(z, ls[0, 0]), c, n
+    z = np.multiply(q[1], u)
+    z += q[0]  # _resolve's a + s * u: an IEEE sum does not depend on order
+    c = cs[0, 0] * z if cpow[0] != 0 else np.broadcast_to(cs[0, 0], z.shape)
+    n = np.multiply(ns[0, 0, 0], z, out=z) if npow[0, 0] != 0 \
+        else np.broadcast_to(ns[0, 0, 0], z.shape)
+    return np.broadcast_to(ls[0, 0], z.shape), c, n
 
 
-def _chain_d1_numpy(piece, x, dbuf, e2, xbuf):
+def _chain_d1_numpy(blocks, x, dbuf, e2, xbuf):
     """The chain on (width,) rows in five numpy calls a row where every
     l is 1.  It adds c + (0.0 + n*x) as (c + 0.0) + n*x, and forms
     1 + e2*(0.0 + l*x) as 1 + e2*(l*x), with l*x = x at l = 1: each pair
     differs at most in the sign of a zero, which the next addition drops,
     so the bits are the general loop's."""
-    l, c, n = _d1_blocks(piece)
-    c = c + 0.0
+    l, c, n = blocks
+    c = np.add(c, 0.0, out=c if c.flags.writeable else None)
     if len(x) == 1 and _chain_floats(l[:, 0], c[:, 0], n[:, 0], x, dbuf,
                                      e2, xbuf):
         return
@@ -269,8 +278,8 @@ def _chain_floats(l, c, n, x, dbuf, e2, xbuf):
     return True
 
 
-def _direct_d1_numpy(piece, v0, w, mbuf, eps):
-    l, c, n = _d1_blocks(piece)
+def _direct_d1_numpy(blocks, v0, w, mbuf, eps):
+    l, c, n = blocks
     top, bot, s = (np.empty_like(v0) for _ in range(3))
     for t in range(len(mbuf)):
         np.multiply(l[t], w, out=top)

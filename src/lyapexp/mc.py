@@ -17,8 +17,10 @@ setting.
 
 :func:`run_chunked` owns that layout.  An engine supplies only a kernel,
 a generator that draws each piece and runs its recursion; the driver
-keeps the rows past the burn-in, sums their log growth factors and
-returns one mean per replica.
+keeps the rows past the burn-in, takes the logs of their growth factors
+in place, sums them and returns one mean per replica.  How a kernel
+splits a piece's draws is its own affair: a stream gives the same
+numbers however its draws are split (see :data:`.highdim.DRAW_CELLS`).
 """
 
 from __future__ import annotations
@@ -140,6 +142,17 @@ def finite_eps(eps) -> float:
     return eps
 
 
+def chain_eps(eps) -> float:
+    """:func:`finite_eps` for the invariant chain, which steps with
+    eps^2: an eps whose square overflows is refused too."""
+    eps = finite_eps(eps)
+    if eps * eps == math.inf:
+        raise InvalidParameter(
+            f"eps = {eps:g} squares to inf, so the invariant chain cannot "
+            "run; the direct product can (--method direct)")
+    return eps
+
+
 def kept_per_replica(n_steps: int, replicas: int) -> int:
     """Retained rows per replica for a budget of ``n_steps`` in total."""
     return -(-n_steps // replicas)
@@ -157,8 +170,10 @@ def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
     kernel draws ``span`` rows from ``gen``, runs its recursion, and
     yields the ``(span, width)`` growth factors.  Rows ``keep0:`` are
     those whose post-step index exceeds ``lead``; their logs are summed
-    per replica.  This function is done with a piece before it asks for
-    the next, so a kernel may yield views of one buffer that it refills.
+    per replica.  The logs are taken in place: the driver overwrites the
+    kept rows of what a kernel yields, so a kernel must not read them
+    again.  This function is done with a piece before it asks for the
+    next, so a kernel may yield views of one buffer that it refills.
 
     Returns the per-replica mean log growth, in replica order, and the
     kernels' own return values, in block order.
@@ -176,7 +191,8 @@ def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
         for span, keep0 in pieces:
             rows = next(steps)
             if keep0 < span:
-                acc.add(np.log(rows[keep0:]).sum(axis=0))
+                kept_rows = rows[keep0:]
+                acc.add(np.log(kept_rows, out=kept_rows).sum(axis=0))
         try:
             next(steps)
         except StopIteration as end:

@@ -176,9 +176,10 @@ NON_FINITE_RUNS = {
                 "--steps 200000 --burn-in 100", "lambda is nan"),
     "highdim_nan": ("highdim --blocks {blocks} --eps 0 --method invariant "
                     "--steps 200000 --burn-in 100", "value is nan"),
+    # eps * (C + N) overflows in the direct product's first step
     "highdim_extraction_nan": ("highdim --blocks " + BLOCKS_SCALAR +
-                               " --K 1 --eps-grid 1e200,1/2 --method "
-                               "invariant --steps 200000 --burn-in 100",
+                               " --K 1 --eps-grid 1e308,1/2 --method "
+                               "direct --steps 200000 --discard 100",
                                "cannot fit estimates that are not finite"),
     "ising_scan_nan": ("ising --range 1 --couplings 1 --T 1 --field-law "
                        "{spec} --method invariant --scan --scales "
@@ -206,6 +207,61 @@ def test_non_finite_statistic_exits_3_with_one_line(tmp_path, name):
     assert proc.stderr.startswith("error: TruncationOverflow: ")
     assert proc.stderr.count("\n") == 1 and message in proc.stderr
     assert not out_dir.exists()
+
+
+# eps whose square overflows: the invariant chain would step with
+# eps^2 = inf and end in NaN, so every entry to it refuses such an eps
+SQUARE_OVERFLOWS = {
+    "lyap_both": LYAP[:4] + ("1e200", "--steps", "2000"),
+    "lyap_invariant": LYAP[:4] + ("1e200", "--steps", "2000", "--method",
+                                  "invariant"),
+    "chain": ("chain", "--spec", TWO_POINT, "--eps", "1e200", "--steps",
+              "2000"),
+    "chain_grid": ("chain", "--spec", TWO_POINT, "--eps-grid", "1/4,1e200",
+                   "--steps", "2000"),
+    "fit": ("fit", "--spec", TWO_POINT, "--order", "1", "--eps-grid",
+            "1/4,1/8,1e200", "--steps", "2000"),
+    "highdim": ("highdim", "--blocks", BLOCKS_D2, "--eps", "1e170",
+                "--steps", "2000"),
+    "highdim_extraction": ("highdim", "--blocks", BLOCKS_SCALAR, "--K", "1",
+                           "--eps-grid", "1/2,1e200", "--method",
+                           "invariant", "--steps", "2000"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_OVERFLOWS))
+def test_eps_whose_square_overflows_exits_2_before_any_draw(capsys,
+                                                            monkeypatch,
+                                                            name):
+    from lyapexp import highdim, mc
+
+    def no_draws(*args):
+        raise AssertionError("drew before the input was checked")
+
+    monkeypatch.setattr(mc, "philox_generator", no_draws)
+    monkeypatch.setattr(highdim, "philox_generator", no_draws)
+    code, out, err = run(capsys, *SQUARE_OVERFLOWS[name])
+    assert code == 2 and out == ""
+    assert err.startswith("error: InvalidParameter: ")
+    assert len(err.strip().splitlines()) == 1 and "--method direct" in err
+
+
+def test_direct_product_runs_where_eps_squared_overflows(capsys):
+    for argv in (LYAP[:4] + ("1e160", "--steps", "2000", "--method",
+                             "direct"),
+                 ("highdim", "--blocks", BLOCKS_D2, "--eps", "1e170",
+                  "--steps", "2000", "--method", "direct")):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert math.isfinite(json.loads(out)["direct"]["value"])
+
+
+def test_power_fit_refuses_a_grid_point_whose_power_overflows(capsys):
+    code, _, err = run(capsys, "highdim", "--blocks", BLOCKS_SCALAR, "--K",
+                       "1", "--eps-grid", "1e300,1/2", "--method", "direct",
+                       "--steps", "20000", "--discard", "100")
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    assert err.startswith("error: InvalidParameter: ")
 
 
 def test_fit_of_a_deterministic_law_exits_3_with_one_line(tmp_path):
@@ -383,7 +439,8 @@ def test_chain_grid_csv_and_manifest(capsys, tmp_path):
 
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert set(("subcommand", "config", "seed", "version", "wall_time_s",
-                "outputs")) <= set(manifest)
+                "peak_rss_mb", "outputs")) <= set(manifest)
+    assert manifest["peak_rss_mb"] > 0
     assert manifest["subcommand"] == "chain"
     assert set(manifest["outputs"]) == {"chain.csv", "chain.json",
                                         "moment_g1.dat", "moment_g2.dat"}
@@ -647,6 +704,29 @@ def test_rerun_reproduces_files_byte_for_byte(capsys, lyap_manifest,
     assert code == 0
     original = (lyap_manifest / "lyap.json").read_bytes()
     assert (replay / "lyap.json").read_bytes() == original
+
+
+def test_rerun_ignores_peak_memory(capsys, lyap_manifest):
+    manifest = lyap_manifest / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    assert doc["peak_rss_mb"] > 0
+    assert "peak_rss_mb" not in json.loads(
+        (lyap_manifest / "lyap.json").read_text())
+    for value in (None, 1e9):
+        doc["peak_rss_mb"] = value
+        manifest.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "rerun", "--manifest", str(manifest),
+                           "--json")
+        assert code == 0 and json.loads(out)["match"] is True
+
+
+def test_manifest_peak_memory_is_null_without_resource(capsys, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setitem(sys.modules, "resource", None)
+    code, _, _ = run(capsys, *LYAP, "--out", str(tmp_path))
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] is None
 
 
 def test_rerun_detects_tampering(capsys, lyap_manifest):

@@ -2,8 +2,10 @@
 chain, and exact agreement with the scalar pipeline at d = 1."""
 
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,24 +156,133 @@ SCALAR_LAWS = {
 @pytest.mark.parametrize("name", sorted(SCALAR_LAWS))
 def test_scalar_law_draws_each_step_once(monkeypatch, name, method):
     law, eps = SCALAR_LAWS[name]()
-    drawn, maps = [], []
+    drawn, maps = {}, []
     chunk_blocks = highdim._chunk_blocks
 
     def spy(*args):
         blocks = chunk_blocks(*args)
-        drawn.append(blocks[3].shape)
+        span, width = blocks[3].shape
+        drawn.setdefault(width, []).append(span)
         maps.append(blocks[4])
         return blocks
 
     monkeypatch.setattr(highdim, "_chunk_blocks", spy)
-    highdim.lyapunov_general(law, eps, method=method, n_steps=600 * 40,
-                             replicas=600, burn_in=2100, discard=2100)
-    # one call per time piece of each replica block (512 + 88 replicas),
-    # one uniform per step of every replica, and one map for them all
-    assert sorted(drawn) == sorted(
-        (span, width) for width in (512, 88)
-        for span in (TIME_CHUNK, 2100 + 40 - TIME_CHUNK))
+    lead, kept = 2100, 40
+    highdim.lyapunov_general(law, eps, method=method, n_steps=600 * kept,
+                             replicas=600, burn_in=lead, discard=lead)
+    # each replica block (512 + 88 replicas) draws one uniform per step of
+    # every replica, in the fewest slices of at most DRAW_CELLS cells that
+    # tile its two time pieces, and one map serves them all
+    pieces = (TIME_CHUNK, lead + kept - TIME_CHUNK)
+    assert sorted(drawn) == [88, 512]
+    for width, spans in drawn.items():
+        rows = max(1, highdim.DRAW_CELLS // width)
+        assert max(spans) <= rows
+        assert sum(spans) == lead + kept
+        assert {TIME_CHUNK, lead + kept} <= set(itertools.accumulate(spans))
+        assert len(spans) == sum(-(-span // rows) for span in pieces)
+    assert len(drawn[512]) > len(pieces)
     assert all(q is law.quantile[1] for q in maps)
+
+
+# -- draw slices change no result ----------------------------------------------
+
+def _bits(value):
+    """A result with every float as its hex string and every array as its
+    bytes, so that == compares bits."""
+    if dataclasses.is_dataclass(value):
+        return _bits(dataclasses.astuple(value))
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def _sliced_run(monkeypatch, cells):
+    """Every engine the one piece loop serves, at DRAW_CELLS = ``cells``:
+    600 replicas (blocks of 512 and 88) and a lead of 2100, so that the
+    kept rows start 52 rows into the second piece, inside a slice."""
+    monkeypatch.setattr(highdim, "DRAW_CELLS", cells)
+    size = dict(n_steps=600 * 40, replicas=600, burn_in=2100, discard=2100)
+    finite = highdim.load_blocks(SPECS / "blocks_d2.json")
+    affine, eps = SCALAR_LAWS["ising2_uniform"]()
+    out = {f"{name}/{method}": highdim.lyapunov_general(law, eps, method,
+                                                        **size)
+           for name, law in (("finite", finite), ("affine", affine))
+           for method in (lyapunov.DIRECT, lyapunov.INVARIANT)}
+    cfg = chain.ChainConfig(eps=0.25, n_steps=600 * 40, seed=0,
+                            burn_in=2100, replicas=600)
+    out["chain"] = chain.simulate_chain(UNIF_FIELD, cfg,
+                                        gammas=(1.0, 2.0, 4.5))
+    out["paths"] = highdim.coupled_paths(highdim.from_scalar(TP),
+                                         (0.0, 0.25, 0.5), 5000, seed=3)
+    return _bits(out)
+
+
+def test_draw_slices_change_no_result(monkeypatch):
+    reference = _sliced_run(monkeypatch, highdim.DRAW_CELLS)
+    for cells in (1, 7 * 512):
+        assert _sliced_run(monkeypatch, cells) == reference
+
+
+@pytest.mark.parametrize("cells", [1, 7 * 512, highdim.DRAW_CELLS])
+def test_chain_stores_no_burn_in_states(monkeypatch, cells):
+    """The chain hands the kernels a state buffer for kept rows only, and
+    for every one of them."""
+    from lyapexp import kernels
+
+    lead = 2100
+    calls = {}
+    steps = kernels.block_chain_steps
+
+    def spy(*args):
+        dbuf, xbuf = args[8], args[10] if len(args) > 10 else None
+        span, width = dbuf.shape
+        assert xbuf is None or xbuf.shape[0] == span
+        calls.setdefault(width, []).append((span, xbuf is not None))
+        return steps(*args)
+
+    monkeypatch.setattr(highdim, "DRAW_CELLS", cells)
+    monkeypatch.setattr(kernels, "block_chain_steps", spy)
+    cfg = chain.ChainConfig(eps=0.25, n_steps=600 * 40, seed=0,
+                            burn_in=lead, replicas=600)
+    chain.simulate_chain(UNIF_FIELD, cfg, gammas=(1.0,))
+    assert sorted(calls) == [88, 512]
+    for width, seen in calls.items():
+        t = 0
+        for span, stores in seen:
+            # rows t .. t + span - 1: all burn-in, or all kept
+            assert stores == (t >= lead)
+            assert stores or t + span <= lead
+            t += span
+        assert t == lead + 40
+
+
+def test_one_wide_block_has_a_bounded_working_set():
+    """One 512-wide block of the wide_stats chain: 10000 burn-in steps and
+    489 kept rows.  A whole piece of uniforms, a second one drawn while
+    the first is alive, and a state buffer of TIME_CHUNK rows peaked at
+    32.8 MiB with moments and 24.0 MiB without."""
+    spec = dist.load_spec(SPECS / "uniform_sub.json")
+    size = dict(n_steps=489 * 512, seed=0, burn_in=10_000, replicas=512)
+    cfg = chain.ChainConfig(eps=0.25, **size)
+    peaks = []
+    for run in (lambda: chain.simulate_chain(spec, cfg, gammas=(1, 2, 4.5)),
+                lambda: lyapunov.lyapunov_invariant(spec, 0.25, **size)):
+        run()  # the first run loads the kernels, which stay loaded
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 18 << 20
+    assert peaks[1] < 12 << 20
 
 
 def test_empty_blocks_json_exits_2(tmp_path, capsys):
@@ -519,6 +630,32 @@ def test_engines_refuse_a_non_finite_eps(bad, monkeypatch):
     monkeypatch.setattr(highdim, "lyapunov_general", _never)
     with pytest.raises(InvalidParameter, match="eps must be finite"):
         highdim.extract_expansion(law, 1, (0.25, bad))
+
+
+def test_invariant_chain_refuses_an_eps_whose_square_overflows(monkeypatch):
+    """eps = 1e200 is finite but eps^2 is not: every entry to the
+    invariant chain refuses it before it draws; the direct product runs."""
+    from lyapexp import analysis
+
+    law = _stochastic_d2_law()
+    assert math.isfinite(highdim.lyapunov_general(
+        law, 1e200, method=lyapunov.DIRECT, n_steps=128, replicas=2,
+        discard=0).value)
+    monkeypatch.setattr(highdim, "philox_generator", _never)
+    monkeypatch.setattr(highdim, "run_chunked", _never)
+    monkeypatch.setattr(chain, "run_chunked", _never)
+    monkeypatch.setattr(highdim, "g_matrix", _never)
+    for call in (
+            lambda: highdim.lyapunov_general(law, -1e200, n_steps=128,
+                                             method=lyapunov.INVARIANT),
+            lambda: highdim.coupled_paths(law, (0.0, 1e200), n=8, seed=0),
+            lambda: highdim.extract_expansion(law, 1, (0.25, 1e200)),
+            lambda: chain.ChainConfig(eps=1e200, n_steps=128, seed=0),
+            lambda: lyapunov.lyapunov_invariant(TP, 1e200, n_steps=128),
+            lambda: analysis.residual_series(TP, 1, (0.25, 0.5, 1e200),
+                                             n_steps=128)):
+        with pytest.raises(InvalidParameter, match="squares to inf"):
+            call()
 
 
 # -- expansion extraction ----------------------------------------------------------------
