@@ -415,8 +415,11 @@ def coupled_paths(law, epss, n: int, seed: int):
     n-term partial sum of the matrix perpetuity in law, and dominates
     the path at any other eps coordinatewise.  The scalar chain's paths
     are those of :func:`from_scalar`; there a smaller eps gives a path
-    that dominates that of a larger one.
+    that dominates that of a larger one.  A path needs n >= 1 steps.
     """
+    if n < 1:
+        raise InvalidParameter(
+            f"coupled paths need at least one step, got {n}")
     paths = []
     for eps in [chain_eps(eps) for eps in epss]:
         path = np.empty((n, 1, law.d))

@@ -31,8 +31,12 @@ quantile map is not affine passes its draws of Z as ``u`` with
 Each recursion is one C loop body, compiled for each form both at
 d = 1, which every scalar engine piece has, and at general d; at d = 1
 the compiler keeps the blocks and sums in registers.  The numpy
-fallback keeps a loop of its own for d = 1 pieces (see below), which
-gives the general loop's bits.
+fallback has one loop per recursion, for every d and every width: the
+reference the C loops are tested against.  It forms (width, d, d)
+arrays and reduces them along an axis every row, which costs most at
+d = 1: on one x86-64 core with numpy 2.4.6, ``lyap --steps 1e7`` runs
+about 20 times slower than compiled, and the width-1 coupled paths of
+``chain --dominance`` about 200 times.
 
 Sum grouping
 ------------
@@ -169,10 +173,6 @@ def _block_row(piece, t):
 
 
 def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
-    if piece[0].shape[-1] == 1:
-        _chain_d1_numpy(_d1_blocks(piece), x[:, 0], dbuf, float(e2),
-                        None if xbuf is None else xbuf[:, :, 0])
-        return
     piece = _resolve(piece)
     for t in range(len(dbuf)):
         lt, ct, nt = _block_row(piece, t)
@@ -187,9 +187,6 @@ def _block_chain_numpy(piece, x, dbuf, e2, xbuf):
 
 
 def _block_direct_numpy(piece, v0, w, mbuf, eps):
-    if piece[0].shape[-1] == 1:
-        _direct_d1_numpy(_d1_blocks(piece), v0, w[:, 0], mbuf, eps)
-        return
     piece = _resolve(piece)
     for t in range(len(mbuf)):
         lt, ct, nt = _block_row(piece, t)
@@ -204,97 +201,6 @@ def _block_direct_numpy(piece, v0, w, mbuf, eps):
         mbuf[t] = m
         np.divide(top, m, out=v0)
         np.divide(bot, m[:, None], out=w)
-
-
-# The numpy loops at d = 1, on (width,) rows of the 1 x 1 blocks formed
-# for the whole piece at once, with the general loop's bits (a length-1
-# sum is 0.0 + a*b).  They exist for speed: the general loop forms
-# (width, d, d) arrays and reduces them along an axis every row, which at
-# d = 1 and width 64 is 1.7-3.3x slower (the two-atom chain: 346 against
-# 153 ns a step), and at width 1 (chain --dominance, coupled_paths)
-# 55-80x slower than _chain_floats; numpy 2.4.6 on one x86-64 core.
-
-def _d1_blocks(piece):
-    """The (span, width) l, c and n of a d = 1 piece.  An entry no draw
-    multiplies is a read-only broadcast of its table entry, and n is
-    formed in the memory of the draws z, so a scalar-driven piece forms
-    at most two arrays of its size."""
-    ls, cs, ns, u, q, cpow, npow = piece
-    if cpow is None:
-        rows = _resolve(piece)[3]
-        return ls[rows, 0], cs[rows, 0], ns[rows, 0, 0]
-    z = np.multiply(q[1], u)
-    z += q[0]  # _resolve's a + s * u: an IEEE sum does not depend on order
-    c = cs[0, 0] * z if cpow[0] != 0 else np.broadcast_to(cs[0, 0], z.shape)
-    n = np.multiply(ns[0, 0, 0], z, out=z) if npow[0, 0] != 0 \
-        else np.broadcast_to(ns[0, 0, 0], z.shape)
-    return np.broadcast_to(ls[0, 0], z.shape), c, n
-
-
-def _chain_d1_numpy(blocks, x, dbuf, e2, xbuf):
-    """The chain on (width,) rows in five numpy calls a row where every
-    l is 1.  It adds c + (0.0 + n*x) as (c + 0.0) + n*x, and forms
-    1 + e2*(0.0 + l*x) as 1 + e2*(l*x), with l*x = x at l = 1: each pair
-    differs at most in the sign of a zero, which the next addition drops,
-    so the bits are the general loop's."""
-    l, c, n = blocks
-    c = np.add(c, 0.0, out=c if c.flags.writeable else None)
-    if len(x) == 1 and _chain_floats(l[:, 0], c[:, 0], n[:, 0], x, dbuf,
-                                     e2, xbuf):
-        return
-    unit = bool((l == 1.0).all())
-    num = np.empty_like(x)
-    prev = x
-    for t in range(len(dbuf)):
-        np.multiply(n[t], prev, out=num)
-        np.add(c[t], num, out=num)
-        den = dbuf[t]
-        np.multiply(e2, prev if unit else l[t] * prev, out=den)
-        np.add(1.0, den, out=den)
-        prev = x if xbuf is None else xbuf[t]
-        np.divide(num, den, out=prev)
-    x[...] = prev
-
-
-def _chain_floats(l, c, n, x, dbuf, e2, xbuf):
-    """Width-1 chain on Python floats, which are IEEE doubles: the same
-    operations in the same order give the same bits, without one numpy
-    call per operation.  Writes nothing and returns False if a
-    denominator is exactly zero, which Python refuses to divide by."""
-    prev = float(x[0])
-    xs, ds = [], []
-    try:
-        for lt, ct, nt in zip(l.tolist(), c.tolist(), n.tolist()):
-            den = 1.0 + e2 * (lt * prev)
-            prev = (ct + nt * prev) / den
-            ds.append(den)
-            xs.append(prev)
-    except ZeroDivisionError:
-        return False
-    if xbuf is not None:
-        xbuf[:, 0] = xs
-    dbuf[:, 0] = ds
-    x[0] = prev
-    return True
-
-
-def _direct_d1_numpy(blocks, v0, w, mbuf, eps):
-    l, c, n = blocks
-    top, bot, s = (np.empty_like(v0) for _ in range(3))
-    for t in range(len(mbuf)):
-        np.multiply(l[t], w, out=top)
-        np.add(0.0, top, out=top)
-        np.multiply(eps, top, out=top)
-        np.add(v0, top, out=top)
-        np.multiply(c[t], v0, out=bot)
-        np.multiply(eps, bot, out=bot)
-        np.multiply(n[t], w, out=s)
-        np.add(0.0, s, out=s)
-        np.add(bot, s, out=bot)
-        m = mbuf[t]
-        np.maximum(top, bot, out=m)
-        np.divide(top, m, out=v0)
-        np.divide(bot, m, out=w)
 
 
 # -- buffer checks and the compiled library --------------------------------------

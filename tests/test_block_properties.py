@@ -5,7 +5,7 @@ intervals, at d = 1.  The scalar engines run the law ``from_scalar``
 gives, ``(L, C, N) = (1, Z, Z)``: a finite law as atom tables, a
 uniform one as one-row tables driven by Z, either of which runs the
 kernels at d = 1: in C the loop body compiled for d = 1, in numpy the
-d = 1 loop.  The same law embedded in d = 2 with a coordinate that
+one loop of each recursion.  The same law embedded in d = 2 with a coordinate that
 stays zero, ``L = (1, 0)``, ``C = (Z, 0)``, ``N = [[Z, 0], [0, 0]]``,
 runs them at general d, whose sums of two terms round as the sums of
 one at d = 1.

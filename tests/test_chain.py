@@ -225,8 +225,8 @@ def test_coupled_paths_fallback_bits_equal_compiled(monkeypatch, spec):
 
 
 def test_width_one_fallback_survives_a_zero_denominator(monkeypatch):
-    # 1 + e2*x = 0 at x = -4: Python floats refuse the division, so the
-    # numpy rows run and give the compiled path's inf and nan
+    # 1 + e2*x = 0 at x = -4: the numpy loop divides by the zero as the
+    # compiled one does, giving inf and then nan, and raises nothing
     monkeypatch.setattr(kernels, "_library", lambda: None)
     law = highdim.from_scalar(dist.uniform_interval("1/10", "9/10"))
     # the affine map (0, 1) passes these z through exactly

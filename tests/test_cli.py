@@ -542,6 +542,20 @@ def test_highdim_refuses_an_order_whose_block_moments_diverge(
     assert err.startswith("error: KNotInA: " + message)
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_chain_dominance_refuses_fewer_than_one_step(capsys, tmp_path, steps):
+    """No steps would pass with 0 violations having checked nothing."""
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "chain", "--spec", TWO_POINT, "--dominance",
+                         "--eps", "1/4", "--eps2", "1/2", "--steps", steps,
+                         "--seeds", "0..1", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: InvalidParameter: ")
+    assert "need at least one step" in err
+    assert not out_dir.exists()
+
+
 def test_chain_dominance_needs_two_eps(capsys):
     code, _, err = run(capsys, "chain", "--spec", TWO_POINT, "--dominance",
                        "--eps", "1/4", "--steps", "1000")

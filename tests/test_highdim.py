@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapexp import chain, cli
+from lyapexp import chain, cli, kernels
 from lyapexp import distributions as dist
 from lyapexp import highdim, ising
 from lyapexp import lyapunov
@@ -234,8 +234,6 @@ def test_draw_slices_change_no_result(monkeypatch):
 def test_chain_stores_no_burn_in_states(monkeypatch, cells):
     """The chain hands the kernels a state buffer for kept rows only, and
     for every one of them."""
-    from lyapexp import kernels
-
     lead = 2100
     calls = {}
     steps = kernels.block_chain_steps
@@ -263,12 +261,19 @@ def test_chain_stores_no_burn_in_states(monkeypatch, cells):
         assert t == lead + 40
 
 
-def test_one_wide_block_has_a_bounded_working_set():
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@pytest.mark.parametrize("name", ["uniform_sub", "two_point"])
+def test_one_wide_block_has_a_bounded_working_set(monkeypatch, name, path):
     """One 512-wide block of the wide_stats chain: 10000 burn-in steps and
-    489 kept rows.  A whole piece of uniforms, a second one drawn while
+    489 kept rows, for a law driven by one Z and for a finite law, on
+    either loop.  A whole piece of uniforms, a second one drawn while
     the first is alive, and a state buffer of TIME_CHUNK rows peaked at
     32.8 MiB with moments and 24.0 MiB without."""
-    spec = dist.load_spec(SPECS / "uniform_sub.json")
+    if path == "compiled" and kernels._library() is None:
+        pytest.skip("no C compiler or writable cache: compiled path absent")
+    if path == "numpy":
+        monkeypatch.setattr(kernels, "_library", lambda: None)
+    spec = dist.load_spec(SPECS / f"{name}.json")
     size = dict(n_steps=489 * 512, seed=0, burn_in=10_000, replicas=512)
     cfg = chain.ChainConfig(eps=0.25, **size)
     peaks = []
@@ -614,6 +619,15 @@ def test_coupled_vector_paths_equal_when_eps_zero():
 
 def _never(*args, **kwargs):
     raise AssertionError("ran before the input was checked")
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_coupled_paths_refuse_fewer_than_one_step(n, monkeypatch):
+    """A path of no steps checks nothing, and a negative n is no size:
+    both are refused before any draw."""
+    monkeypatch.setattr(highdim, "philox_generator", _never)
+    with pytest.raises(InvalidParameter, match="need at least one step"):
+        highdim.coupled_paths(_stochastic_d2_law(), (0.0, 0.5), n=n, seed=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
