@@ -26,7 +26,7 @@ import numpy as np
 from . import coefficients as coeffs
 from . import distributions as dist
 from .errors import InsufficientSignal, InvalidParameter, KNotInA
-from .fitting import wls_fit
+from .fitting import power_design, wls_fit
 from .lyapunov import lyapunov_invariant
 from .mc import chain_eps
 
@@ -161,10 +161,11 @@ class FitResult:
     """Log-log fit of the residual decay.
 
     ``exponent`` is the fitted p in R ~ C eps^p (so p plays the role of
-    2q); when the disorder has an integer critical exponent, a second
-    model  log R = log C + 2 alpha log eps + log log(1/eps)  with pinned
-    slope is also fitted and ``with_log_model`` records whether it beats
-    the free power law in weighted residual sum.
+    2q); when the theory bracket has a log correction (an integer
+    critical exponent), a second model
+    log R = log C + 2 alpha log eps + log log(1/eps)  with pinned slope
+    is also fitted, and ``with_log_model`` records whether its weighted
+    residual sum ``log_model_rss`` beats the free power law's.
     """
 
     exponent: float
@@ -172,22 +173,21 @@ class FitResult:
     log_amplitude: float
     r2: float
     with_log_model: bool
-    log_model_amplitude: float | None
     log_model_rss: float | None
     power_rss: float
     n_used: int
     used_eps: tuple
-    bracket: TheoryBracket | None
 
 
-def fit_exponent(series: ResidualSeries, spec=None,
+def fit_exponent(series: ResidualSeries, bracket: TheoryBracket | None = None,
                  min_points: int = 5) -> FitResult:
     """Weighted log-log fit of a residual series.
 
     Grid points whose residual is within NOISE_SIGMAS standard errors
-    of zero are dropped; fewer than ``min_points`` survivors raises
-    InsufficientSignal.  Passing the originating ``spec`` adds the theory
-    bracket and enables the pinned-slope log model at integer alpha.
+    of zero are dropped; fewer than ``min_points`` survivors, or fewer
+    than two distinct ones, raises InsufficientSignal.  ``bracket`` is
+    the series' :func:`theory_brackets`, as the caller computed it; one
+    with a log correction enables the pinned-slope log model.
     """
     r = np.asarray(series.residual)
     se = np.asarray(series.lam_stderr)
@@ -202,25 +202,17 @@ def fit_exponent(series: ResidualSeries, spec=None,
     x = np.log(eps)
     y = np.log(r)
     sig = se / r  # delta method for log-residual errors
-    design = np.column_stack([np.ones_like(x), x])
-    fit = wls_fit(design, y, sig)
+    fit = wls_fit(power_design(x, (0, 1)), y, sig)
 
-    bracket = theory_brackets(spec, series.order) if spec is not None else None
-    with_log = False
-    log_amp = None
     log_rss = None
     if bracket is not None and bracket.log_correction:
         # pinned model: log R - 2 alpha log eps - log log(1/eps) = const
-        a2 = bracket.lower_exp
-        y2 = y - a2 * x - np.log(np.log(1.0 / eps))
-        pin = wls_fit(np.ones((y2.size, 1)), y2, sig)
-        log_amp = pin.coefficients[0]
-        log_rss = pin.weighted_rss
-        with_log = log_rss < fit.weighted_rss
+        y2 = y - bracket.lower_exp * x - np.log(np.log(1.0 / eps))
+        log_rss = wls_fit(np.ones((y2.size, 1)), y2, sig).weighted_rss
     return FitResult(exponent=fit.coefficients[1],
                      exponent_stderr=fit.stderrs[1],
                      log_amplitude=fit.coefficients[0], r2=fit.r2,
-                     with_log_model=with_log, log_model_amplitude=log_amp,
+                     with_log_model=(log_rss is not None
+                                     and log_rss < fit.weighted_rss),
                      log_model_rss=log_rss, power_rss=fit.weighted_rss,
-                     n_used=int(r.size), used_eps=tuple(float(e) for e in eps),
-                     bracket=bracket)
+                     n_used=int(r.size), used_eps=tuple(float(e) for e in eps))

@@ -78,7 +78,8 @@ class ChainConfig:
 class ChainStats:
     """Stationary statistics of one chain run.
 
-    ``moments[i]`` estimates E[X^gammas[i]] over retained samples,
+    ``moments[i]`` estimates E[X^gamma] over retained samples for the
+    i-th gamma passed to :func:`simulate_chain`,
     ``trunc_moments[i]`` the truncated version E[X^gamma; eps^2 X <= B]
     with B the ``b_cutoff`` passed to :func:`simulate_chain`.
     ``log1p_mean`` is the invariant-formula Lyapunov estimate
@@ -88,7 +89,6 @@ class ChainStats:
 
     eps: float
     n_kept: int
-    gammas: tuple
     moments: tuple
     moment_stderrs: tuple
     trunc_moments: tuple
@@ -203,7 +203,7 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     lmean, lse = batch_means(lyap_rep)
     max_x = float(max(r[2].max() for r in results)) if gammas else math.nan
 
-    return ChainStats(eps=eps, n_kept=kept * cfg.replicas, gammas=gammas,
+    return ChainStats(eps=eps, n_kept=kept * cfg.replicas,
                       moments=tuple(moments), moment_stderrs=tuple(stderrs),
                       trunc_moments=tuple(truncs),
                       trunc_stderrs=tuple(tstderrs), log1p_mean=lmean,

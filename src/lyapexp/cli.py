@@ -339,6 +339,10 @@ def _run_dominance(args, spec, steps):
     if not args.eps or not args.eps2:
         raise _UsageError("--dominance needs --eps and --eps2")
     eps, eps2 = _parse_number(args.eps), _parse_number(args.eps2)
+    # the paths run at |eps|, so a signed pair would be compared wrongly
+    if eps < 0 or eps2 < 0:
+        raise InvalidParameter(f"--dominance needs eps and eps2 >= 0, got "
+                               f"{eps:g} and {eps2:g}")
     if eps > eps2:
         raise _UsageError("--dominance expects eps <= eps2")
     seeds = _parse_int_list(args.seeds)
@@ -402,10 +406,8 @@ def _run_fit(args):
     files = {"series.csv": _csv(
         ("eps", "lambda", "lambda_stderr", "regular", "residual"), rows)}
     if not args.no_fit:
-        fit = analysis.fit_exponent(series, spec=spec,
-                                    min_points=args.min_points)
-        doc["fit"] = {key: value for key, value in asdict(fit).items()
-                      if key not in ("bracket", "log_model_amplitude")}
+        doc["fit"] = asdict(analysis.fit_exponent(
+            series, bracket, min_points=args.min_points))
     files["fit.json"] = _doc_json(doc)
     if args.emit_plot:
         files["residual.dat"] = _dat(zip(series.eps, series.residual))

@@ -15,9 +15,11 @@ exact binary rationals first, so the recursion itself never loses
 precision and the only sensitivity left is the conditioning of the
 1/(1 - m_l) prefactors, reported alongside the table.
 
-Coefficients requested up to order K exist when m_l < 1 for every
-l <= K; m_l == 1 raises DegenerateMoment(l) and m_l > 1 raises
-UnstableMoment(l).
+The moments come from a DistributionSpec or as a plain sequence
+(m_1, m_2, ...); a negative order, a moment that is not positive and a
+sequence shorter than the order raise InvalidParameter.  Coefficients
+requested up to order K exist when m_l < 1 for every l <= K; m_l == 1
+raises DegenerateMoment(l) and m_l > 1 raises UnstableMoment(l).
 """
 
 from __future__ import annotations
@@ -30,42 +32,20 @@ from .errors import DegenerateMoment, InvalidParameter, UnstableMoment
 from . import distributions as dist
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Integer moments (m_1, ..., m_K) of the disorder law, 1-indexed."""
-
-    values: tuple
-    exact: bool = True
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.values):
-            raise InvalidParameter("moments must be strictly positive")
-
-    def __len__(self):
-        return len(self.values)
-
-    def m(self, l: int) -> Fraction:
-        return self.values[l - 1]
-
-
-def moments_from_spec(spec, order: int) -> MomentVector:
-    """Moment vector (E[Z], ..., E[Z^order]); exact for discrete specs."""
-    raw = [dist.moment(spec, l) for l in range(1, order + 1)]
-    exact = all(isinstance(v, Fraction) for v in raw)
-    return MomentVector(tuple(Fraction(v) for v in raw), exact=exact)
-
-
-def _as_moment_vector(m, order: int) -> MomentVector:
+def _moments(m, order: int):
+    """The moments (m_1, m_2, ...) of a spec or a sequence ``m`` as
+    Fractions, and whether they were exact rationals rather than
+    converted floats (a spec's are exact when the law is discrete)."""
     if order < 0:
         raise InvalidParameter(f"order must be >= 0, got {order}")
-    if isinstance(m, dist.DistributionSpec):
-        mv = moments_from_spec(m, order)
-    else:
-        vals = tuple(Fraction(v) for v in m)
-        mv = MomentVector(vals, exact=all(isinstance(v, (int, Fraction)) for v in m))
-    if len(mv) < order:
-        raise InvalidParameter(f"need {order} moments, got {len(mv)}")
-    return mv
+    raw = [dist.moment(m, l) for l in range(1, order + 1)] \
+        if isinstance(m, dist.DistributionSpec) else list(m)
+    ms = tuple(Fraction(v) for v in raw)
+    if any(v <= 0 for v in ms):
+        raise InvalidParameter("moments must be strictly positive")
+    if len(ms) < order:
+        raise InvalidParameter(f"need {order} moments, got {len(ms)}")
+    return ms, all(isinstance(v, (int, Fraction)) for v in raw)
 
 
 @dataclass(frozen=True)
@@ -79,7 +59,6 @@ class CoefficientTable:
     """
 
     order: int
-    moments: MomentVector
     g: tuple
     ell: tuple
     exact: bool
@@ -92,11 +71,11 @@ class CoefficientTable:
         return self.ell[s - 1]
 
 
-def _check_moments(mv: MomentVector, order: int) -> None:
+def _check_moments(ms: tuple, order: int) -> None:
     for l in range(1, order + 1):
-        if mv.m(l) == 1:
+        if ms[l - 1] == 1:
             raise DegenerateMoment(l)
-        if mv.m(l) > 1:
+        if ms[l - 1] > 1:
             raise UnstableMoment(l)
 
 
@@ -119,15 +98,15 @@ def g_table(m, order: int) -> CoefficientTable:
     ``m`` may be a DistributionSpec or a plain sequence of the first K
     integer moments.
     """
-    mv = _as_moment_vector(m, order)
-    _check_moments(mv, order)
+    ms, exact = _moments(m, order)
+    _check_moments(ms, order)
 
     # g[l] holds entries for k = 0..K-l; row 0 is the base case.
     g = [[Fraction(0)] * (order + 1 - l) for l in range(order + 1)]
     g[0][0] = Fraction(1)
     for s in range(0, order + 1):
         for l in range(1, order + 1 - s):
-            ml = mv.m(l)
+            ml = ms[l - 1]
             g[l][s] = ml / (1 - ml) * _entry_sum(g, l, s)
 
     ell = tuple(
@@ -135,12 +114,11 @@ def g_table(m, order: int) -> CoefficientTable:
         for s in range(1, order + 1)
     )
     if order >= 1:
-        condition = float(1 / min(abs(1 - mv.m(l)) for l in range(1, order + 1)))
+        condition = float(1 / min(abs(1 - v) for v in ms[:order]))
     else:
         condition = 1.0
-    return CoefficientTable(order=order, moments=mv,
-                            g=tuple(tuple(row) for row in g),
-                            ell=ell, exact=mv.exact, condition=condition)
+    return CoefficientTable(order=order, g=tuple(tuple(row) for row in g),
+                            ell=ell, exact=exact, condition=condition)
 
 
 def ell_coefficients(m, order: int) -> tuple:

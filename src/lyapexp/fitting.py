@@ -35,7 +35,7 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
     design row is all zero (eps = 0 in a power fit) carries no
     information and is dropped; any other error that is not positive,
     fewer points left than coefficients, or a design of lower rank than
-    its column count (too few distinct grid points) raises
+    its column count (a safety net behind :func:`power_design`) raises
     InsufficientSignal.  The weighted R^2 is measured about the
     weighted mean of y (1.0 for a perfect fit, negative for a model worse
     than the constant, NaN for a fit with no more points than
@@ -85,6 +85,16 @@ def wls_fit(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> FitSummary:
 
 
 def power_design(x: np.ndarray, powers) -> np.ndarray:
-    """Design matrix with columns x**p for p in powers."""
+    """Design matrix with columns x**p for p in powers.
+
+    Every fit sizes its grid here: k columns need at least k distinct
+    grid points, and a grid with fewer raises InsufficientSignal.
+    """
     x = np.asarray(x, dtype=float)
+    powers = tuple(powers)
+    distinct = np.unique(x).size
+    if distinct < len(powers):
+        raise InsufficientSignal(
+            f"{len(powers)} coefficients need at least {len(powers)} "
+            f"distinct grid points; got {distinct}")
     return np.column_stack([x ** float(p) for p in powers])

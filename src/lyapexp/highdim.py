@@ -39,11 +39,10 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import as_fraction
-from .errors import (InsufficientSignal, InvalidParameter, InvalidSpec,
-                     KNotInA, SingularSystem)
+from .errors import InvalidParameter, InvalidSpec, KNotInA, SingularSystem
 from .fitting import power_design, wls_fit
-from .mc import (batch_means, chain_eps, finite_eps, kept_per_replica,
-                 philox_generator, run_chunked)
+from .mc import (batch_means, chain_eps, check_steps, finite_eps,
+                 kept_per_replica, philox_generator, run_chunked)
 
 COND_LIMIT = 1e12
 
@@ -268,7 +267,6 @@ class GMatrix:
     Fractions when every moment the law gives is exact.
     """
 
-    l: int
     d: int
     indices: tuple
     matrix: np.ndarray
@@ -303,7 +301,7 @@ def g_matrix(law, l: int) -> GMatrix:
     if not np.isfinite(condition) or condition > COND_LIMIT:
         raise SingularSystem(
             f"I - G^({l}) is numerically singular (cond ~ {condition:.3g})")
-    return GMatrix(l=l, d=law.d, indices=idx, matrix=mat,
+    return GMatrix(d=law.d, indices=idx, matrix=mat,
                    condition=condition, exact=exact)
 
 
@@ -415,11 +413,13 @@ def coupled_paths(law, epss, n: int, seed: int):
     n-term partial sum of the matrix perpetuity in law, and dominates
     the path at any other eps coordinatewise.  The scalar chain's paths
     are those of :func:`from_scalar`; there a smaller eps gives a path
-    that dominates that of a larger one.  A path needs n >= 1 steps.
+    that dominates that of a larger one.  A path needs n >= 1 steps,
+    and at most :data:`.mc.MAX_STEPS`.
     """
     if n < 1:
         raise InvalidParameter(
             f"coupled paths need at least one step, got {n}")
+    check_steps(n)
     paths = []
     for eps in [chain_eps(eps) for eps in epss]:
         path = np.empty((n, 1, law.d))
@@ -452,11 +452,12 @@ def extract_expansion(law, order: int, eps_grid,
     """Fit the regular expansion of the block exponent on an eps grid.
 
     Takes every grid point to |eps| (refusing a non-finite one, and for
-    the invariant method one whose square overflows) and checks, for
-    l <= order, that I - G^(l) is invertible and that rho(G^(l)) < 1
-    (the existence condition for the expansion, the block analogue of
-    E[Z^l] < 1) first.  Then it estimates the exponent
-    at every grid point with common random numbers and solves for the
+    the invariant method one whose square overflows), builds the design
+    (refusing a grid with fewer distinct points than coefficients) and
+    checks, for l <= order, that I - G^(l) is invertible and that
+    rho(G^(l)) < 1 (the existence condition for the expansion, the block
+    analogue of E[Z^l] < 1) first.  Then it estimates the exponent at
+    every grid point with common random numbers and solves for the
     monomial coefficients eps^2 .. eps^(2K) by weighted least squares.
     """
     if order < 0:
@@ -467,10 +468,7 @@ def extract_expansion(law, order: int, eps_grid,
     valid = chain_eps if method == INVARIANT else finite_eps
     eps_grid = tuple(valid(e) for e in eps_grid)
     powers = tuple(range(2, 2 * order + 1))
-    if len(set(eps_grid)) < len(powers):
-        raise InsufficientSignal(
-            f"{len(powers)} coefficients need at least {len(powers)} "
-            f"distinct grid points; got {len(set(eps_grid))}")
+    design = power_design(np.array(eps_grid), powers)
     conditions = {}
     for l in range(1, order + 1):
         g = g_matrix(law, l)
@@ -480,19 +478,15 @@ def extract_expansion(law, order: int, eps_grid,
                           "is outside the admissible moment interval")
         conditions[l] = g.condition
 
-    estimates = []
-    for eps in eps_grid:
-        estimates.append(lyapunov_general(
-            law, eps, method=method, n_steps=n_steps, seed=seed,
-            burn_in=burn_in, replicas=replicas, discard=discard,
-            threads=threads))
-    y = np.array([e.value for e in estimates])
-    sig = np.array([e.stderr for e in estimates])
-    design = power_design(np.array(eps_grid), powers)
-    fit = wls_fit(design, y, sig)
+    estimates = tuple(lyapunov_general(
+        law, eps, method=method, n_steps=n_steps, seed=seed,
+        burn_in=burn_in, replicas=replicas, discard=discard,
+        threads=threads) for eps in eps_grid)
+    fit = wls_fit(design, np.array([e.value for e in estimates]),
+                  np.array([e.stderr for e in estimates]))
     return ExpansionFit(order=order, powers=powers,
                         coefficients=fit.coefficients, stderrs=fit.stderrs,
-                        r2=fit.r2, estimates=tuple(estimates),
+                        r2=fit.r2, estimates=estimates,
                         conditions=conditions)
 
 

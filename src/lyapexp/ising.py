@@ -31,7 +31,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec
-from .errors import InsufficientSignal, InvalidParameter, InvalidSpec, KNotInA
+from .errors import InvalidParameter, InvalidSpec, KNotInA
 from .fitting import power_design, wls_fit
 from .highdim import (DIRECT, LyapunovEstimate, lyapunov_general,
                       scalar_driven)
@@ -248,10 +248,7 @@ def strong_coupling_scan(model: IsingModel, scales, order: int = 2,
     if any(not 0 < t <= 1 for t in scales):
         raise InvalidSpec("scales must lie in (0, 1]")
     powers = tuple(range(order + 1))
-    if len(set(scales)) < len(powers):
-        raise InsufficientSignal(
-            f"{len(powers)} coefficients need at least {len(powers)} "
-            f"distinct scales; got {len(set(scales))}")
+    design = power_design(np.array(scales), powers)
 
     t_temp = model.temperature
     values, stderrs = [], []
@@ -266,9 +263,7 @@ def strong_coupling_scan(model: IsingModel, scales, order: int = 2,
         values.append(est.value)
         stderrs.append(est.stderr)
 
-    y = np.array(values)
-    fit = wls_fit(power_design(np.array(scales), powers), y,
-                  np.array(stderrs))
+    fit = wls_fit(design, np.array(values), np.array(stderrs))
     return ScanReport(order=order, ray=ray, scales=scales,
                       values=tuple(values), stderrs=tuple(stderrs),
                       powers=powers, coefficients=fit.coefficients,

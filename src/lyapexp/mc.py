@@ -37,6 +37,14 @@ from .errors import InvalidParameter
 BLOCK_WIDTH = 512
 TIME_CHUNK = 2048
 
+# Largest run :func:`check_run_size` admits.  They bound what a run
+# schedules before it draws: :func:`run_chunked` lists one piece per
+# TIME_CHUNK steps of a replica (64 MiB at MAX_STEPS), and
+# :func:`replica_blocks` one block per BLOCK_WIDTH replicas.  A run past
+# either would fail for lack of memory, or not end, rather than refuse.
+MAX_STEPS = 1 << 31  # steps per replica, burn-in or discard included
+MAX_REPLICAS = 1 << 24
+
 # Batch count for batch-means standard errors.
 N_BATCHES = 64
 
@@ -124,13 +132,26 @@ def batch_means(per_replica_means: np.ndarray):
 
 
 def check_run_size(n_steps: int, replicas: int, lead: int) -> None:
-    """Reject run sizes no engine can give an error bar for."""
+    """Reject run sizes no engine can give an error bar for, and runs
+    past :data:`MAX_REPLICAS` or :data:`MAX_STEPS`."""
     if replicas < 2:
         raise InvalidParameter("need at least two replicas for error bars")
+    if replicas > MAX_REPLICAS:
+        raise InvalidParameter(f"{replicas} replicas exceed the limit of "
+                               f"{MAX_REPLICAS}")
     if n_steps < replicas:
         raise InvalidParameter("n_steps must be at least the replica count")
     if lead < 0:
         raise InvalidParameter("burn-in and discard must be >= 0")
+    check_steps(lead + kept_per_replica(n_steps, replicas))
+
+
+def check_steps(steps: int) -> None:
+    """Refuse a replica of more than :data:`MAX_STEPS` steps."""
+    if steps > MAX_STEPS:
+        raise InvalidParameter(
+            f"{steps} steps per replica (burn-in or discard included) "
+            f"exceed the limit of {MAX_STEPS}")
 
 
 def finite_eps(eps) -> float:

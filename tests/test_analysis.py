@@ -87,8 +87,13 @@ def test_residual_series_checks_the_grid_first(monkeypatch):
 
 
 def test_power_design_columns():
-    d = power_design(np.array([2.0, 3.0]), (0, 2, 3))
-    assert np.array_equal(d, np.array([[1.0, 4.0, 8.0], [1.0, 9.0, 27.0]]))
+    d = power_design(np.array([2.0, 3.0, 0.5]), (0, 2, 3))
+    assert np.array_equal(d, np.array([[1.0, 4.0, 8.0], [1.0, 9.0, 27.0],
+                                       [1.0, 0.25, 0.125]]))
+    # k columns need k distinct points, however many repeats the grid has
+    with pytest.raises(InsufficientSignal, match="3 coefficients need at "
+                       "least 3 distinct grid points; got 2"):
+        power_design(np.array([2.0, 3.0, 3.0, 2.0]), (0, 2, 3))
 
 
 # -- theory brackets -----------------------------------------------------------
@@ -259,8 +264,9 @@ def test_fit_attaches_bracket_and_log_model():
                                 lam_stderr=(1e-10,) * len(eps),
                                 regular=(0.0,) * len(eps), residual=res,
                                 sign=-1, ell=(4.0,))
-    fit = analysis.fit_exponent(s, spec=CRIT, min_points=5)
-    assert fit.bracket is not None and fit.bracket.log_correction
+    bracket = analysis.theory_brackets(CRIT, 1)
+    assert bracket.log_correction
+    fit = analysis.fit_exponent(s, bracket=bracket, min_points=5)
     assert fit.with_log_model
     assert fit.log_model_rss < fit.power_rss
     # the log factor makes the decay shallower than eps^4: the free slope
@@ -273,6 +279,7 @@ def test_fit_measured_heavy_tail_slope():
     like eps^1 (up to the theta window)."""
     grid = tuple(2.0 ** -j for j in range(2, 8))
     s = analysis.residual_series(HEAVY, 0, grid, n_steps=200_000, seed=7)
-    fit = analysis.fit_exponent(s, spec=HEAVY, min_points=5)
+    fit = analysis.fit_exponent(
+        s, bracket=analysis.theory_brackets(HEAVY, 0), min_points=5)
     assert 0.85 <= fit.exponent <= 1.45
     assert fit.r2 > 0.99

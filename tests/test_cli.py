@@ -127,6 +127,9 @@ def test_validation_errors_exit_two(capsys):
                   "--steps", "1000", "--replicas", "1"),
                  ("chain", "--spec", TWO_POINT, "--eps", "-0.5",
                   "--steps", "1000"),
+                 ("chain", "--dominance", "--spec", TWO_POINT, "--eps",
+                  "-0.5", "--eps2", "0.25", "--steps", "1000", "--seeds",
+                  "0"),
                  ("chain", "--spec", TWO_POINT, "--eps", "0.5",
                   "--steps", "1000", "--cutoff", "nan"),
                  LYAP[:4] + ("nan", "--steps", "1000"),
@@ -262,6 +265,48 @@ def test_power_fit_refuses_a_grid_point_whose_power_overflows(capsys):
                        "--steps", "20000", "--discard", "100")
     assert code == 2 and len(err.strip().splitlines()) == 1
     assert err.startswith("error: InvalidParameter: ")
+
+
+OVERSIZED_RUNS = {
+    "lyap_steps": LYAP[:6] + ("1e30",),
+    "lyap_burn_in": LYAP + ("--burn-in", "1" + "0" * 30),
+    "lyap_replicas": LYAP[:6] + ("1e13", "--replicas", "1000000000000",
+                                 "--method", "direct"),
+    "chain_steps": ("chain", "--spec", TWO_POINT, "--eps", "1/4",
+                    "--steps", "1e30"),
+    "dominance_steps": ("chain", "--dominance", "--spec", TWO_POINT,
+                        "--eps", "1/4", "--eps2", "1/2", "--steps", "1e30",
+                        "--seeds", "0"),
+    "dominance_one_past": ("chain", "--dominance", "--spec", TWO_POINT,
+                           "--eps", "1/4", "--eps2", "1/2", "--steps",
+                           str(2 ** 31 + 1), "--seeds", "0"),
+    "highdim_steps": ("highdim", "--blocks", BLOCKS_D2, "--eps", "1/4",
+                      "--steps", "1e30"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_RUNS))
+def test_runs_past_the_size_limits_exit_2(name):
+    """More than 2^31 steps per replica or 2^24 replicas is refused with
+    one line that names the limit, before the run is scheduled.  The
+    child runs under a 2 GiB address-space limit, so that a run that is
+    not refused fails for lack of memory instead of filling the machine;
+    one BLAS thread keeps numpy's own reservations small."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "lyapexp.cli", *OVERSIZED_RUNS[name]],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_memory,
+        env=dict(os.environ, PYTHONPATH=str(SPECS.parent / "src"),
+                 OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: InvalidParameter: ")
+    assert proc.stderr.count("\n") == 1
+    assert "exceed the limit of" in proc.stderr
 
 
 def test_fit_of_a_deterministic_law_exits_3_with_one_line(tmp_path):
@@ -497,20 +542,35 @@ def test_empty_lists_are_usage_errors(capsys, tmp_path, argv):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("fit", "--spec", TWO_POINT, "--order", "1", "--eps-grid",
-     "0.25,0.25,0.25,0.25,0.25", "--steps", "20000"),
-    ("ising", "--range", "1", "--couplings", "1", "--T", "1",
-     "--field-law", UNIFORM, "--scan", "--scales",
-     "0.5,0.5,0.5,0.5,0.5", "--steps", "1000"),
-    ("highdim", "--blocks", None, "--K", "2", "--eps-grid",
-     "0.5,0.25,0.25", "--steps", "1000"),
+@pytest.mark.parametrize("argv, message, draws", [
+    (("fit", "--spec", TWO_POINT, "--order", "1", "--eps-grid",
+      "0.25,0.25,0.25,0.25,0.25", "--steps", "20000"),
+     "2 coefficients need at least 2 distinct grid points; got 1", True),
+    (("ising", "--range", "1", "--couplings", "1", "--T", "1",
+      "--field-law", UNIFORM, "--scan", "--scales",
+      "0.5,0.5,0.5,0.5,0.5", "--steps", "1000"),
+     "5 coefficients need at least 5 distinct grid points; got 1", False),
+    (("highdim", "--blocks", None, "--K", "2", "--eps-grid",
+      "0.5,0.25,0.25", "--steps", "1000"),
+     "3 coefficients need at least 3 distinct grid points; got 2", False),
 ], ids=["fit", "ising_scan", "highdim_K"])
-def test_too_few_distinct_grid_points_exit_3(capsys, tmp_path, argv):
+def test_too_few_distinct_grid_points_exit_3(capsys, monkeypatch, tmp_path,
+                                             argv, message, draws):
     """A fit of k coefficients on fewer than k distinct grid points has a
-    rank-deficient design: exit 3 and one line, not a traceback.  The
-    highdim case reads the two-point law as a d = 1 block file, whose
-    rho(G^(2)) = 3/4 admits K = 2."""
+    rank-deficient design: exit 3 and one line, not a traceback, with the
+    same message from every fit.  ``ising --scan`` and ``highdim --K``
+    refuse the grid before any draw; ``fit`` runs its series first,
+    because its fit uses only the points that clear the noise floor.
+    The highdim case reads the two-point law as a d = 1 block file,
+    whose rho(G^(2)) = 3/4 admits K = 2."""
+    from lyapexp import highdim, mc
+
+    def no_draws(*args):
+        raise AssertionError("drew before the grid was checked")
+
+    if not draws:
+        monkeypatch.setattr(mc, "philox_generator", no_draws)
+        monkeypatch.setattr(highdim, "philox_generator", no_draws)
     blocks = tmp_path / "two_point_blocks.json"
     blocks.write_text(json.dumps({"d": 1, "triples": [
         {"weight": "3/4", "L": ["1"], "C": ["1/2"], "N": [["1/2"]]},
@@ -519,8 +579,7 @@ def test_too_few_distinct_grid_points_exit_3(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: InsufficientSignal: ")
-    assert "distinct" in err
+    assert err == f"error: InsufficientSignal: {message}\n"
 
 
 @pytest.mark.parametrize("blocks, order, grid, message", [

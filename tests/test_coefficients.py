@@ -108,8 +108,8 @@ def test_unstable_moment_raises_with_order():
 
 
 def test_moment_vector_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        coeffs.MomentVector((Fraction(0), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="strictly positive"):
+        coeffs.g_table((0, 1/2), 2)
 
 
 def test_condition_number_reported():

@@ -56,3 +56,18 @@ def test_bad_run_sizes_rejected(n_steps, replicas, lead):
         mc.run_chunked(_constant_growth(0), n_steps, replicas, lead, seed=0)
     assert isinstance(info.value, ValueError)
     assert isinstance(info.value, ValidationError)
+
+
+def test_run_size_limits_admit_the_limit_itself():
+    """A replica may run MAX_STEPS steps in all, lead included, and a run
+    may have MAX_REPLICAS replicas; one more is refused, naming the
+    limit.  The check schedules nothing, so probing it costs no memory."""
+    mc.check_run_size(2 * mc.MAX_STEPS, 2, 0)
+    mc.check_run_size(mc.MAX_REPLICAS, mc.MAX_REPLICAS, 0)
+    for args in ((2 * mc.MAX_STEPS, 2, 1), (2 * mc.MAX_STEPS + 1, 2, 0)):
+        with pytest.raises(InvalidParameter,
+                           match=f"exceed the limit of {mc.MAX_STEPS}$"):
+            mc.check_run_size(*args)
+    with pytest.raises(InvalidParameter,
+                       match=f"exceed the limit of {mc.MAX_REPLICAS}$"):
+        mc.check_run_size(mc.MAX_REPLICAS + 1, mc.MAX_REPLICAS + 1, 0)
