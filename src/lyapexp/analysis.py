@@ -28,7 +28,7 @@ from . import distributions as dist
 from .errors import InsufficientSignal, InvalidParameter, KNotInA
 from .fitting import power_design, wls_fit
 from .lyapunov import lyapunov_invariant
-from .mc import chain_eps
+from .mc import chain_eps, check_run_size
 
 INTEGER_ALPHA_TOL = 1e-6
 # a fitted residual must exceed this many standard errors
@@ -65,13 +65,10 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
     point is taken to |eps|, and a non-finite one, or one whose square
     overflows, is refused before any estimate runs.  ``n_steps`` is one
     budget for every point, or a sequence of per-point budgets to spend
-    more effort where the signal is smallest.
+    more effort where the signal is smallest; every budget is checked
+    before any estimate runs too.
     """
-    if order < 0:
-        raise InvalidParameter("order must be >= 0")
-    if order >= 1 and dist.moment(spec, order) >= 1:
-        raise KNotInA(f"E[Z^{order}] >= 1: order {order} is outside the "
-                      "admissible moment interval")
+    _check_order(spec, order)
     ell = coeffs.ell_coefficients(spec, order) if order >= 1 else ()
     sign = 1 if order % 2 == 0 else -1
     eps_grid = tuple(chain_eps(e) for e in eps_grid)
@@ -80,6 +77,8 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
     if len(budgets) != len(eps_grid):
         raise InvalidParameter(f"{len(budgets)} budgets for "
                                f"{len(eps_grid)} grid points")
+    for budget in budgets:
+        check_run_size(budget, replicas, burn_in)
 
     lam, lse, reg, res = [], [], [], []
     for eps, budget in zip(eps_grid, budgets):
@@ -95,6 +94,15 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
                           lam_stderr=tuple(lse), regular=tuple(reg),
                           residual=tuple(res), sign=sign,
                           ell=tuple(float(e) for e in ell))
+
+
+def _check_order(spec: dist.DistributionSpec, order: int) -> None:
+    """Refuse an order below 0, or one with E[Z^order] >= 1."""
+    if order < 0:
+        raise InvalidParameter("order must be >= 0")
+    if order >= 1 and dist.moment(spec, order) >= 1:
+        raise KNotInA(f"E[Z^{order}] >= 1: order {order} is outside the "
+                      "admissible moment interval")
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,7 @@ class TheoryBracket:
 
 def theory_brackets(spec: dist.DistributionSpec, order: int) -> TheoryBracket:
     """Exponent window predicted for R_K at K = ``order``."""
-    if order >= 1 and dist.moment(spec, order) >= 1:
-        raise KNotInA(f"E[Z^{order}] >= 1: order {order} is outside the "
-                      "admissible moment interval")
+    _check_order(spec, order)
     alpha_res = dist.solve_alpha(spec)
     if alpha_res.kind == "infinite":
         p = 2.0 * (order + 1)

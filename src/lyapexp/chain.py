@@ -23,10 +23,11 @@ pathwise domination results of :func:`.highdim.coupled_paths` hold
 exactly in simulation.  This module has no loop of its own: the chain
 is the vector chain of :func:`.highdim.from_scalar`,
 ``(L, C, N) = (1, Z, Z)``, whose pieces :func:`.highdim._block_kernel`
-draws and steps through the loops of :mod:`.kernels` at d = 1, compiled
-or in numpy with bitwise equal results.  :func:`simulate_chain` folds
-its moments over the post-step states of each piece's kept rows, the
-only states it stores.
+draws and steps, slice by slice, through the loops of :mod:`.kernels`
+at d = 1, compiled or in numpy with bitwise equal results.
+:func:`.mc.run_chunked` folds each slice's log growth as it is stepped,
+and :func:`simulate_chain` folds its moments once per piece, over the
+post-step states of the piece's kept rows, the only states it stores.
 """
 
 from __future__ import annotations
@@ -126,12 +127,14 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
                    gammas=(1.0, 2.0), b_cutoff=None) -> ChainStats:
     """Run the chain and collect stationary moment / Lyapunov statistics.
 
-    The post-step states are stored and folded only when ``gammas`` is
-    not empty, and only for the kept rows, so a block's state buffer has
-    as many rows as the most any piece keeps; with no gammas, no
-    ``xbuf`` reaches the kernels and ``max_x`` is NaN.  The Lyapunov
-    statistics, which :func:`.lyapunov.lyapunov_invariant` reads, are
-    the same bits either way.
+    The kernel passes :func:`.highdim._block_kernel`'s slices through to
+    :func:`.mc.run_chunked`, which folds their growth factors.  The
+    post-step states are stored and folded only when ``gammas`` is not
+    empty, and only for the kept rows, once per piece, so a block's
+    state buffer has as many rows as the most any piece keeps; with no
+    gammas, no state buffer reaches the kernels and ``max_x`` is NaN.
+    The Lyapunov statistics, which :func:`.lyapunov.lyapunov_invariant`
+    reads, are the same bits either way.
     """
     gammas = tuple(float(g) for g in gammas)
     if b_cutoff is None:
@@ -144,25 +147,16 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     log_space = [g > LOG_SPACE_GAMMA for g in gammas]
 
     def kernel(gen, width, pieces):
-        # one buffer per block, for the kept rows of a piece only: the
-        # moments below fold a piece's states before the next is drawn;
-        # a row never written stays NaN
-        xbuf = np.full((max(span - keep0 for span, keep0 in pieces), width,
-                        1), np.nan) if gammas else None
         moment_acc = [KahanSum(width) for _ in gammas]
         trunc_acc = [KahanSum(width) for _ in gammas]
         logsum = [np.full(width, -np.inf) for _ in gammas]
         trunc_logsum = [np.full(width, -np.inf) for _ in gammas]
         xmax = np.zeros(width)
-        steps = highdim._block_kernel(law, eps, highdim.INVARIANT, gen,
-                                      width, pieces, xbuf)
-        for (span, keep0), rows in zip(pieces, steps):
-            # the growth factor of row t is its denominator; the moments
-            # fold the matching post-step states over the same kept rows
-            yield rows
-            if xbuf is None or keep0 >= span:
-                continue
-            xk = xbuf[:span - keep0, :, 0]
+
+        def fold(xk):
+            # the post-step states of a piece's kept rows, whose growth
+            # factors (the denominators) run_chunked folds slice by slice
+            xk = xk[:, :, 0]
             np.maximum(xmax, xk.max(axis=0), out=xmax)
             wmask = e2 * xk <= b_cutoff
             for i, g in enumerate(gammas):
@@ -176,6 +170,10 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
                     vals = xk if g == 1.0 else xk ** g
                     moment_acc[i].add(vals.sum(axis=0))
                     trunc_acc[i].add(np.where(wmask, vals, 0.0).sum(axis=0))
+
+        yield from highdim._block_kernel(law, eps, highdim.INVARIANT, gen,
+                                         width, pieces,
+                                         fold if gammas else None)
         out_m = []
         out_t = []
         for i in range(len(gammas)):

@@ -390,11 +390,12 @@ def _run_fit(args):
     spec = _load(dist.load_spec, "spec", args.spec)
     size = _run_size(args, "burn_in")
     grid = _parse_grid(args.eps_grid)
+    # a law or order with no bracket is refused before any estimate runs
+    bracket = analysis.theory_brackets(spec, args.order)
     series = analysis.residual_series(spec, args.order, grid, **size)
     for eps, lam, se in zip(series.eps, series.lam, series.lam_stderr):
         _require_finite(f"fit at eps {eps:g}",
                         {"lambda": lam, "lambda_stderr": se})
-    bracket = analysis.theory_brackets(spec, args.order)
     doc = {"order": args.order, "eps_grid": list(series.eps),
            "lambda": list(series.lam), "lambda_stderr": list(series.lam_stderr),
            "regular": list(series.regular), "residual": list(series.residual),

@@ -29,6 +29,7 @@ general d to the same bits.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -46,12 +47,15 @@ from .mc import (batch_means, chain_eps, check_steps, finite_eps,
 
 COND_LIMIT = 1e12
 
-# Most uniforms drawn at once: a time piece is drawn and stepped in row
-# slices of at most this many cells (1 MiB of float64), so a wide block
-# never holds a whole piece of draws.  A Philox stream gives the same
-# numbers however its draws are split, so this is no layout constant:
-# every result is the same at any value.  A block 64 wide or narrower
-# draws each TIME_CHUNK piece at once.
+# Most cells stepped at once: a time piece is drawn and stepped in row
+# slices of at most this many cells (1 MiB of float64), and a block's
+# uniforms and growth factors are each one slice, so a wide block never
+# holds a whole piece of either.  A Philox stream gives the same numbers
+# however its draws are split, and run_chunked folds the slices to the
+# same bits, so this is no layout constant: every result is the same at
+# any value >= TIME_CHUNK.  That bound lets a block one replica wide
+# step a piece's kept rows in one slice, as run_chunked needs.  A block
+# 64 wide or narrower draws each TIME_CHUNK piece at once.
 DRAW_CELLS = 1 << 17
 
 DIRECT = "direct_product"
@@ -369,13 +373,15 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
                             n=kept_per_replica(n_steps, replicas) * replicas)
 
 
-def _block_kernel(law, eps, method, gen, width, pieces, xbuf=None):
-    """Block recursion by either estimator; yields each piece's growth
-    factors.  The one loop that draws pieces and steps them through the
-    kernels, each in slices of at most :data:`DRAW_CELLS` cells.  The
-    chain's ``xbuf`` (rows, width, d), if given, gets the post-step
-    states of each piece's kept rows, row ``keep0`` of the piece in its
-    row 0; burn-in rows store none."""
+def _block_kernel(law, eps, method, gen, width, pieces, fold=None):
+    """Block recursion by either estimator, a kernel of
+    :func:`.mc.run_chunked`; yields each slice's growth factors.  The
+    one loop that draws pieces and steps them through the kernels, in
+    slices of at most :data:`DRAW_CELLS` cells cut at each piece's
+    ``keep0``.  Given ``fold``, it stores the post-step states of each
+    piece's kept rows, row ``keep0`` of the piece in row 0 of a
+    (rows, width, d) buffer, and calls ``fold`` on them once the piece
+    is stepped; burn-in rows store none."""
     from . import kernels  # loaded by the first run, not at start-up
 
     if method == INVARIANT:
@@ -384,24 +390,28 @@ def _block_kernel(law, eps, method, gen, width, pieces, xbuf=None):
     else:
         step, scale = kernels.block_direct_steps, eps
         state = (np.ones(width), np.ones((width, law.d)))
-    # one buffer per block: run_chunked logs a piece before the next; a
-    # row the step never writes stays NaN
-    buf = np.full((pieces[0][0], width), np.nan)
     rows = max(1, DRAW_CELLS // width)
+    # one buffer per block, one slice high: run_chunked folds a slice
+    # before the next is stepped; a row the step never writes stays NaN
+    buf = np.full((min(rows, pieces[0][0]), width), np.nan)
+    if fold is not None:
+        xbuf = np.full((max(span - keep0 for span, keep0 in pieces), width,
+                        law.d), np.nan)
     for span, keep0 in pieces:
-        cuts = {*range(0, span, rows), span}
-        if xbuf is not None and keep0 < span:
-            cuts.add(keep0)  # a slice stores states for all its rows or none
-        cuts = sorted(cuts)
+        # a slice is all burn-in or all kept, so it stores states for
+        # all its rows or none
+        cuts = sorted({*range(0, span, rows), min(keep0, span), span})
         for a, b in zip(cuts, cuts[1:]):
-            xrows = () if xbuf is None or a < keep0 \
+            xrows = () if fold is None or a < keep0 \
                 else (xbuf[a - keep0:b - keep0],)
             # no name holds a slice's uniforms, so they are freed before
             # the next slice is drawn: less memory, and fewer page faults
             # than keeping the old slice alive while the new one is drawn
             step(*_chunk_blocks(law, eps, gen, b - a, width), *state,
-                 buf[a:b], scale, *xrows)
-        yield buf[:span]
+                 buf[:b - a], scale, *xrows)
+            yield buf[:b - a]
+        if fold is not None and keep0 < span:
+            fold(xbuf[:span - keep0])
 
 
 def coupled_paths(law, epss, n: int, seed: int):
@@ -414,7 +424,8 @@ def coupled_paths(law, epss, n: int, seed: int):
     the path at any other eps coordinatewise.  The scalar chain's paths
     are those of :func:`from_scalar`; there a smaller eps gives a path
     that dominates that of a larger one.  A path needs n >= 1 steps,
-    and at most :data:`.mc.MAX_STEPS`.
+    and at most :data:`.mc.MAX_STEPS`.  Each path is one piece of one
+    replica, stepped in slices whose growth factors are dropped.
     """
     if n < 1:
         raise InvalidParameter(
@@ -422,10 +433,11 @@ def coupled_paths(law, epss, n: int, seed: int):
     check_steps(n)
     paths = []
     for eps in [chain_eps(eps) for eps in epss]:
-        path = np.empty((n, 1, law.d))
-        next(_block_kernel(law, eps, INVARIANT,
-                           philox_generator(seed, 0), 1, [(n, 0)], path))
-        paths.append(path[:, 0])
+        # drain the slices, holding none: the last would keep its buffer
+        # alive while the next path is stepped
+        collections.deque(_block_kernel(
+            law, eps, INVARIANT, philox_generator(seed, 0), 1, [(n, 0)],
+            lambda x: paths.append(x[:, 0])), maxlen=0)
     return tuple(paths)
 
 

@@ -16,11 +16,13 @@ the thread count, so results are bit-identical for any ``threads``
 setting.
 
 :func:`run_chunked` owns that layout.  An engine supplies only a kernel,
-a generator that draws each piece and runs its recursion; the driver
-keeps the rows past the burn-in, takes the logs of their growth factors
-in place, sums them and returns one mean per replica.  How a kernel
-splits a piece's draws is its own affair: a stream gives the same
-numbers however its draws are split (see :data:`.highdim.DRAW_CELLS`).
+a generator that draws each piece in row slices and runs its recursion
+on each; the driver keeps the slices past the burn-in, takes the logs of
+their growth factors in place, folds them into one column sum per piece
+and returns one mean per replica.  How a kernel slices a piece is its
+own affair, within the cuts :func:`run_chunked` states: a stream gives
+the same numbers however its draws are split (see
+:data:`.highdim.DRAW_CELLS`).
 """
 
 from __future__ import annotations
@@ -187,14 +189,22 @@ def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
     (burn-in or discard), then ``kept_per_replica(n_steps, replicas)``
     steps whose factors are kept.  ``kernel(gen, width, pieces)`` is a
     generator: ``pieces`` lists ``(span, keep0)`` for consecutive time
-    pieces of at most :data:`TIME_CHUNK` steps, and for each piece the
-    kernel draws ``span`` rows from ``gen``, runs its recursion, and
-    yields the ``(span, width)`` growth factors.  Rows ``keep0:`` are
-    those whose post-step index exceeds ``lead``; their logs are summed
-    per replica.  The logs are taken in place: the driver overwrites the
-    kept rows of what a kernel yields, so a kernel must not read them
-    again.  This function is done with a piece before it asks for the
-    next, so a kernel may yield views of one buffer that it refills.
+    pieces of at most :data:`TIME_CHUNK` steps, where rows ``keep0:``
+    of a piece are those whose post-step index exceeds ``lead``.  The
+    kernel draws each piece from ``gen`` in row slices, in order, runs
+    its recursion on each and yields its ``(rows, width)`` growth
+    factors.  A slice lies within one piece and is all burn-in or all
+    kept: a kernel cuts each piece at ``keep0``.
+
+    The driver takes the logs of a kept slice's factors in place, so a
+    kernel must not read them again, and adds them to the piece's column
+    sum; each piece's sum makes one :class:`KahanSum` addition.  It is
+    done with a slice before it asks for the next, so a kernel may yield
+    views of one buffer that it refills.  numpy sums a ``(rows, width)``
+    array along axis 0 row by row when ``width >= 2``, so adding the
+    running sum to a slice's first row before reducing it gives the same
+    bits as one sum over the piece.  At ``width == 1`` it sums pairwise,
+    so a one-wide block must yield a piece's kept rows in one slice.
 
     Returns the per-replica mean log growth, in replica order, and the
     kernels' own return values, in block order.
@@ -210,15 +220,26 @@ def run_chunked(kernel, n_steps: int, replicas: int, lead: int, seed: int,
         acc = KahanSum(width)
         steps = kernel(philox_generator(seed, block), width, pieces)
         for span, keep0 in pieces:
-            rows = next(steps)
-            if keep0 < span:
-                kept_rows = rows[keep0:]
-                acc.add(np.log(kept_rows, out=kept_rows).sum(axis=0))
+            a, col = 0, None
+            while a < span:
+                rows = next(steps)
+                b = a + len(rows)
+                if a < keep0 < b or b > span:
+                    raise RuntimeError("kernel yielded a slice across the "
+                                       "first kept row or a piece's end")
+                if a >= keep0:
+                    np.log(rows, out=rows)
+                    if col is not None:
+                        rows[0] += col
+                    col = rows.sum(axis=0)
+                a = b
+            if col is not None:
+                acc.add(col)
         try:
             next(steps)
         except StopIteration as end:
             return acc.total / kept, end.value
-        raise RuntimeError("kernel yielded more pieces than scheduled")
+        raise RuntimeError("kernel yielded more slices than scheduled")
 
     results = run_blocks(worker, replicas, threads)
     return (np.concatenate([r[0] for r in results]),

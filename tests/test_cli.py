@@ -164,6 +164,11 @@ GROWING = {"family": "two_point", "atoms": [
 GROWING_BLOCKS = {"triples": [
     {"weight": "1/2", "L": ["1"], "C": ["2"], "N": [["2"]]},
     {"weight": "1/2", "L": ["1"], "C": ["4"], "N": [["4"]]}]}
+# E[log Z] < 0, so fit has a bracket at order 0, but a run of large Z
+# overflows the undamped chain
+HEAVY_TAIL = {"family": "two_point", "atoms": [
+    {"value": "1/2", "weight": "999/1000"},
+    {"value": "1e300", "weight": "1/1000"}]}
 NON_FINITE_RUNS = {
     "lyap_nan": ("lyap --spec {spec} --eps 0 --method invariant "
                  "--steps 200000 --burn-in 100", "value is nan"),
@@ -175,7 +180,7 @@ NON_FINITE_RUNS = {
     "chain_threads": ("chain --spec {spec} --eps 0 --gamma 1,2,6 "
                       "--steps 102400 --burn-in 1000 --replicas 1024 "
                       "--threads 2", "moment is nan"),
-    "fit_nan": ("fit --spec {spec} --order 0 --eps-grid 0,1/2 "
+    "fit_nan": ("fit --spec {heavy} --order 0 --eps-grid 0,1/2 "
                 "--steps 200000 --burn-in 100", "lambda is nan"),
     "highdim_nan": ("highdim --blocks {blocks} --eps 0 --method invariant "
                     "--steps 200000 --burn-in 100", "value is nan"),
@@ -197,11 +202,13 @@ def test_non_finite_statistic_exits_3_with_one_line(tmp_path, name):
     """A statistic that overflowed is refused: exit 3, one stderr line and
     no numpy warning, nothing printed and no --out file written."""
     spec, blocks = tmp_path / "growing.json", tmp_path / "blocks.json"
+    heavy = tmp_path / "heavy.json"
     spec.write_text(json.dumps(GROWING))
     blocks.write_text(json.dumps(GROWING_BLOCKS))
+    heavy.write_text(json.dumps(HEAVY_TAIL))
     template, message = NON_FINITE_RUNS[name]
     out_dir = tmp_path / "out"
-    argv = template.format(spec=spec, blocks=blocks).split()
+    argv = template.format(spec=spec, blocks=blocks, heavy=heavy).split()
     proc = subprocess.run(
         [sys.executable, "-m", "lyapexp.cli", *argv, "--out", str(out_dir)],
         capture_output=True, text=True, timeout=300,
@@ -247,6 +254,37 @@ def test_eps_whose_square_overflows_exits_2_before_any_draw(capsys,
     assert code == 2 and out == ""
     assert err.startswith("error: InvalidParameter: ")
     assert len(err.strip().splitlines()) == 1 and "--method direct" in err
+
+
+@pytest.mark.parametrize("law, steps, message", [
+    ({"family": "two_point", "atoms": [{"value": "1/2", "weight": "1/2"},
+                                       {"value": "3", "weight": "1/2"}]},
+     "3e7", "KNotInA: E[log Z] >= 0: no admissible orders exist"),
+    (None, "200000,10",
+     "InvalidParameter: n_steps must be at least the replica count"),
+], ids=["no_bracket", "second_budget"])
+def test_fit_refuses_before_its_first_estimate(capsys, monkeypatch,
+                                               tmp_path, law, steps,
+                                               message):
+    """A law with no theory bracket (E[log Z] > 0), and a per-point
+    budget below the replica count at the last grid point, are refused
+    before the first grid point's estimate runs."""
+    from lyapexp import highdim, mc
+
+    def no_draws(*args):
+        raise AssertionError("drew before the input was checked")
+
+    monkeypatch.setattr(mc, "philox_generator", no_draws)
+    monkeypatch.setattr(highdim, "philox_generator", no_draws)
+    spec = TWO_POINT
+    if law is not None:
+        spec = tmp_path / "growing.json"
+        spec.write_text(json.dumps(law))
+    code, out, err = run(capsys, "fit", "--spec", str(spec), "--order", "0",
+                         "--eps-grid", "0.5,0.25", "--steps", steps,
+                         "--no-fit")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_direct_product_runs_where_eps_squared_overflows(capsys):

@@ -16,12 +16,14 @@ moved from 256-row time pieces to the ``TIME_CHUNK`` pieces of every
 other engine.
 
 ``DIGESTS`` pins the SHA-256 of block outputs that are whole arrays:
-coupled vector paths and the atom tables of discrete Ising block laws.
+coupled vector paths, the atom tables of discrete Ising block laws, and
+the per-replica means of a run whose last block is one replica wide.
 Print both tables afresh with
 
     PYTHONPATH=src python tests/test_engine_bits.py
 """
 
+import functools
 import hashlib
 import math
 from pathlib import Path
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapexp import chain, highdim, ising, lyapunov
+from lyapexp import chain, highdim, ising, lyapunov, mc
 from lyapexp import distributions as dist
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -123,7 +125,19 @@ def _atoms(model):
     return ([eps], cum, law.ls, law.cs, law.ns)
 
 
+def _one_wide(method):
+    """Per-replica means of a run on blocks 512 and 1 wide: a one-wide
+    block sums a piece's kept rows at once, pairwise, and its replica's
+    mean is too small a part of the estimate to show that."""
+    return mc.run_chunked(
+        functools.partial(highdim._block_kernel, highdim.from_scalar(HEAVY),
+                          0.375, method),
+        513 * 10_000, 513, 100, seed=12)[0]
+
+
 ARRAYS = {
+    "per_replica_one_wide_direct": lambda: _one_wide(lyapunov.DIRECT),
+    "per_replica_one_wide_invariant": lambda: _one_wide(lyapunov.INVARIANT),
     "paths_blocks_d2_eps0": lambda: _paths(BLOCKS_D2, 0.0),
     "paths_blocks_d2_eps_half": lambda: _paths(BLOCKS_D2, 0.5),
     "paths_uniform_eps0": lambda: _paths(UNIF_BLOCKS, 0.0),
@@ -275,6 +289,10 @@ DIGESTS = {
         "fdecbc76466b0d7ac3de5283606e91ab068fb60cfdfde7124fed8756c2ffd79c",
     "atoms_ising3_three_atom":
         "d83d390121372c5eb619f22e0941bf89d5ad0db9797dc6e28246efae1c95f667",
+    "per_replica_one_wide_direct":
+        "ea9e12463b06637a1bd7c020fadfc67fc7dfd44319ef6686783e02c15b0c91ab",
+    "per_replica_one_wide_invariant":
+        "3b5b43b0971ea9e46bd0d14ff6b3d6bed151234f1e36ab36e6601dbd9d5401a2",
     "paths_blocks_d2_eps0":
         "7e540166baf014a37a3ffd746e36e5de49c1431833147411caddc39babb55240",
     "paths_blocks_d2_eps_half":

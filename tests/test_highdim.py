@@ -172,16 +172,18 @@ def test_scalar_law_draws_each_step_once(monkeypatch, name, method):
                              replicas=600, burn_in=lead, discard=lead)
     # each replica block (512 + 88 replicas) draws one uniform per step of
     # every replica, in the fewest slices of at most DRAW_CELLS cells that
-    # tile its two time pieces, and one map serves them all
-    pieces = (TIME_CHUNK, lead + kept - TIME_CHUNK)
+    # tile the burn-in and the kept rows of its two time pieces, and one
+    # map serves them all
+    parts = (TIME_CHUNK, lead - TIME_CHUNK, kept)
     assert sorted(drawn) == [88, 512]
     for width, spans in drawn.items():
         rows = max(1, highdim.DRAW_CELLS // width)
         assert max(spans) <= rows
         assert sum(spans) == lead + kept
-        assert {TIME_CHUNK, lead + kept} <= set(itertools.accumulate(spans))
-        assert len(spans) == sum(-(-span // rows) for span in pieces)
-    assert len(drawn[512]) > len(pieces)
+        assert {TIME_CHUNK, lead, lead + kept} \
+            <= set(itertools.accumulate(spans))
+        assert len(spans) == sum(-(-span // rows) for span in parts)
+    assert len(drawn[512]) > len(parts)
     assert all(q is law.quantile[1] for q in maps)
 
 
@@ -266,9 +268,13 @@ def test_chain_stores_no_burn_in_states(monkeypatch, cells):
 def test_one_wide_block_has_a_bounded_working_set(monkeypatch, name, path):
     """One 512-wide block of the wide_stats chain: 10000 burn-in steps and
     489 kept rows, for a law driven by one Z and for a finite law, on
-    either loop.  A whole piece of uniforms, a second one drawn while
-    the first is alive, and a state buffer of TIME_CHUNK rows peaked at
-    32.8 MiB with moments and 24.0 MiB without."""
+    either loop.  A block holds one slice of uniforms and one of growth
+    factors, 1 MiB each, and with moments the states of a piece's kept
+    rows: peaks of 6.1 MiB with moments on both loops, and 2.0 MiB
+    without (3.2-4.0 MiB on the numpy loop, which maps a slice's
+    uniforms to a slice of draws).  A growth buffer of TIME_CHUNK rows
+    peaked at 13.1 and 9.0 MiB, and a whole piece of uniforms at 32.8
+    and 24.0 MiB."""
     if path == "compiled" and kernels._library() is None:
         pytest.skip("no C compiler or writable cache: compiled path absent")
     if path == "numpy":
@@ -286,8 +292,46 @@ def test_one_wide_block_has_a_bounded_working_set(monkeypatch, name, path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] < 18 << 20
-    assert peaks[1] < 12 << 20
+    assert peaks[0] < 7 << 20
+    assert peaks[1] < (5 << 19 if path == "compiled" else 9 << 19)
+
+
+def test_coupled_paths_hold_no_path_long_growth_buffer():
+    """Three coupled paths of 2^20 steps each: besides the paths, 24 MiB,
+    a path holds one slice of uniforms and one of growth factors, 1 MiB
+    each, and drops the last slice before the next path is stepped.  A
+    growth buffer as long as the path took 8 MiB more."""
+    if kernels._library() is None:
+        pytest.skip("no C compiler or writable cache: compiled path absent")
+    law = highdim.from_scalar(TP)
+    highdim.coupled_paths(law, (0.0,), 8, seed=0)  # loads the kernels
+    tracemalloc.start()
+    try:
+        paths = highdim.coupled_paths(law, (0.0, 0.25, 0.5), 1 << 20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(p.nbytes for p in paths) + (3 << 20)
+
+
+def test_one_wide_block_steps_a_piece_kept_rows_in_one_slice(monkeypatch):
+    """run_chunked sums a one-wide block's kept rows of a piece in one
+    slice, since numpy sums a (rows, 1) array pairwise: DRAW_CELLS is at
+    least TIME_CHUNK, so the block's slices are each piece's burn-in
+    rows and its kept rows."""
+    assert highdim.DRAW_CELLS >= TIME_CHUNK
+    drawn = []
+    chunk_blocks = highdim._chunk_blocks
+
+    def spy(law, eps, gen, span, width):
+        if width == 1:
+            drawn.append(span)
+        return chunk_blocks(law, eps, gen, span, width)
+
+    monkeypatch.setattr(highdim, "_chunk_blocks", spy)
+    lyapunov.lyapunov_invariant(TP, 0.25, n_steps=513 * 3000, seed=0,
+                                burn_in=100, replicas=513)
+    assert drawn == [100, TIME_CHUNK - 100, 3100 - TIME_CHUNK]
 
 
 def test_empty_blocks_json_exits_2(tmp_path, capsys):

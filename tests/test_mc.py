@@ -15,10 +15,13 @@ def _constant_growth(lead):
     """
     def kernel(gen, width, pieces):
         j = 0
-        for span, _ in pieces:
+        for span, keep0 in pieces:
             gen.random((span, width))
             post = j + 1 + np.arange(span)
-            yield np.where(post > lead, np.e, 0.0)[:, None] * np.ones(width)
+            rows = np.where(post > lead, np.e, 0.0)[:, None] * np.ones(width)
+            # the burn-in rows in one slice and each kept row in its own:
+            # the driver continues each piece's column sum across them
+            yield from np.split(rows, range(max(keep0, 1), span))
             j += span
         return width, j
     return kernel
@@ -42,11 +45,57 @@ def test_pieces_follow_the_fixed_schedule():
 
     def kernel(gen, width, pieces):
         seen.append(list(pieces))
-        for span, _ in pieces:
-            yield np.ones((span, width))
+        for span, keep0 in pieces:
+            keep0 = min(keep0, span)
+            yield from (np.ones((rows, width))
+                        for rows in (keep0, span - keep0) if rows)
 
     mc.run_chunked(kernel, 64 * 100, 64, 2100, seed=0)
     assert seen == [[(2048, 2100), (152, 52)]]
+
+
+def _randomly_sliced(width_seed):
+    """Kernel yielding positive random growth factors in slices cut at
+    keep0 and, in a block at least two wide, at random rows; returns the
+    Kahan sum over pieces of each piece's kept logs summed at once."""
+    def kernel(gen, width, pieces):
+        cuts_rng = np.random.default_rng([width_seed, width])
+        acc = mc.KahanSum(width)
+        for span, keep0 in pieces:
+            rows = gen.random((span, width)) + 0.5
+            if keep0 < span:
+                acc.add(np.log(rows[keep0:]).sum(axis=0))
+            extra = cuts_rng.integers(1, span, 4) if width > 1 else ()
+            cuts = sorted({0, min(keep0, span), span, *extra})
+            for a, b in zip(cuts, cuts[1:]):
+                yield rows[a:b]
+        return acc.total
+    return kernel
+
+
+def test_slices_fold_to_the_bits_of_one_sum():
+    """For every block width from 2 to 600, at row counts from 2 to 151
+    and across two pieces, the column sum continued across arbitrary
+    slices is the same bits as one sum over the piece: numpy sums a
+    (rows, width >= 2) array along axis 0 row by row.  A run of 513 to
+    600 replicas has a second block, 1 to 88 wide, and a one-wide block
+    yields its kept rows of a piece in one slice."""
+    for width in range(2, 601):
+        kept = 2 + width % 150
+        lead = mc.TIME_CHUNK - 20 if width % 50 == 0 else width % 7
+        means, sums = mc.run_chunked(_randomly_sliced(width), kept * width,
+                                     width, lead, seed=width)
+        assert np.array_equal(means.view(np.int64),
+                              (np.concatenate(sums) / kept).view(np.int64))
+
+
+def test_slices_must_not_cross_the_first_kept_row():
+    def kernel(gen, width, pieces):
+        for span, _ in pieces:
+            yield np.ones((span, width))
+
+    with pytest.raises(RuntimeError, match="across the first kept row"):
+        mc.run_chunked(kernel, 64 * 100, 64, 5, seed=0)
 
 
 @pytest.mark.parametrize("n_steps, replicas, lead", [
