@@ -144,13 +144,12 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     eps = abs(float(cfg.eps))
     e2 = eps * eps
     kept = cfg.kept_per_replica
-    log_space = [g > LOG_SPACE_GAMMA for g in gammas]
 
     def kernel(gen, width, pieces):
-        moment_acc = [KahanSum(width) for _ in gammas]
-        trunc_acc = [KahanSum(width) for _ in gammas]
-        logsum = [np.full(width, -np.inf) for _ in gammas]
-        trunc_logsum = [np.full(width, -np.inf) for _ in gammas]
+        # per gamma one accumulator pair: the plain and the truncated
+        # statistic, which sees its masked entries as the pair's zero
+        accs = [[(_LogSum if g > LOG_SPACE_GAMMA else _Sum)(width)
+                 for _ in range(2)] for g in gammas]
         xmax = np.zeros(width)
 
         def fold(xk):
@@ -159,61 +158,63 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
             xk = xk[:, :, 0]
             np.maximum(xmax, xk.max(axis=0), out=xmax)
             wmask = e2 * xk <= b_cutoff
-            for i, g in enumerate(gammas):
-                if log_space[i]:
-                    vals = g * np.log(xk)
-                    logsum[i] = np.logaddexp(logsum[i], _logsumexp0(vals))
-                    tvals = np.where(wmask, vals, -np.inf)
-                    trunc_logsum[i] = np.logaddexp(trunc_logsum[i],
-                                                   _logsumexp0(tvals))
-                else:
-                    vals = xk if g == 1.0 else xk ** g
-                    moment_acc[i].add(vals.sum(axis=0))
-                    trunc_acc[i].add(np.where(wmask, vals, 0.0).sum(axis=0))
+            for g, (plain, trunc) in zip(gammas, accs):
+                vals = g * np.log(xk) if g > LOG_SPACE_GAMMA \
+                    else xk if g == 1.0 else xk ** g
+                plain.fold(vals)
+                trunc.fold(np.where(wmask, vals, plain.zero))
 
         yield from highdim._block_kernel(law, eps, highdim.INVARIANT, gen,
                                          width, pieces,
                                          fold if gammas else None)
-        out_m = []
-        out_t = []
-        for i in range(len(gammas)):
-            if log_space[i]:
-                out_m.append(np.exp(logsum[i] - math.log(kept)))
-                out_t.append(np.exp(trunc_logsum[i] - math.log(kept)))
-            else:
-                out_m.append(moment_acc[i].total / kept)
-                out_t.append(trunc_acc[i].total / kept)
-        return out_m, out_t, xmax
+        return [[acc.mean(kept) for acc in pair] for pair in accs], xmax
 
     lyap_rep, results = run_chunked(kernel, cfg.n_steps, cfg.replicas,
                                     cfg.burn_in, cfg.seed, cfg.threads)
-
-    moments, stderrs, truncs, tstderrs = [], [], [], []
-    for i in range(len(gammas)):
-        per_rep = np.concatenate([r[0][i] for r in results])
-        m, se = batch_means(per_rep)
-        moments.append(m)
-        stderrs.append(se)
-        per_rep_t = np.concatenate([r[1][i] for r in results])
-        mt, set_ = batch_means(per_rep_t)
-        truncs.append(mt)
-        tstderrs.append(set_)
+    # per gamma, the (mean, stderr) of the plain and the truncated statistic
+    plain, trunc = ([batch_means(np.concatenate([r[0][i][j] for r in results]))
+                     for i in range(len(gammas))] for j in (0, 1))
     lmean, lse = batch_means(lyap_rep)
-    max_x = float(max(r[2].max() for r in results)) if gammas else math.nan
-
+    max_x = float(max(r[1].max() for r in results)) if gammas else math.nan
     return ChainStats(eps=eps, n_kept=kept * cfg.replicas,
-                      moments=tuple(moments), moment_stderrs=tuple(stderrs),
-                      trunc_moments=tuple(truncs),
-                      trunc_stderrs=tuple(tstderrs), log1p_mean=lmean,
-                      log1p_stderr=lse, max_x=max_x)
+                      moments=tuple(m for m, _ in plain),
+                      moment_stderrs=tuple(se for _, se in plain),
+                      trunc_moments=tuple(m for m, _ in trunc),
+                      trunc_stderrs=tuple(se for _, se in trunc),
+                      log1p_mean=lmean, log1p_stderr=lse, max_x=max_x)
 
 
-def _logsumexp0(vals: np.ndarray) -> np.ndarray:
-    """log(sum(exp(vals), axis=0)) without scipy, safe against -inf rows."""
-    top = vals.max(axis=0)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(vals - top).sum(axis=0)) + top
+class _Sum(KahanSum):
+    """Column sums of x^gamma, one Kahan addition per piece."""
+
+    zero = 0.0
+
+    def fold(self, vals):
+        self.add(vals.sum(axis=0))
+
+    def mean(self, n):
+        return self.total / n
+
+
+class _LogSum:
+    """:class:`_Sum` in log space, for gamma above LOG_SPACE_GAMMA: it
+    folds gamma log x, adding each piece's column log-sum-exp, safe
+    against -inf columns, to the running one."""
+
+    zero = -np.inf
+
+    def __init__(self, width):
+        self.total = np.full(width, -np.inf)
+
+    def fold(self, vals):
+        top = vals.max(axis=0)
+        top = np.where(np.isfinite(top), top, 0.0)
+        with np.errstate(divide="ignore"):
+            piece = np.log(np.exp(vals - top).sum(axis=0)) + top
+        self.total = np.logaddexp(self.total, piece)
+
+    def mean(self, n):
+        return np.exp(self.total - math.log(n))
 
 
 # -- perpetuity sampler ----------------------------------------------------

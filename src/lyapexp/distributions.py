@@ -164,8 +164,6 @@ def reciprocal(spec: DistributionSpec) -> DistributionSpec:
 
 def _iroot(n: int, k: int):
     """Exact integer k-th root of n >= 0, or None if n is not a k-th power."""
-    if n < 0:
-        return None
     if n in (0, 1) or k == 1:
         return n
     x = 1 << -(-n.bit_length() // k)  # upper bound on the root
@@ -178,11 +176,10 @@ def _iroot(n: int, k: int):
 
 
 def _rational_pow(base: Fraction, expo: Fraction):
-    """base ** expo as an exact Fraction, or None when irrational."""
+    """base ** expo as an exact Fraction for base > 0 and expo >= 0, the
+    atoms and exponents :func:`moment` admits, or None when irrational."""
     p, q = expo.numerator, expo.denominator
     num, den = base.numerator, base.denominator
-    if p < 0:
-        num, den, p = den, num, -p
     rn = _iroot(num, q)
     rd = _iroot(den, q)
     if rn is None or rd is None:

@@ -456,11 +456,8 @@ class ExpansionFit:
     conditions: dict
 
 
-def extract_expansion(law, order: int, eps_grid,
-                      method: str = INVARIANT, n_steps: int = 10 ** 6,
-                      seed: int = 0, burn_in: int = 10_000,
-                      replicas: int = 64, discard: int = 1000,
-                      threads: int = 1) -> ExpansionFit:
+def extract_expansion(law, order: int, eps_grid, method: str = INVARIANT,
+                      **size) -> ExpansionFit:
     """Fit the regular expansion of the block exponent on an eps grid.
 
     Takes every grid point to |eps| (refusing a non-finite one, and for
@@ -469,7 +466,8 @@ def extract_expansion(law, order: int, eps_grid,
     checks, for l <= order, that I - G^(l) is invertible and that
     rho(G^(l)) < 1 (the existence condition for the expansion, the block
     analogue of E[Z^l] < 1) first.  Then it estimates the exponent at
-    every grid point with common random numbers and solves for the
+    every grid point with common random numbers, each a
+    :func:`lyapunov_general` run sized by ``size``, and solves for the
     monomial coefficients eps^2 .. eps^(2K) by weighted least squares.
     """
     if order < 0:
@@ -490,10 +488,8 @@ def extract_expansion(law, order: int, eps_grid,
                           "is outside the admissible moment interval")
         conditions[l] = g.condition
 
-    estimates = tuple(lyapunov_general(
-        law, eps, method=method, n_steps=n_steps, seed=seed,
-        burn_in=burn_in, replicas=replicas, discard=discard,
-        threads=threads) for eps in eps_grid)
+    estimates = tuple(lyapunov_general(law, eps, method, **size)
+                      for eps in eps_grid)
     fit = wls_fit(design, np.array([e.value for e in estimates]),
                   np.array([e.stderr for e in estimates]))
     return ExpansionFit(order=order, powers=powers,

@@ -157,20 +157,18 @@ def map_to_blocks(model: IsingModel):
                          model.field_law), scale
 
 
-def free_energy(model: IsingModel, n_steps: int = 10 ** 6, seed: int = 0,
-                method: str = DIRECT, burn_in: int = 10_000,
-                replicas: int = 64, discard: int = 1000,
-                threads: int = 1) -> LyapunovEstimate:
+def free_energy(model: IsingModel, method: str = DIRECT,
+                **size) -> LyapunovEstimate:
     """Free energy per site, as the growth rate of the transfer product.
 
     Computed by mapping to block form and running the requested Lyapunov
-    estimator; the returned value is the log-growth rate itself (the
-    trace and any matrix norm give the same limit).
+    estimator, sized by the keywords ``size`` of
+    :func:`.highdim.lyapunov_general`; the returned value is the
+    log-growth rate itself (the trace and any matrix norm give the same
+    limit).
     """
     law, eps = map_to_blocks(model)
-    return lyapunov_general(law, eps, method=method, n_steps=n_steps,
-                            seed=seed, burn_in=burn_in, replicas=replicas,
-                            discard=discard, threads=threads)
+    return lyapunov_general(law, eps, method, **size)
 
 
 def trace_growth(model: IsingModel, n: int, seed: int = 0) -> float:
@@ -215,16 +213,15 @@ class ScanReport:
 
 
 def strong_coupling_scan(model: IsingModel, scales, order: int = 2,
-                         ray=None, n_steps: int = 10 ** 6, seed: int = 0,
-                         burn_in: int = 10_000, replicas: int = 64,
-                         discard: int = 1000, method: str = DIRECT,
-                         threads: int = 1) -> ScanReport:
+                         ray=None, method: str = DIRECT,
+                         **size) -> ScanReport:
     """Scan the free energy along a ray of bond weights eps_l = t * r_l.
 
     As t -> 0 every bond stiffens; the free energy then admits a power
     expansion in t whose coefficients are estimated here by a weighted
-    fit of f against t^0..t^order.  Requires E[Z^(order//2)] < 1 -- the
-    moment condition under which the expansion to that order exists.
+    fit of f against t^0..t^order, each point a :func:`free_energy` run
+    sized by ``size``.  Requires E[Z^(order//2)] < 1 -- the moment
+    condition under which the expansion to that order exists.
     """
     if order < 1:
         raise InvalidParameter(f"order must be >= 1, got {order}")
@@ -257,9 +254,7 @@ def strong_coupling_scan(model: IsingModel, scales, order: int = 2,
                      for r in ray)
         model_t = IsingModel(model.interaction_range, coup, t_temp,
                              model.field_law)
-        est = free_energy(model_t, n_steps=n_steps, seed=seed,
-                          method=method, burn_in=burn_in, replicas=replicas,
-                          discard=discard, threads=threads)
+        est = free_energy(model_t, method, **size)
         values.append(est.value)
         stderrs.append(est.stderr)
 

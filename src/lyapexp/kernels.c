@@ -198,8 +198,8 @@ static inline void direct_loop(const struct piece *p, int affine,
                          + sum_of_products(n + i * d, wj, d);
             double bmax = bot[0];
             for (ptrdiff_t i = 1; i < d; i++)
-                bmax = (bmax >= bot[i] || bmax != bmax) ? bmax : bot[i];
-            double m = (top >= bmax || top != top) ? top : bmax;
+                bmax = (bmax > bot[i] || bmax != bmax) ? bmax : bot[i];
+            double m = (top > bmax || top != top) ? top : bmax;
             mt[j] = m;
             v0[j] = top / m;
             for (ptrdiff_t i = 0; i < d; i++)
@@ -211,8 +211,13 @@ static inline void direct_loop(const struct piece *p, int affine,
 /* Renormalised product of [[1, eps L^T], [eps C, N]] applied to
  * (v0, w), w of shape (width, d).  Row t of mbuf gets the max-norm of
  * the new vector, which is then divided out.  Both maxima propagate NaN
- * like np.max and np.maximum.  Returns 0, or -1 when no scratch memory
- * could be had. */
+ * like np.max and np.maximum, and of two equal values keep the later,
+ * as np.maximum does: of -0.0 and +0.0, the second, so a max-norm of
+ * zero has numpy's sign.  numpy 2.4.6's max(axis=1) keeps the later
+ * zero too, except at d = 1 (mod 8), d >= 9, where its reduction
+ * order differs; no bottom entry is ever -0.0 (each ends in + a sum
+ * started at +0.0), so that changes no bit here.  Returns 0, or -1
+ * when no scratch memory could be had. */
 int block_direct_steps(const double *restrict ls, const double *restrict cs,
                        const double *restrict ns, const double *restrict u,
                        const double *restrict q, const double *restrict cpow,

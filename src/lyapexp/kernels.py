@@ -150,13 +150,16 @@ def _resolve(piece):
     """The piece with its quantile map applied for the whole piece at
     once: ``(ls, cs, ns, rows, z, cpow, npow)``, with the (span, width)
     table rows of a finite piece, or the draws z = a + s * u of a
-    scalar-driven one, and None for the other."""
+    scalar-driven one (a added in place: one array, the same bits), and
+    None for the other."""
     ls, cs, ns, u, q, cpow, npow = piece
     if cpow is None:
         rows = dist.pick_atoms(q, u)
         rows[np.isnan(u)] = 0  # as kernels.c's atom_row
         return ls, cs, ns, rows, None, None, None
-    return ls, cs, ns, None, q[0] + q[1] * u, cpow, npow
+    z = q[1] * u
+    z += q[0]
+    return ls, cs, ns, None, z, cpow, npow
 
 
 def _block_row(piece, t):

@@ -76,23 +76,16 @@ def replica_blocks(n_replicas: int):
 def run_blocks(worker, n_replicas: int, threads: int = 1):
     """Run ``worker(block_index, start, stop)`` over all replica blocks.
 
-    Results are collected into a list indexed by block, then returned in
-    block order.  With ``threads > 1`` the blocks are dispatched to a
-    thread pool; because every block owns its generator and accumulators,
-    scheduling order cannot affect the result.
+    Results come back in block order.  With ``threads > 1`` a thread
+    pool's ``map`` runs the blocks, and returns results, or raises the
+    first error, in that order; every block owns its generator and
+    accumulators, so scheduling order cannot affect the result.
     """
     blocks = replica_blocks(n_replicas)
-    out = [None] * len(blocks)
     if threads <= 1 or len(blocks) == 1:
-        for b, start, stop in blocks:
-            out[b] = worker(b, start, stop)
-        return out
+        return [worker(*block) for block in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, b, start, stop): b
-                   for b, start, stop in blocks}
-        for fut, b in futures.items():
-            out[b] = fut.result()
-    return out
+        return list(pool.map(worker, *zip(*blocks)))
 
 
 class KahanSum:

@@ -103,6 +103,21 @@ def test_usage_errors_exit_one(capsys):
         assert len(err.splitlines()) == 1, argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("chain", "--spec", TWO_POINT, "--steps", "1000"),
+     "chain needs --eps or --eps-grid"),
+    (("chain", "--spec", TWO_POINT, "--dominance", "--eps", "1/2",
+      "--eps2", "1/4", "--steps", "1000", "--seeds", "0"),
+     "--dominance expects eps <= eps2"),
+], ids=["chain_no_eps", "dominance_order"])
+def test_chain_usage_refusals_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"usage error: {message}\n"
+    with pytest.raises(cli._UsageError, match=message):
+        cli._HANDLERS["chain"](cli.build_parser().parse_args(argv))
+
+
 def test_help_and_version_exit_zero(capsys):
     assert run(capsys, "--version")[0] == 0
     assert run(capsys, "--help")[0] == 0
@@ -150,6 +165,23 @@ def test_validation_errors_exit_two(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("error: InvalidParameter:"), argv
         assert len(err.splitlines()) == 1, argv
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (("highdim", "--blocks", None, "--eps", "1/4", "--steps", "1000"),
+     "InvalidSpec", "malformed block JSON"),
+    (("ising", "--range", "1", "--couplings", "inf", "--T", "1",
+      "--field-law", TWO_POINT, "--scan", "--scales", "1/2,1/4",
+      "--scan-order", "1", "--steps", "1000"),
+     "InvalidSpec", "model has no finite coupling to set a ray"),
+], ids=["malformed_blocks", "no_finite_coupling"])
+def test_input_refusals_exit_two(capsys, tmp_path, argv, error, message):
+    bad = tmp_path / "blocks.json"
+    bad.write_text('{"triples": [')
+    argv = tuple(str(bad) if a is None else a for a in argv)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {error}: {message}")
 
 
 def test_numerical_errors_exit_three(capsys):
@@ -423,6 +455,14 @@ def test_coeffs_exact_table(capsys):
     assert "3" in out.split() and "165/2" in out.split()
 
 
+def test_coeffs_order_zero_is_an_empty_table(capsys):
+    code, out, _ = run(capsys, "coeffs", "--spec", TWO_POINT, "--order", "0",
+                       "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ell_float"] == [] and doc["condition"] == 1.0
+
+
 def test_coeffs_from_moment_list(capsys):
     code, out, _ = run(capsys, "coeffs", "--moments", "3/4,3/4",
                        "--order", "2", "--exact", "--json")
@@ -567,11 +607,20 @@ def test_chain_dominance_rejects_a_diverging_path(capsys, tmp_path):
      "1000"),
     ("chain", "--spec", TWO_POINT, "--eps", "1/4", "--gamma", ",",
      "--steps", "1000"),
+    ("coeffs", "--moments", " , ", "--order", "1"),
+    ("ising", "--range", "1", "--couplings", ",", "--T", "1",
+     "--field-law", TWO_POINT, "--steps", "1000"),
+    ("ising", "--range", "1", "--couplings", "1.0", "--T", "1",
+     "--field-law", TWO_POINT, "--scan", "--scales", "1/2,1/4,1/8",
+     "--scan-order", "1", "--ray", ",", "--steps", "1000"),
+    ("lyap", "--spec", TWO_POINT, "--eps", "1/4", "--steps", ","),
 ], ids=["seeds_range", "seeds_blank", "fit_grid", "highdim_grid",
-        "ising_scales", "chain_gamma"])
+        "ising_scales", "chain_gamma", "coeffs_moments", "ising_couplings",
+        "ising_ray", "steps"])
 def test_empty_lists_are_usage_errors(capsys, tmp_path, argv):
     """A list that names no value checks nothing: exit 1, one line, and
-    no --out file."""
+    no --out file.  Every comma list is read by one parser, so each says
+    so alike."""
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, *argv, "--out", str(out_dir))
     assert code == 1 and out == ""
@@ -752,6 +801,35 @@ def test_ising_infinite_coupling_token(capsys):
     doc = json.loads(out)
     assert doc["eps_l"][1] == 0.0
     assert doc["couplings"][1] == "inf"
+
+
+@pytest.mark.parametrize("token, code", [
+    ("inf", 0), ("INF", 0), (" Infinity ", 0), ("1e400", 0), ("nan", 2),
+    ("-1", 2), ("-inf", 2), ("2^5000", 2), ("abc", 1)])
+def test_couplings_read_inf_by_one_rule(capsys, token, code):
+    """A coupling that ``float`` reads as +inf switches its bond off,
+    however it is spelt; NaN, a negative or an overflow that is not
+    spelt as +inf is invalid input, and a malformed token a usage
+    error."""
+    status, out, err = run(capsys, "ising", "--range", "2", "--couplings",
+                           f"0.9,{token}", "--T", "1", "--field-law",
+                           CONSTANT, "--method", "invariant", "--steps",
+                           "2000", "--json")
+    assert status == code
+    if code:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("usage error: " if code == 1 else "error: ")
+    else:
+        assert json.loads(out)["eps_l"][1] == 0.0
+
+
+def test_ising_scan_along_a_given_ray(capsys):
+    code, out, _ = run(capsys, "ising", "--range", "2", "--couplings",
+                       "1,1.5", "--T", "1", "--field-law", UNIFORM, "--scan",
+                       "--scales", "1/2,1/4,1/8", "--scan-order", "1",
+                       "--ray", "1, 1/2", "--steps", "2000", "--json")
+    assert code == 0
+    assert json.loads(out)["scan"]["ray"] == [1.0, 0.5]
 
 
 def test_ising_range_above_the_cap_exits_2_before_building(capsys):

@@ -61,6 +61,29 @@ def test_uniform_interval_bounds():
         dist.uniform_interval("0", "1")  # support must stay positive
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(family="finite_discrete"), "matching atoms and weights"),
+    (dict(family="finite_discrete", atoms=(Fraction(1, 2), Fraction(2)),
+          weights=(Fraction(1),)), "matching atoms and weights"),
+    (dict(family="two_point", atoms=(Fraction(1, 2), Fraction(1), Fraction(2)),
+          weights=(Fraction(1, 3),) * 3), "exactly two atoms"),
+    (dict(family="finite_discrete", atoms=(Fraction(5, 4),),
+          weights=(Fraction(1),)), "degenerate"),
+    (dict(family="uniform_interval", lower=Fraction(1, 2)),
+     "lower and upper endpoints"),
+    (dict(family="gamma"), "unknown family"),
+])
+def test_spec_invariants_are_refused(fields, message):
+    with pytest.raises(InvalidSpec, match=message):
+        dist.DistributionSpec(**fields)
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", None, [1]])
+def test_as_fraction_refuses_what_is_no_number(value):
+    with pytest.raises(InvalidSpec, match="cannot parse number"):
+        dist.as_fraction(value)
+
+
 def test_degenerate_law():
     d = dist.degenerate("5/4")
     assert d.atoms == (Fraction(5, 4),)
@@ -86,6 +109,11 @@ def test_integer_moments_are_exact_fractions():
     assert dist.moment(s, 2) == Fraction(3, 4)
     assert dist.moment(s, 3) == Fraction(15, 16)
     assert isinstance(dist.moment(s, 2), Fraction)
+
+
+def test_moment_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="gamma must be nonnegative"):
+        dist.moment(dist.two_point("1/2", "2", "1/5"), -1)
 
 
 def test_moment_at_zero_is_one():
@@ -304,6 +332,16 @@ def test_reciprocal_swaps_and_inverts_atoms():
     assert dist.moment(r, 1) == inv_mean
 
 
+def test_reciprocal_of_log_uniform_inverts_the_interval():
+    r = dist.reciprocal(dist.log_uniform("1/4", "2"))
+    assert r == dist.log_uniform("1/2", "4")
+
+
+def test_log_moment_of_log_uniform_is_the_log_midpoint():
+    assert dist.log_moment(dist.log_uniform("1/4", "2")) == \
+        0.5 * (math.log(0.25) + math.log(2.0))
+
+
 def test_reciprocal_of_uniform_is_rejected():
     with pytest.raises((InvalidSpec, NotImplementedError)):
         dist.reciprocal(dist.uniform_interval("1/10", "9/10"))
@@ -334,6 +372,21 @@ def test_json_rejects_malformed_documents():
         dist.spec_from_dict({"family": "no_such_family"})
     with pytest.raises(InvalidSpec):
         dist.spec_from_dict({"family": "two_point", "atoms": []})
+
+
+@pytest.mark.parametrize("data, message", [
+    (["two_point"], "must be an object with a 'family' key"),
+    ({"atoms": []}, "must be an object with a 'family' key"),
+    ({"family": "two_point", "atoms": [{"value": "1/2"}]},
+     "each atom needs 'value' and 'weight'"),
+    ({"family": "two_point", "atoms": ["1/2", "2"]},
+     "each atom needs 'value' and 'weight'"),
+    ({"family": "log_uniform", "lower": "1/2"},
+     "needs 'lower' and 'upper'"),
+])
+def test_spec_from_dict_refuses_incomplete_documents(data, message):
+    with pytest.raises(InvalidSpec, match=message):
+        dist.spec_from_dict(data)
 
 
 def test_load_spec_from_file(tmp_path):

@@ -269,6 +269,9 @@ def test_scan_validation():
                                    ray=(1.5,))
     with pytest.raises(InsufficientSignal):  # 3 coefficients, 2 scales
         ising.strong_coupling_scan(m, scales=(0.1, 0.2), order=2)
+    with pytest.raises(InvalidSpec, match="no finite coupling"):
+        ising.strong_coupling_scan(_model(couplings=(math.inf,)),
+                                   scales=(0.1, 0.2), order=1)
 
 
 def test_scan_default_ray_normalizes_bond_weights():

@@ -267,7 +267,7 @@ def _zeros_or_values(gen, shape):
 
 @pytest.mark.parametrize("affine", [False, True])
 @pytest.mark.parametrize("method", ["chain", "direct"])
-@pytest.mark.parametrize("d", [1, 2, 7, 8, 9])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
 def test_kernels_match_numpy_on_signed_zeros(compiled, monkeypatch, d,
                                              method, affine):
     """The loops and numpy agree bit for bit when tables and states hold
@@ -276,7 +276,11 @@ def test_kernels_match_numpy_on_signed_zeros(compiled, monkeypatch, d,
     sum of 8 or more -0.0 products is -0.0 until that 0.0 + is added.
     An affine piece first draws z = -0.0 + -0.0 * u = -0.0.  The direct
     product runs at eps < 0 with C > 0 and v0 < 0: then top stays
-    negative, every bottom entry positive, and the max-norm with it."""
+    negative, every bottom entry positive, and the max-norm with it.
+    It runs a second time with v0 = -0.0 in the columns whose w is all
+    -0.0: there top is -0.0 and every bottom entry +0.0, so the first
+    max-norm is zero, +0.0 as np.maximum(top, bot.max(axis=1)) gives
+    it, and the NaN that dividing by it leaves runs on alike."""
     gen = philox_generator(d, 5)
     width, span, m = 64, 16, 1 if affine else 3
     direct = method == "direct"
@@ -310,6 +314,14 @@ def test_kernels_match_numpy_on_signed_zeros(compiled, monkeypatch, d,
     assert np.array_equal(_bits(sa), _bits(sb))
     assert np.array_equal(_bits(ra), _bits(rb))
     assert np.isfinite(ra).all()
+    if direct:
+        state[0][::4] = -0.0
+        with np.errstate(invalid="ignore"):  # 0/0 on the numpy loop
+            (sa, ra), (sb, rb) = _run_blocks_both(monkeypatch, run, pieces,
+                                                  state)
+        assert np.array_equal(_bits(sa), _bits(sb))
+        assert np.array_equal(_bits(ra), _bits(rb))
+        assert np.array_equal(_bits(ra[:width:4]), _bits(np.zeros(16)))
 
 
 def _gathered(piece):

@@ -7,6 +7,36 @@ from lyapexp import mc
 from lyapexp.errors import InvalidParameter, ValidationError
 
 
+def test_batch_means_needs_two_replica_means():
+    for means in (np.array([0.5]), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="at least two replica means"):
+            mc.batch_means(means)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_blocks_returns_results_in_block_order(threads):
+    """Block 0 finishes last on a pool; its result still comes first."""
+    import time
+
+    def worker(b, start, stop):
+        time.sleep(0.05 if b == 0 else 0.0)
+        return b, start, stop
+
+    n = 2 * mc.BLOCK_WIDTH + 5
+    assert mc.run_blocks(worker, n, threads) == mc.replica_blocks(n)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_blocks_raises_a_worker_error(threads):
+    def worker(b, start, stop):
+        if b == 1:
+            raise ArithmeticError(f"block {b}")
+        return b
+
+    with pytest.raises(ArithmeticError, match="block 1"):
+        mc.run_blocks(worker, 3 * mc.BLOCK_WIDTH, threads)
+
+
 def _constant_growth(lead):
     """Kernel whose post-step row j has growth e when kept, 0 when not.
 
