@@ -262,7 +262,7 @@ def _estimates(engine, law, eps, method: str, size) -> dict:
 
 def _run_coeffs(args):
     order = args.order
-    if args.moments:
+    if args.moments is not None:
         m = _parse_list(args.moments, lambda t: _finite(t, Fraction))
         source = {"moments": [str(v) for v in m]}
     elif args.spec:
@@ -300,7 +300,7 @@ def _run_chain(args):
     size = _run_size(args, "burn_in")
     if args.dominance:
         return _run_dominance(args, spec, size["n_steps"])
-    grid = _parse_grid(args.eps_grid) if args.eps_grid \
+    grid = _parse_grid(args.eps_grid) if args.eps_grid is not None \
         else [_parse_number(args.eps)] if args.eps else None
     if not grid:
         raise _UsageError("chain needs --eps or --eps-grid")
@@ -437,7 +437,7 @@ def _run_highdim(args):
            "steps": size["n_steps"]}
     files = {}
     if args.K is not None:
-        if not args.eps_grid:
+        if args.eps_grid is None:
             raise _UsageError("extraction mode needs --eps-grid with --K")
         grid = _parse_grid(args.eps_grid)
         if args.method == "both":
@@ -480,10 +480,11 @@ def _run_ising(args):
            "z_law": dist.spec_to_dict(field_law)}
     files = {}
     if args.scan:
-        if not args.scales:
+        if args.scales is None:
             raise _UsageError("--scan needs --scales")
         scales = _parse_grid(args.scales)
-        ray = _parse_list(args.ray, _parse_number) if args.ray else None
+        ray = (None if args.ray is None
+               else _parse_list(args.ray, _parse_number))
         report = ising_mod.strong_coupling_scan(
             model, scales, order=args.scan_order, ray=ray, method=method,
             **size)

@@ -215,9 +215,10 @@ static inline void direct_loop(const struct piece *p, int affine,
  * as np.maximum does: of -0.0 and +0.0, the second, so a max-norm of
  * zero has numpy's sign.  numpy 2.4.6's max(axis=1) keeps the later
  * zero too, except at d = 1 (mod 8), d >= 9, where its reduction
- * order differs; no bottom entry is ever -0.0 (each ends in + a sum
- * started at +0.0), so that changes no bit here.  Returns 0, or -1
- * when no scratch memory could be had. */
+ * order differs; that changes no bit here, since no bottom entry is
+ * ever -0.0: each adds a sum of products, which starts at +0.0 and so
+ * is never -0.0.  Returns 0, or -1 when no scratch memory could be
+ * had. */
 int block_direct_steps(const double *restrict ls, const double *restrict cs,
                        const double *restrict ns, const double *restrict u,
                        const double *restrict q, const double *restrict cpow,

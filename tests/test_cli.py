@@ -614,9 +614,21 @@ def test_chain_dominance_rejects_a_diverging_path(capsys, tmp_path):
      "--field-law", TWO_POINT, "--scan", "--scales", "1/2,1/4,1/8",
      "--scan-order", "1", "--ray", ",", "--steps", "1000"),
     ("lyap", "--spec", TWO_POINT, "--eps", "1/4", "--steps", ","),
+    # an empty value is an empty list, not an absent option
+    ("coeffs", "--moments", "", "--order", "1"),
+    ("chain", "--spec", TWO_POINT, "--eps", "1/4", "--eps-grid", "",
+     "--steps", "1000"),
+    ("highdim", "--blocks", BLOCKS_D2, "--K", "1", "--eps-grid", "",
+     "--steps", "1000"),
+    ("ising", "--range", "1", "--couplings", "1.0", "--T", "1",
+     "--field-law", TWO_POINT, "--scan", "--scales", "", "--steps", "1000"),
+    ("ising", "--range", "1", "--couplings", "1.0", "--T", "1",
+     "--field-law", TWO_POINT, "--scan", "--scales", "1/2,1/4,1/8",
+     "--scan-order", "1", "--ray", "", "--steps", "1000"),
 ], ids=["seeds_range", "seeds_blank", "fit_grid", "highdim_grid",
         "ising_scales", "chain_gamma", "coeffs_moments", "ising_couplings",
-        "ising_ray", "steps"])
+        "ising_ray", "steps", "moments_blank", "chain_grid_blank",
+        "highdim_grid_blank", "scales_blank", "ray_blank"])
 def test_empty_lists_are_usage_errors(capsys, tmp_path, argv):
     """A list that names no value checks nothing: exit 1, one line, and
     no --out file.  Every comma list is read by one parser, so each says

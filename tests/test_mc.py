@@ -1,5 +1,7 @@
 """The shared chunk/block driver of ``lyapexp.mc``, without Monte Carlo."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,6 @@ def test_batch_means_needs_two_replica_means():
 @pytest.mark.parametrize("threads", [1, 3])
 def test_run_blocks_returns_results_in_block_order(threads):
     """Block 0 finishes last on a pool; its result still comes first."""
-    import time
-
     def worker(b, start, stop):
         time.sleep(0.05 if b == 0 else 0.0)
         return b, start, stop
