@@ -65,8 +65,8 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
     point is taken to |eps|, and a non-finite one, or one whose square
     overflows, is refused before any estimate runs.  ``n_steps`` is one
     budget for every point, or a sequence of per-point budgets to spend
-    more effort where the signal is smallest; every budget is checked
-    before any estimate runs too.
+    more effort where the signal is smallest; every budget is checked,
+    and every point's regular part formed, before any estimate runs too.
     """
     _check_order(spec, order)
     ell = coeffs.ell_coefficients(spec, order) if order >= 1 else ()
@@ -80,20 +80,18 @@ def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
     for budget in budgets:
         check_run_size(budget, replicas, burn_in)
 
-    lam, lse, reg, res = [], [], [], []
-    for eps, budget in zip(eps_grid, budgets):
-        est = lyapunov_invariant(spec, eps, n_steps=budget, seed=seed,
-                                 burn_in=burn_in, replicas=replicas,
-                                 threads=threads)
-        r = coeffs.regular_part(ell, eps)
-        lam.append(est.value)
-        lse.append(est.stderr)
-        reg.append(r)
-        res.append(sign * (est.value - r))
-    return ResidualSeries(order=order, eps=eps_grid, lam=tuple(lam),
-                          lam_stderr=tuple(lse), regular=tuple(reg),
-                          residual=tuple(res), sign=sign,
-                          ell=tuple(float(e) for e in ell))
+    reg = tuple(coeffs.regular_part(ell, eps) for eps in eps_grid)
+    ests = [lyapunov_invariant(spec, eps, n_steps=budget, seed=seed,
+                               burn_in=burn_in, replicas=replicas,
+                               threads=threads)
+            for eps, budget in zip(eps_grid, budgets)]
+    return ResidualSeries(order=order, eps=eps_grid,
+                          lam=tuple(e.value for e in ests),
+                          lam_stderr=tuple(e.stderr for e in ests),
+                          regular=reg,
+                          residual=tuple(sign * (e.value - r)
+                                         for e, r in zip(ests, reg)),
+                          sign=sign, ell=tuple(float(e) for e in ell))
 
 
 def _check_order(spec: dist.DistributionSpec, order: int) -> None:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import highdim
-from .errors import InvalidParameter, TruncationOverflow
+from .errors import TruncationOverflow
 from .mc import (KahanSum, batch_means, chain_eps, check_run_size,
                  kept_per_replica, philox_generator, run_blocks, run_chunked)
 
@@ -52,9 +52,10 @@ LOG_SPACE_GAMMA = 4.0
 class ChainConfig:
     """Run layout for the invariant chain.
 
-    ``n_steps`` is the total number of retained samples across all
-    replicas; each replica runs ``burn_in`` discarded steps followed by
-    ``ceil(n_steps / replicas)`` retained ones.
+    ``eps`` is held as |eps|, by :func:`.mc.chain_eps`: the chain depends
+    on it only through eps^2.  ``n_steps`` is the total number of retained
+    samples across all replicas; each replica runs ``burn_in`` discarded
+    steps followed by ``ceil(n_steps / replicas)`` retained ones.
     """
 
     eps: float
@@ -65,9 +66,7 @@ class ChainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.eps < math.inf:
-            raise InvalidParameter("eps must be finite and nonnegative")
-        chain_eps(self.eps)
+        object.__setattr__(self, "eps", chain_eps(self.eps))
         check_run_size(self.n_steps, self.replicas, self.burn_in)
 
     @property
@@ -141,7 +140,7 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
         b_cutoff = default_cutoff(spec)
     b_cutoff = float(b_cutoff)
     law = highdim.from_scalar(spec)
-    eps = abs(float(cfg.eps))
+    eps = cfg.eps
     e2 = eps * eps
     kept = cfg.kept_per_replica
 
@@ -172,9 +171,11 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     lyap_rep, results = run_chunked(kernel, cfg.n_steps, cfg.replicas,
                                     cfg.burn_in, cfg.seed, cfg.threads)
     # per gamma, the (mean, stderr) of the plain and the truncated statistic
-    plain, trunc = ([batch_means(np.concatenate([r[0][i][j] for r in results]))
-                     for i in range(len(gammas))] for j in (0, 1))
-    lmean, lse = batch_means(lyap_rep)
+    plain, trunc = ([batch_means(np.concatenate([r[0][i][j] for r in results]),
+                                 f"{kind}E[X^{g:g}] at eps {eps:g}")
+                     for i, g in enumerate(gammas)]
+                    for j, kind in enumerate(("", "truncated ")))
+    lmean, lse = batch_means(lyap_rep, f"{highdim.INVARIANT} at eps {eps:g}")
     max_x = float(max(r[1].max() for r in results)) if gammas else math.nan
     return ChainStats(eps=eps, n_kept=kept * cfg.replicas,
                       moments=tuple(m for m, _ in plain),

@@ -122,8 +122,18 @@ def _parse_grid(text: str):
 
 
 def _parse_steps(text: str):
-    vals = _parse_list(text, lambda t: int(_finite(t, float)))
+    vals = _parse_list(text, _whole)
     return vals[0] if len(vals) == 1 else vals
+
+
+def _whole(text: str) -> int:
+    """A step budget: a finite number, in any form ``float`` reads
+    ('1e6'), that is a whole number."""
+    value = _finite(text, float)
+    if not value.is_integer():
+        raise InvalidParameter(f"{text.strip()!r} is not a whole number "
+                               "of steps")
+    return int(value)
 
 
 def _parse_int_list(text: str):
@@ -223,21 +233,7 @@ def _dat(pairs) -> str:
     return "".join(f"{_FMT % x} {_FMT % y}\n" for x, y in pairs)
 
 
-def _require_finite(where: str, stats: dict) -> None:
-    """Refuse Monte Carlo statistics that are not finite: a run whose
-    recursion overflowed ends in inf or NaN, which must not reach a
-    result silently."""
-    for name, values in stats.items():
-        for value in values if isinstance(values, tuple) else (values,):
-            if not math.isfinite(value):
-                raise TruncationOverflow(
-                    f"{where}: {name} is {value}, not a finite number "
-                    "(the recursion overflowed)")
-
-
 def _estimate_doc(est) -> dict:
-    _require_finite(f"{est.method} at eps {est.eps:g}",
-                    {"value": est.value, "stderr": est.stderr})
     return {"value": est.value, "stderr": est.stderr, "n": est.n,
             "method": est.method}
 
@@ -311,15 +307,11 @@ def _run_chain(args):
         else chain_mod.default_cutoff(spec)
     rows = []
     stats_docs = []
-    # every grid point is checked before the first one runs
-    for cfg in [chain_mod.ChainConfig(eps=eps, **size) for eps in grid]:
+    # every grid point is checked, and taken to |eps|, before the first runs
+    cfgs = [chain_mod.ChainConfig(eps=eps, **size) for eps in grid]
+    for cfg in cfgs:
         st = chain_mod.simulate_chain(spec, cfg, gammas=gammas,
                                       b_cutoff=cutoff)
-        _require_finite(f"chain at eps {st.eps:g}", {
-            "moment": st.moments, "moment_stderr": st.moment_stderrs,
-            "trunc_moment": st.trunc_moments,
-            "trunc_stderr": st.trunc_stderrs, "log1p_mean": st.log1p_mean,
-            "log1p_stderr": st.log1p_stderr, "max_x": st.max_x})
         for i, g in enumerate(gammas):
             rows.append((st.eps, g, st.moments[i], st.moment_stderrs[i],
                          st.trunc_moments[i], st.trunc_stderrs[i],
@@ -328,9 +320,9 @@ def _run_chain(args):
                            "log1p_mean": st.log1p_mean,
                            "log1p_stderr": st.log1p_stderr,
                            "n_kept": st.n_kept})
-    doc = {"gammas": list(gammas), "eps_grid": grid, "b_cutoff": cutoff,
-           "steps": size["n_steps"], "seed": args.seed, "points": stats_docs,
-           "spec": dist.spec_to_dict(spec)}
+    doc = {"gammas": list(gammas), "eps_grid": [cfg.eps for cfg in cfgs],
+           "b_cutoff": cutoff, "steps": size["n_steps"], "seed": args.seed,
+           "points": stats_docs, "spec": dist.spec_to_dict(spec)}
     header = ("eps", "gamma", "moment", "moment_stderr", "trunc_moment",
               "trunc_stderr", "max_x", "n_kept")
     files = {"chain.csv": _csv(header, rows), "chain.json": _doc_json(doc)}
@@ -401,9 +393,6 @@ def _run_fit(args):
     # a law or order with no bracket is refused before any estimate runs
     bracket = analysis.theory_brackets(spec, args.order)
     series = analysis.residual_series(spec, args.order, grid, **size)
-    for eps, lam, se in zip(series.eps, series.lam, series.lam_stderr):
-        _require_finite(f"fit at eps {eps:g}",
-                        {"lambda": lam, "lambda_stderr": se})
     doc = {"order": args.order, "eps_grid": list(series.eps),
            "lambda": list(series.lam), "lambda_stderr": list(series.lam_stderr),
            "regular": list(series.regular), "residual": list(series.residual),
@@ -427,14 +416,9 @@ def _run_highdim(args):
     law = _load(highdim.load_blocks, "blocks", args.blocks)
     size = _run_size(args, "burn_in", "discard")
     report = highdim.validate_blocks(law)
-    assumptions = {"nonnegative": report.nonnegative,
-                   "coupling_nonzero": report.coupling_nonzero,
-                   "feed_nonzero": report.feed_nonzero,
-                   "irreducible": report.irreducible,
-                   "primitive": report.primitive,
-                   "passes": report.passes}
-    doc = {"d": law.d, "assumptions": assumptions, "seed": args.seed,
-           "steps": size["n_steps"]}
+    doc = {"d": law.d, "assumptions": {**asdict(report),
+                                       "passes": report.passes},
+           "seed": args.seed, "steps": size["n_steps"]}
     files = {}
     if args.K is not None:
         if args.eps_grid is None:
@@ -903,7 +887,7 @@ def dispatch(argv) -> int:
     started = time.perf_counter()
     try:
         # numpy's overflow warnings are noise: a statistic they spoil is
-        # refused with one line by _require_finite
+        # refused with one line by mc.batch_means
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             doc, files = handler(args)

@@ -147,7 +147,8 @@ def regular_part(ell, eps: float) -> float:
     ``ell`` is the sequence (ell_1, ..., ell_K), such as a
     CoefficientTable's ``ell``.  Terms are combined with exact
     compensated summation (math.fsum); each term itself is one float
-    multiply of ell_k and eps^(2k).
+    multiply of ell_k and eps^(2k).  A sum that is not finite, one whose
+    terms overflow or run past the float range, is refused.
     """
     e2 = float(eps) * float(eps)
     terms = []
@@ -155,4 +156,11 @@ def regular_part(ell, eps: float) -> float:
     for k, coeff in enumerate(ell, start=1):
         p *= e2
         terms.append((1.0 if k % 2 == 1 else -1.0) * float(coeff) * p)
-    return math.fsum(terms)
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise InvalidParameter(f"the order-{len(terms)} regular part at eps "
+                               f"{float(eps):g} is not finite")
+    return total

@@ -367,7 +367,7 @@ def lyapunov_general(law, eps: float, method: str = DIRECT,
     per_replica, _ = run_chunked(
         functools.partial(_block_kernel, law, eps, method),
         n_steps, replicas, leads[method], seed, threads)
-    value, stderr = batch_means(per_replica)
+    value, stderr = batch_means(per_replica, f"{method} at eps {eps:g}")
     return LyapunovEstimate(eps=eps, method=method, value=value,
                             stderr=stderr,
                             n=kept_per_replica(n_steps, replicas) * replicas)
@@ -509,7 +509,6 @@ class BlockReport:
     feed_nonzero: bool
     irreducible: bool
     primitive: bool
-    support: np.ndarray
 
     @property
     def passes(self) -> bool:
@@ -547,8 +546,7 @@ def validate_blocks(law) -> BlockReport:
     return BlockReport(nonnegative=nonneg,
                        coupling_nonzero=bool((ls > 0).any()),
                        feed_nonzero=bool((cs > 0).any()),
-                       irreducible=irreducible, primitive=primitive,
-                       support=support)
+                       irreducible=irreducible, primitive=primitive)
 
 
 # -- JSON interchange -----------------------------------------------------------

@@ -47,7 +47,7 @@ def lyapunov_invariant(spec: dist.DistributionSpec, eps: float,
                        burn_in: int = 10_000, replicas: int = 64,
                        threads: int = 1) -> LyapunovEstimate:
     """E[log(1 + eps^2 X)] along the stationary chain."""
-    cfg = ChainConfig(eps=abs(float(eps)), n_steps=n_steps, seed=seed,
+    cfg = ChainConfig(eps=eps, n_steps=n_steps, seed=seed,
                       burn_in=burn_in, replicas=replicas, threads=threads)
     stats = simulate_chain(spec, cfg, gammas=())
     return LyapunovEstimate(eps=cfg.eps, method=INVARIANT,

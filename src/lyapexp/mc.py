@@ -32,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, TruncationOverflow
 
 # Fixed layout constants.  Changing any changes the draws assigned to a
 # replica, so they are deliberately module-level and not configurable.
@@ -107,13 +107,15 @@ class KahanSum:
         self.total = t
 
 
-def batch_means(per_replica_means: np.ndarray):
+def batch_means(per_replica_means: np.ndarray, label: str):
     """Mean and batch-means standard error from per-replica averages.
 
     Replicas are grouped into ``min(N_BATCHES, R)`` contiguous batches
     (replicas are independent streams, so batches are independent).  The
     returned mean is the plain average over replicas; the standard error
-    is ``std(batch means, ddof=1) / sqrt(#batches)``.
+    is ``std(batch means, ddof=1) / sqrt(#batches)``.  Every Monte Carlo
+    statistic is formed here, so here a mean or error bar that is not
+    finite is refused, with ``label`` naming the statistic and its eps.
     """
     r = np.asarray(per_replica_means, dtype=float)
     if r.ndim != 1 or r.size < 2:
@@ -123,6 +125,10 @@ def batch_means(per_replica_means: np.ndarray):
     bmeans = np.array([g.mean() for g in groups])
     mean = float(r.mean())
     stderr = float(bmeans.std(ddof=1) / np.sqrt(nb))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise TruncationOverflow(
+            f"{label} is {mean} +- {stderr}, not finite (the recursion "
+            "overflowed)")
     return mean, stderr
 
 

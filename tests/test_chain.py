@@ -60,8 +60,9 @@ def test_step_monotone_in_x():
 # -- configuration ------------------------------------------------------------
 
 def test_config_validation():
+    assert _cfg(-0.5).eps == 0.5  # the chain runs at |eps|
     with pytest.raises(ValueError):
-        _cfg(-0.5)
+        _cfg(math.nan)
     with pytest.raises(ValueError):
         chain.ChainConfig(eps=0.5, n_steps=100, seed=0, replicas=1)
     with pytest.raises(ValueError):

@@ -55,8 +55,12 @@ def test_parse_grid_power_range():
 def test_parse_steps_and_int_lists():
     assert cli._parse_steps("1e6") == 1_000_000
     assert cli._parse_steps("1000,2000") == [1000, 2000]
+    assert cli._parse_steps("1e30") == int(1e30)  # refused by MAX_STEPS
     with pytest.raises(cli._UsageError):
         cli._parse_steps(" , ")
+    for text in ("1000.9", "1000,2000.5"):
+        with pytest.raises(InvalidParameter, match="not a whole number"):
+            cli._parse_steps(text)
     assert cli._parse_int_list("0..3") == [0, 1, 2, 3]
     assert cli._parse_int_list("4,7") == [4, 7]
     for text in ("3..2", " , ", ""):
@@ -140,8 +144,7 @@ def test_validation_errors_exit_two(capsys):
                  LYAP + ("--threads", "-3"),
                  ("highdim", "--blocks", BLOCKS_D2, "--eps", "1/4",
                   "--steps", "1000", "--replicas", "1"),
-                 ("chain", "--spec", TWO_POINT, "--eps", "-0.5",
-                  "--steps", "1000"),
+                 LYAP[:6] + ("1000.9", "--method", "direct"),
                  ("chain", "--dominance", "--spec", TWO_POINT, "--eps",
                   "-0.5", "--eps2", "0.25", "--steps", "1000", "--seeds",
                   "0"),
@@ -201,31 +204,33 @@ GROWING_BLOCKS = {"triples": [
 HEAVY_TAIL = {"family": "two_point", "atoms": [
     {"value": "1/2", "weight": "999/1000"},
     {"value": "1e300", "weight": "1/1000"}]}
+FIT_NAN = ("fit --spec {heavy} --order 0 --eps-grid 0,1/2 --steps 200000 "
+           "--burn-in 100")
 NON_FINITE_RUNS = {
     "lyap_nan": ("lyap --spec {spec} --eps 0 --method invariant "
-                 "--steps 200000 --burn-in 100", "value is nan"),
+                 "--steps 200000 --burn-in 100",
+                 "invariant_formula at eps 0 is nan"),
     "chain_nan": ("chain --spec {spec} --eps 0 --gamma 1 --steps 200000 "
-                  "--burn-in 100", "moment is nan"),
+                  "--burn-in 100", "E[X^1] at eps 0 is nan"),
     "chain_inf_stderr": ("chain --spec {spec} --eps 0 --gamma 1 "
-                         "--steps 20000 --burn-in 100",
-                         "moment_stderr is inf"),
+                         "--steps 20000 --burn-in 100", " +- inf,"),
     "chain_threads": ("chain --spec {spec} --eps 0 --gamma 1,2,6 "
                       "--steps 102400 --burn-in 1000 --replicas 1024 "
-                      "--threads 2", "moment is nan"),
-    "fit_nan": ("fit --spec {heavy} --order 0 --eps-grid 0,1/2 "
-                "--steps 200000 --burn-in 100", "lambda is nan"),
+                      "--threads 2", "E[X^1] at eps 0 is nan"),
+    "fit_nan": (FIT_NAN, "invariant_formula at eps 0 is nan"),
     "highdim_nan": ("highdim --blocks {blocks} --eps 0 --method invariant "
-                    "--steps 200000 --burn-in 100", "value is nan"),
+                    "--steps 200000 --burn-in 100",
+                    "invariant_formula at eps 0 is nan"),
     # eps * (C + N) overflows in the direct product's first step
     "highdim_extraction_nan": ("highdim --blocks " + BLOCKS_SCALAR +
                                " --K 1 --eps-grid 1e308,1/2 --method "
                                "direct --steps 200000 --discard 100",
-                               "cannot fit estimates that are not finite"),
+                               "direct_product at eps 1e+308 is nan"),
     "ising_scan_nan": ("ising --range 1 --couplings 1 --T 1 --field-law "
                        "{spec} --method invariant --scan --scales "
                        "1e-300,1e-200,1/2 --scan-order 1 --steps 200000 "
                        "--burn-in 100",
-                       "cannot fit estimates that are not finite"),
+                       "invariant_formula at eps 1e-300 is nan"),
 }
 
 
@@ -249,6 +254,26 @@ def test_non_finite_statistic_exits_3_with_one_line(tmp_path, name):
     assert proc.stderr.startswith("error: TruncationOverflow: ")
     assert proc.stderr.count("\n") == 1 and message in proc.stderr
     assert not out_dir.exists()
+
+
+def test_non_finite_first_fit_point_starts_no_second_estimate(
+        capsys, monkeypatch, tmp_path):
+    """The first point of fit's grid overflows (eps = 0, heavy tail): it
+    is refused where its estimate is formed, before the next point runs."""
+    heavy = tmp_path / "heavy.json"
+    heavy.write_text(json.dumps(HEAVY_TAIL))
+    calls = []
+    simulate = lyapunov.simulate_chain
+
+    def counted(spec, cfg, **kw):
+        calls.append(cfg.eps)
+        return simulate(spec, cfg, **kw)
+
+    monkeypatch.setattr(lyapunov, "simulate_chain", counted)
+    code, out, err = run(capsys, *FIT_NAN.format(heavy=heavy).split())
+    assert code == 3 and out == "" and calls == [0.0]
+    assert err == ("error: TruncationOverflow: invariant_formula at eps 0 "
+                   "is nan +- nan, not finite (the recursion overflowed)\n")
 
 
 # eps whose square overflows: the invariant chain would step with
@@ -317,6 +342,32 @@ def test_fit_refuses_before_its_first_estimate(capsys, monkeypatch,
                          "--no-fit")
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, order, message", [
+    (TWO_POINT, "2", "the order-2 regular part at eps 1e+100 is not finite"),
+    (UNIFORM, "3", "the order-3 regular part at eps 1e+100 is not finite"),
+], ids=["two_point_K2", "uniform_sub_K3"])
+def test_fit_refuses_a_regular_part_that_overflows(capsys, monkeypatch,
+                                                   tmp_path, spec, order,
+                                                   message):
+    """eps^4 overflows at eps = 1e100: the regular part is -inf at K = 2,
+    and at K = 3 its terms are inf and -inf.  Both are refused before
+    the first estimate, with one line and no --out directory."""
+    from lyapexp import highdim, mc
+
+    def no_draws(*args):
+        raise AssertionError("drew before the regular parts were formed")
+
+    monkeypatch.setattr(mc, "philox_generator", no_draws)
+    monkeypatch.setattr(highdim, "philox_generator", no_draws)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "fit", "--spec", spec, "--order", order,
+                         "--eps-grid", "1e100,1e120", "--steps", "2000",
+                         "--replicas", "4", "--burn-in", "10", "--no-fit",
+                         "--out", str(out_dir))
+    assert code == 2 and out == "" and not out_dir.exists()
+    assert err == f"error: InvalidParameter: {message}\n"
 
 
 def test_direct_product_runs_where_eps_squared_overflows(capsys):
@@ -419,15 +470,17 @@ def test_extraction_drops_a_zero_error_eps_0_point(tmp_path, capsys):
 
 @pytest.mark.parametrize("step, argv, message", [
     ("block_chain_steps", ("lyap", "--method", "invariant", "--spec",
-                           TWO_POINT), "value is nan"),
+                           TWO_POINT), "invariant_formula at eps 0.25 is nan"),
     ("block_chain_steps", ("chain", "--gamma", "1", "--spec", TWO_POINT),
-     "moment is nan"),
+     "E[X^1] at eps 0.25 is nan"),
     ("block_direct_steps", ("lyap", "--method", "direct", "--spec",
-                            TWO_POINT), "value is nan"),
+                            TWO_POINT), "direct_product at eps 0.25 is nan"),
     ("block_chain_steps", ("highdim", "--method", "invariant",
-                           "--blocks", BLOCKS_D2), "value is nan"),
+                           "--blocks", BLOCKS_D2),
+     "invariant_formula at eps 0.25 is nan"),
     ("block_direct_steps", ("highdim", "--method", "direct",
-                            "--blocks", BLOCKS_D2), "value is nan"),
+                            "--blocks", BLOCKS_D2),
+     "direct_product at eps 0.25 is nan"),
 ], ids=["chain_steps-lyap", "chain_steps-chain", "direct_steps",
         "block_chain_steps", "block_direct_steps"])
 def test_rows_a_step_never_writes_are_refused(capsys, monkeypatch, step,
@@ -568,6 +621,20 @@ def test_chain_grid_csv_and_manifest(capsys, tmp_path):
     assert set(manifest["outputs"]) == {"chain.csv", "chain.json",
                                         "moment_g1.dat", "moment_g2.dat"}
     assert all(len(h) == 64 for h in manifest["outputs"].values())
+
+
+def test_chain_runs_at_abs_eps(capsys, tmp_path):
+    """chain runs at |eps|: --eps -1/4 writes the files --eps 1/4 does."""
+    files = []
+    for eps in ("-1/4", "1/4"):
+        out_dir = tmp_path / eps.replace("/", "_")
+        code, _, _ = run(capsys, "chain", "--spec", TWO_POINT, "--eps=" + eps,
+                         "--gamma", "1,2", "--steps", "4000", "--out",
+                         str(out_dir))
+        assert code == 0
+        files.append([(out_dir / name).read_bytes()
+                      for name in ("chain.csv", "chain.json")])
+    assert files[0] == files[1]
 
 
 def test_chain_dominance_reports_zero_violations(capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from lyapexp import coefficients as coeffs
 from lyapexp import distributions as dist
-from lyapexp.errors import DegenerateMoment, UnstableMoment
+from lyapexp.errors import (DegenerateMoment, InvalidParameter,
+                            UnstableMoment)
 from lyapexp.mc import philox_generator
 
 
@@ -181,3 +182,14 @@ def test_regular_part_accepts_plain_sequences():
 
 def test_regular_part_empty_is_zero():
     assert coeffs.regular_part((), 0.3) == 0.0
+
+
+@pytest.mark.parametrize("ell", [(3, 82.5), (1, 1, 1), (1e308, 0, 1e308)],
+                         ids=["minus_inf", "inf_minus_inf", "past_range"])
+def test_regular_part_refuses_a_sum_that_is_not_finite(ell):
+    """eps^4 overflows at eps = 1e100, so the terms run to -inf, or to
+    inf and -inf, which fsum cannot add; at eps = 1 two finite terms
+    add past the float range."""
+    eps = 1.0 if ell[0] == 1e308 else 1e100
+    with pytest.raises(InvalidParameter, match="regular part at eps"):
+        coeffs.regular_part(ell, eps)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lyapexp import chain
 from lyapexp import distributions as dist
 from lyapexp import lyapunov as lyap
 from lyapexp.errors import InvalidParameter
@@ -107,6 +108,11 @@ def test_sign_of_eps_is_irrelevant_bitwise():
     c = lyap.lyapunov_invariant(TP, 0.3, n_steps=64_000, seed=7)
     d = lyap.lyapunov_invariant(TP, -0.3, n_steps=64_000, seed=7)
     assert c == d
+    e, f = (chain.simulate_chain(TP, chain.ChainConfig(eps=eps,
+                                                      n_steps=64_000, seed=7),
+                                 gammas=(1.0, 2.0, 6.0))
+            for eps in (0.3, -0.3))
+    assert e == f and e.eps == 0.3
 
 
 def test_thread_count_does_not_change_bits():

@@ -1,18 +1,34 @@
 """The shared chunk/block driver of ``lyapexp.mc``, without Monte Carlo."""
 
+import re
 import time
 
 import numpy as np
 import pytest
 
 from lyapexp import mc
-from lyapexp.errors import InvalidParameter, ValidationError
+from lyapexp.errors import (InvalidParameter, TruncationOverflow,
+                            ValidationError)
 
 
 def test_batch_means_needs_two_replica_means():
     for means in (np.array([0.5]), np.ones((2, 2))):
         with pytest.raises(ValueError, match="at least two replica means"):
-            mc.batch_means(means)
+            mc.batch_means(means, "x")
+
+
+@pytest.mark.parametrize("means, shown", [
+    ([1.0, np.nan], "nan +- nan"),
+    ([1.0, np.inf], "inf +- nan"),
+    ([1.0, 1e308, -1e308, 1.0], "0.25 +- inf"),
+])
+def test_batch_means_refuses_a_statistic_that_is_not_finite(means, shown):
+    """A mean or an error bar that is not finite is refused, named by
+    its label."""
+    with np.errstate(all="ignore"), pytest.raises(
+            TruncationOverflow,
+            match=rf"^E\[X\] at eps 0.5 is {re.escape(shown)}, not finite"):
+        mc.batch_means(np.array(means), "E[X] at eps 0.5")
 
 
 @pytest.mark.parametrize("threads", [1, 3])
