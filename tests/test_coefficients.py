@@ -184,12 +184,12 @@ def test_regular_part_empty_is_zero():
     assert coeffs.regular_part((), 0.3) == 0.0
 
 
-@pytest.mark.parametrize("ell", [(3, 82.5), (1, 1, 1), (1e308, 0, 1e308)],
-                         ids=["minus_inf", "inf_minus_inf", "past_range"])
-def test_regular_part_refuses_a_sum_that_is_not_finite(ell):
+@pytest.mark.parametrize("ell, eps", [
+    ((3, 82.5), 1e100), ((1, 1, 1), 1e100), ((1e308, 0, 1e308), 1.0),
+], ids=["minus_inf", "inf_minus_inf", "past_range"])
+def test_regular_part_refuses_a_sum_that_is_not_finite(ell, eps):
     """eps^4 overflows at eps = 1e100, so the terms run to -inf, or to
     inf and -inf, which fsum cannot add; at eps = 1 two finite terms
     add past the float range."""
-    eps = 1.0 if ell[0] == 1e308 else 1e100
     with pytest.raises(InvalidParameter, match="regular part at eps"):
         coeffs.regular_part(ell, eps)
