@@ -25,10 +25,10 @@ import numpy as np
 
 from . import coefficients as coeffs
 from . import distributions as dist
+from .chain import ChainConfig
 from .errors import InsufficientSignal, InvalidParameter, KNotInA
 from .fitting import power_design, wls_fit
 from .lyapunov import lyapunov_invariant
-from .mc import chain_eps, check_run_size
 
 INTEGER_ALPHA_TOL = 1e-6
 # a fitted residual must exceed this many standard errors
@@ -55,37 +55,34 @@ class ResidualSeries:
 
 
 def residual_series(spec: dist.DistributionSpec, order: int, eps_grid,
-                    n_steps=10 ** 6, seed: int = 0,
-                    burn_in: int = 10_000, replicas: int = 64,
-                    threads: int = 1) -> ResidualSeries:
+                    n_steps=10 ** 6, **size) -> ResidualSeries:
     """Estimate R_K on a grid, sharing disorder across grid points.
 
     ``order`` must satisfy E[Z^order] < 1 (raises KNotInA otherwise);
-    order 0 is allowed and returns the exponent itself.  Every grid
-    point is taken to |eps|, and a non-finite one, or one whose square
-    overflows, is refused before any estimate runs.  ``n_steps`` is one
-    budget for every point, or a sequence of per-point budgets to spend
-    more effort where the signal is smallest; every budget is checked,
-    and every point's regular part formed, before any estimate runs too.
+    order 0 is allowed and returns the exponent itself.  ``n_steps`` is
+    one budget for every point, or a sequence of per-point budgets to
+    spend more effort where the signal is smallest; ``size`` sizes the
+    rest of each point's :class:`.chain.ChainConfig`.  Every point's
+    config is built, which takes its eps to |eps| and refuses a
+    non-finite one, one whose square overflows, or a bad budget, and
+    every point's regular part formed, before any estimate runs.
     """
     _check_order(spec, order)
     ell = coeffs.ell_coefficients(spec, order) if order >= 1 else ()
     sign = 1 if order % 2 == 0 else -1
-    eps_grid = tuple(chain_eps(e) for e in eps_grid)
+    eps_grid = tuple(eps_grid)
     budgets = tuple(n_steps) if np.ndim(n_steps) \
         else (n_steps,) * len(eps_grid)
     if len(budgets) != len(eps_grid):
         raise InvalidParameter(f"{len(budgets)} budgets for "
                                f"{len(eps_grid)} grid points")
-    for budget in budgets:
-        check_run_size(budget, replicas, burn_in)
-
-    reg = tuple(coeffs.regular_part(ell, eps) for eps in eps_grid)
-    ests = [lyapunov_invariant(spec, eps, n_steps=budget, seed=seed,
-                               burn_in=burn_in, replicas=replicas,
-                               threads=threads)
+    cfgs = [ChainConfig(eps=eps, n_steps=budget, **size)
             for eps, budget in zip(eps_grid, budgets)]
-    return ResidualSeries(order=order, eps=eps_grid,
+
+    reg = tuple(coeffs.regular_part(ell, cfg.eps) for cfg in cfgs)
+    ests = [lyapunov_invariant(spec, cfg.eps, n_steps=cfg.n_steps, **size)
+            for cfg in cfgs]
+    return ResidualSeries(order=order, eps=tuple(cfg.eps for cfg in cfgs),
                           lam=tuple(e.value for e in ests),
                           lam_stderr=tuple(e.stderr for e in ests),
                           regular=reg,

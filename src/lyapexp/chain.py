@@ -59,8 +59,8 @@ class ChainConfig:
     """
 
     eps: float
-    n_steps: int
-    seed: int
+    n_steps: int = 10 ** 6
+    seed: int = 0
     burn_in: int = 10_000
     replicas: int = 64
     threads: int = 1
@@ -68,10 +68,6 @@ class ChainConfig:
     def __post_init__(self):
         object.__setattr__(self, "eps", chain_eps(self.eps))
         check_run_size(self.n_steps, self.replicas, self.burn_in)
-
-    @property
-    def kept_per_replica(self) -> int:
-        return kept_per_replica(self.n_steps, self.replicas)
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ def simulate_chain(spec: dist.DistributionSpec, cfg: ChainConfig,
     law = highdim.from_scalar(spec)
     eps = cfg.eps
     e2 = eps * eps
-    kept = cfg.kept_per_replica
+    kept = kept_per_replica(cfg.n_steps, cfg.replicas)
 
     def kernel(gen, width, pieces):
         # per gamma one accumulator pair: the plain and the truncated

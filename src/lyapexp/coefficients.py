@@ -64,12 +64,6 @@ class CoefficientTable:
     exact: bool
     condition: float
 
-    def g_entry(self, l: int, k: int) -> Fraction:
-        return self.g[l][k]
-
-    def ell_entry(self, s: int) -> Fraction:
-        return self.ell[s - 1]
-
 
 def _check_moments(ms: tuple, order: int) -> None:
     for l in range(1, order + 1):

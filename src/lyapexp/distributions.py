@@ -11,7 +11,8 @@ as exact rationals.
 The module also hosts the moment calculus on Z: power moments
 ``E[Z^gamma]``, the log moment ``E[log Z]``, the critical exponent
 ``alpha = sup {gamma : E[Z^gamma] < 1}`` found by bisection, seeded
-sampling, and the report-only assumption checks.
+sampling, and the predicate :func:`assumptions_hold` on the standing
+assumptions.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ class DistributionSpec:
 
     def ess_sup(self) -> Fraction:
         return max(self.atoms) if self.is_discrete else self.upper
-
-    def ess_inf(self) -> Fraction:
-        return min(self.atoms) if self.is_discrete else self.lower
 
 
 # -- constructors -------------------------------------------------------
@@ -388,43 +386,16 @@ def sampler(spec: DistributionSpec):
     return draw
 
 
-# -- assumption report ----------------------------------------------------
+# -- standing assumptions -------------------------------------------------
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Report-only check of the standing assumptions on Z."""
+def assumptions_hold(spec: DistributionSpec) -> bool:
+    """Whether Z is non-deterministic and E[log Z] < 0, without raising.
 
-    positive_support: bool
-    non_degenerate: bool
-    negative_log_drift: bool
-    ess_sup: float
-    log_drift: float
-
-    @property
-    def passes(self) -> bool:
-        return (self.positive_support and self.non_degenerate
-                and self.negative_log_drift)
-
-
-def validate_assumptions(spec: DistributionSpec) -> AssumptionReport:
-    """Check positivity, non-degeneracy and E[log Z] < 0 without raising.
-
-    Estimators remain runnable when a check fails (some oracle runs use
-    degenerate or positive-drift laws on purpose); callers decide what to
-    do with the report.
+    Positive support, and a non-degenerate interval, hold for every spec
+    by construction.  Estimators remain runnable when this is False (some
+    oracle runs use degenerate or positive-drift laws on purpose).
     """
-    if spec.is_discrete:
-        non_deg = len(spec.atoms) > 1
-    else:
-        non_deg = spec.lower < spec.upper
-    drift = log_moment(spec)
-    return AssumptionReport(
-        positive_support=spec.ess_inf() > 0,
-        non_degenerate=non_deg,
-        negative_log_drift=drift < 0,
-        ess_sup=float(spec.ess_sup()),
-        log_drift=drift,
-    )
+    return len(spec.atoms) != 1 and log_moment(spec) < 0
 
 
 # -- JSON interchange ------------------------------------------------------

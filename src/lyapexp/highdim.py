@@ -271,7 +271,6 @@ class GMatrix:
     Fractions when every moment the law gives is exact.
     """
 
-    d: int
     indices: tuple
     matrix: np.ndarray
     condition: float
@@ -305,8 +304,7 @@ def g_matrix(law, l: int) -> GMatrix:
     if not np.isfinite(condition) or condition > COND_LIMIT:
         raise SingularSystem(
             f"I - G^({l}) is numerically singular (cond ~ {condition:.3g})")
-    return GMatrix(d=law.d, indices=idx, matrix=mat,
-                   condition=condition, exact=exact)
+    return GMatrix(indices=idx, matrix=mat, condition=condition, exact=exact)
 
 
 # -- vector chain -------------------------------------------------------------

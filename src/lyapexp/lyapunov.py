@@ -43,12 +43,9 @@ from .highdim import (DIRECT, INVARIANT, LyapunovEstimate, from_scalar,
 
 
 def lyapunov_invariant(spec: dist.DistributionSpec, eps: float,
-                       n_steps: int = 10 ** 6, seed: int = 0,
-                       burn_in: int = 10_000, replicas: int = 64,
-                       threads: int = 1) -> LyapunovEstimate:
-    """E[log(1 + eps^2 X)] along the stationary chain."""
-    cfg = ChainConfig(eps=eps, n_steps=n_steps, seed=seed,
-                      burn_in=burn_in, replicas=replicas, threads=threads)
+                       **size) -> LyapunovEstimate:
+    """E[log(1 + eps^2 X)] along the chain ``ChainConfig(eps, **size)``."""
+    cfg = ChainConfig(eps=eps, **size)
     stats = simulate_chain(spec, cfg, gammas=())
     return LyapunovEstimate(eps=cfg.eps, method=INVARIANT,
                             value=stats.log1p_mean,
@@ -128,14 +125,12 @@ class FactorizationReport:
 
 
 def factorization_check(spec: dist.DistributionSpec, eps: float,
-                        n_steps: int = 10 ** 6,
-                        seed: int = 0) -> FactorizationReport:
-    lam = lyapunov_direct(spec, eps, n_steps=n_steps, seed=seed)
-    lam_r = lyapunov_direct(dist.reciprocal(spec), eps, n_steps=n_steps,
-                            seed=seed)
+                        **size) -> FactorizationReport:
+    """Both sides by :func:`lyapunov_direct`, each sized by ``size``."""
+    lam = lyapunov_direct(spec, eps, **size)
+    lam_r = lyapunov_direct(dist.reciprocal(spec), eps, **size)
     elog = dist.log_moment(spec)
     gap = lam.value - (elog + lam_r.value)
     gap_stderr = math.hypot(lam.stderr, lam_r.stderr)
-    return FactorizationReport(eps=abs(float(eps)), lam=lam,
-                               lam_reciprocal=lam_r, log_moment=elog,
-                               gap=gap, gap_stderr=gap_stderr)
+    return FactorizationReport(eps=lam.eps, lam=lam, lam_reciprocal=lam_r,
+                               log_moment=elog, gap=gap, gap_stderr=gap_stderr)

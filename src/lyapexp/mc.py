@@ -122,9 +122,11 @@ def batch_means(per_replica_means: np.ndarray, label: str):
         raise ValueError("need at least two replica means for an error bar")
     nb = min(N_BATCHES, r.size)
     groups = np.array_split(r, nb)
-    bmeans = np.array([g.mean() for g in groups])
-    mean = float(r.mean())
-    stderr = float(bmeans.std(ddof=1) / np.sqrt(nb))
+    # a statistic that is not finite is refused below, without a warning
+    with np.errstate(all="ignore"):
+        bmeans = np.array([g.mean() for g in groups])
+        mean = float(r.mean())
+        stderr = float(bmeans.std(ddof=1) / np.sqrt(nb))
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise TruncationOverflow(
             f"{label} is {mean} +- {stderr}, not finite (the recursion "

@@ -9,7 +9,7 @@ import pytest
 from lyapexp import chain, highdim, kernels, lyapunov
 from lyapexp import distributions as dist
 from lyapexp.errors import TruncationOverflow
-from lyapexp.mc import philox_generator
+from lyapexp.mc import kept_per_replica, philox_generator
 
 
 TP = dist.two_point("1/2", "3/2", "1/4")        # m1 = m2 = 3/4, ell1 = 3
@@ -168,7 +168,7 @@ def test_log1p_mean_positive_and_small():
 def test_n_kept_accounting():
     cfg = _cfg(0.5, n=100_000, replicas=64)
     st = chain.simulate_chain(TP, cfg)
-    assert st.n_kept == cfg.kept_per_replica * 64
+    assert st.n_kept == kept_per_replica(cfg.n_steps, cfg.replicas) * 64
     assert st.n_kept >= 100_000
 
 

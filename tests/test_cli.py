@@ -637,6 +637,25 @@ def test_chain_runs_at_abs_eps(capsys, tmp_path):
     assert files[0] == files[1]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("lyap", "--spec", TWO_POINT, "--method", "both"), "lyap.json"),
+    (("highdim", "--blocks", BLOCKS_D2, "--method", "both"), "highdim.json"),
+])
+def test_lyap_and_highdim_list_the_eps_that_ran(capsys, tmp_path, argv,
+                                                name):
+    """lyap and highdim run at |eps| and say so: --eps -1/4 writes the
+    file --eps 1/4 does."""
+    files = []
+    for eps in ("-1/4", "1/4"):
+        out_dir = tmp_path / eps.replace("/", "_")
+        code, _, _ = run(capsys, *argv, "--eps=" + eps, "--steps", "2000",
+                         "--out", str(out_dir))
+        assert code == 0
+        files.append((out_dir / name).read_bytes())
+    assert files[0] == files[1]
+    assert json.loads(files[0])["eps"] == 0.25
+
+
 def test_chain_dominance_reports_zero_violations(capsys):
     code, out, _ = run(capsys, "chain", "--spec", TWO_POINT, "--dominance",
                        "--eps", "1/4", "--eps2", "1/2", "--steps", "20000",

@@ -27,15 +27,15 @@ M34 = (Fraction(3, 4), Fraction(3, 4))
 
 def test_base_row():
     t = coeffs.g_table(M34, 2)
-    assert t.g_entry(0, 0) == 1
-    assert t.g_entry(0, 1) == 0
+    assert t.g[0][0] == 1
+    assert t.g[0][1] == 0
 
 
 def test_frozen_g_entries_m34():
     t = coeffs.g_table(M34, 2)
-    assert t.g_entry(1, 0) == 3
-    assert t.g_entry(2, 0) == 21
-    assert t.g_entry(1, 1) == 72
+    assert t.g[1][0] == 3
+    assert t.g[2][0] == 21
+    assert t.g[1][1] == 72
 
 
 def test_frozen_ell_m34():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapexp import distributions as dist
-from lyapexp.errors import InvalidSpec
+from lyapexp.errors import InvalidSpec, NoUpcrossing
 from lyapexp.mc import philox_generator
 
 
@@ -21,7 +21,7 @@ def test_two_point_basic():
     assert s.is_discrete
     assert s.atoms == (Fraction(1, 2), Fraction(3, 2))
     assert s.weights == (Fraction(3, 4), Fraction(1, 4))
-    assert s.ess_inf() == Fraction(1, 2)
+    assert min(s.atoms) == Fraction(1, 2)
     assert s.ess_sup() == Fraction(3, 2)
 
 
@@ -51,7 +51,7 @@ def test_finite_discrete_duplicate_atoms_rejected():
 def test_uniform_interval_bounds():
     u = dist.uniform_interval("1/10", "9/10")
     assert not u.is_discrete
-    assert u.ess_inf() == Fraction(1, 10)
+    assert u.lower == Fraction(1, 10)
     assert u.ess_sup() == Fraction(9, 10)
     with pytest.raises(InvalidSpec):
         dist.uniform_interval("1/2", "1/2")
@@ -88,7 +88,7 @@ def test_degenerate_law():
     d = dist.degenerate("5/4")
     assert d.atoms == (Fraction(5, 4),)
     assert d.weights == (Fraction(1),)
-    assert d.ess_inf() == d.ess_sup() == Fraction(5, 4)
+    assert d.ess_sup() == Fraction(5, 4)
 
 
 def test_as_fraction_accepts_floats_and_numpy_scalars():
@@ -146,6 +146,16 @@ def test_uniform_moment_closed_form():
     assert m2 == expect
 
 
+def test_uniform_moment_at_a_non_integer_power():
+    """A non-integer power takes the float closed form; it matches a
+    2e6-point midpoint rule."""
+    n = 2_000_000
+    z = 0.1 + 0.8 * (np.arange(n) + 0.5) / n
+    got = dist.moment(dist.uniform_interval("1/10", "9/10"), 0.3)
+    assert isinstance(got, float)
+    assert got == pytest.approx(float(np.mean(z ** 0.3)), abs=1e-12)
+
+
 def test_log_uniform_moment_closed_form():
     lu = dist.log_uniform("1/4", "4")
     # E[Z^g] = (b^g - a^g) / (g (log b - log a))
@@ -188,6 +198,20 @@ def test_alpha_exact_half_root():
     res = dist.solve_alpha(dist.two_point("1/4", "4", "1/3"))
     assert res.alpha == 0.5
     assert res.residual == 0.0
+
+
+def test_alpha_exact_root_at_the_first_midpoint():
+    """E[Z^(3/4)] = 1 exactly; bisection between 1/2 and 1 meets the
+    root at its first midpoint."""
+    res = dist.solve_alpha(dist.two_point("1/16", "16", "1/9"))
+    assert (res.kind, res.alpha, res.residual) == ("finite", 0.75, 0.0)
+
+
+def test_alpha_refuses_a_law_whose_moments_never_reach_one():
+    """A law barely above 1 keeps E[Z^gamma] < 1 past the gamma cap."""
+    with pytest.raises(NoUpcrossing, match="stays below 1 up to gamma=512"):
+        dist.solve_alpha(dist.two_point("1/2", "1000001/1000000",
+                                        "1/1000000"))
 
 
 def test_alpha_infinite_for_sub_unit_support():
@@ -301,22 +325,24 @@ def test_single_uniform_consumed_per_draw():
 # -- assumptions -----------------------------------------------------------
 
 def test_assumption_report_standard_law_passes():
-    rep = dist.validate_assumptions(dist.two_point("1/2", "2", "1/5"))
-    assert rep.passes
-    assert rep.log_drift < 0
-    assert rep.ess_sup == 2.0
+    spec = dist.two_point("1/2", "2", "1/5")
+    assert dist.log_moment(spec) < 0
+    assert dist.assumptions_hold(spec) is True
+    # an interval law has no atoms, and is non-degenerate by construction
+    assert dist.assumptions_hold(dist.uniform_interval("1/10", "9/10"))
 
 
 def test_assumption_report_flags_positive_drift_without_raising():
-    rep = dist.validate_assumptions(dist.two_point("1/2", "4", "1/2"))
-    assert not rep.passes
-    assert not rep.negative_log_drift
-    assert rep.positive_support
+    spec = dist.two_point("1/2", "4", "1/2")
+    assert dist.log_moment(spec) > 0
+    assert dist.assumptions_hold(spec) is False
+    assert dist.assumptions_hold(dist.log_uniform("1/2", "4")) is False
 
 
 def test_assumption_report_flags_degenerate():
-    rep = dist.validate_assumptions(dist.degenerate("3/4"))
-    assert not rep.non_degenerate
+    # E[log Z] < 0, so only the single atom fails the predicate
+    assert dist.assumptions_hold(dist.degenerate("3/4")) is False
+    assert dist.assumptions_hold(dist.two_point("1/2", "3/4", "1/2"))
 
 
 # -- reciprocal ------------------------------------------------------------

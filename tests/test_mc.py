@@ -2,6 +2,7 @@
 
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ def test_batch_means_needs_two_replica_means():
 ])
 def test_batch_means_refuses_a_statistic_that_is_not_finite(means, shown):
     """A mean or an error bar that is not finite is refused, named by
-    its label."""
-    with np.errstate(all="ignore"), pytest.raises(
+    its label, and with no warning first."""
+    with warnings.catch_warnings(), pytest.raises(
             TruncationOverflow,
             match=rf"^E\[X\] at eps 0.5 is {re.escape(shown)}, not finite"):
+        warnings.simplefilter("error")
         mc.batch_means(np.array(means), "E[X] at eps 0.5")
 
 
