@@ -1,4 +1,5 @@
-/* Per-step recursions of every Lyapunov engine; see kernels.py.
+/* Per-step recursions of every Lyapunov engine, and the Philox uniforms
+ * they read; see kernels.py.
  *
  * Each loop performs the numpy fallback's operations in the same order,
  * one IEEE rounding per operation.  Built with -ffp-contract=off, so no
@@ -12,8 +13,14 @@
  * masked entries of one-row tables.  Each recursion has one loop body,
  * which each kernel instantiates with the form and d as constants: once
  * for d = 1, the scalar engines' case, and once for general d.
+ *
+ * The uniforms come from philox_uniforms, which continues numpy's
+ * Philox4x64-10 stream (Salmon et al., SC'11) from its state and gives
+ * the values numpy's Generator.random gives.  It is integer arithmetic
+ * and one exact scaling, so its twin, numpy itself, agrees bit for bit.
  */
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -245,4 +252,96 @@ int block_direct_steps(const double *restrict ls, const double *restrict cs,
     if (s != one)
         free(s);
     return 0;
+}
+
+/* Philox4x64-10 as numpy's philox.h computes it: the round multipliers
+ * and the Weyl key increments of Random123. */
+#define PHILOX_M0 UINT64_C(0xD2E7470EE14C6C93)
+#define PHILOX_M1 UINT64_C(0xCA5A826395121157)
+#define PHILOX_W0 UINT64_C(0x9E3779B97F4A7C15)
+#define PHILOX_W1 UINT64_C(0xBB67AE8584CAA73B)
+
+/* The low word of a * b, and its high word in *hi. */
+static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+#ifdef __SIZEOF_INT128__
+    __uint128_t p = (__uint128_t)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+#else
+    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32;
+    uint64_t b0 = b & 0xffffffffu, b1 = b >> 32;
+    uint64_t p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = ((a0 * b0) >> 32) + (p01 & 0xffffffffu)
+                   + (p10 & 0xffffffffu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return a * b;
+#endif
+}
+
+/* The next block of four words, as numpy's philox_next makes it: the
+ * 256-bit counter ctr (word 0 lowest) is first incremented, with carry,
+ * then put through ten rounds, the key bumped before each but the
+ * first. */
+static inline void philox_block(uint64_t *restrict ctr,
+                                const uint64_t *restrict key,
+                                uint64_t *restrict block)
+{
+    if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0)
+        ++ctr[3];
+    uint64_t c0 = ctr[0], c1 = ctr[1], c2 = ctr[2], c3 = ctr[3];
+    uint64_t k0 = key[0], k1 = key[1];
+    for (int r = 0; r < 10; r++) {
+        uint64_t hi0, hi1;
+        uint64_t lo0 = mulhilo(PHILOX_M0, c0, &hi0);
+        uint64_t lo1 = mulhilo(PHILOX_M1, c2, &hi1);
+        c0 = hi1 ^ c1 ^ k0;
+        c1 = lo1;
+        c2 = hi0 ^ c3 ^ k1;
+        c3 = lo0;
+        k0 += PHILOX_W0;
+        k1 += PHILOX_W1;
+    }
+    block[0] = c0;
+    block[1] = c1;
+    block[2] = c2;
+    block[3] = c3;
+}
+
+/* numpy's next_double: the top 53 bits times 2^-53, both exact. */
+static inline double unit_double(uint64_t x)
+{
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Fill out[0 .. n) with the next n uniforms of a Philox state, as n
+ * calls of numpy's next_double would: the words left in the buffer from
+ * position pos first, then fresh blocks.  The state's ten words are the
+ * counter (4), the key (2) and the buffer (4); the counter and the
+ * buffer are updated in place.  Returns the new buffer position, 4 once
+ * a block is used up. */
+int philox_uniforms(uint64_t *restrict state, int pos, double *restrict out,
+                    ptrdiff_t n)
+{
+    uint64_t ctr[4], key[2], buf[4];
+    memcpy(ctr, state, sizeof ctr);
+    memcpy(key, state + 4, sizeof key);
+    memcpy(buf, state + 6, sizeof buf);
+    ptrdiff_t i = 0;
+    for (; pos < 4 && i < n; pos++)
+        out[i++] = unit_double(buf[pos]);
+    for (; n - i >= 4; i += 4) {
+        philox_block(ctr, key, buf);
+        for (int k = 0; k < 4; k++)
+            out[i + k] = unit_double(buf[k]);
+        pos = 4;
+    }
+    if (i < n) {
+        philox_block(ctr, key, buf);
+        for (pos = 0; i < n; pos++)
+            out[i++] = unit_double(buf[pos]);
+    }
+    memcpy(state, ctr, sizeof ctr);
+    memcpy(state + 6, buf, sizeof buf);
+    return pos;
 }

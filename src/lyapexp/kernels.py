@@ -1,4 +1,5 @@
-"""Per-step recursions of the Lyapunov engines, compiled on first use.
+"""Per-step recursions of the Lyapunov engines and the Philox uniforms
+they read, compiled on first use.
 
 :func:`block_chain_steps` advances the invariant vector chain and
 :func:`block_direct_steps` the renormalised block matrix product over
@@ -38,6 +39,17 @@ d = 1: on one x86-64 core with numpy 2.4.6, ``lyap --steps 1e7`` runs
 about 20 times slower than compiled, and the width-1 coupled paths of
 ``chain --dominance`` about 200 times.
 
+Philox uniforms
+---------------
+:func:`philox_uniforms` draws the uniforms the loops read: it continues
+numpy's Philox4x64-10 stream in C from the bit generator's public
+state, under its lock, and writes the state back.  Its counter
+increment with carry, four-word buffer and ``(x >> 11) * 2^-53`` are
+those of numpy's ``philox_next`` and ``next_double``, so each value and
+the state after each call are numpy's.  numpy's own
+``Generator.random`` is its twin, which :func:`.mc.philox_generator`'s
+generator calls when the library is absent, and for every other draw.
+
 Sum grouping
 ------------
 The block recursions contain length-``d`` sums, ``(ns * x).sum(axis=-1)``
@@ -52,7 +64,7 @@ changes no bit.
 
 Build and cache
 ---------------
-The first kernel call compiles ``kernels.c`` with
+The first kernel call or Philox fill compiles ``kernels.c`` with
 ``cc -O3 -ffp-contract=off -shared -fPIC``.  ``-ffp-contract=off``
 forbids fusing a multiply and an add into one rounding: a fused step
 would differ from numpy in the last bit, and the exact pathwise
@@ -83,9 +95,12 @@ from . import distributions as dist
 _SOURCE = Path(__file__).with_name("kernels.c")
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
+# a Philox state as philox_uniforms takes it: counter, key and buffer
+_PhiloxWords = ctypes.c_uint64 * 10
+
 _lock = threading.Lock()
 # "lib": the loaded library, or None when it could not be had; set by
-# the first kernel call of the process
+# the first kernel call or Philox fill of the process
 _resolved = {}
 
 
@@ -138,9 +153,42 @@ def block_direct_steps(ls, cs, ns, u, q, cpow, npow, v0, w, mbuf,
         span, width, m, d, eps))
 
 
+def philox_uniforms(bitgen, out) -> bool:
+    """Fill ``out`` with the next uniforms of the Philox bit generator
+    ``bitgen``, the values and the state numpy's ``Generator.random``
+    would leave, in C; False, with nothing drawn, when the library
+    could not be had or ``out`` is no C-contiguous, aligned, writeable
+    float64 array.
+
+    The C fill reads and writes ``bitgen``'s public ``state`` under its
+    lock.  A buffer position below 0, at which numpy would read outside
+    its buffer, is left to numpy too."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.aligned
+            and out.flags.writeable):
+        return False
+    lib = _library()
+    if lib is None:
+        return False
+    with bitgen.lock:
+        state = bitgen.state
+        if state["buffer_pos"] < 0:
+            return False
+        ctr_key = state["state"]
+        words = _PhiloxWords(*ctr_key["counter"].tolist(),
+                             *ctr_key["key"].tolist(),
+                             *state["buffer"].tolist())
+        state["buffer_pos"] = lib.philox_uniforms(
+            words, state["buffer_pos"], _ptr(out), out.size)
+        ctr_key["counter"], state["buffer"] = words[:4], words[6:]
+        bitgen.state = state
+    return True
+
+
 def recursion() -> str:
-    """``"compiled"`` once this process has loaded the library, else
-    ``"numpy"``; never builds anything."""
+    """``"compiled"`` once this process has loaded the library, which
+    runs both the recursions and the Philox fill, else ``"numpy"``;
+    never builds anything."""
     return "numpy" if _resolved.get("lib") is None else "compiled"
 
 
@@ -275,6 +323,9 @@ def _load():
     for fn in (lib.block_chain_steps, lib.block_direct_steps):
         fn.argtypes = args
         fn.restype = ctypes.c_int
+    lib.philox_uniforms.argtypes = [_PhiloxWords, ctypes.c_int,
+                                    ctypes.c_void_p, ctypes.c_ssize_t]
+    lib.philox_uniforms.restype = ctypes.c_int
     return lib
 
 

@@ -71,14 +71,18 @@ def lyapunov_direct(spec: dist.DistributionSpec, eps: float,
 
 
 def estimate(spec: dist.DistributionSpec, eps: float, method: str = DIRECT,
-             burn_in: int = 10_000, discard: int = 1000,
              **kwargs) -> LyapunovEstimate:
-    """Either estimator; the direct one runs ``discard`` unaveraged steps
-    per replica, the invariant one ``burn_in``."""
+    """Either estimator, sized by ``kwargs`` as that method names its
+    run size.  Each reads its own unaveraged lead, ``discard`` for the
+    direct one and ``burn_in`` for the invariant one, and drops the
+    other's, so one set of sizes serves both, as for
+    :func:`.highdim.lyapunov_general`."""
     if method == DIRECT:
-        return lyapunov_direct(spec, eps, discard=discard, **kwargs)
+        kwargs.pop("burn_in", None)
+        return lyapunov_direct(spec, eps, **kwargs)
     if method == INVARIANT:
-        return lyapunov_invariant(spec, eps, burn_in=burn_in, **kwargs)
+        kwargs.pop("discard", None)
+        return lyapunov_invariant(spec, eps, **kwargs)
     raise ValueError(f"unknown method {method!r}")
 
 

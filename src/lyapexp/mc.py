@@ -8,7 +8,11 @@ Every stochastic routine in the package is keyed by ``(seed, stream)``.
 Streams are realised as Philox generators with ``key = seed * 2^64 + stream``,
 so distinct streams are independent by construction and a (seed, stream)
 pair always reproduces the same draws regardless of how many worker
-threads consume them.  Replicas are grouped into fixed-width blocks
+threads consume them.  ``(seed, stream)`` keys numpy's Philox state
+whether or not the library of :mod:`.kernels` loads: its C fill of
+``random`` reads that state and writes it back, so a stream gives the
+same numbers, and ends in the same state, as numpy's own
+``Generator.random``.  Replicas are grouped into fixed-width blocks
 (:data:`BLOCK_WIDTH` columns, block ``b`` drawing from stream ``b``) and
 the time axis is processed in pieces of :data:`TIME_CHUNK` steps for
 every engine; these constants are part of the layout, never derived from
@@ -53,10 +57,26 @@ N_BATCHES = 64
 _MASK64 = (1 << 64) - 1
 
 
+class _PhiloxGenerator(np.random.Generator):
+    """numpy's Generator whose float64 ``random`` with a ``size`` or an
+    ``out`` is filled in C by :func:`.kernels.philox_uniforms`, bit for
+    bit numpy's values and state.  Every other call, and every call when
+    the fill cannot run, is numpy's own."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        from . import kernels  # loaded by the first draw, not at start-up
+
+        if np.dtype(dtype) == np.float64 and (size is None) != (out is None):
+            filled = np.empty(size) if out is None else out
+            if kernels.philox_uniforms(self.bit_generator, filled):
+                return filled
+        return super().random(size, dtype, out)
+
+
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for a (seed, stream) pair."""
     key = ((int(seed) & _MASK64) << 64) | (int(stream) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _PhiloxGenerator(np.random.Philox(key=key))
 
 
 def replica_blocks(n_replicas: int):

@@ -583,6 +583,107 @@ def test_kernel_map_sends_a_nan_uniform_to_the_first_atom(monkeypatch):
             assert np.array_equal(xbuf[0, :, 0], law.cs[rows, 0])
 
 
+# -- the Philox uniforms ------------------------------------------------------------
+
+# the least, a middle and the greatest 64-bit key word
+WORDS = [0, 2 ** 63 + 5, 2 ** 64 - 1]
+# calls that start and end mid-block and on a block boundary
+SIZES = [1, 2, 3, 4, 5, 4097, (7, 13), (2048, 64)]
+
+
+def _twin(seed, stream):
+    """numpy's own generator on the key philox_generator gives."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | stream))
+
+
+def _state(gen):
+    st = gen.bit_generator.state
+    return {**st, "state": {k: v.tolist() for k, v in st["state"].items()},
+            "buffer": st["buffer"].tolist()}
+
+
+def _assert_same_draws(got, want, gen, twin):
+    """Same type, dtype, shape and bytes, and the same state after."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert _state(gen) == _state(twin)
+
+
+@pytest.mark.parametrize("stream", WORDS)
+@pytest.mark.parametrize("seed", WORDS)
+def test_philox_fill_is_numpys_stream(seed, stream):
+    """Values and full bit generator state after every call, with calls
+    that start and end mid-block and on a block boundary."""
+    gen, twin = philox_generator(seed, stream), _twin(seed, stream)
+    for size in SIZES:
+        _assert_same_draws(gen.random(size), twin.random(size), gen, twin)
+
+
+def test_philox_fill_writes_out():
+    gen, twin = philox_generator(3, 9), _twin(3, 9)
+    for size in SIZES:
+        out, want = np.empty(size), np.empty(size)
+        assert gen.random(out=out) is out
+        twin.random(out=want)
+        _assert_same_draws(out, want, gen, twin)
+
+
+def test_philox_fill_interleaves_with_numpys_other_draws():
+    """integers (whose 32-bit draws keep a half word in the state) and
+    standard_normal on the same object continue the same stream."""
+    gen, twin = philox_generator(5, 1), _twin(5, 1)
+    calls = [lambda g: g.random(3),
+             lambda g: g.integers(0, 10, size=3, dtype=np.int32),
+             lambda g: g.random(5),
+             lambda g: g.standard_normal(7),
+             lambda g: g.random((7, 13)),
+             lambda g: g.integers(0, 2 ** 40, size=2),
+             lambda g: g.random(4097)]
+    for call in calls:
+        _assert_same_draws(call(gen), call(twin), gen, twin)
+
+
+@pytest.mark.parametrize("counter", [[2 ** 64 - 2, 2 ** 64 - 1, 5, 0],
+                                     [2 ** 64 - 1] * 4])
+def test_philox_fill_carries_the_counter(counter):
+    """The counter increment carries into the next word, and past the
+    last it wraps to zero."""
+    gen, twin = philox_generator(2, 4), _twin(2, 4)
+    for g in (gen, twin):
+        st = g.bit_generator.state
+        st["state"]["counter"] = np.array(counter, dtype=np.uint64)
+        g.bit_generator.state = st
+    for size in (1, 2, 5, 4097):
+        _assert_same_draws(gen.random(size), twin.random(size), gen, twin)
+
+
+def test_philox_scalar_and_float32_draws_are_numpys():
+    gen, twin = philox_generator(6, 2), _twin(6, 2)
+    calls = [lambda g: g.random(),
+             lambda g: g.random(5, dtype=np.float32),
+             lambda g: g.random(dtype=np.float32),
+             lambda g: g.random(3)]
+    for call in calls:
+        _assert_same_draws(call(gen), call(twin), gen, twin)
+
+
+def test_philox_fill_runs_in_c(compiled, monkeypatch):
+    """With the library loaded, a float64 draw with a size or an out is
+    the C fill's, not numpy's."""
+    fill, filled = kernels.philox_uniforms, []
+
+    def spy(bitgen, out):
+        filled.append(fill(bitgen, out))
+        return filled[-1]
+    monkeypatch.setattr(kernels, "philox_uniforms", spy)
+    gen = philox_generator(8, 8)
+    gen.random((7, 13))
+    gen.random(out=np.empty(5))
+    assert filled == [True, True]
+
+
 # -- build and cache ----------------------------------------------------------
 
 def test_build_is_cached_by_content_hash(tmp_path, monkeypatch):

@@ -92,6 +92,20 @@ def test_estimate_dispatch_and_unknown_method():
         lyap.estimate(TP, 0.5, method="nope")
 
 
+def test_estimate_passes_each_method_its_own_lead():
+    """Given both leads, as the CLI passes them, each method runs with
+    its own and drops the other's."""
+    size = dict(n_steps=6400, seed=3, burn_in=70, discard=30)
+    got = [lyap.estimate(TP, 0.5, method=m, **size)
+           for m in (lyap.DIRECT, lyap.INVARIANT)]
+    want = [lyap.lyapunov_direct(TP, 0.5, n_steps=6400, seed=3, discard=30),
+            lyap.lyapunov_invariant(TP, 0.5, n_steps=6400, seed=3,
+                                    burn_in=70)]
+    assert got == want
+    assert got[0] != lyap.lyapunov_direct(TP, 0.5, n_steps=6400, seed=3)
+    assert got[1] != lyap.lyapunov_invariant(TP, 0.5, n_steps=6400, seed=3)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scalar_estimators_refuse_a_non_finite_eps(bad):
     for method in (lyap.DIRECT, lyap.INVARIANT):
