@@ -622,12 +622,17 @@ def test_philox_fill_is_numpys_stream(seed, stream):
 
 
 def test_philox_fill_writes_out():
+    """A C-contiguous out is filled in C, a Fortran-ordered one by numpy
+    in its memory order, and a strided one refused by numpy."""
     gen, twin = philox_generator(3, 9), _twin(3, 9)
-    for size in SIZES:
-        out, want = np.empty(size), np.empty(size)
+    for shape, order in [(size, "C") for size in SIZES] + [((3, 5), "F")]:
+        out, want = np.empty(shape, order=order), np.empty(shape, order=order)
         assert gen.random(out=out) is out
         twin.random(out=want)
         _assert_same_draws(out, want, gen, twin)
+    with pytest.raises(ValueError, match="contiguous"):
+        gen.random(out=np.empty(10)[::2])
+    assert _state(gen) == _state(twin)
 
 
 def test_philox_fill_interleaves_with_numpys_other_draws():
@@ -667,6 +672,17 @@ def test_philox_scalar_and_float32_draws_are_numpys():
              lambda g: g.random(3)]
     for call in calls:
         _assert_same_draws(call(gen), call(twin), gen, twin)
+
+
+def test_philox_fill_leaves_a_negative_buffer_position_to_numpy(compiled):
+    """numpy reads outside its buffer there; the fill draws nothing."""
+    bitgen = np.random.Philox(key=1)
+    st = bitgen.state
+    st["buffer_pos"] = -1
+    bitgen.state = st
+    out = np.zeros(3)
+    assert not kernels.philox_uniforms(bitgen, out)
+    assert bitgen.state["buffer_pos"] == -1 and not out.any()
 
 
 def test_philox_fill_runs_in_c(compiled, monkeypatch):
