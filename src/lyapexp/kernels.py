@@ -48,7 +48,8 @@ increment with carry, four-word buffer and ``(x >> 11) * 2^-53`` are
 those of numpy's ``philox_next`` and ``next_double``, so each value and
 the state after each call are numpy's.  numpy's own
 ``Generator.random`` is its twin, which :func:`.mc.philox_generator`'s
-generator calls when the library is absent, and for every other draw.
+generator, :class:`PhiloxGenerator`, calls when the library is absent
+and for every other draw.
 
 Sum grouping
 ------------
@@ -183,6 +184,20 @@ def philox_uniforms(bitgen, out) -> bool:
         ctr_key["counter"], state["buffer"] = words[:4], words[6:]
         bitgen.state = state
     return True
+
+
+class PhiloxGenerator(np.random.Generator):
+    """numpy's Generator whose float64 ``random`` with a ``size`` or an
+    ``out`` is filled in C by :func:`philox_uniforms`, bit for bit
+    numpy's values and state.  Every other call, and every call the fill
+    cannot take, is numpy's own."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if np.dtype(dtype) == np.float64 and (size is None) != (out is None):
+            filled = np.empty(size) if out is None else out
+            if philox_uniforms(self.bit_generator, filled):
+                return filled
+        return super().random(size, dtype, out)
 
 
 def recursion() -> str:

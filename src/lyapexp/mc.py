@@ -57,26 +57,16 @@ N_BATCHES = 64
 _MASK64 = (1 << 64) - 1
 
 
-class _PhiloxGenerator(np.random.Generator):
-    """numpy's Generator whose float64 ``random`` with a ``size`` or an
-    ``out`` is filled in C by :func:`.kernels.philox_uniforms`, bit for
-    bit numpy's values and state.  Every other call, and every call when
-    the fill cannot run, is numpy's own."""
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        from . import kernels  # loaded by the first draw, not at start-up
-
-        if np.dtype(dtype) == np.float64 and (size is None) != (out is None):
-            filled = np.empty(size) if out is None else out
-            if kernels.philox_uniforms(self.bit_generator, filled):
-                return filled
-        return super().random(size, dtype, out)
-
-
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for a (seed, stream) pair."""
+    """Independent generator for a (seed, stream) pair: numpy's, on a
+    Philox bit generator, with the float64 ``random`` of
+    :class:`.kernels.PhiloxGenerator`."""
+    # kernels, and numpy.random with it, load with the first generator,
+    # not at start-up
+    from . import kernels
+
     key = ((int(seed) & _MASK64) << 64) | (int(stream) & _MASK64)
-    return _PhiloxGenerator(np.random.Philox(key=key))
+    return kernels.PhiloxGenerator(np.random.Philox(key=key))
 
 
 def replica_blocks(n_replicas: int):
