@@ -157,6 +157,18 @@ def theory_brackets(spec: dist.DistributionSpec, order: int) -> TheoryBracket:
                          theta=theta, eta=eta)
 
 
+def check_fit_grid(bracket: TheoryBracket | None, eps_grid) -> None:
+    """Refuse a grid the fit under ``bracket`` cannot take: a
+    log-corrected fit needs every grid |eps| below 1, since its log
+    model takes log log(1/eps), which is -inf at 1 and NaN above."""
+    if bracket is not None and bracket.log_correction:
+        for eps in eps_grid:
+            if abs(eps) >= 1:
+                raise InvalidParameter(
+                    "a log-corrected fit needs every grid eps below 1 "
+                    f"in size, got eps = {eps:g}")
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Log-log fit of the residual decay.
@@ -188,8 +200,10 @@ def fit_exponent(series: ResidualSeries, bracket: TheoryBracket | None = None,
     of zero are dropped; fewer than ``min_points`` survivors, or fewer
     than two distinct ones, raises InsufficientSignal.  ``bracket`` is
     the series' :func:`theory_brackets`, as the caller computed it; one
-    with a log correction enables the pinned-slope log model.
+    with a log correction enables the pinned-slope log model, and needs
+    a grid that :func:`check_fit_grid` accepts.
     """
+    check_fit_grid(bracket, series.eps)
     r = np.asarray(series.residual)
     se = np.asarray(series.lam_stderr)
     eps = np.asarray(series.eps)

@@ -64,10 +64,6 @@ class _UsageError(Exception):
     pass
 
 
-class _EnvUsageError(_UsageError):
-    """Usage error that comes from the environment, not the arguments."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract here is exit 1
     def error(self, message):
@@ -170,16 +166,7 @@ def _resolve_threads(args) -> int:
     threads = args.threads
     if threads < 0:
         raise InvalidParameter(f"--threads must be >= 0, got {threads}")
-    if threads:
-        return threads
-    env = os.environ.get("LYAPEXP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _EnvUsageError(
-                f"LYAPEXP_THREADS must be an integer, got {env!r}")
-    return 1
+    return max(threads, 1)
 
 
 def _run_size(args, *leads) -> dict:
@@ -392,6 +379,8 @@ def _run_fit(args):
     grid = _parse_grid(args.eps_grid)
     # a law or order with no bracket is refused before any estimate runs
     bracket = analysis.theory_brackets(spec, args.order)
+    if not args.no_fit:
+        analysis.check_fit_grid(bracket, grid)
     series = analysis.residual_series(spec, args.order, grid, **size)
     doc = {"order": args.order, "eps_grid": list(series.eps),
            "lambda": list(series.lam), "lambda_stderr": list(series.lam_stderr),
@@ -621,8 +610,6 @@ def _run_rerun(args):
     try:
         replay = parser.parse_args(_config_argv(parser, sub, config))
         _, files = _HANDLERS[sub](replay)
-    except _EnvUsageError:
-        raise
     except _UsageError as exc:
         raise InvalidSpec(f"manifest config: {exc}") from None
     if args.out:
@@ -753,7 +740,7 @@ def _add_common(p):
     p.add_argument("--burn-in", type=int, default=10_000, dest="burn_in")
     p.add_argument("--replicas", type=int, default=64)
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (default: LYAPEXP_THREADS or 1); "
+                   help="worker threads (default 0: one thread); "
                         "results are identical for every value")
 
 

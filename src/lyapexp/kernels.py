@@ -41,15 +41,16 @@ about 20 times slower than compiled, and the width-1 coupled paths of
 
 Philox uniforms
 ---------------
-:func:`philox_uniforms` draws the uniforms the loops read: it continues
-numpy's Philox4x64-10 stream in C from the bit generator's public
-state, under its lock, and writes the state back.  Its counter
-increment with carry, four-word buffer and ``(x >> 11) * 2^-53`` are
-those of numpy's ``philox_next`` and ``next_double``, so each value and
-the state after each call are numpy's.  numpy's own
-``Generator.random`` is its twin, which :func:`.mc.philox_generator`'s
-generator, :class:`PhiloxGenerator`, calls when the library is absent
-and for every other draw.
+:func:`philox_uniforms` draws the uniforms the loops read: given a
+size, it fills a fresh float64 array in C, continuing numpy's
+Philox4x64-10 stream from the bit generator's public state, under its
+lock, and writes the state back.  Its counter increment with carry,
+four-word buffer and ``(x >> 11) * 2^-53`` are those of numpy's
+``philox_next`` and ``next_double``, so each value and the state after
+each call are numpy's.  numpy's own ``Generator.random`` is its twin,
+which :func:`.mc.philox_generator`'s generator,
+:class:`PhiloxGenerator`, calls when the library is absent and for
+every other draw, ``out=`` included.
 
 Sum grouping
 ------------
@@ -154,27 +155,23 @@ def block_direct_steps(ls, cs, ns, u, q, cpow, npow, v0, w, mbuf,
         span, width, m, d, eps))
 
 
-def philox_uniforms(bitgen, out) -> bool:
-    """Fill ``out`` with the next uniforms of the Philox bit generator
-    ``bitgen``, the values and the state numpy's ``Generator.random``
-    would leave, in C; False, with nothing drawn, when the library
-    could not be had or ``out`` is no C-contiguous, aligned, writeable
-    float64 array.
+def philox_uniforms(bitgen, size):
+    """A fresh float64 array of shape ``size`` holding the next uniforms
+    of the Philox bit generator ``bitgen``, the values and the state
+    numpy's ``Generator.random(size)`` would leave, filled in C; None,
+    with nothing drawn, when the library could not be had.
 
     The C fill reads and writes ``bitgen``'s public ``state`` under its
     lock.  A buffer position below 0, at which numpy would read outside
-    its buffer, is left to numpy too."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.flags.c_contiguous and out.flags.aligned
-            and out.flags.writeable):
-        return False
+    its buffer, is left to numpy too (None)."""
     lib = _library()
     if lib is None:
-        return False
+        return None
     with bitgen.lock:
         state = bitgen.state
         if state["buffer_pos"] < 0:
-            return False
+            return None
+        out = np.empty(size)
         ctr_key = state["state"]
         words = _PhiloxWords(*ctr_key["counter"].tolist(),
                              *ctr_key["key"].tolist(),
@@ -183,19 +180,19 @@ def philox_uniforms(bitgen, out) -> bool:
             words, state["buffer_pos"], _ptr(out), out.size)
         ctr_key["counter"], state["buffer"] = words[:4], words[6:]
         bitgen.state = state
-    return True
+    return out
 
 
 class PhiloxGenerator(np.random.Generator):
-    """numpy's Generator whose float64 ``random`` with a ``size`` or an
+    """numpy's Generator whose float64 ``random`` with a ``size`` and no
     ``out`` is filled in C by :func:`philox_uniforms`, bit for bit
     numpy's values and state.  Every other call, and every call the fill
     cannot take, is numpy's own."""
 
     def random(self, size=None, dtype=np.float64, out=None):
-        if np.dtype(dtype) == np.float64 and (size is None) != (out is None):
-            filled = np.empty(size) if out is None else out
-            if philox_uniforms(self.bit_generator, filled):
+        if size is not None and out is None and np.dtype(dtype) == np.float64:
+            filled = philox_uniforms(self.bit_generator, size)
+            if filled is not None:
                 return filled
         return super().random(size, dtype, out)
 

@@ -274,6 +274,22 @@ def test_fit_attaches_bracket_and_log_model():
     assert 3.2 < fit.exponent < 3.9
 
 
+@pytest.mark.parametrize("top", [1.0, 2.0])
+def test_log_corrected_fit_refuses_a_grid_eps_of_one_or_more(top):
+    """log log(1/eps) is -inf at eps = 1 and NaN above: the fit with the
+    log model refuses such a grid point by name; the free power law
+    alone, with no bracket, fits it."""
+    eps = (top,) + tuple(2.0 ** -j for j in range(1, 6))
+    res = tuple(e ** 4 for e in eps)
+    s = analysis.ResidualSeries(order=1, eps=eps, lam=res,
+                                lam_stderr=(1e-10,) * len(eps),
+                                regular=(0.0,) * len(eps), residual=res,
+                                sign=-1, ell=(4.0,))
+    with pytest.raises(InvalidParameter, match=f"got eps = {top:g}$"):
+        analysis.fit_exponent(s, bracket=analysis.theory_brackets(CRIT, 1))
+    assert analysis.fit_exponent(s).exponent == pytest.approx(4.0)
+
+
 def test_fit_measured_heavy_tail_slope():
     """End-to-end: measured K = 0 residual of the alpha = 1/2 law decays
     like eps^1 (up to the theta window)."""

@@ -70,17 +70,10 @@ def test_parse_steps_and_int_lists():
         cli._parse_grid(" , ")
 
 
-def test_thread_resolution(monkeypatch):
+def test_thread_resolution():
     import argparse
-    monkeypatch.delenv("LYAPEXP_THREADS", raising=False)
     assert cli._resolve_threads(argparse.Namespace(threads=0)) == 1
     assert cli._resolve_threads(argparse.Namespace(threads=3)) == 3
-    monkeypatch.setenv("LYAPEXP_THREADS", "4")
-    assert cli._resolve_threads(argparse.Namespace(threads=0)) == 4
-    assert cli._resolve_threads(argparse.Namespace(threads=2)) == 2
-    monkeypatch.setenv("LYAPEXP_THREADS", "many")
-    with pytest.raises(cli._UsageError):
-        cli._resolve_threads(argparse.Namespace(threads=0))
     with pytest.raises(InvalidParameter):
         cli._resolve_threads(argparse.Namespace(threads=-3))
 
@@ -313,19 +306,25 @@ def test_eps_whose_square_overflows_exits_2_before_any_draw(capsys,
     assert len(err.strip().splitlines()) == 1 and "--method direct" in err
 
 
-@pytest.mark.parametrize("law, steps, message", [
+@pytest.mark.parametrize("law, order, grid, steps, no_fit, message", [
     ({"family": "two_point", "atoms": [{"value": "1/2", "weight": "1/2"},
                                        {"value": "3", "weight": "1/2"}]},
-     "3e7", "KNotInA: E[log Z] >= 0: no admissible orders exist"),
-    (None, "200000,10",
+     "0", "0.5,0.25", "3e7", True,
+     "KNotInA: E[log Z] >= 0: no admissible orders exist"),
+    (TWO_POINT, "0", "0.5,0.25", "200000,10", True,
      "InvalidParameter: n_steps must be at least the replica count"),
-], ids=["no_bracket", "second_budget"])
+    (CRITICAL, "1", "1,2^-1,2^-2,2^-3,2^-4", "200000", False,
+     "InvalidParameter: a log-corrected fit needs every grid eps below 1 "
+     "in size, got eps = 1"),
+], ids=["no_bracket", "second_budget", "log_model_at_eps_one"])
 def test_fit_refuses_before_its_first_estimate(capsys, monkeypatch,
-                                               tmp_path, law, steps,
-                                               message):
-    """A law with no theory bracket (E[log Z] > 0), and a per-point
-    budget below the replica count at the last grid point, are refused
-    before the first grid point's estimate runs."""
+                                               tmp_path, law, order, grid,
+                                               steps, no_fit, message):
+    """A law with no theory bracket (E[log Z] > 0), a per-point budget
+    below the replica count at the last grid point, and a grid point
+    eps = 1 in a fit with the log(1/eps) model (integer alpha) are
+    refused before the first grid point's estimate runs, with one line
+    and no --out directory."""
     from lyapexp import highdim, mc
 
     def no_draws(*args):
@@ -333,15 +332,26 @@ def test_fit_refuses_before_its_first_estimate(capsys, monkeypatch,
 
     monkeypatch.setattr(mc, "philox_generator", no_draws)
     monkeypatch.setattr(highdim, "philox_generator", no_draws)
-    spec = TWO_POINT
-    if law is not None:
+    spec = law
+    if isinstance(law, dict):
         spec = tmp_path / "growing.json"
         spec.write_text(json.dumps(law))
-    code, out, err = run(capsys, "fit", "--spec", str(spec), "--order", "0",
-                         "--eps-grid", "0.5,0.25", "--steps", steps,
-                         "--no-fit")
-    assert code == 2 and out == ""
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "fit", "--spec", str(spec), "--order", order,
+                         "--eps-grid", grid, "--steps", steps,
+                         "--min-points", "3", "--out", str(out_dir),
+                         *(("--no-fit",) if no_fit else ()))
+    assert code == 2 and out == "" and not out_dir.exists()
     assert err == f"error: {message}\n"
+
+
+def test_series_at_eps_one_runs_without_the_log_model(capsys):
+    """The grid the log model refuses is a fine series with --no-fit."""
+    code, out, err = run(capsys, "fit", "--spec", CRITICAL, "--order", "1",
+                         "--eps-grid", "1,2^-1,2^-2", "--steps", "20000",
+                         "--burn-in", "200", "--no-fit", "--json")
+    assert code == 0, err
+    assert json.loads(out)["eps_grid"] == [1.0, 0.5, 0.25]
 
 
 @pytest.mark.parametrize("spec, order, message", [
@@ -1027,21 +1037,6 @@ def test_rerun_detects_tampering(capsys, lyap_manifest):
     assert name in err
 
 
-def test_rerun_reports_bad_thread_environment_as_usage(capsys,
-                                                       lyap_manifest,
-                                                       monkeypatch):
-    # the environment is not the manifest's fault: exit 1, as a fresh run
-    monkeypatch.setenv("LYAPEXP_THREADS", "junk")
-    fresh = run(capsys, *LYAP)
-    replay = run(capsys, "rerun", "--manifest",
-                 str(lyap_manifest / "manifest.json"))
-    assert fresh == replay
-    code, out, err = replay
-    assert code == 1 and out == ""
-    assert err == "usage error: LYAPEXP_THREADS must be an integer, " \
-        "got 'junk'\n"
-
-
 def test_rerun_rejects_malformed_manifest(capsys, tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps({"subcommand": "lyap", "config": {}}))
@@ -1128,6 +1123,27 @@ def test_closed_stdout_keeps_files_and_exits_quietly(tmp_path):
     assert (out_dir / "chain.csv").exists()
 
 
+def test_reader_that_leaves_early_loses_no_file(tmp_path):
+    """README's promise: a reader that closes stdout early (``| head``)
+    loses no file, and the run ends quietly with exit code 0."""
+    out_dir = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lyapexp.cli", *LYAP, "--json",
+         "--out", str(out_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SPECS.parent / "src")))
+    proc.stdout.close()
+    try:
+        err = proc.communicate(timeout=300)[1]
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"lyap.json"}
+    assert (out_dir / "lyap.json").exists()
+
+
 def test_unwritable_out_dir_exits_two(capsys, tmp_path, lyap_manifest):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -1162,12 +1178,14 @@ def test_threads_do_not_change_outputs(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_env_threads_honored(capsys, tmp_path, monkeypatch):
+def test_thread_environment_steers_nothing(capsys, lyap_manifest,
+                                          monkeypatch):
+    """--threads is the only thread setting: LYAPEXP_THREADS, which once
+    set the default, is not read by a fresh run or a rerun."""
+    manifest = str(lyap_manifest / "manifest.json")
+    unset = run(capsys, *LYAP), run(capsys, "rerun", "--manifest", manifest)
     monkeypatch.setenv("LYAPEXP_THREADS", "junk")
-    code, _, err = run(capsys, "lyap", "--spec", TWO_POINT, "--eps", "1/4",
-                       "--steps", "2000")
-    assert code == 1 and "LYAPEXP_THREADS" in err
-    monkeypatch.setenv("LYAPEXP_THREADS", "2")
-    code, _, _ = run(capsys, "lyap", "--spec", TWO_POINT, "--eps", "1/4",
-                     "--steps", "2000")
-    assert code == 0
+    fresh = run(capsys, *LYAP)
+    replay = run(capsys, "rerun", "--manifest", manifest)
+    assert (fresh, replay) == unset
+    assert fresh[0] == replay[0] == 0 and fresh[2] == replay[2] == ""

@@ -622,8 +622,8 @@ def test_philox_fill_is_numpys_stream(seed, stream):
 
 
 def test_philox_fill_writes_out():
-    """A C-contiguous out is filled in C, a Fortran-ordered one by numpy
-    in its memory order, and a strided one refused by numpy."""
+    """numpy fills every out, a Fortran-ordered one in its memory order,
+    and refuses a strided one, on the same stream as the C fill."""
     gen, twin = philox_generator(3, 9), _twin(3, 9)
     for shape, order in [(size, "C") for size in SIZES] + [((3, 5), "F")]:
         out, want = np.empty(shape, order=order), np.empty(shape, order=order)
@@ -680,24 +680,22 @@ def test_philox_fill_leaves_a_negative_buffer_position_to_numpy(compiled):
     st = bitgen.state
     st["buffer_pos"] = -1
     bitgen.state = st
-    out = np.zeros(3)
-    assert not kernels.philox_uniforms(bitgen, out)
-    assert bitgen.state["buffer_pos"] == -1 and not out.any()
+    assert kernels.philox_uniforms(bitgen, 3) is None
+    assert bitgen.state["buffer_pos"] == -1
 
 
 def test_philox_fill_runs_in_c(compiled, monkeypatch):
-    """With the library loaded, a float64 draw with a size or an out is
-    the C fill's, not numpy's."""
+    """With the library loaded, a float64 draw with a size is the C
+    fill's, not numpy's."""
     fill, filled = kernels.philox_uniforms, []
 
-    def spy(bitgen, out):
-        filled.append(fill(bitgen, out))
+    def spy(bitgen, size):
+        filled.append(fill(bitgen, size))
         return filled[-1]
     monkeypatch.setattr(kernels, "philox_uniforms", spy)
     gen = philox_generator(8, 8)
-    gen.random((7, 13))
-    gen.random(out=np.empty(5))
-    assert filled == [True, True]
+    assert gen.random((7, 13)) is filled[-1]
+    assert len(filled) == 1 and filled[0].shape == (7, 13)
 
 
 # -- build and cache ----------------------------------------------------------
@@ -737,7 +735,6 @@ def test_load_refuses_a_shared_cache(tmp_path, monkeypatch):
 def _fresh_python(code, tmp_path):
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                PYTHONPATH=str(ROOT / "src"))
-    env.pop("LYAPEXP_THREADS", None)
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
 
@@ -775,7 +772,6 @@ def test_block_run_builds_on_first_engine_call(compiled, tmp_path):
         cache = tmp_path / name
         env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=path,
                    PYTHONPATH=str(ROOT / "src"))
-        env.pop("LYAPEXP_THREADS", None)
         runs[name] = subprocess.run(
             [sys.executable, "-c", code, str(cache)], env=env,
             capture_output=True, text=True, timeout=300)

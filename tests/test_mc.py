@@ -137,13 +137,31 @@ def test_slices_fold_to_the_bits_of_one_sum():
                               (np.concatenate(sums) / kept).view(np.int64))
 
 
-def test_slices_must_not_cross_the_first_kept_row():
-    def kernel(gen, width, pieces):
-        for span, _ in pieces:
-            yield np.ones((span, width))
+def _whole_pieces(gen, width, pieces):
+    for span, _ in pieces:
+        yield np.ones((span, width))
 
-    with pytest.raises(RuntimeError, match="across the first kept row"):
-        mc.run_chunked(kernel, 64 * 100, 64, 5, seed=0)
+
+def _past_the_end(gen, width, pieces):
+    for span, _ in pieces:
+        yield np.ones((span + 1, width))
+
+
+def _one_slice_too_many(gen, width, pieces):
+    yield from _whole_pieces(gen, width, pieces)
+    yield np.ones((1, width))
+
+
+@pytest.mark.parametrize("kernel, lead, message", [
+    (_whole_pieces, 5, "across the first kept row"),
+    (_past_the_end, 0, "or a piece's end"),
+    (_one_slice_too_many, 0, "more slices than scheduled")],
+    ids=["crosses_keep0", "past_the_end", "one_too_many"])
+def test_slices_must_not_cross_the_first_kept_row(kernel, lead, message):
+    """A slice that crosses the first kept row or a piece's end, and one
+    slice more than scheduled, are refused."""
+    with pytest.raises(RuntimeError, match=message):
+        mc.run_chunked(kernel, 64 * 100, 64, lead, seed=0)
 
 
 @pytest.mark.parametrize("n_steps, replicas, lead", [
