@@ -182,14 +182,6 @@ def _run_size(args, *leads) -> dict:
     return size
 
 
-def _load(loader, kind: str, path: str):
-    """``loader(path)``; a file that cannot be read is invalid input."""
-    try:
-        return loader(path)
-    except OSError as exc:
-        raise InvalidSpec(f"cannot read {kind} file {path}: {exc}") from exc
-
-
 def _clean(obj):
     """Make a result document JSON-safe (non-finite floats to strings)."""
     if isinstance(obj, dict):
@@ -249,7 +241,7 @@ def _run_coeffs(args):
         m = _parse_list(args.moments, lambda t: _finite(t, Fraction))
         source = {"moments": [str(v) for v in m]}
     elif args.spec:
-        m = _load(dist.load_spec, "spec", args.spec)
+        m = dist.load_spec(args.spec)
         source = {"spec": dist.spec_to_dict(m)}
     else:
         raise _UsageError("coeffs needs --spec or --moments")
@@ -271,7 +263,7 @@ def _run_coeffs(args):
 
 
 def _run_alpha(args):
-    spec = _load(dist.load_spec, "spec", args.spec)
+    spec = dist.load_spec(args.spec)
     doc = {**asdict(dist.solve_alpha(spec)),
            "assumptions_pass": dist.assumptions_hold(spec),
            "spec": dist.spec_to_dict(spec)}
@@ -279,7 +271,7 @@ def _run_alpha(args):
 
 
 def _run_chain(args):
-    spec = _load(dist.load_spec, "spec", args.spec)
+    spec = dist.load_spec(args.spec)
     size = _run_size(args, "burn_in")
     if args.dominance:
         return _run_dominance(args, spec, size["n_steps"])
@@ -288,9 +280,7 @@ def _run_chain(args):
     if not grid:
         raise _UsageError("chain needs --eps or --eps-grid")
     gammas = tuple(_parse_list(args.gamma, _parse_number))
-    if args.cutoff is not None and not math.isfinite(args.cutoff):
-        raise InvalidParameter(f"--cutoff must be finite, got {args.cutoff}")
-    cutoff = args.cutoff if args.cutoff is not None \
+    cutoff = _parse_number(args.cutoff) if args.cutoff is not None \
         else chain_mod.default_cutoff(spec)
     rows = []
     stats_docs = []
@@ -354,7 +344,7 @@ def _run_dominance(args, spec, steps):
 
 
 def _run_lyap(args):
-    spec = _load(dist.load_spec, "spec", args.spec)
+    spec = dist.load_spec(args.spec)
     size = _run_size(args, "burn_in", "discard")
     eps = finite_eps(_parse_number(args.eps))  # the |eps| both engines run
     doc = {"eps": eps, "seed": args.seed, "steps": size["n_steps"],
@@ -374,7 +364,7 @@ def _run_lyap(args):
 
 
 def _run_fit(args):
-    spec = _load(dist.load_spec, "spec", args.spec)
+    spec = dist.load_spec(args.spec)
     size = _run_size(args, "burn_in")
     grid = _parse_grid(args.eps_grid)
     # a law or order with no bracket is refused before any estimate runs
@@ -402,7 +392,7 @@ def _run_fit(args):
 
 
 def _run_highdim(args):
-    law = _load(highdim.load_blocks, "blocks", args.blocks)
+    law = highdim.load_blocks(args.blocks)
     size = _run_size(args, "burn_in", "discard")
     report = highdim.validate_blocks(law)
     doc = {"d": law.d, "assumptions": {**asdict(report),
@@ -442,10 +432,11 @@ def _run_highdim(args):
 
 
 def _run_ising(args):
-    field_law = _load(dist.load_spec, "spec", args.field_law)
+    field_law = dist.load_spec(args.field_law)
     size = _run_size(args, "burn_in", "discard")
     couplings = tuple(_parse_list(args.couplings, _parse_coupling))
-    model = ising_mod.IsingModel(args.range, couplings, args.T, field_law)
+    model = ising_mod.IsingModel(args.range, couplings, _parse_number(args.T),
+                                 field_law)
     method = _METHODS[args.method]
     doc = {"range": args.range, "couplings": list(model.couplings),
            "T": model.temperature, "eps_l": list(model.eps),
@@ -583,13 +574,7 @@ def _run_selftest(args):
 
 
 def _run_rerun(args):
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise InvalidSpec(f"cannot read manifest {args.manifest}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"malformed manifest {args.manifest}: {exc}")
+    manifest = dist.read_json(args.manifest, "manifest")
     if not isinstance(manifest, dict):
         raise InvalidSpec("manifest is not an object")
     for key in ("subcommand", "config", "outputs"):
@@ -701,8 +686,7 @@ def _write_manifest(out_dir, sub, args, files, wall):
         "outputs": {name: _sha256(text) for name, text in files.items()},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (Path(out_dir) / "manifest.json").write_text(text, encoding="utf-8",
-                                                 newline="\n")
+    _write_files(out_dir, {"manifest.json": text})
 
 
 def _peak_rss_mb():
@@ -767,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps")
     p.add_argument("--eps-grid", dest="eps_grid")
     p.add_argument("--gamma", default="1,2", help="comma list of moments")
-    p.add_argument("--cutoff", type=float, default=None,
+    p.add_argument("--cutoff",
                    help="truncation level B for E[X^g; eps^2 X <= B] "
                         "(default: twice the essential supremum of Z)")
     p.add_argument("--dominance", action="store_true",
@@ -810,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interaction range d")
     p.add_argument("--couplings", required=True,
                    help="comma list of d bond strengths (inf allowed)")
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", required=True)
     p.add_argument("--field-law", dest="field_law", required=True,
                    help="JSON law of the disorder multiplier Z")
     p.add_argument("--method", choices=("direct", "invariant"),

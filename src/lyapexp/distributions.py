@@ -38,15 +38,15 @@ _CONTINUOUS = (UNIFORM_INTERVAL, LOG_UNIFORM)
 def as_fraction(value) -> Fraction:
     """Parse a number into an exact Fraction.
 
-    Accepts Fraction, int, "p/q" or decimal strings, and floats.  Floats
-    go through their shortest decimal repr, so ``0.2`` means 1/5 rather
-    than the underlying binary expansion.
+    Accepts Fraction, int, "p/q" or decimal strings, and finite floats.
+    Floats go through their shortest decimal repr, so ``0.2`` means 1/5
+    rather than the underlying binary expansion.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         # float() first: numpy scalars are float subclasses whose repr
         # ("np.float64(...)") Fraction cannot parse
         return Fraction(repr(float(value)))
@@ -442,14 +442,18 @@ def spec_to_json(spec: DistributionSpec, **kwargs) -> str:
     return json.dumps(spec_to_dict(spec), **kwargs)
 
 
-def spec_from_json(text: str) -> DistributionSpec:
+def read_json(path, kind: str):
+    """The JSON document in the file ``path``, for every input file the
+    package reads; a file that cannot be read, is not UTF-8 or is not
+    JSON is invalid input, named by its ``kind``."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"malformed spec JSON: {exc}") from exc
-    return spec_from_dict(data)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot read {kind} file {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidSpec(f"malformed {kind} file {path}: {exc}") from exc
 
 
 def load_spec(path) -> DistributionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_json(fh.read())
+    return spec_from_dict(read_json(path, "spec"))

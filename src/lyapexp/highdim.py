@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -550,7 +549,8 @@ def validate_blocks(law) -> BlockReport:
 # -- JSON interchange -----------------------------------------------------------
 
 def blocks_from_dict(data: dict) -> FiniteBlockLaw:
-    """Parse {"d": ..., "triples": [{"weight","L","C","N"}, ...]}."""
+    """Parse {"d": ..., "triples": [{"weight","L","C","N"}, ...]}: L and
+    C lists, N a list of lists, d (if given) an integer."""
     if not isinstance(data, dict) or "triples" not in data:
         raise InvalidSpec("block JSON must be an object with a 'triples' list")
     entries = data["triples"]
@@ -561,20 +561,19 @@ def blocks_from_dict(data: dict) -> FiniteBlockLaw:
         weights = [e["weight"] for e in entries]
     except (KeyError, TypeError) as exc:
         raise InvalidSpec("each triple needs 'weight', 'L', 'C', 'N'") from exc
+    if not all(isinstance(N, list) and all(isinstance(t, list)
+                                           for t in (L, C, *N))
+               for L, C, N in triples):
+        raise InvalidSpec("each triple's 'L' and 'C' must be lists and "
+                          "its 'N' a list of lists")
+    d = data.get("d")
+    if "d" in data and (not isinstance(d, int) or isinstance(d, bool)):
+        raise InvalidSpec(f"'d' must be an integer, got {d!r}")
     law = finite_block_law(triples, weights)
-    if "d" in data and int(data["d"]) != law.d:
-        raise InvalidSpec(f"declared d={data['d']} but blocks have d={law.d}")
+    if "d" in data and d != law.d:
+        raise InvalidSpec(f"declared d={d} but blocks have d={law.d}")
     return law
 
 
-def blocks_from_json(text: str) -> FiniteBlockLaw:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"malformed block JSON: {exc}") from exc
-    return blocks_from_dict(data)
-
-
 def load_blocks(path) -> FiniteBlockLaw:
-    with open(path, "r", encoding="utf-8") as fh:
-        return blocks_from_json(fh.read())
+    return blocks_from_dict(dist.read_json(path, "blocks"))

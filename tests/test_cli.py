@@ -163,20 +163,59 @@ def test_validation_errors_exit_two(capsys):
         assert len(err.splitlines()) == 1, argv
 
 
-@pytest.mark.parametrize("argv, error, message", [
-    (("highdim", "--blocks", None, "--eps", "1/4", "--steps", "1000"),
-     "InvalidSpec", "malformed block JSON"),
+ALPHA_FILE = ("alpha", "--spec", None)
+HIGHDIM_FILE = ("highdim", "--blocks", None, "--eps", "1/4", "--steps", "1000")
+
+
+def _table(**fields) -> bytes:
+    """A one-triple d = 1 block file with ``fields`` set or replaced."""
+    triple = {"weight": "1", "L": ["1"], "C": ["1"], "N": [["1/2"]]}
+    doc = {"triples": [triple]}
+    for key, value in fields.items():
+        (doc if key == "d" else triple)[key] = value
+    return json.dumps(doc).encode()
+
+
+# the argv's None names a file of the given bytes
+@pytest.mark.parametrize("argv, content, error, message", [
+    (HIGHDIM_FILE, b'{"triples": [', "InvalidSpec", "malformed blocks file"),
     (("ising", "--range", "1", "--couplings", "inf", "--T", "1",
       "--field-law", TWO_POINT, "--scan", "--scales", "1/2,1/4",
-      "--scan-order", "1", "--steps", "1000"),
+      "--scan-order", "1", "--steps", "1000"), b"",
      "InvalidSpec", "model has no finite coupling to set a ray"),
-], ids=["malformed_blocks", "no_finite_coupling"])
-def test_input_refusals_exit_two(capsys, tmp_path, argv, error, message):
-    bad = tmp_path / "blocks.json"
-    bad.write_text('{"triples": [')
+    (ALPHA_FILE, b'\xff{"family": "two_point"}', "InvalidSpec",
+     "malformed spec file"),
+    (HIGHDIM_FILE, b'{"triples": [{"weight": "\xe9"}]}', "InvalidSpec",
+     "malformed blocks file"),
+    (ALPHA_FILE, b'{"family": "two_point", "atoms": [{"value": NaN, '
+     b'"weight": "1/2"}, {"value": "2", "weight": "1/2"}]}',
+     "InvalidSpec", "cannot parse number nan"),
+    (ALPHA_FILE, b'{"family": "uniform_interval", "lower": 1e400, '
+     b'"upper": "2"}', "InvalidSpec", "cannot parse number inf"),
+    (HIGHDIM_FILE, _table(weight=math.nan), "InvalidSpec",
+     "cannot parse number nan"),
+    (HIGHDIM_FILE, _table(L=1), "InvalidSpec",
+     "each triple's 'L' and 'C' must be lists"),
+    (HIGHDIM_FILE, _table(N=[1]), "InvalidSpec",
+     "each triple's 'L' and 'C' must be lists"),
+    (HIGHDIM_FILE, _table(L="1", C="1", N=["1"]), "InvalidSpec",
+     "each triple's 'L' and 'C' must be lists"),
+    (HIGHDIM_FILE, _table(d=1.5), "InvalidSpec", "'d' must be an integer"),
+    (HIGHDIM_FILE, _table(d=True), "InvalidSpec", "'d' must be an integer"),
+    (HIGHDIM_FILE, _table(d="x"), "InvalidSpec", "'d' must be an integer"),
+    (HIGHDIM_FILE, _table(d=None), "InvalidSpec", "'d' must be an integer"),
+], ids=["malformed_blocks", "no_finite_coupling", "non_utf8_spec",
+        "non_utf8_blocks", "nan_value", "overflowing_endpoint",
+        "nan_block_weight", "number_table", "flat_table", "string_table",
+        "fractional_d", "boolean_d", "string_d", "null_d"])
+def test_input_refusals_exit_two(capsys, tmp_path, argv, content, error,
+                                 message):
+    bad = tmp_path / "input.json"
+    bad.write_bytes(content)
     argv = tuple(str(bad) if a is None else a for a in argv)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "Traceback" not in err
     assert err.startswith(f"error: {error}: {message}")
 
 
@@ -1043,6 +1082,10 @@ def test_rerun_rejects_malformed_manifest(capsys, tmp_path):
     assert run(capsys, "rerun", "--manifest", str(bad))[0] == 2
     bad.write_text("{not json")
     assert run(capsys, "rerun", "--manifest", str(bad))[0] == 2
+    bad.write_bytes(b'{"subcommand": "\xff"}')
+    code, _, err = run(capsys, "rerun", "--manifest", str(bad))
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: InvalidSpec: malformed manifest file")
     for doc in ([1], {"subcommand": ["lyap"], "config": {}, "outputs": {}},
                 {"subcommand": "lyap", "config": {}, "outputs": []}):
         bad.write_text(json.dumps(doc))
@@ -1156,6 +1199,14 @@ def test_unwritable_out_dir_exits_two(capsys, tmp_path, lyap_manifest):
     assert code == 2 and err.count("\n") == 1
 
 
+def test_unwritable_manifest_exits_two(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    (out_dir / "manifest.json").mkdir(parents=True)
+    code, out, err = run(capsys, *LYAP, "--out", str(out_dir))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: InvalidParameter: cannot write to --out")
+
+
 def test_manifest_config_resolves_paths(capsys, tmp_path, monkeypatch):
     out_dir = tmp_path / "rel"
     monkeypatch.chdir(SPECS.parent)
@@ -1176,6 +1227,34 @@ def test_threads_do_not_change_outputs(capsys, tmp_path):
         assert code == 0
         outs.append((d / "chain.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, option, forms", [
+    (("chain", "--spec", TWO_POINT, "--eps", "1/4", "--steps", "2000"),
+     "--cutoff", ("0.5", "1/2", "2^-1")),
+    (("ising", "--range", "1", "--couplings", "1.0", "--field-law",
+      TWO_POINT, "--steps", "2000"), "--T", ("0.5", "1/2", "2^-1")),
+], ids=["cutoff", "T"])
+def test_number_options_share_the_eps_syntax(capsys, tmp_path, argv, option,
+                                             forms):
+    """--cutoff and --T read numbers as --eps does, and a manifest that
+    stores the option as a JSON number still replays."""
+    outs = []
+    for i, form in enumerate(forms):
+        d = tmp_path / str(i)
+        code, _, err = run(capsys, *argv, option, form, "--out", str(d))
+        assert code == 0, err
+        outs.append({p.name: p.read_bytes() for p in d.iterdir()
+                     if p.name != "manifest.json"})
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    manifest = tmp_path / "1" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["config"][option.lstrip("-")] = 0.5
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rerun", "--manifest", str(manifest),
+                         "--json")
+    assert code == 0, err
+    assert json.loads(out)["match"] is True
 
 
 def test_thread_environment_steers_nothing(capsys, lyap_manifest,

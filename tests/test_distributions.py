@@ -78,7 +78,8 @@ def test_spec_invariants_are_refused(fields, message):
         dist.DistributionSpec(**fields)
 
 
-@pytest.mark.parametrize("value", ["abc", "1/0", None, [1]])
+@pytest.mark.parametrize("value", ["abc", "1/0", None, [1],
+                                   math.inf, -math.inf, math.nan])
 def test_as_fraction_refuses_what_is_no_number(value):
     with pytest.raises(InvalidSpec, match="cannot parse number"):
         dist.as_fraction(value)
@@ -381,7 +382,7 @@ def test_json_round_trip_all_families():
               dist.uniform_interval("1/10", "9/10"),
               dist.log_uniform("1/4", "4"),
               dist.degenerate("5/4")):
-        assert dist.spec_from_json(dist.spec_to_json(s)) == s
+        assert dist.spec_from_dict(json.loads(dist.spec_to_json(s))) == s
 
 
 def test_json_exact_rational_text():
@@ -391,9 +392,11 @@ def test_json_exact_rational_text():
     assert data["atoms"][0]["weight"] == "3/4"
 
 
-def test_json_rejects_malformed_documents():
-    with pytest.raises(InvalidSpec):
-        dist.spec_from_json("not json at all {")
+def test_json_rejects_malformed_documents(tmp_path):
+    bad = tmp_path / "law.json"
+    bad.write_text("not json at all {")
+    with pytest.raises(InvalidSpec, match="malformed spec file"):
+        dist.load_spec(bad)
     with pytest.raises(InvalidSpec):
         dist.spec_from_dict({"family": "no_such_family"})
     with pytest.raises(InvalidSpec):

@@ -401,9 +401,11 @@ def test_lyapunov_general_refuses_an_unknown_method():
                                  n_steps=128, replicas=2)
 
 
-def test_blocks_from_json_refuses_malformed_json():
-    with pytest.raises(InvalidSpec, match="malformed block JSON"):
-        highdim.blocks_from_json('{"triples": [')
+def test_load_blocks_refuses_malformed_json(tmp_path):
+    bad = tmp_path / "blocks.json"
+    bad.write_text('{"triples": [')
+    with pytest.raises(InvalidSpec, match="malformed blocks file"):
+        highdim.load_blocks(bad)
 
 
 def test_g_matrix_block_diagonal_product_law():
