@@ -40,22 +40,54 @@ def as_fraction(value) -> Fraction:
 
     Accepts Fraction, int, "p/q" or decimal strings, and finite floats.
     Floats go through their shortest decimal repr, so ``0.2`` means 1/5
-    rather than the underlying binary expansion.
+    rather than the underlying binary expansion.  The engines compute
+    with the number's float, so a number whose float is not finite, such
+    as ``"1e400"``, or is 0 though the number is not, such as
+    ``"1e-400"``, is refused like one that does not parse.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float) and math.isfinite(value):
+    if isinstance(value, float):
         # float() first: numpy scalars are float subclasses whose repr
         # ("np.float64(...)") Fraction cannot parse
-        return Fraction(repr(float(value)))
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidSpec(f"cannot parse number {value!r}") from exc
-    raise InvalidSpec(f"cannot parse number {value!r}")
+        frac = Fraction(repr(float(value))) if math.isfinite(value) else None
+    elif isinstance(value, (Fraction, int)):
+        frac = value if isinstance(value, Fraction) else Fraction(value)
+    elif isinstance(value, str):
+        frac = _string_fraction(value.strip())
+    else:
+        frac = None
+    if frac is None or not _float_sized(frac):
+        raise InvalidSpec(f"cannot parse number {value!r}")
+    return frac
+
+
+def _string_fraction(text):
+    """The Fraction a number string names, or None.  A decimal is rounded
+    by float() first: one whose float is not finite or is 0 is settled
+    there, so that no exponent, however long, is expanded to its exact
+    power of 10 (a "p/q" string's size is bounded by its digits)."""
+    try:
+        rounded = float(text)
+    except ValueError:  # "p/q", or no number: Fraction decides
+        rounded = 1.0
+    if not math.isfinite(rounded):
+        return None
+    if rounded == 0.0:
+        # zero exactly when no digit of the mantissa is; else too small
+        mantissa = text.lower().partition("e")[0]
+        return None if any(c in "123456789" for c in mantissa) \
+            else Fraction(0)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _float_sized(frac: Fraction) -> bool:
+    """Whether ``frac``'s float is finite, and 0 only if ``frac`` is."""
+    try:
+        return float(frac) != 0.0 or frac == 0
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -444,14 +476,17 @@ def spec_to_json(spec: DistributionSpec, **kwargs) -> str:
 
 def read_json(path, kind: str):
     """The JSON document in the file ``path``, for every input file the
-    package reads; a file that cannot be read, is not UTF-8 or is not
-    JSON is invalid input, named by its ``kind``."""
+    package reads; a file that cannot be read, is not UTF-8, is not JSON,
+    nests too deeply or holds an integer too long to decode is invalid
+    input, named by its ``kind``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InvalidSpec(f"cannot read {kind} file {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is the
+    # refusal of an integer past sys.get_int_max_str_digits() digits
+    except (ValueError, RecursionError) as exc:
         raise InvalidSpec(f"malformed {kind} file {path}: {exc}") from exc
 
 

@@ -22,9 +22,10 @@ Either way G^(l) is exact.
 Everything here reduces to the scalar theory at d = 1 with
 (L, C, N) = (1, Z, Z), and the scalar engines are these engines at
 d = 1, on the law :func:`from_scalar` gives.  Their pieces run the
-kernels' loops compiled for d = 1, of either form; embedded in d = 2
-with a coordinate that stays zero, the same law runs the loops at
-general d to the same bits.
+kernels' loops compiled for d = 1, of either form (the loops are also
+compiled for d = 2 and 3); embedded in d = 4 with coordinates that
+stay zero, the same law runs the general loop, which serves every
+d >= 4, to the same bits.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@
  * (m, d), (m, d) and (m, d, d) atom tables by its m - 1 thresholds; a
  * scalar-driven law's gives the scalar z = a + s u that scales the
  * masked entries of one-row tables.  Each recursion has one loop body,
- * which each kernel instantiates with the form and d as constants: once
- * for d = 1, the scalar engines' case, and once for general d.
+ * which each kernel instantiates with the form constant and, at d = 1,
+ * 2 and 3, d constant too: d = 1 is the scalar engines' case, d = 2 and
+ * 3 the block and Ising laws'.  From d = 4 on one general loop runs.
  *
  * The uniforms come from philox_uniforms, which continues numpy's
  * Philox4x64-10 stream (Salmon et al., SC'11) from its state and gives
@@ -124,7 +125,9 @@ static inline void cell_blocks(const struct piece *p, int affine,
 
 /* The chain over a piece, with the form and d constant once inlined.
  * The scratch s holds d * (d + 2) values: one row of d, then the c (d)
- * and n (d * d) rows an affine piece forms. */
+ * and n (d * d) rows an affine piece forms: on the stack up to d = 3,
+ * where the constant-d loops keep it in registers, and malloced from
+ * d = 4 on. */
 static inline void chain_loop(const struct piece *p, int affine, ptrdiff_t d,
                               double *restrict s, double *restrict x,
                               double *restrict xbuf, double *restrict dbuf,
@@ -150,6 +153,26 @@ static inline void chain_loop(const struct piece *p, int affine, ptrdiff_t d,
     }
 }
 
+/* The largest d the loops are compiled for as a constant. */
+#define MAX_CONST_D 3
+
+/* loop(p, form, d, ...) with the piece's form as a constant. */
+#define WITH_FORM(loop, p, d, ...)                                        \
+    ((p)->cpow != NULL ? loop(p, 1, d, __VA_ARGS__)                       \
+                       : loop(p, 0, d, __VA_ARGS__))
+
+/* loop(p, form, d, ...) with the form and, at d = 1, 2 and 3 (up to
+ * MAX_CONST_D), d as constants, so the compiler unrolls the length-d
+ * sums and keeps the blocks in registers; from d = 4 on the general
+ * loop runs.  The same operations in the same order either way. */
+#define RUN_LOOP(loop, p, d, ...)                                         \
+    switch (d) {                                                          \
+    case 1: WITH_FORM(loop, p, 1, __VA_ARGS__); break;                    \
+    case 2: WITH_FORM(loop, p, 2, __VA_ARGS__); break;                    \
+    case 3: WITH_FORM(loop, p, 3, __VA_ARGS__); break;                    \
+    default: WITH_FORM(loop, p, d, __VA_ARGS__);                          \
+    }
+
 /* Vector chain  x' = (C + N x) / (1 + e2 L.x)  on the (width, d) state x,
  * over a piece whose tables have the given number of rows.  Row t of
  * dbuf gets the denominators, and, when xbuf is not NULL, row t of the
@@ -164,21 +187,13 @@ int block_chain_steps(const double *restrict ls, const double *restrict cs,
                       ptrdiff_t d, double e2)
 {
     struct piece p = {ls, cs, ns, u, q, cpow, npow, rows};
-    int affine = cpow != NULL;
-    /* at d = 1 the scratch is on the stack, where it stays in registers */
-    double one[3];
-    double *s = d == 1 ? one : malloc((size_t)d * (d + 2) * sizeof *s);
+    double small[MAX_CONST_D * (MAX_CONST_D + 2)];
+    double *s = d <= MAX_CONST_D ? small
+                                 : malloc((size_t)d * (d + 2) * sizeof *s);
     if (s == NULL)
         return -1;
-    if (d == 1 && affine)
-        chain_loop(&p, 1, 1, s, x, xbuf, dbuf, span, width, e2);
-    else if (d == 1)
-        chain_loop(&p, 0, 1, s, x, xbuf, dbuf, span, width, e2);
-    else if (affine)
-        chain_loop(&p, 1, d, s, x, xbuf, dbuf, span, width, e2);
-    else
-        chain_loop(&p, 0, d, s, x, xbuf, dbuf, span, width, e2);
-    if (s != one)
+    RUN_LOOP(chain_loop, &p, d, s, x, xbuf, dbuf, span, width, e2);
+    if (s != small)
         free(s);
     return 0;
 }
@@ -235,21 +250,13 @@ int block_direct_steps(const double *restrict ls, const double *restrict cs,
                        ptrdiff_t d, double eps)
 {
     struct piece p = {ls, cs, ns, u, q, cpow, npow, rows};
-    int affine = cpow != NULL;
-    /* at d = 1 the scratch is on the stack, where it stays in registers */
-    double one[3];
-    double *s = d == 1 ? one : malloc((size_t)d * (d + 2) * sizeof *s);
+    double small[MAX_CONST_D * (MAX_CONST_D + 2)];
+    double *s = d <= MAX_CONST_D ? small
+                                 : malloc((size_t)d * (d + 2) * sizeof *s);
     if (s == NULL)
         return -1;
-    if (d == 1 && affine)
-        direct_loop(&p, 1, 1, s, v0, w, mbuf, span, width, eps);
-    else if (d == 1)
-        direct_loop(&p, 0, 1, s, v0, w, mbuf, span, width, eps);
-    else if (affine)
-        direct_loop(&p, 1, d, s, v0, w, mbuf, span, width, eps);
-    else
-        direct_loop(&p, 0, d, s, v0, w, mbuf, span, width, eps);
-    if (s != one)
+    RUN_LOOP(direct_loop, &p, d, s, v0, w, mbuf, span, width, eps);
+    if (s != small)
         free(s);
     return 0;
 }

@@ -29,9 +29,11 @@ quantile map is not affine passes its draws of Z as ``u`` with
 ``q = (0, 1)``, an exact identity
 (:func:`.distributions.affine_quantile`).
 
-Each recursion is one C loop body, compiled for each form both at
-d = 1, which every scalar engine piece has, and at general d; at d = 1
-the compiler keeps the blocks and sums in registers.  The numpy
+Each recursion is one C loop body, compiled for each form with d a
+constant at d = 1, which every scalar engine piece has, and at d = 2
+and 3, the dimensions of ``specs/blocks_d2.json`` and of the range-2
+Ising chain; there the compiler unrolls the length-d sums and keeps the
+blocks in registers.  From d = 4 on one general loop runs.  The numpy
 fallback has one loop per recursion, for every d and every width: the
 reference the C loops are tested against.  It forms (width, d, d)
 arrays and reduces them along an axis every row, which costs most at
@@ -325,11 +327,9 @@ def _library():
 
 
 def _load():
-    import subprocess
-
     try:
         lib = ctypes.CDLL(str(_build()))
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
     args = [ctypes.c_void_p] * 10 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double]
     for fn in (lib.block_chain_steps, lib.block_direct_steps):
@@ -355,11 +355,9 @@ def _cache_dir() -> Path:
 
 
 def _build() -> Path:
-    """Path of the cached library, compiling it first if it is absent."""
-    import shutil
-    import subprocess
-    import tempfile
-
+    """Path of the cached library, compiling it first if it is absent; an
+    OSError when it can be neither found nor built.  A cached library
+    imports nothing more."""
     key = hashlib.sha256()
     for part in (_SOURCE.read_bytes(), " ".join(_FLAGS).encode(),
                  platform.machine().encode(), sys.platform.encode()):
@@ -368,12 +366,19 @@ def _build() -> Path:
     target = cache / f"kernels-{key.hexdigest()}.so"
     if target.exists():
         return target
+    import shutil
+    import subprocess
+    import tempfile
+
     cc = shutil.which("cc")
     if cc is None:
         raise FileNotFoundError("no C compiler 'cc' on PATH")
     with tempfile.TemporaryDirectory(dir=cache) as tmp:
         built = Path(tmp) / target.name
-        subprocess.run([cc, *_FLAGS, "-o", str(built), str(_SOURCE)],
-                       check=True, capture_output=True, timeout=300)
+        try:
+            subprocess.run([cc, *_FLAGS, "-o", str(built), str(_SOURCE)],
+                           check=True, capture_output=True, timeout=300)
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"cannot build {_SOURCE.name}: {exc}") from exc
         os.replace(built, target)
     return target

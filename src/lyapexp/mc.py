@@ -32,7 +32,6 @@ the same numbers however its draws are split (see
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -94,6 +93,10 @@ def run_blocks(worker, n_replicas: int, threads: int = 1):
     blocks = replica_blocks(n_replicas)
     if threads <= 1 or len(blocks) == 1:
         return [worker(*block) for block in blocks]
+    # imported here, so that a run on one thread, the default, does not
+    # pay for concurrent.futures (and logging) at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, *zip(*blocks)))
 

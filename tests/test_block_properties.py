@@ -5,10 +5,12 @@ intervals, at d = 1.  The scalar engines run the law ``from_scalar``
 gives, ``(L, C, N) = (1, Z, Z)``: a finite law as atom tables, a
 uniform one as one-row tables driven by Z, either of which runs the
 kernels at d = 1: in C the loop body compiled for d = 1, in numpy the
-one loop of each recursion.  The same law embedded in d = 2 with a coordinate that
-stays zero, ``L = (1, 0)``, ``C = (Z, 0)``, ``N = [[Z, 0], [0, 0]]``,
-runs them at general d, whose sums of two terms round as the sums of
-one at d = 1.
+one loop of each recursion.  The loops are compiled for d = 2 and 3
+too, so the same law is embedded in d = 4, the least d of the general
+loop, with coordinates that stay zero, ``L = (1, 0, 0, 0)``,
+``C = (Z, 0, 0, 0)``, ``N = diag(Z, 0, 0, 0)``: there it runs the
+general loop, whose sums of four terms round as the sums of one at
+d = 1.
 
 - for finite and uniform laws the two loops give the same bits, for
   both estimators, on runs shorter than one piece of rows and across
@@ -17,7 +19,7 @@ one at d = 1.
 - runs at eps and -eps are bit-equal;
 - 1 and 3 worker threads give the same bits;
 - coupled paths are ordered: less damping gives a larger path at every
-  step, at d = 1 and at general d alike.
+  step, at d = 1 and in the general loop alike.
 
 The short run size spans two replica blocks (the second partial) and a
 lead that is not a multiple of any piece span.
@@ -78,9 +80,9 @@ methods = st.sampled_from(sorted(SCALAR))
 
 
 def _padded(law):
-    """The d = 1 law of ``law`` embedded in d = 2, its second coordinate
-    held at zero, so that its pieces run the kernels at general d."""
-    e = np.array([1.0, 0.0])
+    """The d = 1 law of ``law`` embedded in d = 4, its other coordinates
+    held at zero, so that its pieces run the general loop."""
+    e = np.eye(4)[0]
     return highdim.scalar_driven(e, e, np.diag(e), e, np.diag(e), law)
 
 
@@ -129,8 +131,8 @@ def test_d1_vector_paths_equal_scalar_paths_bitwise(law, eps):
     scalar = highdim.coupled_paths(highdim.from_scalar(law), (eps, 0.0),
                                    PATH_STEPS, 3)
     for vec, ref in zip(vector, scalar):
-        assert vec.shape == (PATH_STEPS, 2) and ref.shape == (PATH_STEPS, 1)
-        assert not vec[np.isfinite(vec[:, 0]), 1].any()
+        assert vec.shape == (PATH_STEPS, 4) and ref.shape == (PATH_STEPS, 1)
+        assert not vec[np.isfinite(vec[:, 0]), 1:].any()
         assert np.array_equal(vec[:, :1].view(np.uint64),
                               ref.view(np.uint64))
 

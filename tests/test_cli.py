@@ -164,7 +164,12 @@ def test_validation_errors_exit_two(capsys):
 
 
 ALPHA_FILE = ("alpha", "--spec", None)
+LYAP_FILE = ("lyap", "--spec", None, "--eps", "1/4", "--steps", "1000")
 HIGHDIM_FILE = ("highdim", "--blocks", None, "--eps", "1/4", "--steps", "1000")
+RERUN_FILE = ("rerun", "--manifest", None)
+# deeper than the JSON decoder can recurse
+DEEP = b"[" * 200000 + b"]" * 200000
+HUGE = 10 ** 400  # an exact integer past the float range
 
 
 def _table(**fields) -> bytes:
@@ -204,10 +209,31 @@ def _table(**fields) -> bytes:
     (HIGHDIM_FILE, _table(d=True), "InvalidSpec", "'d' must be an integer"),
     (HIGHDIM_FILE, _table(d="x"), "InvalidSpec", "'d' must be an integer"),
     (HIGHDIM_FILE, _table(d=None), "InvalidSpec", "'d' must be an integer"),
+    (ALPHA_FILE, b'{"family": "two_point", "atoms": [{"value": "1e400", '
+     b'"weight": "1/2"}, {"value": "2", "weight": "1/2"}]}', "InvalidSpec",
+     "cannot parse number '1e400'"),
+    (LYAP_FILE, b'{"family": "uniform_interval", "lower": "1", '
+     b'"upper": "1e400"}', "InvalidSpec", "cannot parse number '1e400'"),
+    (ALPHA_FILE, b'{"family": "two_point", "atoms": [{"value": "1e-400", '
+     b'"weight": "1/2"}, {"value": "2", "weight": "1/2"}]}', "InvalidSpec",
+     "cannot parse number '1e-400'"),
+    (HIGHDIM_FILE, _table(N=[[HUGE]]), "InvalidSpec",
+     f"cannot parse number {HUGE}"),
+    (HIGHDIM_FILE, _table(weight="1e400"), "InvalidSpec",
+     "cannot parse number '1e400'"),
+    (HIGHDIM_FILE, b'{"triples": [{"weight": "1", "L": [1], "C": ['
+     + b"9" * 5000 + b'], "N": [[1]]}]}', "InvalidSpec",
+     "malformed blocks file"),
+    (ALPHA_FILE, DEEP, "InvalidSpec", "malformed spec file"),
+    (HIGHDIM_FILE, DEEP, "InvalidSpec", "malformed blocks file"),
+    (RERUN_FILE, DEEP, "InvalidSpec", "malformed manifest file"),
 ], ids=["malformed_blocks", "no_finite_coupling", "non_utf8_spec",
         "non_utf8_blocks", "nan_value", "overflowing_endpoint",
         "nan_block_weight", "number_table", "flat_table", "string_table",
-        "fractional_d", "boolean_d", "string_d", "null_d"])
+        "fractional_d", "boolean_d", "string_d", "null_d",
+        "overflowing_atom", "overflowing_lyap_endpoint", "underflowing_atom",
+        "overflowing_block_entry", "overflowing_block_weight",
+        "integer_too_long", "deep_spec", "deep_blocks", "deep_manifest"])
 def test_input_refusals_exit_two(capsys, tmp_path, argv, content, error,
                                  message):
     bad = tmp_path / "input.json"

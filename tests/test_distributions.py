@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -79,10 +80,27 @@ def test_spec_invariants_are_refused(fields, message):
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", None, [1],
-                                   math.inf, -math.inf, math.nan])
+                                   math.inf, -math.inf, math.nan,
+                                   "1e400", "-1e400", 10 ** 400,
+                                   Fraction(-10 ** 400, 3), "1e-400",
+                                   "2e-324", Fraction(1, 10 ** 400),
+                                   "1/1" + "0" * 400,
+                                   # would expand 10 ** (10 ** 12) exactly
+                                   "1e999999999999", "-1e-999999999999"])
 def test_as_fraction_refuses_what_is_no_number(value):
+    """And a number whose float is not finite, or is 0 though it is not."""
     with pytest.raises(InvalidSpec, match="cannot parse number"):
         dist.as_fraction(value)
+
+
+def test_as_fraction_accepts_the_ends_of_the_float_range():
+    top, least = sys.float_info.max, 5e-324
+    assert float(dist.as_fraction(repr(top))) == top
+    assert float(dist.as_fraction(int(-top))) == -top
+    assert float(dist.as_fraction(repr(least))) == least
+    assert dist.as_fraction(least) == Fraction("5e-324")
+    for zero in ("0", "-0.0", "0e-999999999999", " .000e999999999999 "):
+        assert dist.as_fraction(zero) == 0
 
 
 def test_degenerate_law():

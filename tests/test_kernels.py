@@ -215,10 +215,11 @@ def _run_blocks_both(monkeypatch, run, pieces, state, keep=None):
     return results
 
 
-# d crosses numpy's grouping thresholds at 8 and 128; at d = 140 and 300
+# d = 1, 2 and 3 run the loops compiled for them, from d = 4 on the general
+# loop; d crosses numpy's grouping thresholds at 8 and 128; at d = 140 and 300
 # the split n/2 - (n/2 mod 8) differs from a split at n/2 or mod 4
 BLOCK_CASES = [(d, width, few_atoms)
-               for d in (1, 2, 3, 7, 8, 9, 15, 16, 129)
+               for d in (1, 2, 3, 4, 7, 8, 9, 15, 16, 129)
                for width in (1, 64, 512) for few_atoms in (False, True)]
 BLOCK_CASES += [(140, 8, True), (300, 8, True)]
 
@@ -337,15 +338,21 @@ def _gathered(piece):
     return (*tables, cells.reshape(u.shape), cells[1:], None, None)
 
 
+# the least d that runs the general loop, not one compiled for a
+# constant d
+GENERAL_D = 4
+
+
 def _embedded(piece):
-    """A d = 1 piece in d = 2, the second coordinate's table entries and
-    masks zero: its first coordinate steps as the d = 1 piece, and it
-    runs the kernels at general d."""
+    """A piece of d < GENERAL_D in GENERAL_D, the added coordinates'
+    table entries and masks zero: its first d coordinates step as the
+    piece does, and it runs the general loop."""
     ls, cs, ns, u, q, cpow, npow = piece
+    extra = GENERAL_D - ls.shape[-1]
 
     def pad(a, k):
         return None if a is None else \
-            np.pad(a, [(0, 0)] * (a.ndim - k) + [(0, 1)] * k)
+            np.pad(a, [(0, 0)] * (a.ndim - k) + [(0, extra)] * k)
     return (pad(ls, 1), pad(cs, 1), pad(ns, 2), u, q, pad(cpow, 1),
             pad(npow, 2))
 
@@ -370,9 +377,9 @@ def _method_run(method, width, d):
 
 
 def _embedded_state(state):
-    """The state of :func:`_embedded` pieces: a second coordinate of 0."""
-    return [np.pad(s, [(0, 0), (0, 1)]) if s.ndim == 2 else s
-            for s in state]
+    """The state of :func:`_embedded` pieces: added coordinates of 0."""
+    return [np.pad(s, [(0, 0), (0, GENERAL_D - s.shape[1])])
+            if s.ndim == 2 else s for s in state]
 
 
 def _assert_same_bits(got, want):
@@ -381,39 +388,42 @@ def _assert_same_bits(got, want):
         assert np.array_equal(_bits(ra), _bits(rb))
 
 
-@pytest.mark.parametrize("d", [1, 3, 15])
+@pytest.mark.parametrize("d", [1, 2, 3, 15])
 @pytest.mark.parametrize("method", ["chain", "direct"])
 def test_scalar_pieces_match_their_gathered_blocks(monkeypatch, d, method):
     """Masks and one Z per cell give the bits of the blocks they stand
     for (c * 1.0 == c), on whichever path this process runs and on the
-    numpy loops.  At d = 1 the gathered blocks are embedded in d = 2, so
-    the kernels at d = 1, on masks of 0 and 1 and L != 1, are checked
-    against the kernels at general d."""
+    numpy loops.  Below GENERAL_D the gathered blocks are embedded in it,
+    so the loops compiled for d = 1, 2 and 3, on masks of 0 and 1 and
+    L != 1, are checked against the general loop."""
     width = 64
     pieces = _block_pieces(d, width, few_atoms=False)
     run, state = _method_run(method, width, d)
     got = _run_blocks_both(monkeypatch, run, pieces, state)
     gathered = [(span, _gathered(p)) for span, p in pieces]
     keep = None
-    if d == 1:
+    if d < GENERAL_D:
         gathered = [(span, _embedded(p)) for span, p in gathered]
-        state, keep = _embedded_state(state), 1
+        state, keep = _embedded_state(state), d
     want = _run_blocks_both(monkeypatch, run, gathered, state, keep)
     _assert_same_bits(got, want)
 
 
+@pytest.mark.parametrize("few_atoms", [False, True])
 @pytest.mark.parametrize("method", ["chain", "direct"])
-def test_d1_atom_pieces_match_the_general_loop(monkeypatch, method):
-    """A finite d = 1 piece, with L != 1, gives the bits of the same
-    piece embedded in d = 2, which runs the kernels at general d, on
-    both paths; the gathered test above does this for the affine form."""
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constant_d_pieces_match_the_general_loop(monkeypatch, d, method,
+                                                  few_atoms):
+    """A piece of either form, with L != 1, at a d the loops are compiled
+    for gives the bits of the same piece embedded in GENERAL_D, which runs
+    the general loop, on both paths."""
     width = 64
-    pieces = _block_pieces(1, width, few_atoms=True)
-    run, state = _method_run(method, width, 1)
+    pieces = _block_pieces(d, width, few_atoms)
+    run, state = _method_run(method, width, d)
     got = _run_blocks_both(monkeypatch, run, pieces, state)
     want = _run_blocks_both(
         monkeypatch, run, [(span, _embedded(p)) for span, p in pieces],
-        _embedded_state(state), keep=1)
+        _embedded_state(state), keep=d)
     _assert_same_bits(got, want)
 
 
@@ -533,14 +543,15 @@ class _Fixed:
         return self.u.reshape(size)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(MAP_SPECS))
 def test_kernel_map_matches_atom_index_and_sampler(monkeypatch, name, d):
     """The Z each loop forms from a cell's uniform is the sampler's, and
-    for a finite law the atom it picks is pick_atoms', on both paths, at
-    d = 1 and in the general loop: the chain with C = (Z, 0, ...) and
-    N = 0 writes C, and the direct product with L = C = 0 and
-    N = Z e_1 e_1^T writes max(0, Z w_1) = Z with w kept at e_1."""
+    for a finite law the atom it picks is pick_atoms', on both paths, in
+    the loops compiled for d = 1, 2, 3 and in the general loop: the
+    chain with C = (Z, 0, ...) and N = 0 writes C, and the direct
+    product with L = C = 0 and N = Z e_1 e_1^T writes max(0, Z w_1) = Z
+    with w kept at e_1."""
     spec = MAP_SPECS[name]
     thresholds = dist.atom_thresholds(spec.weights) if spec.is_discrete \
         else np.array([])
@@ -722,6 +733,18 @@ def test_load_falls_back_without_compiler(tmp_path, monkeypatch):
     assert kernels._load() is None
 
 
+def test_load_falls_back_when_the_build_fails(tmp_path, monkeypatch):
+    """A compiler that fails leaves the numpy loops, and no library."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text("#!/bin/sh\nexit 1\n")
+    os.chmod(bin_dir / "cc", 0o755)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("PATH", str(bin_dir))
+    assert kernels._load() is None
+    assert list((tmp_path / "cache" / "lyapexp").iterdir()) == []
+
+
 def test_load_refuses_a_shared_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     (tmp_path / "lyapexp").mkdir(mode=0o777)
@@ -743,9 +766,22 @@ def test_cli_import_starts_no_build(tmp_path):
     proc = _fresh_python(
         "import sys, lyapexp.cli\n"
         "assert 'subprocess' not in sys.modules, 'subprocess imported'\n"
-        "assert 'lyapexp.kernels' not in sys.modules, 'kernels imported'\n",
+        "assert 'lyapexp.kernels' not in sys.modules, 'kernels imported'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'pool imported'\n",
         tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cached_library_loads_without_subprocess(compiled, tmp_path):
+    """Only a build needs subprocess: the process that finds the library
+    in its cache loads it without importing it."""
+    code = ("import sys\n"
+            "from lyapexp import kernels\n"
+            "assert kernels._library() is not None\n"
+            "print('subprocess' in sys.modules)\n")
+    runs = [_fresh_python(code, tmp_path) for _ in range(2)]
+    assert [p.returncode for p in runs] == [0, 0], runs[0].stderr
+    assert [p.stdout.split() for p in runs] == [["True"], ["False"]]
 
 
 def test_block_run_builds_on_first_engine_call(compiled, tmp_path):
